@@ -45,7 +45,7 @@ def main():
     run(st, img.mem, img.program)
     assert st.halted and st.fault is None
 
-    switches = st.switches_hot + st.switches_cold
+    switches = st.switches
     print(f"  result r0 = {st.regs[0].address}")
     print(f"  domain switches: {switches} (call + return)")
     print(f"  instructions retired: {st.instructions_retired}")

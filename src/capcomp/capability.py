@@ -10,7 +10,7 @@ capabilities are opaque tokens; mutating one also clears the tag.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 ADDR_BITS = 64
 ADDR_MASK = (1 << ADDR_BITS) - 1
@@ -36,6 +36,12 @@ class Perm(enum.IntFlag):
 
 PERM_ALL = Perm(63)
 PERM_NONE = Perm(0)
+
+# Every permission set as its canonical member: PERMS[i] is Perm(i).  The
+# hot paths compute permission sets as plain ints and look the result up
+# here, so no IntFlag arithmetic runs per access.
+PERMS = tuple(Perm(i) for i in range(int(PERM_ALL) + 1))
+_int_and = int.__and__     # AND of two ints, Perm operands included, as a plain int
 
 
 class FaultKind(enum.Enum):
@@ -128,14 +134,17 @@ def set_address(c: Capability, address: int) -> Capability:
     """Move the cursor. The tag survives even if the cursor leaves the bounds
     (the violation is caught at use); moving a sealed capability's cursor
     clears the tag instead."""
-    tag = c.tag and not c.sealed
-    return replace(c, address=address & ADDR_MASK, tag=tag)
+    return Capability(c.base, c.top, address & ADDR_MASK, c.perms, c.otype,
+                      c.tag and c.otype == OTYPE_UNSEALED)
 
 
 def restrict_perms(c: Capability, keep: Perm) -> Capability:
-    """Intersect the permission set with `keep`; sealed sources lose the tag."""
-    tag = c.tag and not c.sealed
-    return replace(c, perms=c.perms & Perm(keep), tag=tag)
+    """Intersect the permission set with `keep` (a Perm or an int mask);
+    sealed sources lose the tag."""
+    perms = _int_and(c.perms, keep)
+    return Capability(c.base, c.top, c.address,
+                      PERMS[perms] if perms < len(PERMS) else Perm(perms),
+                      c.otype, c.tag and c.otype == OTYPE_UNSEALED)
 
 
 def seal(c: Capability, otype: int) -> Capability:
@@ -144,8 +153,8 @@ def seal(c: Capability, otype: int) -> Capability:
     capability yields an untagged result."""
     if not (OTYPE_UNSEALED < otype <= OTYPE_MAX):
         raise ValueError(f"otype must be in [1, {OTYPE_MAX}], got {otype}")
-    tag = c.tag and not c.sealed
-    return replace(c, otype=otype, tag=tag)
+    return Capability(c.base, c.top, c.address, c.perms, otype,
+                      c.tag and c.otype == OTYPE_UNSEALED)
 
 
 def unseal(c: Capability) -> Capability:
@@ -156,14 +165,15 @@ def unseal(c: Capability) -> Capability:
     """
     if not c.sealed:
         raise ValueError("cannot unseal an unsealed capability")
-    return replace(c, otype=OTYPE_UNSEALED)
+    return Capability(c.base, c.top, c.address, c.perms, OTYPE_UNSEALED, c.tag)
 
 
 def check_access(c: Capability, addr: int, length: int, need: Perm) -> FaultKind | None:
     """Decide whether `c` authorizes touching [addr, addr+length) with `need`.
 
     Returns None when the access is allowed, otherwise the highest-priority
-    fault kind: tag, then seal, then permission, then bounds.
+    fault kind: tag, then seal, then permission, then bounds.  `need` is a
+    Perm or an int mask.
     """
     if length < 1:
         raise ValueError("access length must be >= 1")
@@ -171,7 +181,7 @@ def check_access(c: Capability, addr: int, length: int, need: Perm) -> FaultKind
         return FaultKind.TAG
     if c.otype != OTYPE_UNSEALED:
         return FaultKind.SEAL
-    if (c.perms & need) != need:
+    if _int_and(c.perms, need) != need:
         return FaultKind.PERMISSION
     if addr < c.base or addr + length > c.top:
         return FaultKind.BOUNDS
@@ -179,7 +189,11 @@ def check_access(c: Capability, addr: int, length: int, need: Perm) -> FaultKind
 
 
 def serialize(c: Capability) -> bytes:
-    """Pack a capability into its flat debug record."""
+    """Pack a capability into its flat debug record.
+
+    This and `deserialize` are the reference codec: `TaggedMemory` packs
+    and unpacks the same layout in one step with a precompiled struct.
+    """
     return (
         bytes([1 if c.tag else 0])
         + c.base.to_bytes(8, "little")

@@ -226,7 +226,7 @@ def cmd_trace(args) -> int:
         print(f"faulted: {st.fault}", file=sys.stderr)
         return 1
     print(f"\nround trip complete: r0 = {st.regs[0].address}, "
-          f"{st.switches_hot + st.switches_cold} switches, "
+          f"{st.switches} switches, "
           f"{st.instructions_retired} instructions")
     return 0
 

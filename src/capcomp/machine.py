@@ -17,7 +17,6 @@ cannot place itself inside that window.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .capability import (
@@ -28,6 +27,7 @@ from .capability import (
     Perm,
     check_access,
     int_cap,
+    restrict_perms,
     seal as seal_cap,
     set_address,
     set_bounds,
@@ -43,9 +43,13 @@ from .isa import (
     REG_ZERO,
     format_ins,
 )
-from .memory import AddressError, AlignmentError, CAP_SLOT, TaggedMemory
+from .memory import CAP_SLOT, TaggedMemory
 
 PAIR_BYTES = 2 * CAP_SLOT      # a (pcc, ddc) capability pair in memory
+
+# Permission masks as plain ints, so the checks below do no IntFlag arithmetic.
+_LOAD, _STORE, _EXECUTE, _LOAD_CAP, _STORE_CAP = (
+    int(p) for p in (Perm.LOAD, Perm.STORE, Perm.EXECUTE, Perm.LOAD_CAP, Perm.STORE_CAP))
 
 
 class MachineError(Exception):
@@ -84,8 +88,7 @@ class MachineState:
 
     instructions_retired: int = 0
     memory_accesses: int = 0
-    switches_hot: int = 0
-    switches_cold: int = 0
+    switches: int = 0          # domain switches (load-pair-branch commits)
     ddc_swap_events: int = 0
 
     # Exception-based sharing: when enabled, `run` lets a bounds fault on a
@@ -103,23 +106,14 @@ class MachineState:
     # One-shot install-ddc window armed by load-pair-branch.
     ddc_grant: int | None = None
 
-    # Hot/cold classification of switch events.
-    hot_fraction: float = 1.0
-    rng: random.Random = field(default_factory=lambda: random.Random(0))
-
     # When a list is installed here, every successful data access appends
     # (pc, addr, length, is_write).  Used by the isolation fuzzer.
     access_log: list | None = None
 
-    def fork_registers(self) -> list[Capability]:
-        return list(self.regs)
-
 
 def _privileged(st: MachineState, pc: int) -> bool:
-    if st.switcher_bounds is None:
-        return True
-    lo, hi = st.switcher_bounds
-    return lo <= pc < hi
+    bounds = st.switcher_bounds
+    return bounds is None or bounds[0] <= pc < bounds[1]
 
 
 def _blocked_entry(st: MachineState, target: int, pc: int) -> bool:
@@ -127,13 +121,6 @@ def _blocked_entry(st: MachineState, target: int, pc: int) -> bool:
     a sealed capability is the only way in.  Without this, a leaked switcher
     code capability would turn mid-sequence instructions into gadgets."""
     return _privileged(st, target) and not _privileged(st, pc)
-
-
-def _owner_of(st: MachineState, pc: int) -> int | None:
-    for base, top, comp in st.code_regions:
-        if base <= pc < top:
-            return comp
-    return None
 
 
 def _fault(st: MachineState, kind: FaultKind, addr: int, pc: int,
@@ -147,42 +134,37 @@ def _setreg(st: MachineState, idx: int, value: Capability) -> None:
         st.regs[idx] = value
 
 
-def _retire(st: MachineState, new_pc: int) -> MachineState:
-    st.instructions_retired += 1
-    st.pcc = set_address(st.pcc, new_pc)
-    comp = _owner_of(st, new_pc)
-    if comp is not None:
-        st.current_compartment = comp
-    return st
-
-
-def _retire_branch(st: MachineState, new_pcc: Capability) -> MachineState:
+def _retire(st: MachineState, new_pcc: Capability) -> MachineState:
     st.instructions_retired += 1
     st.pcc = new_pcc
-    comp = _owner_of(st, new_pcc.address)
-    if comp is not None:
-        st.current_compartment = comp
+    pc = new_pcc.address
+    for base, top, comp in st.code_regions:
+        if base <= pc < top:
+            st.current_compartment = comp
+            break
     return st
 
 
-def _count_switch(st: MachineState) -> None:
-    if st.hot_fraction >= 1.0 or st.rng.random() < st.hot_fraction:
-        st.switches_hot += 1
-    else:
-        st.switches_cold += 1
+def _next(st: MachineState, pc: int) -> MachineState:
+    """Retire the instruction at `pc` and fall through to the next one."""
+    return _retire(st, set_address(st.pcc, pc + 1))
 
 
-def _lpb_commit(st: MachineState, mem: TaggedMemory, sealed_reg: int,
-                second_reg: int, pc: int) -> MachineState:
-    """Shared semantics of load-pair-branch / invoke-sealed.
+# One handler per opcode: handler(st, mem, ins, pc, grant) executes `ins`,
+# fetched from `pc` and past the fetch checks; `grant` is the install-ddc
+# grant armed for this instruction.
+
+
+def _load_pair_branch(st, mem, ins, pc, grant):
+    """Load-pair-branch, on sealed register `ins.a` into register `ins.b`.
 
     Unseals the operand, loads the (branch target, data) capability pair at
     its cursor, branches to the first element, leaves the second in
-    `second_reg`, the unsealed operand back in `sealed_reg`, and a return
-    capability (old pcc advanced past this instruction) in the link register.
-    Arms the one-shot install-ddc window for `second_reg`.
+    `ins.b`, the unsealed operand back in `ins.a`, and a return capability
+    (old pcc advanced past this instruction) in the link register.  Arms the
+    one-shot install-ddc window for `ins.b`.
     """
-    sc = st.regs[sealed_reg]
+    sc = st.regs[ins.a]
     if not sc.tag:
         return _fault(st, FaultKind.TAG, sc.address, pc)
     if not sc.sealed:
@@ -191,7 +173,7 @@ def _lpb_commit(st: MachineState, mem: TaggedMemory, sealed_reg: int,
         return _fault(st, FaultKind.SEAL, sc.address, pc)
     u = unseal(sc)
     addr = u.address
-    f = check_access(u, addr, PAIR_BYTES, Perm.LOAD_CAP)
+    f = check_access(u, addr, PAIR_BYTES, _LOAD_CAP)
     if f is not None:
         return _fault(st, f, addr, pc, PAIR_BYTES)
     if addr % CAP_SLOT != 0:
@@ -204,20 +186,205 @@ def _lpb_commit(st: MachineState, mem: TaggedMemory, sealed_reg: int,
         return _fault(st, FaultKind.TAG, addr, pc, CAP_SLOT)
     if not second.tag:
         return _fault(st, FaultKind.TAG, addr + CAP_SLOT, pc, CAP_SLOT)
-    bf = check_access(first, first.address, 1, Perm.EXECUTE)
+    bf = check_access(first, first.address, 1, _EXECUTE)
     if bf is not None:
         return _fault(st, bf, first.address, pc)
 
     ret_cap = set_address(st.pcc, pc + 1)
-    _setreg(st, second_reg, second)
-    _setreg(st, sealed_reg, u)
+    _setreg(st, ins.b, second)
+    _setreg(st, ins.a, u)
     _setreg(st, REG_LINK, ret_cap)
-    st.ddc_grant = second_reg
+    st.ddc_grant = ins.b
     # The pair read is architectural, like a fetch: it is not an explicit
     # data access by the running compartment, so it stays out of access_log.
     st.memory_accesses += 1
-    _count_switch(st)
-    return _retire_branch(st, first)
+    st.switches += 1
+    return _retire(st, first)
+
+
+def _nop(st, mem, ins, pc, grant):
+    return _next(st, pc)
+
+
+def _halt(st, mem, ins, pc, grant):
+    st.halted = True
+    st.instructions_retired += 1
+    return st
+
+
+def _access(need: int, is_store: bool, is_cap: bool):
+    """The handler of one data-access op: it loads or stores an integer
+    (INT_WIDTH bytes) or a capability (a CAP_SLOT-aligned slot) where the
+    authority grants `need`.  The authority is the ddc for a legacy operand,
+    whose register holds a plain address, and the operand register itself
+    in capability mode."""
+    width, align = (CAP_SLOT, CAP_SLOT) if is_cap else (INT_WIDTH, 1)
+
+    def access(st, mem, ins, pc, grant):
+        regs = st.regs
+        if ins.cap:
+            auth = regs[ins.b]
+            addr = (auth.address + ins.imm) & ADDR_MASK
+        else:
+            auth = st.ddc
+            addr = (regs[ins.b].address + ins.imm) & ADDR_MASK
+        # Legacy accesses from inside the privileged region are physical: the
+        # switcher return leg must reach the table while the caller's ddc is
+        # already installed.  Explicit capability operands stay checked.
+        if ins.cap or not _privileged(st, pc):
+            f = check_access(auth, addr, width, need)
+            if f is not None:
+                return _fault(st, f, addr, pc, width, ddc_access=not ins.cap)
+        if addr % align != 0:
+            return _fault(st, FaultKind.ALIGNMENT, addr, pc, width)
+        if addr + width > mem.size:
+            return _fault(st, FaultKind.ADDRESS, addr, pc, width)
+        if is_store and is_cap:
+            mem.store_cap(addr, regs[ins.a])
+        elif is_store:
+            mem.write_bytes(addr, (regs[ins.a].address & ADDR_MASK).to_bytes(INT_WIDTH, "little"))
+        elif is_cap:
+            _setreg(st, ins.a, mem.load_cap(addr))
+        else:
+            _setreg(st, ins.a, int_cap(int.from_bytes(mem.read_bytes(addr, INT_WIDTH), "little")))
+        st.memory_accesses += 1
+        if st.access_log is not None:
+            st.access_log.append((pc, addr, width, is_store))
+        return _next(st, pc)
+
+    return access
+
+
+def _set_bounds(st, mem, ins, pc, grant):
+    regs = st.regs
+    _setreg(st, ins.a, set_bounds(regs[ins.b], regs[ins.c].address, regs[ins.d].address))
+    return _next(st, pc)
+
+
+def _set_address(st, mem, ins, pc, grant):
+    regs = st.regs
+    _setreg(st, ins.a, set_address(regs[ins.b], regs[ins.c].address))
+    return _next(st, pc)
+
+
+def _restrict(st, mem, ins, pc, grant):
+    _setreg(st, ins.a, restrict_perms(st.regs[ins.b], ins.imm))
+    return _next(st, pc)
+
+
+def _seal(st, mem, ins, pc, grant):
+    if not _privileged(st, pc) or not 0 < ins.imm <= 0xFFFF:
+        return _fault(st, FaultKind.PERMISSION, pc, pc)
+    _setreg(st, ins.a, seal_cap(st.regs[ins.b], ins.imm))
+    return _next(st, pc)
+
+
+def _move(st, mem, ins, pc, grant):
+    _setreg(st, ins.a, st.regs[ins.b])
+    return _next(st, pc)
+
+
+def _add_imm(st, mem, ins, pc, grant):
+    src = st.regs[ins.b]
+    _setreg(st, ins.a, set_address(src, src.address + ins.imm))
+    return _next(st, pc)
+
+
+def _jump(st: MachineState, target: Capability, pc: int) -> MachineState:
+    """Branch to `target` if it is executable and not a way into the
+    privileged region."""
+    f = check_access(target, target.address, 1, _EXECUTE)
+    if f is not None:
+        return _fault(st, f, target.address, pc)
+    if _blocked_entry(st, target.address, pc):
+        return _fault(st, FaultKind.PERMISSION, target.address, pc)
+    return _retire(st, target)
+
+
+def _branch_cap(st, mem, ins, pc, grant):
+    return _jump(st, st.regs[ins.a], pc)
+
+
+def _call_local(st, mem, ins, pc, grant):
+    pcc = st.pcc
+    _jump(st, set_address(pcc, st.regs[ins.a].address), pc)
+    if st.fault is None:
+        _setreg(st, REG_LINK, set_address(pcc, pc + 1))
+    return st
+
+
+def _return_local(st, mem, ins, pc, grant):
+    return _jump(st, st.regs[REG_LINK], pc)
+
+
+def _install_ddc(st, mem, ins, pc, grant):
+    if not (_privileged(st, pc) or grant == ins.a):
+        return _fault(st, FaultKind.PERMISSION, pc, pc)
+    cap = st.regs[ins.a]
+    if not cap.tag:
+        return _fault(st, FaultKind.TAG, cap.address, pc)
+    if cap.sealed:
+        return _fault(st, FaultKind.SEAL, cap.address, pc)
+    st.ddc = cap
+    return _next(st, pc)
+
+
+def _read_ddc(st, mem, ins, pc, grant):
+    if not _privileged(st, pc):
+        return _fault(st, FaultKind.PERMISSION, pc, pc)
+    _setreg(st, ins.a, st.ddc)
+    return _next(st, pc)
+
+
+def _derive_ddc(st, mem, ins, pc, grant):
+    regs = st.regs
+    _setreg(st, ins.a, set_bounds(st.ddc, regs[ins.b].address, regs[ins.c].address))
+    return _next(st, pc)
+
+
+# Keyed by the op's mnemonic: a str hashes faster than an Enum member.
+_HANDLERS = {op.value: handler for op, handler in (
+    (Op.NOP, _nop),
+    (Op.HALT, _halt),
+    (Op.LOAD_INT, _access(_LOAD, is_store=False, is_cap=False)),
+    (Op.STORE_INT, _access(_STORE, is_store=True, is_cap=False)),
+    (Op.LOAD_CAP, _access(_LOAD_CAP, is_store=False, is_cap=True)),
+    (Op.STORE_CAP, _access(_STORE_CAP, is_store=True, is_cap=True)),
+    (Op.SET_BOUNDS, _set_bounds),
+    (Op.SET_ADDRESS, _set_address),
+    (Op.RESTRICT_PERMS, _restrict),
+    (Op.SEAL, _seal),
+    (Op.MOVE, _move),
+    (Op.ADD_IMM, _add_imm),
+    (Op.BRANCH_CAP, _branch_cap),
+    (Op.CALL_LOCAL, _call_local),
+    (Op.RETURN_LOCAL, _return_local),
+    (Op.LOAD_PAIR_BRANCH, _load_pair_branch),
+    (Op.INSTALL_DDC, _install_ddc),
+    (Op.READ_DDC, _read_ddc),
+    (Op.DERIVE_DDC, _derive_ddc),
+)}
+
+
+def step(st: MachineState, mem: TaggedMemory, program: list[Ins]) -> MachineState:
+    """Execute exactly one instruction (or record exactly one fault)."""
+    if st.fault is not None:
+        raise MachineError("step with a pending fault; clear or handle it first")
+    if st.halted:
+        raise MachineError("step after halt")
+
+    pc = st.pcc.address
+    grant = st.ddc_grant
+    st.ddc_grant = None            # the window is exactly one instruction wide
+
+    ff = check_access(st.pcc, pc, 1, _EXECUTE)
+    if ff is not None:
+        return _fault(st, ff, pc, pc)
+    if pc >= len(program):
+        return _fault(st, FaultKind.ADDRESS, pc, pc)
+
+    ins = program[pc]
+    return _HANDLERS[ins.op._value_](st, mem, ins, pc, grant)
 
 
 def invoke_sealed(st: MachineState, mem: TaggedMemory, sealed_reg: int,
@@ -232,178 +399,8 @@ def invoke_sealed(st: MachineState, mem: TaggedMemory, sealed_reg: int,
     if st.fault is not None:
         raise MachineError("invoke_sealed with a pending fault")
     st.ddc_grant = None
-    return _lpb_commit(st, mem, sealed_reg, second_reg, st.pcc.address)
-
-
-def step(st: MachineState, mem: TaggedMemory, program: list[Ins]) -> MachineState:
-    """Execute exactly one instruction (or record exactly one fault)."""
-    if st.fault is not None:
-        raise MachineError("step with a pending fault; clear or handle it first")
-    if st.halted:
-        raise MachineError("step after halt")
-
-    pc = st.pcc.address
-    grant = st.ddc_grant
-    st.ddc_grant = None            # the window is exactly one instruction wide
-
-    ff = check_access(st.pcc, pc, 1, Perm.EXECUTE)
-    if ff is not None:
-        return _fault(st, ff, pc, pc)
-    if pc >= len(program):
-        return _fault(st, FaultKind.ADDRESS, pc, pc)
-
-    ins = program[pc]
-    op = ins.op
-    regs = st.regs
-
-    if op is Op.NOP:
-        return _retire(st, pc + 1)
-
-    if op is Op.HALT:
-        st.halted = True
-        st.instructions_retired += 1
-        return st
-
-    if op is Op.LOAD_INT or op is Op.STORE_INT:
-        is_store = op is Op.STORE_INT
-        if ins.cap:
-            auth = regs[ins.b]
-            addr = (auth.address + ins.imm) & ADDR_MASK
-        else:
-            auth = st.ddc
-            addr = (regs[ins.b].address + ins.imm) & ADDR_MASK
-        need = Perm.STORE if is_store else Perm.LOAD
-        # Legacy accesses from inside the privileged region are physical: the
-        # switcher return leg must reach the table while the caller's ddc is
-        # already installed.  Explicit capability operands stay checked.
-        if ins.cap or not _privileged(st, pc):
-            f = check_access(auth, addr, INT_WIDTH, need)
-            if f is not None:
-                return _fault(st, f, addr, pc, INT_WIDTH, ddc_access=not ins.cap)
-        if addr + INT_WIDTH > mem.size:
-            return _fault(st, FaultKind.ADDRESS, addr, pc, INT_WIDTH)
-        if is_store:
-            mem.write_bytes(addr, (regs[ins.a].address & ADDR_MASK).to_bytes(INT_WIDTH, "little"))
-        else:
-            val = int.from_bytes(mem.read_bytes(addr, INT_WIDTH), "little")
-            _setreg(st, ins.a, int_cap(val))
-        st.memory_accesses += 1
-        if st.access_log is not None:
-            st.access_log.append((pc, addr, INT_WIDTH, is_store))
-        return _retire(st, pc + 1)
-
-    if op is Op.LOAD_CAP or op is Op.STORE_CAP:
-        is_store = op is Op.STORE_CAP
-        if ins.cap:
-            auth = regs[ins.b]
-            addr = (auth.address + ins.imm) & ADDR_MASK
-        else:
-            auth = st.ddc
-            addr = (regs[ins.b].address + ins.imm) & ADDR_MASK
-        need = Perm.STORE_CAP if is_store else Perm.LOAD_CAP
-        if ins.cap or not _privileged(st, pc):
-            f = check_access(auth, addr, CAP_SLOT, need)
-            if f is not None:
-                return _fault(st, f, addr, pc, CAP_SLOT, ddc_access=not ins.cap)
-        if addr % CAP_SLOT != 0:
-            return _fault(st, FaultKind.ALIGNMENT, addr, pc, CAP_SLOT)
-        if addr + CAP_SLOT > mem.size:
-            return _fault(st, FaultKind.ADDRESS, addr, pc, CAP_SLOT)
-        if is_store:
-            mem.store_cap(addr, regs[ins.a])
-        else:
-            _setreg(st, ins.a, mem.load_cap(addr))
-        st.memory_accesses += 1
-        if st.access_log is not None:
-            st.access_log.append((pc, addr, CAP_SLOT, is_store))
-        return _retire(st, pc + 1)
-
-    if op is Op.SET_BOUNDS:
-        _setreg(st, ins.a, set_bounds(regs[ins.b], regs[ins.c].address, regs[ins.d].address))
-        return _retire(st, pc + 1)
-
-    if op is Op.SET_ADDRESS:
-        _setreg(st, ins.a, set_address(regs[ins.b], regs[ins.c].address))
-        return _retire(st, pc + 1)
-
-    if op is Op.RESTRICT_PERMS:
-        src = regs[ins.b]
-        tag = src.tag and not src.sealed
-        _setreg(st, ins.a, Capability(src.base, src.top, src.address,
-                                      src.perms & Perm(ins.imm), src.otype, tag))
-        return _retire(st, pc + 1)
-
-    if op is Op.SEAL:
-        if not _privileged(st, pc):
-            return _fault(st, FaultKind.PERMISSION, pc, pc)
-        if not 0 < ins.imm <= 0xFFFF:
-            return _fault(st, FaultKind.PERMISSION, pc, pc)
-        _setreg(st, ins.a, seal_cap(regs[ins.b], ins.imm))
-        return _retire(st, pc + 1)
-
-    if op is Op.MOVE:
-        _setreg(st, ins.a, regs[ins.b])
-        return _retire(st, pc + 1)
-
-    if op is Op.ADD_IMM:
-        src = regs[ins.b]
-        _setreg(st, ins.a, set_address(src, src.address + ins.imm))
-        return _retire(st, pc + 1)
-
-    if op is Op.BRANCH_CAP:
-        target = regs[ins.a]
-        f = check_access(target, target.address, 1, Perm.EXECUTE)
-        if f is not None:
-            return _fault(st, f, target.address, pc)
-        if _blocked_entry(st, target.address, pc):
-            return _fault(st, FaultKind.PERMISSION, target.address, pc)
-        return _retire_branch(st, target)
-
-    if op is Op.CALL_LOCAL:
-        target = regs[ins.a].address
-        new_pcc = set_address(st.pcc, target)
-        f = check_access(new_pcc, target, 1, Perm.EXECUTE)
-        if f is not None:
-            return _fault(st, f, target, pc)
-        if _blocked_entry(st, target, pc):
-            return _fault(st, FaultKind.PERMISSION, target, pc)
-        _setreg(st, REG_LINK, set_address(st.pcc, pc + 1))
-        return _retire_branch(st, new_pcc)
-
-    if op is Op.RETURN_LOCAL:
-        target = regs[REG_LINK]
-        f = check_access(target, target.address, 1, Perm.EXECUTE)
-        if f is not None:
-            return _fault(st, f, target.address, pc)
-        if _blocked_entry(st, target.address, pc):
-            return _fault(st, FaultKind.PERMISSION, target.address, pc)
-        return _retire_branch(st, target)
-
-    if op is Op.LOAD_PAIR_BRANCH:
-        return _lpb_commit(st, mem, ins.a, ins.b, pc)
-
-    if op is Op.INSTALL_DDC:
-        if not (_privileged(st, pc) or grant == ins.a):
-            return _fault(st, FaultKind.PERMISSION, pc, pc)
-        cap = regs[ins.a]
-        if not cap.tag:
-            return _fault(st, FaultKind.TAG, cap.address, pc)
-        if cap.sealed:
-            return _fault(st, FaultKind.SEAL, cap.address, pc)
-        st.ddc = cap
-        return _retire(st, pc + 1)
-
-    if op is Op.READ_DDC:
-        if not _privileged(st, pc):
-            return _fault(st, FaultKind.PERMISSION, pc, pc)
-        _setreg(st, ins.a, st.ddc)
-        return _retire(st, pc + 1)
-
-    if op is Op.DERIVE_DDC:
-        _setreg(st, ins.a, set_bounds(st.ddc, regs[ins.b].address, regs[ins.c].address))
-        return _retire(st, pc + 1)
-
-    raise MachineError(f"unhandled opcode {op}")
+    return _load_pair_branch(st, mem, Ins(Op.LOAD_PAIR_BRANCH, sealed_reg, second_reg),
+                             st.pcc.address, None)
 
 
 def handle_fault_ddc_swap(st: MachineState, mem: TaggedMemory) -> bool:

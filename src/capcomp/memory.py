@@ -1,19 +1,29 @@
 """Byte-addressable memory with per-granule validity tags.
 
 Memory is split into 16-byte granules, each carrying one tag bit.  A stored
-capability occupies two granules (its flat record zero-padded to 32 bytes);
-the tag lives on the first granule and the second stays untagged.  Any plain
-byte write clears the tags of every granule it overlaps, which is what makes
-capabilities unforgeable: bytes alone can never conjure a set tag.
+capability occupies two granules (its flat record zero-padded to 32 bytes),
+and both granules carry its tag; a load yields a valid capability only when
+both tags are set.  Any plain byte write clears the tags of every granule it
+overlaps, which is what makes capabilities unforgeable: bytes alone can
+never conjure a set tag.
 """
 
 from __future__ import annotations
 
-from .capability import RECORD_LEN, Capability, deserialize, serialize
+import struct
+
+from .capability import ADDR_BITS, ADDR_MASK, PERMS, PERM_ALL, TOP_MAX, Capability
 
 GRANULE = 16
 CAP_SLOT = 2 * GRANULE          # in-memory footprint of one capability
 DEFAULT_SIZE = 1 << 24
+
+# One capability slot: the flat record of `capability.serialize` (tag, base,
+# top as its low 8 bytes and its high byte, address, perms, otype), then 3
+# bytes of zero padding.
+_SLOT = struct.Struct("<BQQBQBH3x")
+assert _SLOT.size == CAP_SLOT
+_PERM_BITS = int(PERM_ALL)
 
 
 class AddressError(Exception):
@@ -72,10 +82,16 @@ class TaggedMemory:
         if addr % CAP_SLOT != 0:
             raise AlignmentError(f"capability store at {addr:#x} not {CAP_SLOT}-aligned")
         self._check_range(addr, CAP_SLOT)
-        record = serialize(c)
-        self.data[addr:addr + RECORD_LEN] = record
-        self.data[addr + RECORD_LEN:addr + CAP_SLOT] = bytes(CAP_SLOT - RECORD_LEN)
         t = 1 if c.tag else 0
+        top = c.top
+        try:
+            # Packed whole before the write, so a field out of range leaves
+            # the slot untouched.
+            record = _SLOT.pack(t, c.base, top & ADDR_MASK, top >> ADDR_BITS, c.address,
+                                int(c.perms) & 0xFF, c.otype)
+        except struct.error as e:
+            raise OverflowError(f"capability field out of range for its record: {e}") from None
+        self.data[addr:addr + CAP_SLOT] = record
         self.tags[addr // GRANULE] = t
         self.tags[addr // GRANULE + 1] = t
 
@@ -89,11 +105,12 @@ class TaggedMemory:
         if addr % CAP_SLOT != 0:
             raise AlignmentError(f"capability load at {addr:#x} not {CAP_SLOT}-aligned")
         self._check_range(addr, CAP_SLOT)
-        c = deserialize(bytes(self.data[addr:addr + RECORD_LEN]))
-        tag = self.tags[addr // GRANULE] != 0 and self.tags[addr // GRANULE + 1] != 0
-        if c.tag != tag:
-            c = Capability(c.base, c.top, c.address, c.perms, c.otype, tag)
-        return c
+        _, base, top, top_high, address, perms, otype = _SLOT.unpack_from(self.data, addr)
+        if top_high & 1:         # top is 65 bits wide, like `deserialize` reads it
+            top += TOP_MAX
+        g = addr // GRANULE
+        return Capability(base, top, address, PERMS[perms & _PERM_BITS], otype,
+                          self.tags[g] != 0 and self.tags[g + 1] != 0)
 
     def granule_tag(self, addr: int) -> bool:
         self._check_range(addr, 1)

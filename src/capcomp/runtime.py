@@ -591,10 +591,7 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
         return None
 
     comps = [c.name for c in plan.config.compartments]
-    sites = {}
-    for c in comps:
-        lo, hi = plan.code_bounds[c]
-        sites[c] = img.user_entry(c)
+    sites = {c: img.user_entry(c) for c in comps}
 
     exc_cap: dict[str, Capability | None] = {}
     for c in comps:
@@ -610,7 +607,7 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     faults: dict[str, int] = {}
     violations: list[str] = []
     total_steps = 0
-    switches0 = st.switches_hot + st.switches_cold
+    switches0 = st.switches
     addr_regs = (0, 1, 2, 3, 4, 5, 6, 7, 31)
 
     for i in range(sequences):
@@ -626,7 +623,6 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
         # to the home data region and the sealed entry capability.
         for r in range(32):
             st.regs[r] = NULL_CAP
-        lo, hi = plan.span_bounds[home]
         st.regs[0] = int_cap(plan.data_base[home])
         st.regs[1] = int_cap(plan.stack_top[home] - 128)
         st.regs[2] = int_cap(plan.table_base)
@@ -672,11 +668,11 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
                         log.clear()
                         st.access_log = None
                         return FuzzReport(i + 1, total_steps,
-                                          st.switches_hot + st.switches_cold - switches0,
+                                          st.switches - switches0,
                                           faults, violations)
             log.clear()
 
     st.access_log = None
     return FuzzReport(sequences, total_steps,
-                      st.switches_hot + st.switches_cold - switches0,
+                      st.switches - switches0,
                       faults, violations)

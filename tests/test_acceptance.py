@@ -230,11 +230,11 @@ def test_04_round_trip_state_diff_is_empty():
         pre_ddc = st.ddc
         pre_mem = bytes(img.mem.data)
         pre_tags = bytes(img.mem.tags)
-        sw0 = st.switches_hot + st.switches_cold
+        sw0 = st.switches
 
         run(st, img.mem, img.program, max_steps=50_000)
         assert st.halted and st.fault is None, (trial, st.fault)
-        assert st.switches_hot + st.switches_cold - sw0 == 2 * depth
+        assert st.switches - sw0 == 2 * depth
 
         if dest is not None:
             want = (args[0] if depth == 1 else inner_arg) + k_add

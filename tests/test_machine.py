@@ -319,7 +319,7 @@ def test_lpb_success_effects():
     assert st.regs[9].base == 1024             # second element delivered
     assert st.regs[REG_LINK].address == 1      # return capability
     assert not st.regs[3].sealed               # operand comes back unsealed
-    assert st.switches_hot + st.switches_cold == 1
+    assert st.switches == 1
 
 
 def test_lpb_grant_is_one_shot():

@@ -156,7 +156,7 @@ def test_round_trip_dest_r0():
     assert st.halted and st.fault is None
     assert st.regs[0].address == 42
     assert st.regs[REG_SP].address == sp0
-    assert st.switches_hot + st.switches_cold == 2
+    assert st.switches == 2
     assert st.current_compartment == 0
 
 
@@ -257,8 +257,7 @@ def test_phase_composition_matches_full_call():
     entry2 = leaf_plus_one(img2)
     st2 = call_compartment(img2, GateDescriptor("app", "lib", entry2, dest=6), [10])
     assert st2.regs[6].address == 11
-    assert (st2.switches_hot + st2.switches_cold
-            == st.switches_hot + st.switches_cold == 2)
+    assert st2.switches == st.switches == 2
 
 
 def test_repeat_call_is_bit_exact():
@@ -297,7 +296,7 @@ def test_nested_calls_three_compartments():
     st = call_compartment(img, gate, [0], at=site)
     assert st.halted and st.fault is None
     assert st.regs[5].address == 117       # 7 + 100 + 10
-    assert st.switches_hot + st.switches_cold == 4
+    assert st.switches == 4
     assert st.current_compartment == 0
 
     # steady state is reproducible bit for bit
