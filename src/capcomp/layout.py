@@ -42,7 +42,7 @@ SANDBOX_SCRATCH = 4096     # private scratch bytes carved per sandbox
 SANDBOX_CODE = 64          # instruction slots carved per sandbox
 
 DDC_PERMS = Perm.LOAD | Perm.STORE | Perm.LOAD_CAP | Perm.STORE_CAP
-PCC_PERMS = Perm.EXECUTE | Perm.LOAD
+PCC_PERMS = Perm.EXECUTE    # no LOAD: code slots alias data addresses
 ENTRY_PERMS = Perm.LOAD_CAP | Perm.INVOKE
 
 

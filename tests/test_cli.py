@@ -57,6 +57,15 @@ def test_verify_clean_config(capsys):
     assert "confinement holds" in out
 
 
+def test_verify_code_capabilities_do_not_read_data(capsys):
+    # Sequence 793 of this fuzz seed reads app's data in codec through a
+    # code capability whenever code capabilities carry LOAD.
+    code, out, err = run_cli(capsys, "verify", "three_comp_shared.cfg", "--fuzz", "2000",
+                             "--seed", "905002810", "--memory-size", "0x100000")
+    assert code == 0 and err == ""
+    assert "confinement holds" in out
+
+
 def test_run_table(capsys):
     code, out, _ = run_cli(capsys, "run", "sqlite_fs.scn")
     assert code == 0

@@ -272,6 +272,40 @@ def test_boot_table_entries_decoded():
         assert tramp == plan.code_bounds[name][0]
 
 
+def test_code_capability_cannot_read_data():
+    """Code slots and data bytes are numbered from 0 in separate spaces, so a
+    code capability that could load would read whatever data sits at the
+    addresses of its slots.  Three instructions in codec reach app's data at
+    those addresses through the link register: the load must fault."""
+    from capcomp.capability import FaultKind, set_address
+    from capcomp.isa import REG_LINK, calll, ldi, movi
+    from capcomp.machine import run
+
+    plan = compute_layout(parse_config(fixture("three_comp_shared.cfg")),
+                          memory_size=1 << 20)
+    img = boot_init(plan)
+    code_lo, code_hi = plan.code_bounds["codec"]
+    app_lo, app_hi = plan.ddc_bounds["app"]
+    target = max(code_lo, app_lo)
+    assert target + 8 <= min(code_hi, app_hi)      # app data under codec's slots
+    img.mem.write_bytes(target, (0x5EC2E7).to_bytes(8, "little"))
+    site = img.user_entry("codec")
+    install_function(img, "codec", [
+        movi(1, site + 2),
+        calll(1),                                   # link register: codec's pcc
+        ldi(5, REG_LINK, target - (site + 2), cap=True),
+        halt(),
+    ], at=site)
+    st = img.machine
+    st.pcc = set_address(img.pcc_caps["codec"], site)
+    st.ddc = img.ddc_caps["codec"]
+    st.current_compartment = plan.comp_ids["codec"]
+    run(st, img.mem, img.program, max_steps=10)
+    assert st.fault is not None and st.fault.kind is FaultKind.PERMISSION
+    assert st.fault.pc == site + 2 and st.fault.addr == target
+    assert st.regs[5].address != 0x5EC2E7
+
+
 def test_boot_switcher_pair_and_sealed_entries():
     plan = compute_layout(parse_config(fixture("two_comp.cfg")))
     img = boot_init(plan)
