@@ -81,6 +81,18 @@ class Capability:
     otype: int = OTYPE_UNSEALED
     tag: bool = False
 
+    def __init__(self, base: int, top: int, address: int, perms: Perm,
+                 otype: int = OTYPE_UNSEALED, tag: bool = False):
+        # The interpreter builds a capability on nearly every step.  Setting
+        # the fields through their slot descriptors costs about half of the
+        # object.__setattr__ calls the generated frozen __init__ makes.
+        _set_base(self, base)
+        _set_top(self, top)
+        _set_address(self, address)
+        _set_perms(self, perms)
+        _set_otype(self, otype)
+        _set_tag(self, tag)
+
     @property
     def sealed(self) -> bool:
         return self.otype != OTYPE_UNSEALED
@@ -92,6 +104,10 @@ class Capability:
         t = "T" if self.tag else "-"
         s = f",otype={self.otype}" if self.sealed else ""
         return f"Cap[{self.base:#x},{self.top:#x})@{self.address:#x} {self.perms!r} {t}{s}"
+
+
+_set_base, _set_top, _set_address, _set_perms, _set_otype, _set_tag = (
+    Capability.__dict__[f].__set__ for f in ("base", "top", "address", "perms", "otype", "tag"))
 
 
 def int_cap(value: int) -> Capability:

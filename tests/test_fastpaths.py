@@ -144,6 +144,17 @@ def test_derivations_match_replace(c, address, otype):
         assert same(unseal(c), ref_unseal(c))
 
 
+def test_constructor_keeps_defaults_and_immutability():
+    c = Capability(1, 2, 3, Perm.LOAD)
+    assert (c.otype, c.tag) == (0, False)
+    assert c == Capability(base=1, top=2, address=3, perms=Perm.LOAD, otype=0, tag=False)
+    assert dataclasses.replace(c, tag=True) == Capability(1, 2, 3, Perm.LOAD, 0, True)
+    for field in ("base", "top", "address", "perms", "otype", "tag"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, field, 0)
+    assert hash(c) == hash(Capability(1, 2, 3, Perm.LOAD))
+
+
 # --------------------------------------------------------------------------
 # Slots: store_cap writes the reference record, load_cap reads like it.
 
