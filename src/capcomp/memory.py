@@ -22,7 +22,6 @@ DEFAULT_SIZE = 1 << 24
 # top as its low 8 bytes and its high byte, address, perms, otype), then 3
 # bytes of zero padding.
 _SLOT = struct.Struct("<BQQBQBH3x")
-assert _SLOT.size == CAP_SLOT
 _PERM_BITS = int(PERM_ALL)
 
 
