@@ -30,9 +30,10 @@ not silent, attack.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
-from .capability import Capability, Perm, set_address
+from .capability import NULL_CAP, Capability, Perm, int_cap, make_root, set_address
 from .isa import (
     Ins,
     REG_FP,
@@ -52,6 +53,7 @@ from .isa import (
     movi,
     readddc,
     restrict,
+    retl,
     sealr,
     setaddr,
     setbounds,
@@ -60,6 +62,7 @@ from .isa import (
 )
 from .layout import (
     BootImage,
+    DDC_PERMS,
     FRAME_OTYPE,
     OFF_SP,
     OFF_TRAMP,
@@ -507,7 +510,6 @@ class FuzzReport:
 
 def _fuzz_ins(r, addr_regs: tuple[int, ...]):
     """One random instruction, biased toward capability and memory traffic."""
-    from .isa import retl
     k = r.randrange(20)
     rd = r.randrange(16)
     ra = r.choice(addr_regs) if r.randrange(2) else r.randrange(32)
@@ -557,14 +559,9 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     base activity and exempt.  Faults are the machine working as intended and
     are tallied, not flagged.
     """
-    import random
-
-    from .capability import NULL_CAP, int_cap, make_root
-    from .layout import DDC_PERMS
-    from .machine import run
-
     plan = img.plan
     st = img.machine
+    program = img.program
     rng = random.Random(seed)
 
     # Allowed views, by compartment id.
@@ -590,17 +587,33 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
                 return cid
         return None
 
-    comps = [c.name for c in plan.config.compartments]
-    sites = {c: img.user_entry(c) for c in comps}
-
-    exc_cap: dict[str, Capability | None] = {}
-    for c in comps:
-        exc_cap[c] = None
+    # What every sequence in a home compartment starts from: its code site,
+    # the register file, and its pcc and ddc.  Interesting addresses are
+    # preloaded as plain integers, plus one honest capability to the home
+    # data region and the exception-mode region it owns.  Per sequence, r4
+    # takes a random address and r7 the sealed entry capability, reloaded
+    # because a sequence can overwrite it in memory.
+    homes = []
+    for c in (c.name for c in plan.config.compartments):
+        exc = None
         for sname, owners in plan.shared_owners.items():
             if plan.shared_mode[sname] == "exception" and c in owners:
                 lo, hi = plan.shared_bounds[sname]
-                exc_cap[c] = make_root(lo, hi, DDC_PERMS)
+                exc = make_root(lo, hi, DDC_PERMS)
                 break
+        regs = [NULL_CAP] * len(st.regs)
+        regs[0] = int_cap(plan.data_base[c])
+        regs[1] = int_cap(plan.stack_top[c] - 128)
+        regs[2] = int_cap(plan.table_base)
+        regs[3] = int_cap(0)
+        regs[5] = int_cap(plan.sealed_cap_addr(c))
+        regs[6] = make_root(plan.data_base[c], plan.data_base[c] + 64, DDC_PERMS)
+        regs[18] = exc or NULL_CAP
+        regs[REG_SP] = regs[REG_FP] = int_cap(plan.stack_top[c])
+        site = img.user_entry(c)
+        homes.append((site, regs, plan.sealed_cap_addr(c),
+                      set_address(img.pcc_caps[c], site), img.ddc_caps[c],
+                      plan.comp_ids[c], exc is not None))
 
     log: list = []
     st.access_log = log
@@ -611,40 +624,25 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     addr_regs = (0, 1, 2, 3, 4, 5, 6, 7, 31)
 
     for i in range(sequences):
-        home = comps[i % len(comps)]
-        site = sites[home]
+        site, regs, entry_at, pcc, ddc, home_id, sharing = homes[i % len(homes)]
         seq_len = rng.randrange(1, max_len + 1)
         for j in range(seq_len):
-            img.program[site + j] = _fuzz_ins(rng, addr_regs)
-        img.program[site + seq_len] = halt()
+            program[site + j] = _fuzz_ins(rng, addr_regs)
+        program[site + seq_len] = halt()
 
-        # Fresh architectural state in the home compartment; interesting
-        # addresses preloaded as plain integers, plus one honest capability
-        # to the home data region and the sealed entry capability.
-        for r in range(32):
-            st.regs[r] = NULL_CAP
-        st.regs[0] = int_cap(plan.data_base[home])
-        st.regs[1] = int_cap(plan.stack_top[home] - 128)
-        st.regs[2] = int_cap(plan.table_base)
-        st.regs[3] = int_cap(0)
+        st.regs[:] = regs
         st.regs[4] = int_cap(rng.randrange(0, plan.data_top))
-        st.regs[5] = int_cap(plan.sealed_cap_addr(home))
-        dlo, dhi = plan.data_base[home], plan.data_base[home] + 64
-        st.regs[6] = make_root(dlo, dhi, DDC_PERMS)
-        st.regs[7] = img.mem.load_cap(plan.sealed_cap_addr(home))
-        st.regs[18] = exc_cap[home] or NULL_CAP
-        st.regs[REG_SP] = int_cap(plan.stack_top[home])
-        st.regs[REG_FP] = int_cap(plan.stack_top[home])
-        st.pcc = set_address(img.pcc_caps[home], site)
-        st.ddc = img.ddc_caps[home]
-        st.current_compartment = plan.comp_ids[home]
-        st.exception_sharing = exc_cap[home] is not None
+        st.regs[7] = img.mem.load_cap(entry_at)
+        st.pcc = pcc
+        st.ddc = ddc
+        st.current_compartment = home_id
+        st.exception_sharing = sharing
         st.fault = None
         st.halted = False
         st.ddc_grant = None
 
         n0 = st.instructions_retired
-        run(st, img.mem, img.program, max_steps=max_steps)
+        run(st, img.mem, program, max_steps=max_steps)
         total_steps += st.instructions_retired - n0
         if st.fault is not None:
             kind = st.fault.kind.value
