@@ -1,9 +1,15 @@
 """The compartment micro-machine.
 
 Execution model: instructions live outside the simulated byte memory in a
-plain list indexed by the program counter, which is the cursor of the
-program-counter capability (pcc).  Every legacy load/store is checked against
-the installed default data capability (ddc); capability-operand accesses are
+plain list indexed by the program counter.  The program-counter capability
+(pcc) is carried in two parts: the capability `code` that authorizes the
+fetch, and the cursor `pc` as a plain int.  A fall-through moves only `pc`;
+a branch installs its target as `code`.  The pcc itself, `code` with its
+cursor at `pc`, is built only where it is observed: the link register and
+`MachineState.pcc`.  Every retire follows a passed execute check on `code`,
+so once the cursor has moved, `code` is tagged and unsealed and moving its
+cursor keeps the tag.  Every legacy load/store is checked against the
+installed default data capability (ddc); capability-operand accesses are
 checked against the operand itself.  A step either retires completely or
 faults without touching any register, memory byte, or tag.
 
@@ -76,11 +82,15 @@ class MachineState:
 
     The register file holds capability values; plain integers travel as
     untagged capabilities whose cursor is the integer.  Register 16 is
-    hardwired to zero.  `step` mutates the state in place and returns it.
+    hardwired to zero.  The pcc is `code`, the capability the fetch is
+    checked against, plus the program counter `pc`; the `pcc` property reads
+    and writes the two as one capability.  `step` mutates the state in place
+    and returns it.
     """
 
     regs: list[Capability] = field(default_factory=lambda: [NULL_CAP] * NUM_REGS)
-    pcc: Capability = NULL_CAP
+    code: Capability = NULL_CAP
+    pc: int = 0
     ddc: Capability = NULL_CAP
     current_compartment: int | None = None
     fault: Fault | None = None
@@ -110,6 +120,17 @@ class MachineState:
     # (pc, addr, length, is_write).  Used by the isolation fuzzer.
     access_log: list | None = None
 
+    @property
+    def pcc(self) -> Capability:
+        """The program-counter capability: `code` with its cursor at `pc`."""
+        code = self.code
+        return code if code.address == self.pc else set_address(code, self.pc)
+
+    @pcc.setter
+    def pcc(self, cap: Capability) -> None:
+        self.code = cap
+        self.pc = cap.address
+
 
 def _privileged(st: MachineState, pc: int) -> bool:
     bounds = st.switcher_bounds
@@ -134,10 +155,10 @@ def _setreg(st: MachineState, idx: int, value: Capability) -> None:
         st.regs[idx] = value
 
 
-def _retire(st: MachineState, new_pcc: Capability) -> MachineState:
+def _retire(st: MachineState, pc: int) -> MachineState:
+    """Count the retired instruction and continue at `pc`."""
     st.instructions_retired += 1
-    st.pcc = new_pcc
-    pc = new_pcc.address
+    st.pc = pc
     for base, top, comp in st.code_regions:
         if base <= pc < top:
             st.current_compartment = comp
@@ -147,7 +168,7 @@ def _retire(st: MachineState, new_pcc: Capability) -> MachineState:
 
 def _next(st: MachineState, pc: int) -> MachineState:
     """Retire the instruction at `pc` and fall through to the next one."""
-    return _retire(st, set_address(st.pcc, pc + 1))
+    return _retire(st, pc + 1)
 
 
 # One handler per opcode: handler(st, mem, ins, pc, grant) executes `ins`,
@@ -190,7 +211,7 @@ def _load_pair_branch(st, mem, ins, pc, grant):
     if bf is not None:
         return _fault(st, bf, first.address, pc)
 
-    ret_cap = set_address(st.pcc, pc + 1)
+    ret_cap = set_address(st.code, pc + 1)
     _setreg(st, ins.b, second)
     _setreg(st, ins.a, u)
     _setreg(st, REG_LINK, ret_cap)
@@ -199,7 +220,8 @@ def _load_pair_branch(st, mem, ins, pc, grant):
     # data access by the running compartment, so it stays out of access_log.
     st.memory_accesses += 1
     st.switches += 1
-    return _retire(st, first)
+    st.code = first
+    return _retire(st, first.address)
 
 
 def _nop(st, mem, ins, pc, grant):
@@ -298,7 +320,8 @@ def _jump(st: MachineState, target: Capability, pc: int) -> MachineState:
         return _fault(st, f, target.address, pc)
     if _blocked_entry(st, target.address, pc):
         return _fault(st, FaultKind.PERMISSION, target.address, pc)
-    return _retire(st, target)
+    st.code = target
+    return _retire(st, target.address)
 
 
 def _branch_cap(st, mem, ins, pc, grant):
@@ -306,10 +329,10 @@ def _branch_cap(st, mem, ins, pc, grant):
 
 
 def _call_local(st, mem, ins, pc, grant):
-    pcc = st.pcc
-    _jump(st, set_address(pcc, st.regs[ins.a].address), pc)
+    code = st.code
+    _jump(st, set_address(code, st.regs[ins.a].address), pc)
     if st.fault is None:
-        _setreg(st, REG_LINK, set_address(pcc, pc + 1))
+        _setreg(st, REG_LINK, set_address(code, pc + 1))
     return st
 
 
@@ -373,11 +396,11 @@ def step(st: MachineState, mem: TaggedMemory, program: list[Ins]) -> MachineStat
     if st.halted:
         raise MachineError("step after halt")
 
-    pc = st.pcc.address
+    pc = st.pc
     grant = st.ddc_grant
     st.ddc_grant = None            # the window is exactly one instruction wide
 
-    ff = check_access(st.pcc, pc, 1, _EXECUTE)
+    ff = check_access(st.code, pc, 1, _EXECUTE)
     if ff is not None:
         return _fault(st, ff, pc, pc)
     if pc >= len(program):
@@ -400,7 +423,7 @@ def invoke_sealed(st: MachineState, mem: TaggedMemory, sealed_reg: int,
         raise MachineError("invoke_sealed with a pending fault")
     st.ddc_grant = None
     return _load_pair_branch(st, mem, Ins(Op.LOAD_PAIR_BRANCH, sealed_reg, second_reg),
-                             st.pcc.address, None)
+                             st.pc, None)
 
 
 def handle_fault_ddc_swap(st: MachineState, mem: TaggedMemory) -> bool:
@@ -446,7 +469,7 @@ def run(st: MachineState, mem: TaggedMemory, program: list[Ins],
             if st.exception_sharing and handle_fault_ddc_swap(st, mem):
                 continue
             break
-        pc = st.pcc.address
+        pc = st.pc
         comp = st.current_compartment
         step(st, mem, program)
         if trace is not None:

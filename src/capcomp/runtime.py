@@ -375,7 +375,7 @@ def _run_while(img: BootImage, in_phase, max_steps: int) -> MachineState:
     st = img.machine
     budget = max_steps
     while (budget > 0 and not st.halted and st.fault is None
-           and in_phase(st.pcc.address)):
+           and in_phase(st.pc)):
         step(st, img.mem, img.program)
         budget -= 1
     if budget == 0:
@@ -414,14 +414,14 @@ def gate_call(img: BootImage, gate: GateDescriptor, args: list, *,
 def switcher_switch(img: BootImage, max_steps: int = 200) -> MachineState:
     """Run the privileged switch sequence to its exit branch."""
     lo, hi = img.plan.switcher_code
-    if not lo <= img.machine.pcc.address < hi:
+    if not lo <= img.machine.pc < hi:
         raise GateError("switcher_switch: pcc is not inside the switcher")
     return _run_while(img, lambda pc: lo <= pc < hi, max_steps)
 
 
 def trampoline_enter(img: BootImage, max_steps: int = 16) -> MachineState:
     """Run the callee trampoline up to the call into the target function."""
-    pc = img.machine.pcc.address
+    pc = img.machine.pc
     entries = set(img.tramp_entries.values())
     if pc not in entries:
         raise GateError("trampoline_enter: pcc is not at a trampoline entry")
@@ -430,7 +430,7 @@ def trampoline_enter(img: BootImage, max_steps: int = 16) -> MachineState:
 
 def trampoline_return(img: BootImage, max_steps: int = 16) -> MachineState:
     """Run the pop-and-invoke tail of the trampoline (back to the caller)."""
-    pc = img.machine.pcc.address
+    pc = img.machine.pc
     base = pc - TRAMP_ENTER_SLOTS
     if base not in set(img.tramp_entries.values()):
         raise GateError("trampoline_return: pcc is not at a trampoline return point")
@@ -588,11 +588,11 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
         return None
 
     # What every sequence in a home compartment starts from: its code site,
-    # the register file, and its pcc and ddc.  Interesting addresses are
-    # preloaded as plain integers, plus one honest capability to the home
-    # data region and the exception-mode region it owns.  Per sequence, r4
-    # takes a random address and r7 the sealed entry capability, reloaded
-    # because a sequence can overwrite it in memory.
+    # the register file, and its code and data capabilities.  Interesting
+    # addresses are preloaded as plain integers, plus one honest capability
+    # to the home data region and the exception-mode region it owns.  Per
+    # sequence, r4 takes a random address and r7 the sealed entry
+    # capability, reloaded because a sequence can overwrite it in memory.
     homes = []
     for c in (c.name for c in plan.config.compartments):
         exc = None
@@ -610,10 +610,8 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
         regs[6] = make_root(plan.data_base[c], plan.data_base[c] + 64, DDC_PERMS)
         regs[18] = exc or NULL_CAP
         regs[REG_SP] = regs[REG_FP] = int_cap(plan.stack_top[c])
-        site = img.user_entry(c)
-        homes.append((site, regs, plan.sealed_cap_addr(c),
-                      set_address(img.pcc_caps[c], site), img.ddc_caps[c],
-                      plan.comp_ids[c], exc is not None))
+        homes.append((img.user_entry(c), regs, plan.sealed_cap_addr(c),
+                      img.pcc_caps[c], img.ddc_caps[c], plan.comp_ids[c], exc is not None))
 
     log: list = []
     st.access_log = log
@@ -624,7 +622,7 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     addr_regs = (0, 1, 2, 3, 4, 5, 6, 7, 31)
 
     for i in range(sequences):
-        site, regs, entry_at, pcc, ddc, home_id, sharing = homes[i % len(homes)]
+        site, regs, entry_at, code, ddc, home_id, sharing = homes[i % len(homes)]
         seq_len = rng.randrange(1, max_len + 1)
         for j in range(seq_len):
             program[site + j] = _fuzz_ins(rng, addr_regs)
@@ -633,7 +631,8 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
         st.regs[:] = regs
         st.regs[4] = int_cap(rng.randrange(0, plan.data_top))
         st.regs[7] = img.mem.load_cap(entry_at)
-        st.pcc = pcc
+        st.code = code
+        st.pc = site
         st.ddc = ddc
         st.current_compartment = home_id
         st.exception_sharing = sharing

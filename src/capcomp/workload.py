@@ -376,7 +376,7 @@ def switch_breakdown(cold: bool = False) -> SwitchBreakdown:
     counts = {p: 0 for p in PHASES}
     steps = 0
     while not st.halted and st.fault is None and steps < 10_000:
-        pc = st.pcc.address
+        pc = st.pc
         op = img.program[pc].op
         step(st, img.mem, img.program)
         steps += 1
