@@ -37,6 +37,7 @@ from .layout import (
 )
 from .isa import retl, halt
 from .machine import run
+from .memory import DEFAULT_SIZE
 from .runtime import (
     GateDescriptor,
     GateError,
@@ -238,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_mem(p):
-        p.add_argument("--memory-size", type=lambda s: int(s, 0), default=1 << 20,
-                       help="simulated data memory bytes (default 1 MiB)")
+        p.add_argument("--memory-size", type=lambda s: int(s, 0), default=DEFAULT_SIZE,
+                       help=f"simulated data memory bytes (default {DEFAULT_SIZE >> 20} MiB)")
 
     p = sub.add_parser("layout", help="plan a configuration, print the region map")
     p.add_argument("config")

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 
 from .capability import Capability, Perm, int_cap, make_root, seal, set_address
-from .memory import CAP_SLOT, GRANULE, TaggedMemory
+from .memory import CAP_SLOT, DEFAULT_SIZE, GRANULE, TaggedMemory
 
 # otype assignments: 0 is reserved for unsealed values.
 FRAME_OTYPE = 1            # switch frames sealed by the switcher
@@ -336,7 +336,7 @@ def _order_for_adjacency(cfg: CompartmentConfig) -> list[str]:
     return [n for p in components for n in p]
 
 
-def compute_layout(cfg: CompartmentConfig, memory_size: int = 1 << 24) -> LayoutPlan:
+def compute_layout(cfg: CompartmentConfig, memory_size: int = DEFAULT_SIZE) -> LayoutPlan:
     """Plan every region deterministically; identical input, identical plan."""
     order = _order_for_adjacency(cfg)
     comp_ids = {c.name: i for i, c in enumerate(cfg.compartments)}

@@ -16,7 +16,7 @@ from .capability import ADDR_BITS, ADDR_MASK, PERMS, PERM_ALL, TOP_MAX, Capabili
 
 GRANULE = 16
 CAP_SLOT = 2 * GRANULE          # in-memory footprint of one capability
-DEFAULT_SIZE = 1 << 24
+DEFAULT_SIZE = 1 << 20         # 1 MiB: the default of the library and the CLI
 
 # One capability slot: the flat record of `capability.serialize` (tag, base,
 # top as its low 8 bytes and its high byte, address, perms, otype), then 3

@@ -1,9 +1,13 @@
 """End-to-end checks of the command-line front end: exit codes and the
 load-bearing lines of each subcommand's output."""
 
+import importlib.resources as ir
+
 import pytest
 
-from capcomp.cli import main
+from capcomp.cli import build_parser, main
+from capcomp.layout import compute_layout, parse_config
+from capcomp.memory import TaggedMemory
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +42,12 @@ def test_layout_memory_size_accepts_hex(capsys):
     code, out, _ = run_cli(capsys, "layout", "two_comp.cfg",
                            "--memory-size", "0x10000")
     assert code == 0
+
+
+def test_one_memory_size_default():
+    cfg = parse_config(ir.files("capcomp").joinpath("fixtures", "two_comp.cfg").read_text())
+    cli_default = build_parser().parse_args(["layout", "two_comp.cfg"]).memory_size
+    assert compute_layout(cfg).memory_size == TaggedMemory().size == cli_default
 
 
 def test_boot_dump_decodes_protected_structures(capsys):
