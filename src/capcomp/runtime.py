@@ -505,7 +505,7 @@ class FuzzReport:
     steps: int
     switches: int
     faults: dict[str, int]           # fault kind -> occurrences
-    violations: list[str]            # confinement breaches (empty = isolated)
+    violations: list[str]            # confinement breaches (empty = isolated), capped
 
 
 def _fuzz_ins(r, addr_regs: tuple[int, ...]):
@@ -558,7 +558,13 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     Accesses made while the pc is inside the switcher are trusted-computing
     base activity and exempt.  Faults are the machine working as intended and
     are tallied, not flagged.
+
+    At most `report_cap` violations are listed.  At the first one beyond
+    that, fuzzing stops and the list is truncated: its last entry becomes
+    "...", and `sequences` counts the sequences run up to that point.
     """
+    if report_cap < 1:
+        raise ValueError("report_cap must be at least 1, or a breach would go unreported")
     plan = img.plan
     st = img.machine
     program = img.program
@@ -661,7 +667,7 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
                             f"{'wrote' if is_write else 'read'} "
                             f"[{addr:#x}, {addr + ln:#x}) outside its view")
                     else:
-                        violations.append("...")
+                        violations[-1] = "..."
                         log.clear()
                         st.access_log = None
                         return FuzzReport(i + 1, total_steps,

@@ -4,9 +4,10 @@ length arithmetic."""
 
 import pytest
 
-from capcomp.capability import FaultKind, NULL_CAP, Perm
+from capcomp.capability import FaultKind, NULL_CAP, Perm, make_root
 from capcomp.isa import REG_FP, REG_SP, REG_ZERO, addi, halt, ldi, mov, movi, retl, sti
 from capcomp.layout import (
+    DDC_PERMS,
     FRAME_OTYPE,
     OFF_SP,
     TABLE_ENTRY,
@@ -532,3 +533,20 @@ def test_fuzz_isolation_smoke():
     assert report.violations == []
     assert report.steps > 0
     assert sum(report.faults.values()) > 0          # random code mostly faults
+
+
+@pytest.mark.parametrize("report_cap", [1, 4, 20])
+def test_fuzz_violations_are_capped(report_cap):
+    # A planted breach: app's ddc widened to all of data memory.
+    img = img_two()
+    img.ddc_caps["app"] = make_root(0, img.plan.data_top, DDC_PERMS)
+    report = fuzz_isolation(img, sequences=20_000, seed=3, report_cap=report_cap)
+    assert report.sequences < 20_000                # stopped at the breach beyond the cap
+    assert len(report.violations) == report_cap
+    assert report.violations[-1] == "..."
+    assert all("outside its view" in v for v in report.violations[:-1])
+
+
+def test_fuzz_report_cap_must_be_positive():
+    with pytest.raises(ValueError, match="report_cap"):
+        fuzz_isolation(img_two(), sequences=1, report_cap=0)
