@@ -505,7 +505,7 @@ class FuzzReport:
     steps: int
     switches: int
     faults: dict[str, int]           # fault kind -> occurrences
-    violations: list[str]            # confinement breaches (empty = isolated), capped
+    violations: list[str]            # confinement breaches (empty = isolated), see report_cap
 
 
 def _fuzz_ins(r, addr_regs: tuple[int, ...]):
@@ -599,8 +599,9 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     # to the home data region and the exception-mode region it owns.  Per
     # sequence, r4 takes a random address and r7 the sealed entry
     # capability, reloaded because a sequence can overwrite it in memory.
+    comps = [c.name for c in plan.config.compartments]
     homes = []
-    for c in (c.name for c in plan.config.compartments):
+    for c in comps:
         exc = None
         for sname, owners in plan.shared_owners.items():
             if plan.shared_mode[sname] == "exception" and c in owners:
