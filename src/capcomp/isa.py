@@ -84,8 +84,25 @@ class Ins:
     imm: int = 0
     cap: bool = False
 
+    def __init__(self, op: Op, a: int = 0, b: int = 0, c: int = 0, d: int = 0,
+                 imm: int = 0, cap: bool = False):
+        # Same slot-descriptor stores as Capability.__init__: about half the
+        # cost of the object.__setattr__ calls the generated frozen __init__
+        # makes, on the path every emitter and the fuzzer take.
+        _set_op(self, op)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
+        _set_imm(self, imm)
+        _set_cap(self, cap)
+
     def __str__(self) -> str:
         return format_ins(self)
+
+
+_set_op, _set_a, _set_b, _set_c, _set_d, _set_imm, _set_cap = (
+    Ins.__dict__[f].__set__ for f in ("op", "a", "b", "c", "d", "imm", "cap"))
 
 
 def _reg(i: int) -> int:
