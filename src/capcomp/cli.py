@@ -18,7 +18,6 @@ import argparse
 import sys
 from importlib import resources
 
-from .capability import set_address
 from .layout import (
     ConfigError,
     LayoutError,
@@ -35,14 +34,14 @@ from .layout import (
     install_function,
     parse_config,
 )
-from .isa import retl, halt
+from .isa import addi, retl
 from .machine import run
 from .memory import DEFAULT_SIZE
 from .runtime import (
     GateDescriptor,
     GateError,
-    emit_gate_sequence,
     fuzz_isolation,
+    install_call_site,
 )
 from .workload import (
     CostModel,
@@ -212,13 +211,10 @@ def cmd_trace(args) -> int:
         raise ConfigError("trace needs two distinct compartments; "
                           "pass --caller/--callee")
     img = boot_init(plan)
-    from .isa import addi
     entry = install_function(img, callee, [addi(0, 0, 1), retl()])
     gate = GateDescriptor(caller, callee, entry, dest=0)
-    code = emit_gate_sequence(plan, gate, [int(a) for a in args.args])
-    site = install_function(img, caller, list(code.instructions) + [halt()])
+    install_call_site(img, gate, [int(a) for a in args.args])
     st = img.machine
-    st.pcc = set_address(st.pcc, site)
     lines: list[str] = []
     run(st, img.mem, img.program, max_steps=10_000, trace=lines)
     for line in lines:

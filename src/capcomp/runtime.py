@@ -30,6 +30,7 @@ not silent, attack.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -309,8 +310,43 @@ TRAMP_ENTER_SLOTS = 4      # instructions before control enters the callee
 TRAMP_RETURN_SLOTS = 4
 
 
+# The parts of a call site that do not depend on the call, built once.  Ins
+# values are immutable, so every emitted site shares these objects, and so do
+# the program slots they are installed into.
+_SAVE_BLOCK = (addi(REG_SP, REG_SP, -SAVE_BYTES),) + tuple(
+    stc(r, REG_SP, 32 * j) for j, r in enumerate(SAVE_SET))
+_INVOKE_BLOCK = (ldc(R_SEALED, R_ADDR, 0), lpb(R_SEALED, R_PAIR2))
+_SCRUB_BLOCK = (addi(REG_SP, REG_SP, SAVE_BYTES),) + tuple(
+    stc(REG_ZERO, REG_SP, -SCRUB_BYTES + 32 * j) for j in range(SCRUB_BYTES // 32))
+_HALT = halt()
+
+
+@functools.cache
+def _epilogue(dest: int | None) -> tuple[Ins, ...]:
+    """The epilogue for a validated return destination (29 possible values).
+
+    The switcher return leg already reinstalled the caller's ddc and restored
+    sp/fp; what remains is moving the return value aside, restoring the saved
+    registers, and zeroing the dead frame+save area.
+    """
+    seq: list[Ins] = []
+    if dest not in (None, 0):
+        seq.append(mov(R_STASH, 0))
+    if dest not in (None, 0) and dest != R_STASH:
+        seq.append(mov(dest, R_STASH))
+    for j, r in enumerate(SAVE_SET):
+        if dest is not None and r == dest:
+            continue
+        seq.append(ldc(r, REG_SP, 32 * j))
+    return tuple(seq) + _SCRUB_BLOCK
+
+
 def emit_gate_sequence(plan, gate: GateDescriptor, args: list) -> GateCode:
-    """Emit one inline call-site sequence (prologue through epilogue)."""
+    """Emit one inline call-site sequence (prologue through epilogue).
+
+    Only the argument loads and the four gate constants are built per call;
+    the save block, the sealed invoke and the epilogue are shared.
+    """
     gate.validate()
     if gate.caller not in plan.code_bounds:
         raise GateError(f"gate caller {gate.caller!r} is not a compartment")
@@ -329,42 +365,21 @@ def emit_gate_sequence(plan, gate: GateDescriptor, args: list) -> GateCode:
     caller_id = plan.comp_ids[gate.caller]
     callee_id = plan.comp_ids[gate.callee]
 
-    seq: list[Ins] = [addi(REG_SP, REG_SP, -SAVE_BYTES)]
-    for j, r in enumerate(SAVE_SET):
-        seq.append(stc(r, REG_SP, 32 * j))
+    loads: list[Ins] = []
     for i, a in enumerate(args):
         if isinstance(a, RegionArg):
-            seq.append(movi(20, a.base))
-            seq.append(movi(21, a.base + a.length))
-            seq.append(cvtd(i, 20, 21))
-            seq.append(restrict(i, i, a.perms))
+            loads.append(movi(20, a.base))
+            loads.append(movi(21, a.base + a.length))
+            loads.append(cvtd(i, 20, 21))
+            loads.append(restrict(i, i, a.perms))
         else:
-            seq.append(movi(i, int(a)))
-    seq.append(movi(R_CALLER_OFF, caller_id * TABLE_ENTRY))
-    seq.append(movi(R_CALLEE_OFF, callee_id * TABLE_ENTRY))
-    seq.append(movi(R_TARGET, gate.entry))
-    seq.append(movi(R_ADDR, plan.sealed_cap_addr(gate.caller)))
-    seq.append(ldc(R_SEALED, R_ADDR, 0))
-    seq.append(lpb(R_SEALED, R_PAIR2))
-    prologue_len = len(seq)
-
-    # Epilogue.  The switcher return leg already reinstalled the caller's ddc
-    # and restored sp/fp; what remains is moving the return value aside,
-    # restoring the saved registers, and zeroing the dead frame+save area.
-    dest = gate.dest
-    if dest not in (None, 0):
-        seq.append(mov(R_STASH, 0))
-    if dest not in (None, 0) and dest != R_STASH:
-        seq.append(mov(dest, R_STASH))
-    for j, r in enumerate(SAVE_SET):
-        if dest is not None and r == dest:
-            continue
-        seq.append(ldc(r, REG_SP, 32 * j))
-    seq.append(addi(REG_SP, REG_SP, SAVE_BYTES))
-    for j in range(SCRUB_BYTES // 32):
-        seq.append(stc(REG_ZERO, REG_SP, -SCRUB_BYTES + 32 * j))
-
-    return GateCode(tuple(seq), prologue_len)
+            loads.append(movi(i, int(a)))
+    loads.append(movi(R_CALLER_OFF, caller_id * TABLE_ENTRY))
+    loads.append(movi(R_CALLEE_OFF, callee_id * TABLE_ENTRY))
+    loads.append(movi(R_TARGET, gate.entry))
+    loads.append(movi(R_ADDR, plan.sealed_cap_addr(gate.caller)))
+    prologue = _SAVE_BLOCK + tuple(loads) + _INVOKE_BLOCK
+    return GateCode(prologue + _epilogue(gate.dest), len(prologue))
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +389,24 @@ def emit_gate_sequence(plan, gate: GateDescriptor, args: list) -> GateCode:
 def _run_while(img: BootImage, in_phase, max_steps: int) -> MachineState:
     st = img.machine
     budget = max_steps
-    while (budget > 0 and not st.halted and st.fault is None
-           and in_phase(st.pc)):
+    while not st.halted and st.fault is None and in_phase(st.pc):
+        if budget == 0:
+            raise GateError("phase did not converge within its step budget")
         step(st, img.mem, img.program)
         budget -= 1
-    if budget == 0:
-        raise GateError("phase did not converge within its step budget")
     return st
+
+
+def install_call_site(img: BootImage, gate: GateDescriptor, args, *,
+                      at: int | None = None) -> tuple[int, GateCode]:
+    """Emit the gate sequence for `args`, install it followed by a halt in
+    the caller's code (at `at`, or at the next free slot), and point the pcc
+    at it.  Returns the site and the emitted code; nothing has run yet."""
+    code = emit_gate_sequence(img.plan, gate, list(args))
+    site = install_function(img, gate.caller, [*code.instructions, _HALT], at=at)
+    st = img.machine
+    st.pcc = set_address(st.pcc, site)
+    return site, code
 
 
 def gate_call(img: BootImage, gate: GateDescriptor, args: list, *,
@@ -403,9 +429,7 @@ def gate_call(img: BootImage, gate: GateDescriptor, args: list, *,
         raise GateError(
             f"machine is in compartment {st.current_compartment}, "
             f"gate belongs to {gate.caller!r}")
-    code = emit_gate_sequence(img.plan, gate, list(args))
-    site = install_function(img, gate.caller, list(code.instructions) + [halt()], at=at)
-    st.pcc = set_address(st.pcc, site)
+    install_call_site(img, gate, args, at=at)
     lo, hi = img.plan.switcher_code
     _run_while(img, lambda pc: not lo <= pc < hi, max_steps)
     return st
@@ -633,7 +657,7 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
         seq_len = rng.randrange(1, max_len + 1)
         for j in range(seq_len):
             program[site + j] = _fuzz_ins(rng, addr_regs)
-        program[site + seq_len] = halt()
+        program[site + seq_len] = _HALT
 
         st.regs[:] = regs
         st.regs[4] = int_cap(rng.randrange(0, plan.data_top))

@@ -341,18 +341,14 @@ def switch_breakdown(cold: bool = False) -> SwitchBreakdown:
     """Execute one instrumented round trip on a canonical two-compartment
     image and attribute every retired instruction's cycles to its phase."""
     from .isa import retl
-    from .runtime import (GateDescriptor, TRAMP_ENTER_SLOTS, emit_gate_sequence)
-    from .isa import halt as _halt
-    from .capability import set_address
+    from .runtime import GateDescriptor, TRAMP_ENTER_SLOTS, install_call_site
 
     plan = compute_layout(parse_config(_BREAKDOWN_CONFIG), memory_size=1 << 16)
     img = boot_init(plan)
     st = img.machine
     entry = install_function(img, "target", [retl()])
     gate = GateDescriptor("origin", "target", entry, dest=0)
-    code = emit_gate_sequence(plan, gate, [0])
-    site = install_function(img, "origin", list(code.instructions) + [_halt()])
-    st.pcc = set_address(st.pcc, site)
+    site, code = install_call_site(img, gate, [0])
 
     sw_lo, sw_hi = plan.switcher_code
     tramp = img.tramp_entries["target"]

@@ -261,6 +261,22 @@ def test_phase_composition_matches_full_call():
     assert st2.switches == st.switches == 2
 
 
+def test_phase_budget_is_exact():
+    """A phase that ends on its last budgeted step has converged; one step
+    short of it has not."""
+    for budget, converges in ((TRAMP_ENTER_SLOTS, True), (TRAMP_ENTER_SLOTS - 1, False)):
+        img = img_two()
+        entry = leaf_plus_one(img)
+        gate_call(img, GateDescriptor("app", "lib", entry), [1])
+        switcher_switch(img)
+        if converges:
+            st = trampoline_enter(img, max_steps=budget)
+            assert st.fault is None and st.pc == entry
+        else:
+            with pytest.raises(GateError, match="converge"):
+                trampoline_enter(img, max_steps=budget)
+
+
 def test_repeat_call_is_bit_exact():
     img = img_two()
     entry = leaf_plus_one(img)
