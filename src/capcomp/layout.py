@@ -206,6 +206,18 @@ def parse_config(text: str) -> CompartmentConfig:
         for owner in (s.a, s.b):
             if owner not in comp_names:
                 raise ConfigError(f"shared region {s.name!r} names unknown compartment {owner!r}")
+    # Boot and the fuzz harness give a compartment one exception capability
+    # (r18); a second exception region would be silently unreachable.
+    exception_region: dict[str, str] = {}
+    for s in shared:
+        if s.mode != "exception":
+            continue
+        for owner in (s.a, s.b):
+            if owner in exception_region:
+                raise ConfigError(
+                    f"compartment {owner!r} owns two exception regions, "
+                    f"{exception_region[owner]!r} and {s.name!r}; at most one is supported")
+            exception_region[owner] = s.name
     for sb in sandboxes:
         if sb.host not in comp_names:
             raise ConfigError(f"sandbox {sb.name!r} names unknown host {sb.host!r}")

@@ -95,6 +95,19 @@ def test_parse_rejects_unknown_references():
         parse_config("# nothing here\n")
 
 
+def test_parse_rejects_two_exception_regions_for_one_compartment():
+    comps = ("compartment a code=64 data=32 stack=32 heap=0\n"
+             "compartment b code=64 data=32 stack=32 heap=0\n"
+             "compartment c code=64 data=32 stack=32 heap=0\n")
+    with pytest.raises(ConfigError, match="'b' owns two exception regions, 'm1' and 'm2'"):
+        parse_config(comps + "shared m1 size=32 between a,b mode=exception\n"
+                             "shared m2 size=32 between b,c mode=exception\n")
+    # One exception region each, and overlap windows beside them, still parse.
+    cfg = parse_config(comps + "shared m1 size=32 between a,b mode=exception\n"
+                               "shared w size=32 between b,c mode=overlap\n")
+    assert [s.name for s in cfg.shared] == ["m1", "w"]
+
+
 def test_parse_hex_sizes():
     cfg = parse_config("compartment a code=0x40 data=0x20 stack=0x20 heap=0x0")
     assert cfg.compartments[0].code == 64
@@ -159,11 +172,27 @@ def test_parallel_shared_regions_between_one_pair():
 
 
 def test_exception_mode_never_constrains_order():
-    # a triangle of exception regions is fine: they sit outside all spans
-    plan = compute_layout(mini_cfg(3, [(0, 1), (1, 2), (0, 2)], mode="exception"))
+    # Exception regions sit outside all spans.  With a compartment owning at
+    # most one of them, they close the overlap path c0-c1-c2 into a triangle
+    # that overlap windows alone could not place.
+    def cfg(mode):
+        lines = [f"compartment c{i} code=128 data=64 stack=64 heap=64" for i in range(4)]
+        lines += ["shared w0 size=32 between c0,c1 mode=overlap",
+                  "shared w1 size=32 between c1,c2 mode=overlap",
+                  f"shared x0 size=32 between c0,c2 mode={mode}",
+                  f"shared x1 size=32 between c1,c3 mode={mode}"]
+        return parse_config("\n".join(lines))
+
+    with pytest.raises(InfeasibleOverlap):
+        compute_layout(cfg("overlap"))
+    plan = compute_layout(cfg("exception"))
     assert audit_plan(plan) == []
-    for name in ("c0", "c1", "c2"):
-        assert plan.ddc_bounds[name] == plan.span_bounds[name]
+    assert plan.ddc_bounds["c3"] == plan.span_bounds["c3"]
+    for region in ("x0", "x1"):
+        lo, hi = plan.shared_bounds[region]
+        for name in ("c0", "c1", "c2", "c3"):
+            d_lo, d_hi = plan.ddc_bounds[name]
+            assert hi <= d_lo or d_hi <= lo
 
 
 # --------------------------------------------------------------------------
