@@ -35,7 +35,7 @@ from .layout import (
     parse_config,
 )
 from .isa import addi, retl
-from .machine import run
+from .machine import format_trace, run
 from .memory import DEFAULT_SIZE
 from .runtime import (
     GateDescriptor,
@@ -211,13 +211,14 @@ def cmd_trace(args) -> int:
         raise ConfigError("trace needs two distinct compartments; "
                           "pass --caller/--callee")
     img = boot_init(plan)
+    img.enter(caller)
     entry = install_function(img, callee, [addi(0, 0, 1), retl()])
     gate = GateDescriptor(caller, callee, entry, dest=0)
     install_call_site(img, gate, [int(a) for a in args.args])
     st = img.machine
-    lines: list[str] = []
-    run(st, img.mem, img.program, max_steps=10_000, trace=lines)
-    for line in lines:
+    st.events = []
+    run(st, img.mem, img.program, max_steps=10_000)
+    for line in format_trace(st.events, img.program):
         print(line)
     if st.fault is not None:
         print(f"faulted: {st.fault}", file=sys.stderr)

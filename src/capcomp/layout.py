@@ -19,7 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .capability import Capability, Perm, int_cap, make_root, seal, set_address
+from .capability import NULL_CAP, Capability, Perm, int_cap, make_root, seal, set_address
+from .isa import REG_FP, REG_SHARED, REG_SP
 from .memory import CAP_SLOT, DEFAULT_SIZE, GRANULE, TaggedMemory
 
 # otype assignments: 0 is reserved for unsealed values.
@@ -119,6 +120,25 @@ def _check_size(value: int, what: str, line_no: int, minimum: int = 0,
     return value
 
 
+def _exception_regions(shared) -> dict[str, str]:
+    """Map each compartment to the exception-mode region it owns.
+
+    Entering a compartment gives it one exception capability (r18); a second
+    exception region would be silently unreachable, so it is a ConfigError.
+    """
+    region: dict[str, str] = {}
+    for s in shared:
+        if s.mode != "exception":
+            continue
+        for owner in (s.a, s.b):
+            if owner in region:
+                raise ConfigError(
+                    f"compartment {owner!r} owns two exception regions, "
+                    f"{region[owner]!r} and {s.name!r}; at most one is supported")
+            region[owner] = s.name
+    return region
+
+
 def parse_config(text: str) -> CompartmentConfig:
     """Parse the compartment description language.
 
@@ -206,18 +226,7 @@ def parse_config(text: str) -> CompartmentConfig:
         for owner in (s.a, s.b):
             if owner not in comp_names:
                 raise ConfigError(f"shared region {s.name!r} names unknown compartment {owner!r}")
-    # Boot and the fuzz harness give a compartment one exception capability
-    # (r18); a second exception region would be silently unreachable.
-    exception_region: dict[str, str] = {}
-    for s in shared:
-        if s.mode != "exception":
-            continue
-        for owner in (s.a, s.b):
-            if owner in exception_region:
-                raise ConfigError(
-                    f"compartment {owner!r} owns two exception regions, "
-                    f"{exception_region[owner]!r} and {s.name!r}; at most one is supported")
-            exception_region[owner] = s.name
+    _exception_regions(shared)
     for sb in sandboxes:
         if sb.host not in comp_names:
             raise ConfigError(f"sandbox {sb.name!r} names unknown host {sb.host!r}")
@@ -271,6 +280,7 @@ class LayoutPlan:
     shared_bounds: dict[str, tuple[int, int]]
     shared_mode: dict[str, str]
     shared_owners: dict[str, tuple[str, str]]
+    exception_region: dict[str, str]              # owner -> its exception-mode region
     sandboxes: dict[str, SandboxPlan]
     table_base: int
     pair_addr: int
@@ -482,6 +492,7 @@ def compute_layout(cfg: CompartmentConfig, memory_size: int = DEFAULT_SIZE) -> L
         shared_bounds=shared_bounds,
         shared_mode={s.name: s.mode for s in cfg.shared},
         shared_owners={s.name: (s.a, s.b) for s in cfg.shared},
+        exception_region=_exception_regions(cfg.shared),
         sandboxes=sandboxes,
         table_base=table_base,
         pair_addr=pair_addr,
@@ -491,18 +502,24 @@ def compute_layout(cfg: CompartmentConfig, memory_size: int = DEFAULT_SIZE) -> L
     )
 
 
+def format_table(rows: list[tuple[str, ...]]) -> list[str]:
+    """Left-aligned columns two spaces apart, with a dash rule under the
+    header row `rows[0]`; trailing spaces are stripped from every row."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    lines = []
+    for i, row in enumerate(rows):
+        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        if i == 0:
+            lines.append("  ".join("-" * w for w in widths))
+    return lines
+
+
 def format_region_table(plan: LayoutPlan) -> str:
     """Aligned, human-facing region table."""
     rows = [("region", "kind", "base", "top", "owners")]
     for r in plan.regions:
         rows.append((r.name, r.kind, f"{r.base:#x}", f"{r.top:#x}", ",".join(r.owners) or "-"))
-    widths = [max(len(row[i]) for row in rows) for i in range(5)]
-    lines = []
-    for i, row in enumerate(rows):
-        lines.append("  ".join(cell.ljust(widths[j]) for j, cell in enumerate(row)).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+    return "\n".join(format_table(rows))
 
 
 def format_region_records(plan: LayoutPlan) -> str:
@@ -545,6 +562,22 @@ class BootImage:
         if name in self.plan.sandboxes:
             return self.plan.sandboxes[name].code_base + TRAMP_SLOTS
         return self.plan.code_bounds[name][0] + TRAMP_SLOTS
+
+    def enter(self, name: str) -> None:
+        """Put the machine in compartment `name`: its code capability with
+        the pc at its first user instruction, its ddc, sp and fp at its stack
+        top, and in r18 the exception region it owns (null if none)."""
+        plan = self.plan
+        if name not in plan.code_bounds:
+            raise LayoutError(f"{name!r} is not a compartment")
+        st = self.machine
+        st.pcc = set_address(self.pcc_caps[name], self.user_entry(name))
+        st.ddc = self.ddc_caps[name]
+        st.current_compartment = plan.comp_ids[name]
+        st.regs[REG_SP] = st.regs[REG_FP] = int_cap(plan.stack_top[name])
+        exc = plan.exception_region.get(name)
+        st.regs[REG_SHARED] = (make_root(*plan.shared_bounds[exc], DDC_PERMS)
+                               if exc is not None else NULL_CAP)
 
 
 def boot_init(plan: LayoutPlan) -> BootImage:
@@ -622,15 +655,10 @@ def boot_init(plan: LayoutPlan) -> BootImage:
         entry = make_root(plan.pair_addr, plan.pair_addr + 64, ENTRY_PERMS)
         mem.store_cap(plan.sealed_cap_addr(c.name), seal(entry, otype))
 
-    default = cfg.compartments[0].name
     st = MachineState()
-    st.pcc = set_address(pcc_caps[default], plan.code_bounds[default][0] + TRAMP_SLOTS)
-    st.ddc = ddc_caps[default]
-    st.current_compartment = plan.comp_ids[default]
     st.switcher_bounds = plan.switcher_code
     st.lpb_otypes = frozenset(otypes)
-    st.regs[31] = int_cap(plan.stack_top[default])
-    st.regs[29] = int_cap(plan.stack_top[default])
+    st.exception_sharing = bool(plan.exception_region)
 
     regions = []
     for sb in plan.sandboxes.values():
@@ -640,16 +668,7 @@ def boot_init(plan: LayoutPlan) -> BootImage:
         regions.append((cb, ct, plan.comp_ids[c.name]))
     st.code_regions = regions
 
-    exc_regions = [s for s in cfg.shared if s.mode == "exception"]
-    if exc_regions:
-        st.exception_sharing = True
-        for s in exc_regions:
-            if default in (s.a, s.b):
-                lo, hi = plan.shared_bounds[s.name]
-                st.regs[18] = make_root(lo, hi, DDC_PERMS)
-                break
-
-    return BootImage(
+    img = BootImage(
         plan=plan,
         mem=mem,
         machine=st,
@@ -661,6 +680,8 @@ def boot_init(plan: LayoutPlan) -> BootImage:
         pcc_caps=pcc_caps,
         ddc_caps=ddc_caps,
     )
+    img.enter(cfg.compartments[0].name)
+    return img
 
 
 def comp_alloc(img: BootImage, comp: str, size: int) -> int:

@@ -97,7 +97,6 @@ class MachineState:
     halted: bool = False
 
     instructions_retired: int = 0
-    memory_accesses: int = 0
     switches: int = 0          # domain switches (load-pair-branch commits)
     ddc_swap_events: int = 0
 
@@ -116,9 +115,12 @@ class MachineState:
     # One-shot install-ddc window armed by load-pair-branch.
     ddc_grant: int | None = None
 
-    # When a list is installed here, every successful data access appends
-    # (pc, addr, length, is_write).  Used by the isolation fuzzer.
-    access_log: list | None = None
+    # The event list.  While it is a list, `run` appends
+    # ("step", pc, compartment, fault) after every attempted step, with the
+    # compartment from before the step and the fault or None, and every
+    # successful data access appends ("access", pc, addr, length, is_write).
+    # None records nothing.
+    events: list | None = None
 
     @property
     def pcc(self) -> Capability:
@@ -217,8 +219,7 @@ def _load_pair_branch(st, mem, ins, pc, grant):
     _setreg(st, REG_LINK, ret_cap)
     st.ddc_grant = ins.b
     # The pair read is architectural, like a fetch: it is not an explicit
-    # data access by the running compartment, so it stays out of access_log.
-    st.memory_accesses += 1
+    # data access by the running compartment, so it records no access event.
     st.switches += 1
     st.code = first
     return _retire(st, first.address)
@@ -269,9 +270,8 @@ def _access(need: int, is_store: bool, is_cap: bool):
             _setreg(st, ins.a, mem.load_cap(addr))
         else:
             _setreg(st, ins.a, int_cap(int.from_bytes(mem.read_bytes(addr, INT_WIDTH), "little")))
-        st.memory_accesses += 1
-        if st.access_log is not None:
-            st.access_log.append((pc, addr, width, is_store))
+        if st.events is not None:
+            st.events.append(("access", pc, addr, width, is_store))
         return _next(st, pc)
 
     return access
@@ -453,14 +453,15 @@ def handle_fault_ddc_swap(st: MachineState, mem: TaggedMemory) -> bool:
 
 
 def run(st: MachineState, mem: TaggedMemory, program: list[Ins],
-        max_steps: int = 100_000, trace: list[str] | None = None) -> MachineState:
+        max_steps: int = 100_000) -> MachineState:
     """Run until halt, an unhandled fault, or the step budget is exhausted.
 
     With exception sharing enabled, eligible bounds faults are transparently
-    swapped and retried (each retry consumes budget).  When `trace` is given,
-    one formatted line is appended per attempted step:
-    `idx | pc | op | compartment | fault?`.
+    swapped and retried (each retry consumes budget).  While `st.events` is
+    a list, one ("step", pc, compartment, fault) record is appended per
+    attempted step; `format_trace` turns them into lines.
     """
+    events = st.events
     steps = 0
     while steps < max_steps:
         if st.halted:
@@ -472,10 +473,21 @@ def run(st: MachineState, mem: TaggedMemory, program: list[Ins],
         pc = st.pc
         comp = st.current_compartment
         step(st, mem, program)
-        if trace is not None:
-            opname = format_ins(program[pc]) if pc < len(program) else "??"
-            who = f"c{comp}" if comp is not None else "-"
-            tail = f" | {st.fault}" if st.fault is not None else ""
-            trace.append(f"{steps} | {pc} | {opname} | {who}{tail}")
+        if events is not None:
+            events.append(("step", pc, comp, st.fault))
         steps += 1
     return st
+
+
+def format_trace(events: list, program: list[Ins]) -> list[str]:
+    """One line per step record: `idx | pc | op | compartment | fault?`."""
+    lines = []
+    for ev in events:
+        if ev[0] != "step":
+            continue
+        _, pc, comp, fault = ev
+        opname = format_ins(program[pc]) if pc < len(program) else "??"
+        who = f"c{comp}" if comp is not None else "-"
+        tail = f" | {fault}" if fault is not None else ""
+        lines.append(f"{len(lines)} | {pc} | {opname} | {who}{tail}")
+    return lines

@@ -604,9 +604,8 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
             allowed[cid] = [(sb.scratch_base, sb.scratch_top)]
         else:
             ivs = [plan.ddc_bounds[name]]
-            for sname, owners in plan.shared_owners.items():
-                if plan.shared_mode[sname] == "exception" and name in owners:
-                    ivs.append(plan.shared_bounds[sname])
+            if name in plan.exception_region:
+                ivs.append(plan.shared_bounds[plan.exception_region[name]])
             allowed[cid] = ivs
 
     code_regions = list(st.code_regions)
@@ -627,11 +626,8 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     homes = []
     for c in comps:
         exc = None
-        for sname, owners in plan.shared_owners.items():
-            if plan.shared_mode[sname] == "exception" and c in owners:
-                lo, hi = plan.shared_bounds[sname]
-                exc = make_root(lo, hi, DDC_PERMS)
-                break
+        if c in plan.exception_region:
+            exc = make_root(*plan.shared_bounds[plan.exception_region[c]], DDC_PERMS)
         regs = [NULL_CAP] * len(st.regs)
         regs[0] = int_cap(plan.data_base[c])
         regs[1] = int_cap(plan.stack_top[c] - 128)
@@ -644,8 +640,8 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
         homes.append((img.user_entry(c), regs, plan.sealed_cap_addr(c),
                       img.pcc_caps[c], img.ddc_caps[c], plan.comp_ids[c], exc is not None))
 
-    log: list = []
-    st.access_log = log
+    events: list = []
+    st.events = events
     faults: dict[str, int] = {}
     violations: list[str] = []
     total_steps = 0
@@ -679,28 +675,26 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
             faults[kind] = faults.get(kind, 0) + 1
             st.fault = None
 
-        if log:
-            for pc, addr, ln, is_write in log:
-                cid = owner_of(pc)
-                if cid is None:
-                    continue
-                ivs = allowed[cid]
-                if not any(a <= addr and addr + ln <= b for a, b in ivs):
-                    if len(violations) < report_cap:
-                        violations.append(
-                            f"sequence {i}: pc {pc} ({names[cid]}) "
-                            f"{'wrote' if is_write else 'read'} "
-                            f"[{addr:#x}, {addr + ln:#x}) outside its view")
-                    else:
-                        violations[-1] = "..."
-                        log.clear()
-                        st.access_log = None
-                        return FuzzReport(i + 1, total_steps,
-                                          st.switches - switches0,
-                                          faults, violations)
-            log.clear()
+        for ev in events:
+            if ev[0] != "access":
+                continue
+            _, pc, addr, ln, is_write = ev
+            cid = owner_of(pc)
+            if cid is None or any(a <= addr and addr + ln <= b for a, b in allowed[cid]):
+                continue
+            if len(violations) < report_cap:
+                violations.append(
+                    f"sequence {i}: pc {pc} ({names[cid]}) "
+                    f"{'wrote' if is_write else 'read'} "
+                    f"[{addr:#x}, {addr + ln:#x}) outside its view")
+            else:
+                violations[-1] = "..."
+                st.events = None
+                return FuzzReport(i + 1, total_steps, st.switches - switches0,
+                                  faults, violations)
+        events.clear()
 
-    st.access_log = None
+    st.events = None
     return FuzzReport(sequences, total_steps,
                       st.switches - switches0,
                       faults, violations)

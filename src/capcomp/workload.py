@@ -16,8 +16,8 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .isa import Op
-from .layout import boot_init, compute_layout, install_function, parse_config
-from .machine import step
+from .layout import boot_init, compute_layout, format_table, install_function, parse_config
+from .machine import run
 
 
 class ScenarioError(ValueError):
@@ -368,21 +368,23 @@ def switch_breakdown(cold: bool = False) -> SwitchBreakdown:
             return "gate_epilogue"
         return "callee_body"
 
+    events = st.events = []
+    run(st, img.mem, img.program, max_steps=10_000)
+    if st.fault is not None:
+        raise RuntimeError(f"breakdown round trip faulted: {st.fault}")
+
     cycles = {p: 0.0 for p in PHASES}
     counts = {p: 0 for p in PHASES}
-    steps = 0
-    while not st.halted and st.fault is None and steps < 10_000:
-        pc = st.pc
+    for ev in events:
+        if ev[0] != "step":
+            continue
+        pc = ev[1]
         op = img.program[pc].op
-        step(st, img.mem, img.program)
-        steps += 1
         if op is Op.HALT:
-            break
+            continue
         p = phase_of(pc)
         cycles[p] += _weigh(op, cold)
         counts[p] += 1
-    if st.fault is not None:
-        raise RuntimeError(f"breakdown round trip faulted: {st.fault}")
 
     total = sum(cycles[p] for p in SWITCH_PHASES)
     return SwitchBreakdown(cycles, counts, total, cycles["callee_body"],
@@ -394,12 +396,8 @@ def format_breakdown(bd: SwitchBreakdown, label: str) -> str:
     for p in PHASES:
         rows.append((p, str(bd.phase_instructions[p]), f"{bd.phase_cycles[p]:.1f}"))
     rows.append(("switch total (callee excluded)", "", f"{bd.total:.1f}"))
-    widths = [max(len(r[i]) for r in rows) for i in range(3)]
     out = [f"single-switch latency, {label}:"]
-    for i, r in enumerate(rows):
-        out.append("  " + "  ".join(c.ljust(widths[j]) for j, c in enumerate(r)).rstrip())
-        if i == 0:
-            out.append("  " + "  ".join("-" * w for w in widths))
+    out += ["  " + line for line in format_table(rows)]
     return "\n".join(out)
 
 

@@ -159,6 +159,26 @@ def test_trace_argument_flows_through(capsys):
     assert "r0 = 6" in out
 
 
+@pytest.mark.parametrize("config, caller, callee", [
+    ("two_comp.cfg", "lib", "app"),
+    ("three_comp_shared.cfg", "codec", "store"),
+    ("three_comp_shared.cfg", "store", "app"),
+])
+def test_trace_from_any_caller(capsys, config, caller, callee):
+    code, out, err = run_cli(capsys, "trace", config, "--caller", caller, "--callee", callee)
+    assert code == 0 and err == ""
+    plan = compute_layout(parse_config(ir.files("capcomp").joinpath("fixtures", config)
+                                       .read_text()))
+    assert out.splitlines()[0].endswith(f" | c{plan.comp_ids[caller]}")
+    assert out.endswith("round trip complete: r0 = 42, 2 switches, 171 instructions\n")
+
+
+def test_trace_unknown_caller_is_exit_2(capsys):
+    code, _, err = run_cli(capsys, "trace", "two_comp.cfg", "--caller", "nope")
+    assert code == 2
+    assert err.startswith("error: ") and "'nope'" in err
+
+
 def test_trace_needs_two_compartments(capsys, tmp_path):
     cfg = tmp_path / "solo.cfg"
     cfg.write_text("compartment only code=64 data=64 stack=4096 heap=0\n")

@@ -44,6 +44,7 @@ from capcomp.machine import (
     Fault,
     MachineError,
     MachineState,
+    format_trace,
     handle_fault_ddc_swap,
     invoke_sealed,
     run,
@@ -126,7 +127,6 @@ def test_legacy_store_load_through_ddc():
         halt
     """))
     assert st.regs[3].address == 777
-    assert st.memory_accesses == 2
 
 
 def test_legacy_fault_sets_ddc_access_flag():
@@ -549,7 +549,63 @@ def test_ordinary_branches_cannot_enter_privileged_region():
 
 def test_run_trace_format():
     st, mem = bare_machine()
-    lines = []
-    run(st, mem, [movi(1, 2), halt()], trace=lines)
+    prog = [movi(1, 2), halt()]
+    st.events = []
+    run(st, mem, prog)
+    lines = format_trace(st.events, prog)
     assert lines[0].startswith("0 | 0 | addi r1, r16, 2 | -")
     assert lines[1].startswith("1 | 1 | halt")
+
+
+# --------------------------------------------------------------------------
+# The event list
+
+def test_events_off_by_default():
+    st, mem = bare_machine()
+    assert st.events is None
+    run(st, mem, [movi(1, 256), sti(1, 1, 0), halt()])
+    assert st.events is None
+
+
+def test_event_records_in_order():
+    st, mem = bare_machine()
+    st.code_regions = [(0, 5, 0), (5, 8, 1)]
+    st.current_compartment = 0
+    prog = [movi(1, 256), sti(1, 1, 8), movi(2, 5), calll(2), halt(),
+            ldi(3, 1, 8), ldc(4, 1, 0, cap=True)]
+    st.events = []
+    run(st, mem, prog)
+    assert st.fault.kind is FaultKind.TAG
+    assert st.events == [
+        ("step", 0, 0, None),
+        ("access", 1, 264, 8, True),
+        ("step", 1, 0, None),
+        ("step", 2, 0, None),
+        ("step", 3, 0, None),
+        ("access", 5, 264, 8, False),
+        ("step", 5, 1, None),
+        ("step", 6, 1, st.fault),
+    ]
+
+
+def test_events_record_a_swapped_fault_then_its_retry():
+    st, mem = shared_machine()
+    prog = [movi(1, 4096), movi(2, 11), sti(2, 1, 0), halt()]
+    st.events = []
+    run(st, mem, prog)
+    assert st.halted and st.ddc_swap_events == 1
+    fault = st.events[2][3]
+    assert fault.kind is FaultKind.BOUNDS and fault.pc == 2
+    assert st.events[2:] == [
+        ("step", 2, None, fault),
+        ("access", 2, 4096, 8, True),
+        ("step", 2, None, None),
+        ("step", 3, None, None),
+    ]
+    assert format_trace(st.events, prog) == [
+        "0 | 0 | addi r1, r16, 4096 | -",
+        "1 | 1 | addi r2, r16, 11 | -",
+        "2 | 2 | sti r2, [r1 + 0] | - | BoundsFault@0x1000 pc=2",
+        "3 | 2 | sti r2, [r1 + 0] | -",
+        "4 | 3 | halt | -",
+    ]

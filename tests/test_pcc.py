@@ -23,7 +23,7 @@ from capcomp.capability import (
     seal,
 )
 from capcomp.isa import REG_LINK, addi, bcap, calll, halt, ldi, lpb, movi, nop, retl
-from capcomp.machine import MachineState, invoke_sealed, run, step
+from capcomp.machine import MachineState, format_trace, invoke_sealed, run, step
 from capcomp.memory import TaggedMemory
 
 CODE = make_root(0, 64, Perm.EXECUTE)
@@ -168,8 +168,9 @@ def test_run_trace_lines():
             addi(2, 2, 1), retl()]
     st.switcher_bounds = (60, 64)              # legacy accesses are ddc-checked
     st.ddc = make_root(0, 64, PERM_ALL)
-    lines = []
-    run(st, mem, prog, trace=lines)
+    st.events = []
+    run(st, mem, prog)
+    lines = format_trace(st.events, prog)
     assert st.fault.kind is FaultKind.BOUNDS
     assert lines == [
         "0 | 0 | addi r1, r16, 4 | c0",

@@ -566,3 +566,25 @@ def test_fuzz_violations_are_capped(report_cap):
 def test_fuzz_report_cap_must_be_positive():
     with pytest.raises(ValueError, match="report_cap"):
         fuzz_isolation(img_two(), sequences=1, report_cap=0)
+
+
+def test_fuzz_leaves_the_event_list_off():
+    img = img_two()
+    assert fuzz_isolation(img, sequences=300, seed=3).violations == []
+    assert img.machine.events is None
+
+
+def test_fuzz_breach_report_is_pinned():
+    # Each access is judged once, in the sequence that made it, and the
+    # capped early return leaves the event list off too.
+    img = img_two()
+    img.ddc_caps["app"] = make_root(0, img.plan.data_top, DDC_PERMS)
+    report = fuzz_isolation(img, sequences=20_000, seed=3, report_cap=4)
+    assert (report.sequences, report.steps, report.switches) == (131, 90, 2)
+    assert report.violations == [
+        "sequence 22: pc 73 (app) read [0x53, 0x5b) outside its view",
+        "sequence 40: pc 72 (app) read [0xa2, 0xaa) outside its view",
+        "sequence 46: pc 72 (app) read [0xc0, 0xe0) outside its view",
+        "...",
+    ]
+    assert img.machine.events is None
