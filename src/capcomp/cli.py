@@ -25,7 +25,6 @@ from .layout import (
     OFF_PCC,
     OFF_SP,
     OFF_TRAMP,
-    TABLE_ENTRY,
     audit_plan,
     boot_init,
     compute_layout,
@@ -68,7 +67,7 @@ def _bundled_names() -> list[str]:
 def _read_input(path: str) -> str:
     """Read a file from disk, falling back to the bundled fixtures."""
     import os
-    if os.path.exists(path):
+    if os.path.isfile(path):
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     candidate = resources.files("capcomp") / "fixtures" / path

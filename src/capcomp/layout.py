@@ -17,7 +17,7 @@ trampoline copy.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .capability import NULL_CAP, Capability, Perm, int_cap, make_root, seal, set_address
 from .isa import REG_FP, REG_SHARED, REG_SP

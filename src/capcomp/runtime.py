@@ -32,13 +32,14 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .capability import NULL_CAP, Capability, Perm, int_cap, make_root, set_address
 from .isa import (
     Ins,
     REG_FP,
     REG_LINK,
+    REG_SHARED,
     REG_SP,
     REG_ZERO,
     addi,
@@ -68,11 +69,10 @@ from .layout import (
     OFF_SP,
     OFF_TRAMP,
     TABLE_ENTRY,
-    TRAMP_SLOTS,
     install_function,
     shared_alloc,
 )
-from .machine import MachineState, run, step
+from .machine import MachineState, run
 
 # Register conventions shared by the emitted sequences.
 R_ARG_MAX = 8                  # r0..r7 carry arguments
@@ -116,6 +116,7 @@ SWITCHER_SCRUB = tuple(r for r in range(32) if r not in _SWITCHER_KEEP)
 # Instruction index of the return leg inside the switcher region: the call
 # leg's fixed length.  Sealed frames branch here when invoked.
 SWITCHER_RET_ENTRY = 32 + len(SWITCHER_SCRUB) + 1
+SWITCHER_END = SWITCHER_RET_ENTRY + 10   # one past the return leg
 
 
 class GateError(Exception):
@@ -286,6 +287,7 @@ def emit_switcher(plan) -> list[Ins]:
         mov(REG_FP, 23),
         bcap(26),
     ]
+    assert len(seq) == SWITCHER_END
     return seq
 
 
@@ -386,15 +388,27 @@ def emit_gate_sequence(plan, gate: GateDescriptor, args: list) -> GateCode:
 # Execution helpers
 
 
-def _run_while(img: BootImage, in_phase, max_steps: int) -> MachineState:
+def _run_phase(img: BootImage, length: int, max_steps: int) -> MachineState:
+    """Run one straight-line phase of `length` steps through `run`.  A budget
+    shorter than the phase is an error unless the phase faulted or halted
+    first."""
     st = img.machine
-    budget = max_steps
-    while not st.halted and st.fault is None and in_phase(st.pc):
-        if budget == 0:
-            raise GateError("phase did not converge within its step budget")
-        step(st, img.mem, img.program)
-        budget -= 1
+    run(st, img.mem, img.program, max_steps=min(length, max_steps))
+    if max_steps < length and st.fault is None and not st.halted:
+        raise GateError("phase did not converge within its step budget")
     return st
+
+
+def _check_caller(img: BootImage, gate: GateDescriptor) -> None:
+    st = img.machine
+    if st.fault is not None:
+        raise GateError("gate call with a pending fault")
+    if st.halted:
+        raise GateError("gate call on a halted machine")
+    if st.current_compartment != img.compartment_id(gate.caller):
+        raise GateError(
+            f"machine is in compartment {st.current_compartment}, "
+            f"gate belongs to {gate.caller!r}")
 
 
 def install_call_site(img: BootImage, gate: GateDescriptor, args, *,
@@ -411,8 +425,8 @@ def install_call_site(img: BootImage, gate: GateDescriptor, args, *,
 
 def gate_call(img: BootImage, gate: GateDescriptor, args: list, *,
               at: int | None = None, max_steps: int = 2000) -> MachineState:
-    """Install the gate sequence at a caller call site and execute it up to
-    the switcher entry (the sealed invoke included).
+    """Install the gate sequence at a caller call site and run its prologue
+    through `run`, up to the switcher entry (the sealed invoke included).
 
     Preconditions: no pending fault, and the machine is currently executing
     the caller compartment.  Returns with the pcc inside the switcher, the
@@ -420,56 +434,44 @@ def gate_call(img: BootImage, gate: GateDescriptor, args: list, *,
     register; compose with `switcher_switch`/`trampoline_enter`/... or use
     `call_compartment` for a full round trip.
     """
-    st = img.machine
-    if st.fault is not None:
-        raise GateError("gate_call with a pending fault")
-    if st.halted:
-        raise GateError("gate_call on a halted machine")
-    if st.current_compartment != img.compartment_id(gate.caller):
-        raise GateError(
-            f"machine is in compartment {st.current_compartment}, "
-            f"gate belongs to {gate.caller!r}")
-    install_call_site(img, gate, args, at=at)
-    lo, hi = img.plan.switcher_code
-    _run_while(img, lambda pc: not lo <= pc < hi, max_steps)
-    return st
+    _check_caller(img, gate)
+    _, code = install_call_site(img, gate, args, at=at)
+    return _run_phase(img, code.prologue_len, max_steps)
 
 
 def switcher_switch(img: BootImage, max_steps: int = 200) -> MachineState:
-    """Run the privileged switch sequence to its exit branch."""
-    lo, hi = img.plan.switcher_code
-    if not lo <= img.machine.pc < hi:
+    """Run the privileged switch sequence to the exit branch of the leg the
+    pcc is in: the call leg, or the return leg a sealed frame invokes."""
+    off = img.machine.pc - img.plan.switcher_code[0]
+    if not 0 <= off < SWITCHER_END:
         raise GateError("switcher_switch: pcc is not inside the switcher")
-    return _run_while(img, lambda pc: lo <= pc < hi, max_steps)
+    end = SWITCHER_RET_ENTRY if off < SWITCHER_RET_ENTRY else SWITCHER_END
+    return _run_phase(img, end - off, max_steps)
 
 
 def trampoline_enter(img: BootImage, max_steps: int = 16) -> MachineState:
     """Run the callee trampoline up to the call into the target function."""
-    pc = img.machine.pc
-    entries = set(img.tramp_entries.values())
-    if pc not in entries:
+    if img.machine.pc not in img.tramp_entries.values():
         raise GateError("trampoline_enter: pcc is not at a trampoline entry")
-    return _run_while(img, lambda p: pc <= p < pc + TRAMP_ENTER_SLOTS, max_steps)
+    return _run_phase(img, TRAMP_ENTER_SLOTS, max_steps)
 
 
 def trampoline_return(img: BootImage, max_steps: int = 16) -> MachineState:
     """Run the pop-and-invoke tail of the trampoline (back to the caller)."""
-    pc = img.machine.pc
-    base = pc - TRAMP_ENTER_SLOTS
-    if base not in set(img.tramp_entries.values()):
+    if img.machine.pc - TRAMP_ENTER_SLOTS not in img.tramp_entries.values():
         raise GateError("trampoline_return: pcc is not at a trampoline return point")
-    return _run_while(img, lambda p: pc <= p < pc + TRAMP_RETURN_SLOTS, max_steps)
+    return _run_phase(img, TRAMP_RETURN_SLOTS, max_steps)
 
 
 def call_compartment(img: BootImage, gate: GateDescriptor, args: list, *,
                      at: int | None = None, max_steps: int = 100_000) -> MachineState:
-    """Full gate round trip: returns after the epilogue's final scrub (the
-    installed sequence ends in halt) or on the first unhandled fault."""
-    gate_call(img, gate, args, at=at)
-    st = img.machine
-    if st.fault is None and not st.halted:
-        run(st, img.mem, img.program, max_steps=max_steps)
-    return st
+    """Full gate round trip in one `run`, so every step, the prologue's
+    included, leaves its step record: returns after the epilogue's final
+    scrub (the installed sequence ends in halt), on the first unhandled
+    fault, or after `max_steps` steps, prologue included."""
+    _check_caller(img, gate)
+    install_call_site(img, gate, args, at=at)
+    return run(img.machine, img.mem, img.program, max_steps=max_steps)
 
 
 def sandbox_call(img: BootImage, sig: SandboxSignature, args: list, *,
@@ -616,29 +618,24 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
                 return cid
         return None
 
-    # What every sequence in a home compartment starts from: its code site,
-    # the register file, and its code and data capabilities.  Interesting
-    # addresses are preloaded as plain integers, plus one honest capability
-    # to the home data region and the exception-mode region it owns.  Per
-    # sequence, r4 takes a random address and r7 the sealed entry
-    # capability, reloaded because a sequence can overwrite it in memory.
-    comps = [c.name for c in plan.config.compartments]
+    # What every sequence in a home compartment starts from: the state
+    # `img.enter` gives it (code site, ddc, sp, fp and the exception-mode
+    # region it owns in r18) over an otherwise null register file.
+    # Interesting addresses are preloaded as plain integers, plus one honest
+    # capability to the home data region.  Per sequence, r4 takes a random
+    # address and r7 the sealed entry capability, reloaded because a
+    # sequence can overwrite it in memory.
     homes = []
-    for c in comps:
-        exc = None
-        if c in plan.exception_region:
-            exc = make_root(*plan.shared_bounds[plan.exception_region[c]], DDC_PERMS)
-        regs = [NULL_CAP] * len(st.regs)
-        regs[0] = int_cap(plan.data_base[c])
-        regs[1] = int_cap(plan.stack_top[c] - 128)
-        regs[2] = int_cap(plan.table_base)
-        regs[3] = int_cap(0)
-        regs[5] = int_cap(plan.sealed_cap_addr(c))
-        regs[6] = make_root(plan.data_base[c], plan.data_base[c] + 64, DDC_PERMS)
-        regs[18] = exc or NULL_CAP
-        regs[REG_SP] = regs[REG_FP] = int_cap(plan.stack_top[c])
-        homes.append((img.user_entry(c), regs, plan.sealed_cap_addr(c),
-                      img.pcc_caps[c], img.ddc_caps[c], plan.comp_ids[c], exc is not None))
+    for name in (c.name for c in plan.config.compartments):
+        st.regs[:] = [NULL_CAP] * len(st.regs)
+        img.enter(name)
+        base, entry_at = plan.data_base[name], plan.sealed_cap_addr(name)
+        st.regs[0:4] = [int_cap(base), int_cap(plan.stack_top[name] - 128),
+                        int_cap(plan.table_base), int_cap(0)]
+        st.regs[5] = int_cap(entry_at)
+        st.regs[6] = make_root(base, base + 64, DDC_PERMS)
+        homes.append((st.pc, list(st.regs), entry_at, st.code, st.ddc,
+                      st.current_compartment, st.regs[REG_SHARED].tag))
 
     events: list = []
     st.events = events

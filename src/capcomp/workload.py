@@ -11,9 +11,8 @@ the same instruction stream at a given baseline CPI.
 
 from __future__ import annotations
 
-import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .isa import Op
 from .layout import boot_init, compute_layout, format_table, install_function, parse_config
@@ -338,53 +337,40 @@ def _weigh(op: Op, cold: bool) -> float:
 
 
 def switch_breakdown(cold: bool = False) -> SwitchBreakdown:
-    """Execute one instrumented round trip on a canonical two-compartment
-    image and attribute every retired instruction's cycles to its phase."""
+    """Execute one round trip on a canonical two-compartment image, phase by
+    phase through the runtime's phase helpers, and weigh the step records
+    each phase leaves."""
     from .isa import retl
-    from .runtime import GateDescriptor, TRAMP_ENTER_SLOTS, install_call_site
+    from .runtime import (GateDescriptor, gate_call, switcher_switch,
+                          trampoline_enter, trampoline_return)
 
     plan = compute_layout(parse_config(_BREAKDOWN_CONFIG), memory_size=1 << 16)
     img = boot_init(plan)
     st = img.machine
     entry = install_function(img, "target", [retl()])
     gate = GateDescriptor("origin", "target", entry, dest=0)
-    site, code = install_call_site(img, gate, [0])
+    phases = (
+        ("gate_prologue", lambda: gate_call(img, gate, [0])),
+        ("switcher", lambda: switcher_switch(img)),
+        ("trampoline_enter", lambda: trampoline_enter(img)),
+        ("callee_body", lambda: run(st, img.mem, img.program, max_steps=1)),
+        ("trampoline_return", lambda: trampoline_return(img)),
+        ("switcher", lambda: switcher_switch(img)),
+        ("gate_epilogue", lambda: run(st, img.mem, img.program, max_steps=10_000)),
+    )
 
-    sw_lo, sw_hi = plan.switcher_code
-    tramp = img.tramp_entries["target"]
-    pro_lo, pro_hi = site, site + code.prologue_len
-    epi_lo, epi_hi = pro_hi, site + len(code.instructions)
-
-    def phase_of(pc: int) -> str:
-        if pro_lo <= pc < pro_hi:
-            return "gate_prologue"
-        if sw_lo <= pc < sw_hi:
-            return "switcher"
-        if tramp <= pc < tramp + TRAMP_ENTER_SLOTS:
-            return "trampoline_enter"
-        if tramp + TRAMP_ENTER_SLOTS <= pc < tramp + 8:
-            return "trampoline_return"
-        if epi_lo <= pc < epi_hi:
-            return "gate_epilogue"
-        return "callee_body"
-
+    cycles = dict.fromkeys(PHASES, 0.0)
+    counts = dict.fromkeys(PHASES, 0)
     events = st.events = []
-    run(st, img.mem, img.program, max_steps=10_000)
-    if st.fault is not None:
-        raise RuntimeError(f"breakdown round trip faulted: {st.fault}")
-
-    cycles = {p: 0.0 for p in PHASES}
-    counts = {p: 0 for p in PHASES}
-    for ev in events:
-        if ev[0] != "step":
-            continue
-        pc = ev[1]
-        op = img.program[pc].op
-        if op is Op.HALT:
-            continue
-        p = phase_of(pc)
-        cycles[p] += _weigh(op, cold)
-        counts[p] += 1
+    for phase, run_phase in phases:
+        events.clear()
+        run_phase()
+        if st.fault is not None:
+            raise RuntimeError(f"breakdown round trip faulted: {st.fault}")
+        for op in (img.program[ev[1]].op for ev in events if ev[0] == "step"):
+            if op is not Op.HALT:
+                cycles[phase] += _weigh(op, cold)
+                counts[phase] += 1
 
     total = sum(cycles[p] for p in SWITCH_PHASES)
     return SwitchBreakdown(cycles, counts, total, cycles["callee_body"],

@@ -38,6 +38,12 @@ def test_layout_missing_file_is_exit_2(capsys):
     assert err.startswith("error:") and "bundled fixtures" in err
 
 
+def test_layout_directory_is_exit_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "layout", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error:") and "bundled fixtures" in err
+
+
 def test_layout_memory_size_accepts_hex(capsys):
     code, out, _ = run_cli(capsys, "layout", "two_comp.cfg",
                            "--memory-size", "0x10000")

@@ -18,7 +18,7 @@ from capcomp.layout import (
     install_function,
     parse_config,
 )
-from capcomp.machine import step
+from capcomp.machine import run, step
 from capcomp.runtime import (
     FRAME_SIZE,
     FUZZ_CONFIG,
@@ -28,6 +28,7 @@ from capcomp.runtime import (
     SAVE_BYTES,
     SAVE_SET,
     SCRUB_BYTES,
+    SWITCHER_END,
     SandboxParam,
     SandboxSignature,
     ShareError,
@@ -275,6 +276,61 @@ def test_phase_budget_is_exact():
         else:
             with pytest.raises(GateError, match="converge"):
                 trampoline_enter(img, max_steps=budget)
+
+
+def step_pcs(events):
+    return [ev[1] for ev in events if ev[0] == "step"]
+
+
+def test_round_trip_records_every_step():
+    """One step record per retired instruction, the gate prologue's too."""
+    img = img_two()
+    entry = leaf_plus_one(img)
+    st = img.machine
+    st.events = []
+    n0 = st.instructions_retired
+    call_compartment(img, GateDescriptor("app", "lib", entry), [41])
+    assert st.halted and st.fault is None
+    assert st.instructions_retired - n0 == 171
+    assert len(step_pcs(st.events)) == 171
+
+
+def test_phase_helpers_record_the_same_steps_as_a_full_call():
+    img = img_two()
+    entry = install_function(img, "lib", [retl()])
+    st = img.machine
+    st.events = []
+    gate_call(img, GateDescriptor("app", "lib", entry), [41])
+    switcher_switch(img)
+    trampoline_enter(img)
+    run(st, img.mem, img.program, max_steps=1)      # the callee body
+    trampoline_return(img)
+    switcher_switch(img)
+    run(st, img.mem, img.program)
+    assert st.halted and st.fault is None
+
+    img2 = img_two()
+    entry2 = install_function(img2, "lib", [retl()])
+    img2.machine.events = []
+    call_compartment(img2, GateDescriptor("app", "lib", entry2), [41])
+    assert step_pcs(st.events) == step_pcs(img2.machine.events)
+
+
+def test_call_budget_counts_the_prologue():
+    img = img_two()
+    entry = leaf_plus_one(img)
+    gate = GateDescriptor("app", "lib", entry)
+    prologue = emit_gate_sequence(img.plan, gate, [41]).prologue_len
+    st = call_compartment(img, gate, [41], max_steps=prologue)
+    assert st.fault is None and not st.halted
+    assert st.pc == img.plan.switcher_code[0]         # stopped at the switcher entry
+
+
+def test_switcher_switch_rejects_the_slots_past_the_switcher():
+    img = img_two()
+    img.machine.pc = img.plan.switcher_code[0] + SWITCHER_END
+    with pytest.raises(GateError, match="not inside the switcher"):
+        switcher_switch(img)
 
 
 def test_repeat_call_is_bit_exact():
