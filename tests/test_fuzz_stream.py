@@ -46,3 +46,21 @@ def test_fuzz_report_is_pinned(name, seed):
     rep = fuzz_isolation(img, sequences=SEQUENCES, seed=seed)
     got = (rep.sequences, rep.steps, rep.switches, list(rep.faults.items()), rep.violations)
     assert got == PINNED[name, seed]
+
+
+# Widths the default-argument pins above do not exercise, on FUZZ_CONFIG
+# seed 41.  max_len=1 still spends one draw on the sequence length.
+# (keyword arguments): (sequences, steps, switches, faults in first-seen order, violations)
+PINNED_WIDTHS = {
+    (("max_len", 1),): (500, 420, 8, [("BoundsFault", 106), ("TagFault", 160), ("SealFault", 6), ("AlignmentFault", 18), ("PermissionFault", 36)], []),
+    (("max_len", 16),): (500, 438, 18, [("TagFault", 238), ("BoundsFault", 147), ("PermissionFault", 65), ("AlignmentFault", 29), ("SealFault", 10)], []),
+    (("max_steps", 4),): (500, 310, 17, [("TagFault", 198), ("PermissionFault", 80), ("BoundsFault", 148), ("AlignmentFault", 15), ("SealFault", 15)], []),
+}
+
+
+@pytest.mark.parametrize("kwargs", sorted(PINNED_WIDTHS), ids=lambda kw: "-".join(f"{k}{v}" for k, v in kw))
+def test_fuzz_report_is_pinned_at_other_widths(kwargs):
+    img = boot_init(compute_layout(parse_config(FUZZ_CONFIG), memory_size=1 << 20))
+    rep = fuzz_isolation(img, sequences=SEQUENCES, seed=41, **dict(kwargs))
+    got = (rep.sequences, rep.steps, rep.switches, list(rep.faults.items()), rep.violations)
+    assert got == PINNED_WIDTHS[kwargs]
