@@ -534,13 +534,28 @@ class FuzzReport:
     violations: list[str]            # confinement breaches (empty = isolated), see report_cap
 
 
-def _fuzz_ins(r, addr_regs: tuple[int, ...]):
-    """One random instruction, biased toward capability and memory traffic."""
-    k = r.randrange(20)
-    rd = r.randrange(16)
-    ra = r.choice(addr_regs) if r.randrange(2) else r.randrange(32)
-    off = r.randrange(-64, 256)
-    capm = bool(r.randrange(2))
+def _draw(getrandbits, n: int) -> int:
+    """A uniform int in [0, n), drawn exactly as `random.Random._randbelow`
+    draws it: `n.bit_length()` bits at a time until the result is below n.
+    So `a + _draw(gb, b - a)` (an int in [a, b)) and `seq[_draw(gb,
+    len(seq))]` (an element of seq) make the same `getrandbits` calls, and
+    leave the generator in the same state, as the `Random` methods that draw
+    them.  n must be at least 1: with n == 0 the loop never ends."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _fuzz_ins(gb, addr_regs: tuple[int, ...]):
+    """One random instruction, biased toward capability and memory traffic.
+    `gb` is the fuzzer's `Random.getrandbits`."""
+    k = _draw(gb, 20)
+    rd = _draw(gb, 16)
+    ra = addr_regs[_draw(gb, len(addr_regs))] if _draw(gb, 2) else _draw(gb, 32)
+    off = _draw(gb, 320) - 64
+    capm = bool(_draw(gb, 2))
     if k < 3:
         return sti(rd, ra, off, cap=capm)
     if k < 6:
@@ -550,26 +565,26 @@ def _fuzz_ins(r, addr_regs: tuple[int, ...]):
     if k < 10:
         return ldc(rd, ra, off, cap=capm)
     if k == 10:
-        return setbounds(rd, r.randrange(32), r.randrange(32), r.randrange(32))
+        return setbounds(rd, _draw(gb, 32), _draw(gb, 32), _draw(gb, 32))
     if k == 11:
-        return cvtd(rd, r.randrange(32), r.randrange(32))
+        return cvtd(rd, _draw(gb, 32), _draw(gb, 32))
     if k == 12:
-        return restrict(rd, r.randrange(32), Perm(r.randrange(64)))
+        return restrict(rd, _draw(gb, 32), Perm(_draw(gb, 64)))
     if k == 13:
-        return sealr(rd, r.randrange(32), r.randrange(1, 8))
+        return sealr(rd, _draw(gb, 32), 1 + _draw(gb, 7))
     if k == 14:
-        return installddc(r.randrange(32))
+        return installddc(_draw(gb, 32))
     if k == 15:
         # r7 is seeded with the sealed entry capability, so half of these
         # genuinely reach the switcher with junk in the parameter registers
-        return lpb(7 if r.randrange(2) else r.randrange(32), r.randrange(1, 16))
+        return lpb(7 if _draw(gb, 2) else _draw(gb, 32), 1 + _draw(gb, 15))
     if k == 16:
-        return addi(rd, r.randrange(32), r.randrange(-256, 4096))
+        return addi(rd, _draw(gb, 32), _draw(gb, 4352) - 256)
     if k == 17:
-        return mov(rd, r.randrange(32))
+        return mov(rd, _draw(gb, 32))
     if k == 18:
-        return bcap(r.randrange(32)) if r.randrange(2) else calll(r.randrange(32))
-    return retl() if r.randrange(2) else setaddr(rd, r.randrange(32), r.randrange(32))
+        return bcap(_draw(gb, 32)) if _draw(gb, 2) else calll(_draw(gb, 32))
+    return retl() if _draw(gb, 2) else setaddr(rd, _draw(gb, 32), _draw(gb, 32))
 
 
 def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
@@ -591,10 +606,16 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     """
     if report_cap < 1:
         raise ValueError("report_cap must be at least 1, or a breach would go unreported")
+    if sequences < 0:
+        raise ValueError(f"sequences must be at least 0, not {sequences}")
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, not {max_len}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, not {max_steps}")
     plan = img.plan
     st = img.machine
     program = img.program
-    rng = random.Random(seed)
+    gb = random.Random(seed).getrandbits
 
     # Allowed views, by compartment id.
     allowed: dict[int, list[tuple[int, int]]] = {}
@@ -647,13 +668,13 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
 
     for i in range(sequences):
         site, regs, entry_at, code, ddc, home_id, sharing = homes[i % len(homes)]
-        seq_len = rng.randrange(1, max_len + 1)
+        seq_len = 1 + _draw(gb, max_len)
         for j in range(seq_len):
-            program[site + j] = _fuzz_ins(rng, addr_regs)
+            program[site + j] = _fuzz_ins(gb, addr_regs)
         program[site + seq_len] = _HALT
 
         st.regs[:] = regs
-        st.regs[4] = int_cap(rng.randrange(0, plan.data_top))
+        st.regs[4] = int_cap(_draw(gb, plan.data_top))
         st.regs[7] = img.mem.load_cap(entry_at)
         st.code = code
         st.pc = site

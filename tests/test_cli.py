@@ -73,6 +73,18 @@ def test_verify_clean_config(capsys):
     assert "confinement holds" in out
 
 
+def test_verify_negative_fuzz_count_is_exit_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "two_comp.cfg", "--fuzz", "-5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "-5" in err
+
+
+def test_verify_without_fuzzing_is_valid(capsys):
+    code, out, err = run_cli(capsys, "verify", "two_comp.cfg", "--fuzz", "0")
+    assert code == 0 and err == ""
+    assert "fuzzed 0 sequences" in out
+
+
 def test_verify_code_capabilities_do_not_read_data(capsys):
     # Sequence 793 of this fuzz seed reads app's data in codec through a
     # code capability whenever code capabilities carry LOAD.

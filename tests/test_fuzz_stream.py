@@ -1,19 +1,49 @@
 """The isolation fuzzer's random stream, pinned.
 
 Every `FuzzReport` field of `fuzz_isolation`, for three seeds on each bundled
-configuration and on `FUZZ_CONFIG`.  The harness draws the sequence length,
-then the instructions, then the r4 address from one `random.Random(seed)`;
-any change to those calls, to their order, or to the machine's behaviour
-moves these numbers.  Fault kinds are pinned in first-seen order, which
-`capcomp verify` uses to break ties in its tally.
+configuration and on `FUZZ_CONFIG`, and at other sequence widths.  The
+harness draws the sequence length, then the instructions, then the r4
+address from one `random.Random(seed)`; any change to those draws, to their
+order, or to the machine's behaviour moves these numbers.  Fault kinds are
+pinned in first-seen order, which `capcomp verify` uses to break ties in its
+tally.
+
+Every draw goes through `runtime._draw`, which calls the generator's
+`getrandbits` exactly as `Random._randbelow` does: `n.bit_length()` bits,
+drawn again while the result is `>= n`.  An int in [a, b) is
+`a + _draw(gb, b - a)` and an element of a sequence is
+`seq[_draw(gb, len(seq))]`, so the stream is the one `randrange` and
+`choice` gave, draw for draw.  The reference generator below keeps the
+`randrange`/`choice` form, and the tests check the two against each other,
+generator state included.
 """
 
 import importlib.resources as ir
+import random
 
 import pytest
 
+from capcomp.capability import Perm
+from capcomp.isa import (
+    addi,
+    bcap,
+    calll,
+    cvtd,
+    installddc,
+    ldc,
+    ldi,
+    lpb,
+    mov,
+    restrict,
+    retl,
+    sealr,
+    setaddr,
+    setbounds,
+    stc,
+    sti,
+)
 from capcomp.layout import boot_init, compute_layout, parse_config
-from capcomp.runtime import FUZZ_CONFIG, fuzz_isolation
+from capcomp.runtime import FUZZ_CONFIG, _draw, _fuzz_ins, fuzz_isolation
 
 SEQUENCES = 500
 
@@ -64,3 +94,66 @@ def test_fuzz_report_is_pinned_at_other_widths(kwargs):
     rep = fuzz_isolation(img, sequences=SEQUENCES, seed=41, **dict(kwargs))
     got = (rep.sequences, rep.steps, rep.switches, list(rep.faults.items()), rep.violations)
     assert got == PINNED_WIDTHS[kwargs]
+
+
+# The instruction generator as it was written with `randrange` and `choice`.
+def reference_fuzz_ins(r, addr_regs):
+    k = r.randrange(20)
+    rd = r.randrange(16)
+    ra = r.choice(addr_regs) if r.randrange(2) else r.randrange(32)
+    off = r.randrange(-64, 256)
+    capm = bool(r.randrange(2))
+    if k < 3:
+        return sti(rd, ra, off, cap=capm)
+    if k < 6:
+        return ldi(rd, ra, off, cap=capm)
+    if k < 8:
+        return stc(rd, ra, off, cap=capm)
+    if k < 10:
+        return ldc(rd, ra, off, cap=capm)
+    if k == 10:
+        return setbounds(rd, r.randrange(32), r.randrange(32), r.randrange(32))
+    if k == 11:
+        return cvtd(rd, r.randrange(32), r.randrange(32))
+    if k == 12:
+        return restrict(rd, r.randrange(32), Perm(r.randrange(64)))
+    if k == 13:
+        return sealr(rd, r.randrange(32), r.randrange(1, 8))
+    if k == 14:
+        return installddc(r.randrange(32))
+    if k == 15:
+        return lpb(7 if r.randrange(2) else r.randrange(32), r.randrange(1, 16))
+    if k == 16:
+        return addi(rd, r.randrange(32), r.randrange(-256, 4096))
+    if k == 17:
+        return mov(rd, r.randrange(32))
+    if k == 18:
+        return bcap(r.randrange(32)) if r.randrange(2) else calll(r.randrange(32))
+    return retl() if r.randrange(2) else setaddr(rd, r.randrange(32), r.randrange(32))
+
+
+ADDR_REGS = (0, 1, 2, 3, 4, 5, 6, 7, 31)     # fuzz_isolation's address registers
+STREAM_INSTRUCTIONS = 100_000                # per seed
+
+
+@pytest.mark.parametrize("seed", [3, 41, 1009])
+def test_instruction_stream_matches_the_reference(seed):
+    ref, new = random.Random(seed), random.Random(seed)
+    gb = new.getrandbits
+    for i in range(STREAM_INSTRUCTIONS):
+        want = reference_fuzz_ins(ref, ADDR_REGS)
+        got = _fuzz_ins(gb, ADDR_REGS)
+        assert got == want, f"instruction {i}"
+    assert new.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 16, 20, 320, 4352, "data_top", 2**64 + 1])
+def test_draw_matches_randrange(n):
+    if n == "data_top":             # the range of the r4 address
+        plan = compute_layout(parse_config(config_text("three_comp_shared")), memory_size=1 << 20)
+        n = plan.data_top
+    for seed in (3, 41, 1009):
+        ref, new = random.Random(seed), random.Random(seed)
+        gb = new.getrandbits
+        assert [_draw(gb, n) for _ in range(500)] == [ref.randrange(n) for _ in range(500)]
+        assert new.getstate() == ref.getstate()

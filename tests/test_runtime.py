@@ -624,6 +624,14 @@ def test_fuzz_report_cap_must_be_positive():
         fuzz_isolation(img_two(), sequences=1, report_cap=0)
 
 
+@pytest.mark.parametrize("name, value", [("sequences", -1), ("max_len", 0), ("max_steps", 0)])
+def test_fuzz_rejects_bad_widths(name, value):
+    # A negative count would report a vacuous pass, max_steps=0 runs
+    # nothing, and max_len=0 leaves no length to draw.
+    with pytest.raises(ValueError, match=name):
+        fuzz_isolation(img_two(), **{"sequences": 1, name: value})
+
+
 def test_fuzz_leaves_the_event_list_off():
     img = img_two()
     assert fuzz_isolation(img, sequences=300, seed=3).violations == []
