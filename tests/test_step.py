@@ -1,0 +1,285 @@
+"""How one step checks and retires.
+
+The data-access and fetch checks are compared, case by case, with the fault
+that `check_access` implies: the whole `Fault` record, and no change to any
+register, memory byte or tag when the step faults.  The retire tests pin
+where a step leaves the pc, the retire count and the current compartment.
+"""
+
+import importlib.resources as ir
+
+import pytest
+
+from capcomp.capability import (
+    PERM_ALL,
+    Capability,
+    FaultKind,
+    Perm,
+    check_access,
+    int_cap,
+    make_root,
+    seal,
+    set_address,
+)
+from capcomp.isa import INT_WIDTH, bcap, halt, ldc, ldi, nop, stc, sti
+from capcomp.layout import boot_init, compute_layout, parse_config
+from capcomp.machine import Fault, MachineState, invoke_sealed, run, step
+from capcomp.memory import CAP_SLOT, TaggedMemory
+
+MEM_SIZE = 1024
+PROGRAM_LEN = 16
+PC = 5
+OTYPE = 9
+
+# (op constructor, needed permission, width, alignment, is_store, is_cap)
+OPS = {
+    "ldi": (ldi, Perm.LOAD, INT_WIDTH, 1, False, False),
+    "sti": (sti, Perm.STORE, INT_WIDTH, 1, True, False),
+    "ldc": (ldc, Perm.LOAD_CAP, CAP_SLOT, CAP_SLOT, False, True),
+    "stc": (stc, Perm.STORE_CAP, CAP_SLOT, CAP_SLOT, True, True),
+}
+
+# Authority windows [base, top): one inside memory, one that runs past its end.
+WINDOWS = [(256, 384), (MEM_SIZE - 64, MEM_SIZE + 64)]
+
+
+def authorities(need):
+    """Every authority variant that decides a different fault: tagged or
+    not, sealed or not, and with all, all but the needed, or only the needed
+    permission."""
+    perm_sets = (PERM_ALL, PERM_ALL & ~need, need)
+    for base, top in WINDOWS:
+        for tag in (True, False):
+            for otype in (0, OTYPE):
+                for perms in perm_sets:
+                    yield base, top, perms, otype, tag
+
+
+def addresses(base, top, width):
+    return (base - 1, base, base + 1, top - width, top - width + 1)
+
+
+def seeded_memory():
+    """Memory holding a byte pattern, with tagged capabilities in some slots."""
+    mem = TaggedMemory(MEM_SIZE)
+    mem.data[:] = bytes((i * 7 + 3) & 0xFF for i in range(MEM_SIZE))
+    for slot in range(0, MEM_SIZE, 3 * CAP_SLOT):
+        mem.store_cap(slot, make_root(slot, slot + CAP_SLOT, Perm.LOAD))
+    return mem
+
+
+def snapshot(st, mem):
+    return (tuple(st.regs), st.code, st.pc, st.ddc, st.current_compartment,
+            st.instructions_retired, bytes(mem.data), bytes(mem.tags))
+
+
+def expected_fault(auth, addr, width, align, need, checked, ddc_access, pc):
+    """The fault the reference order implies: `check_access` first (when
+    the access is checked), then alignment, then the end of memory."""
+    if checked:
+        kind = check_access(auth, addr, width, need)
+        if kind is not None:
+            return Fault(kind, addr, pc, width, ddc_access)
+    if addr % align != 0:
+        return Fault(FaultKind.ALIGNMENT, addr, pc, width)
+    if addr + width > MEM_SIZE:
+        return Fault(FaultKind.ADDRESS, addr, pc, width)
+    return None
+
+
+def access_machine(mode, auth, addr, is_cap):
+    """A machine about to execute the access at PC, with `auth` as the
+    authority: the ddc for a legacy operand, register 2 in capability mode."""
+    st = MachineState()
+    st.pcc = set_address(make_root(0, PROGRAM_LEN, Perm.EXECUTE), PC)
+    st.current_compartment = 3
+    st.regs[1] = (make_root(0, CAP_SLOT, PERM_ALL) if is_cap
+                  else int_cap(0x1122334455667788))
+    if mode == "cap":
+        st.ddc = make_root(0, MEM_SIZE, PERM_ALL)
+        st.regs[2] = auth
+    else:
+        st.ddc = auth
+        st.regs[2] = int_cap(addr)
+    # Legacy accesses are checked only outside the privileged window, here
+    # one that starts at PC or one that ends there.
+    st.switcher_bounds = (PC, PC + 1) if mode == "privileged" else (0, PC)
+    return st
+
+
+@pytest.mark.parametrize("mode", ["legacy", "privileged", "cap"])
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_access_faults_match_check_access(name, mode):
+    ctor, need, width, align, is_store, is_cap = OPS[name]
+    program = [nop()] * PROGRAM_LEN
+    program[PC] = ctor(1, 2, 0, cap=mode == "cap")
+    faults = set()
+    for base, top, perms, otype, tag in authorities(need):
+        for addr in addresses(base, top, width):
+            auth = Capability(base, top, addr, perms, otype, tag)
+            case = (name, mode, auth, addr)
+            st = access_machine(mode, auth, addr, is_cap)
+            st.ddc_grant = 4
+            mem = seeded_memory()
+            want = expected_fault(auth, addr, width, align, need,
+                                  mode != "privileged", mode != "cap", PC)
+            before = snapshot(st, mem)
+            step(st, mem, program)
+            assert st.fault == want, case
+            assert st.ddc_grant is None, case
+            if want is not None:
+                faults.add(want.kind)
+                assert snapshot(st, mem) == before, case
+                continue
+            assert (st.pc, st.instructions_retired) == (PC + 1, 1), case
+            ref = seeded_memory()
+            if is_store and is_cap:
+                ref.store_cap(addr, st.regs[1])
+            elif is_store:
+                ref.write_bytes(addr, (0x1122334455667788).to_bytes(INT_WIDTH, "little"))
+            elif is_cap:
+                assert st.regs[1] == ref.load_cap(addr), case
+                assert st.regs[1].tag == ref.load_cap(addr).tag, case
+            else:
+                assert st.regs[1] == int_cap(
+                    int.from_bytes(ref.read_bytes(addr, INT_WIDTH), "little")), case
+            assert (bytes(mem.data), bytes(mem.tags)) == (bytes(ref.data), bytes(ref.tags)), case
+    # Every fault kind the table can reach was reached.
+    reachable = {FaultKind.ADDRESS} | ({FaultKind.ALIGNMENT} if is_cap else set())
+    if mode != "privileged":
+        reachable |= {FaultKind.TAG, FaultKind.SEAL, FaultKind.PERMISSION, FaultKind.BOUNDS}
+    assert faults == reachable
+
+
+def fetch_codes():
+    for tag in (True, False):
+        for otype in (0, OTYPE):
+            for perms in (Perm.EXECUTE, PERM_ALL & ~Perm.EXECUTE):
+                yield tag, otype, perms
+
+
+@pytest.mark.parametrize("top", [8, PROGRAM_LEN + 1])
+def test_fetch_faults_match_check_access(top):
+    program = [nop()] * PROGRAM_LEN
+    for tag, otype, perms in fetch_codes():
+        for pc in (top - 1, top):
+            code = Capability(0, top, pc, perms, otype, tag)
+            st = MachineState()
+            st.code, st.pc = code, pc
+            st.ddc = make_root(0, MEM_SIZE, PERM_ALL)
+            st.current_compartment = 3
+            st.ddc_grant = 4
+            mem = seeded_memory()
+            kind = check_access(code, pc, 1, Perm.EXECUTE)
+            if kind is None and pc >= PROGRAM_LEN:
+                kind = FaultKind.ADDRESS
+            want = Fault(kind, pc, pc) if kind is not None else None
+            before = snapshot(st, mem)
+            step(st, mem, program)
+            assert st.fault == want, (code, pc)
+            assert st.ddc_grant is None
+            if want is None:
+                assert (st.pc, st.instructions_retired) == (pc + 1, 1)
+            else:
+                assert snapshot(st, mem) == before
+
+
+# --------------------------------------------------------------------------
+# Retiring
+
+def region_machine(pc, regions, comp):
+    st = MachineState()
+    st.pcc = set_address(make_root(0, 64, Perm.EXECUTE), pc)
+    st.ddc = make_root(0, MEM_SIZE, PERM_ALL)
+    st.code_regions = regions
+    st.current_compartment = comp
+    return st, TaggedMemory(MEM_SIZE)
+
+
+def test_retire_outside_every_region_keeps_the_compartment():
+    # The switcher's code belongs to no region: running it leaves the
+    # caller's compartment current.
+    st, mem = region_machine(8, [(10, 20, 1)], 7)
+    program = [nop()] * 40
+    program[12] = bcap(4)
+    step(st, mem, program)                    # 8 -> 9: no region
+    assert (st.pc, st.current_compartment) == (9, 7)
+    step(st, mem, program)                    # 9 -> 10: region of c1
+    assert (st.pc, st.current_compartment) == (10, 1)
+    st.regs[4] = set_address(st.code, 30)
+    run(st, mem, program, max_steps=3)        # 10, 11, then the branch to 30
+    assert (st.pc, st.current_compartment) == (30, 1)
+    assert st.instructions_retired == 5
+
+
+def test_nested_region_wins_over_its_host():
+    st, mem = region_machine(13, [(14, 16, 2), (10, 20, 1)], 1)
+    run(st, mem, [nop()] * 40, max_steps=3)
+    assert (st.pc, st.current_compartment) == (16, 1)
+    st, mem = region_machine(13, [(14, 16, 2), (10, 20, 1)], 1)
+    run(st, mem, [nop()] * 40, max_steps=1)
+    assert (st.pc, st.current_compartment) == (14, 2)
+
+
+def test_booted_sandbox_region_wins_over_its_host():
+    text = ir.files("capcomp").joinpath("fixtures", "sandbox_host.cfg").read_text()
+    img = boot_init(compute_layout(parse_config(text)))
+    sb = img.plan.sandboxes["parse_header"]
+    host = img.compartment_id("host")
+    st = img.machine
+    img.enter("host")
+    img.program[sb.code_base - 1] = nop()
+    st.pc = sb.code_base - 1
+    assert st.current_compartment == host
+    step(img.machine, img.mem, img.program)
+    assert st.fault is None and st.pc == sb.code_base
+    assert st.current_compartment == sb.comp_id != host
+
+
+def test_fall_through_into_the_next_region_then_fetch_fault():
+    # The code capability ends at 10, where c1's region begins: the retire
+    # into 10 makes c1 current, so the fetch fault there is recorded for c1.
+    st, mem = region_machine(8, [(0, 10, 0), (10, 20, 1)], 0)
+    st.code = make_root(0, 10, Perm.EXECUTE)
+    st.events = []
+    run(st, mem, [nop()] * 40)
+    fault = Fault(FaultKind.BOUNDS, 10, 10)
+    assert st.fault == fault
+    assert st.events == [("step", 8, 0, None), ("step", 9, 0, None),
+                         ("step", 10, 1, fault)]
+    assert (st.pc, st.current_compartment, st.instructions_retired) == (10, 1, 2)
+
+
+def test_halt_retires_once_in_place():
+    st, mem = region_machine(12, [(0, 10, 0), (10, 20, 1)], 0)
+    program = [nop()] * 40
+    program[12] = halt()
+    step(st, mem, program)
+    assert st.halted and st.fault is None
+    assert (st.pc, st.instructions_retired, st.current_compartment) == (12, 1, 0)
+
+
+def test_faulting_step_retires_nothing_and_clears_the_grant():
+    st, mem = region_machine(11, [(0, 10, 0), (10, 20, 1)], 0)
+    st.ddc = make_root(0, 64, PERM_ALL)
+    st.switcher_bounds = (40, 40)
+    st.ddc_grant = 6
+    program = [nop()] * 40
+    program[11] = sti(1, 2, 0)
+    st.regs[2] = int_cap(512)
+    step(st, mem, program)
+    assert st.fault == Fault(FaultKind.BOUNDS, 512, 11, INT_WIDTH, True)
+    assert st.ddc_grant is None
+    assert (st.pc, st.instructions_retired, st.current_compartment) == (11, 0, 0)
+
+
+def test_invoke_sealed_retires_into_the_target_region():
+    st, mem = region_machine(2, [(100, 200, 4)], 0)
+    target = make_root(100, 200, Perm.EXECUTE)
+    mem.store_cap(512, target)
+    mem.store_cap(544, make_root(0, 256, PERM_ALL))
+    st.regs[3] = seal(make_root(512, 576, Perm.LOAD_CAP), OTYPE)
+    invoke_sealed(st, mem, 3, second_reg=9)
+    assert st.fault is None
+    assert (st.pc, st.current_compartment, st.instructions_retired) == (100, 4, 1)
+    assert st.regs[9].base == 0 and st.ddc_grant == 9
