@@ -15,6 +15,7 @@ an unexpected fault), 2 bad input.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from importlib import resources
 
@@ -95,10 +96,8 @@ def _parse_cost(spec: str | None) -> CostModel:
             fields[key] = float(val)
         except ValueError:
             raise ValueError(f"bad number for {key!r}: {val!r}") from None
-    if not 0.0 <= fields.get("hot_fraction", cm.hot_fraction) <= 1.0:
-        raise ValueError("hot_fraction must lie in [0, 1]")
     import dataclasses
-    return dataclasses.replace(cm, **fields)
+    return dataclasses.replace(cm, **fields)     # CostModel rejects bad values
 
 
 def cmd_layout(args) -> int:
@@ -174,8 +173,8 @@ def cmd_verify(args) -> int:
 def cmd_run(args) -> int:
     sc = parse_scenario(_read_input(args.scenario))
     if args.cpi is not None:
-        if not args.cpi > 0:
-            raise ScenarioError("cpi must be positive")
+        if not 0 < args.cpi < math.inf:
+            raise ScenarioError("cpi must be positive and finite")
         sc = type(sc)(sc.name, sc.fns, sc.calls, sc.iterations, args.cpi)
     cm = _parse_cost(args.cost)
     summary = run_scenario(sc)

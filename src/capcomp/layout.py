@@ -17,6 +17,7 @@ trampoline copy.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .capability import NULL_CAP, Capability, Perm, int_cap, make_root, seal, set_address
@@ -713,7 +714,7 @@ def shared_alloc(img: BootImage, region: str, size: int) -> int:
     return ptr
 
 
-def install_function(img: BootImage, owner: str, instructions: list,
+def install_function(img: BootImage, owner: str, instructions: Sequence,
                      at: int | None = None) -> int:
     """Copy a function body into an owner's code region; returns its entry.
 
@@ -732,15 +733,13 @@ def install_function(img: BootImage, owner: str, instructions: list,
     if at is not None:
         if not base + TRAMP_SLOTS <= at or at + len(instructions) > top:
             raise LayoutError(f"fixed entry {at} outside the code region of {owner!r}")
-        for i, ins in enumerate(instructions):
-            img.program[at + i] = ins
+        img.program[at:at + len(instructions)] = instructions
         return at
     ptr = img.user_code_ptrs[owner]
     entry = base + ptr
     if entry + len(instructions) > top:
         raise LayoutError(f"code region of {owner!r} exhausted")
-    for i, ins in enumerate(instructions):
-        img.program[entry + i] = ins
+    img.program[entry:entry + len(instructions)] = instructions
     img.user_code_ptrs[owner] = ptr + len(instructions)
     return entry
 

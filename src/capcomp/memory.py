@@ -46,6 +46,8 @@ class TaggedMemory:
         self.tags = bytearray(size // GRANULE)   # 0/1 per granule
 
     def _check_range(self, addr: int, length: int) -> None:
+        # The capability load/store paths test the same range inline and
+        # call this only to raise.
         if addr < 0 or length < 0 or addr + length > self.size:
             raise AddressError(f"access [{addr:#x}, {addr + length:#x}) outside memory of {self.size:#x}")
 
@@ -80,7 +82,8 @@ class TaggedMemory:
         """
         if addr % CAP_SLOT != 0:
             raise AlignmentError(f"capability store at {addr:#x} not {CAP_SLOT}-aligned")
-        self._check_range(addr, CAP_SLOT)
+        if addr < 0 or addr + CAP_SLOT > self.size:
+            self._check_range(addr, CAP_SLOT)
         t = 1 if c.tag else 0
         top = c.top
         try:
@@ -103,7 +106,8 @@ class TaggedMemory:
         """
         if addr % CAP_SLOT != 0:
             raise AlignmentError(f"capability load at {addr:#x} not {CAP_SLOT}-aligned")
-        self._check_range(addr, CAP_SLOT)
+        if addr < 0 or addr + CAP_SLOT > self.size:
+            self._check_range(addr, CAP_SLOT)
         _, base, top, top_high, address, perms, otype = _SLOT.unpack_from(self.data, addr)
         if top_high & 1:         # top is 65 bits wide, like `deserialize` reads it
             top += TOP_MAX

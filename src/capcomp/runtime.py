@@ -417,7 +417,7 @@ def install_call_site(img: BootImage, gate: GateDescriptor, args, *,
     the caller's code (at `at`, or at the next free slot), and point the pcc
     at it.  Returns the site and the emitted code; nothing has run yet."""
     code = emit_gate_sequence(img.plan, gate, list(args))
-    site = install_function(img, gate.caller, [*code.instructions, _HALT], at=at)
+    site = install_function(img, gate.caller, code.instructions + (_HALT,), at=at)
     st = img.machine
     st.pcc = set_address(st.pcc, site)
     return site, code

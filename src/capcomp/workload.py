@@ -11,6 +11,7 @@ the same instruction stream at a given baseline CPI.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -129,8 +130,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                 cpi = float(toks[1])
             except ValueError:
                 raise ScenarioError(f"line {line_no}: bad number {toks[1]!r}") from None
-            if not cpi > 0:
-                raise ScenarioError(f"line {line_no}: cpi must be positive")
+            if not 0 < cpi < math.inf:
+                raise ScenarioError(f"line {line_no}: cpi must be positive and finite")
         else:
             raise ScenarioError(f"line {line_no}: unknown directive {kind!r}")
 
@@ -242,13 +243,22 @@ class CostModel:
     A hot switch finds the capability table entries and switcher lines
     resident; a cold one pays the misses.  hot_fraction is the long-run share
     of hot switches.  promotion is the one-time cost of lifting an allocation
-    into a shared window (derive, bound, bookkeeping).
+    into a shared window (derive, bound, bookkeeping).  Every cost is finite
+    and >= 0, and hot_fraction lies in [0, 1]; other values raise ValueError.
     """
 
     hot: float = 400.0
     cold: float = 950.0
     hot_fraction: float = 0.999
     promotion: float = 250.0
+
+    def __post_init__(self) -> None:
+        for name in ("hot", "cold", "promotion"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite cost >= 0, got {value}")
+        if not 0.0 <= self.hot_fraction <= 1.0:
+            raise ValueError("hot_fraction must lie in [0, 1]")
 
     def effective_switch(self) -> float:
         return self.hot_fraction * self.hot + (1.0 - self.hot_fraction) * self.cold
@@ -271,8 +281,8 @@ def estimate_overhead(summary: ScenarioSummary, cm: CostModel | None = None,
     cpi = summary.cpi if cpi is None else cpi
     if summary.instructions == 0:
         raise ScenarioError("scenario executes no instructions; overhead undefined")
-    if not cpi > 0:
-        raise ScenarioError("baseline cpi must be positive")
+    if not 0 < cpi < math.inf:
+        raise ScenarioError("baseline cpi must be positive and finite")
     extra = summary.transitions * cm.effective_switch() + summary.promotions * cm.promotion
     baseline = summary.instructions * cpi
     return OverheadEstimate(

@@ -129,6 +129,19 @@ def test_run_bad_cost_is_exit_2(capsys, spec, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("args,fragment", [
+    (("--cost", "hot=-400"), "hot must be a finite cost >= 0"),
+    (("--cost", "promotion=nan"), "promotion must be a finite cost >= 0"),
+    (("--cost", "cold=inf"), "cold must be a finite cost >= 0"),
+    (("--cpi", "inf"), "cpi must be positive and finite"),
+    (("--cpi", "nan"), "cpi must be positive and finite"),
+])
+def test_run_rejects_negative_or_non_finite_costs(capsys, args, fragment):
+    code, out, err = run_cli(capsys, "run", "libsodium_hex.scn", *args)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {fragment}")
+
+
 def test_run_cpi_override(capsys):
     code, out, _ = run_cli(capsys, "run", "sqlite_fs.scn",
                            "--cpi", "2.2", "--format", "records")

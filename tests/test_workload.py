@@ -99,6 +99,8 @@ def test_parse_defaults():
     ("fn a comp=c instr=1\niterations x", "bad integer 'x'"),
     ("fn a comp=c instr=1\ncpi 0", "cpi must be positive"),
     ("fn a comp=c instr=1\ncpi abc", "bad number 'abc'"),
+    ("fn a comp=c instr=1\ncpi inf", "cpi must be positive and finite"),
+    ("fn a comp=c instr=1\ncpi nan", "cpi must be positive and finite"),
     ("wibble 3", "unknown directive 'wibble'"),
     ("# only a comment\n", "declares no functions"),
     ("fn a comp=c instr=1\ncall a b count=1", "unknown fn 'b'"),
@@ -283,6 +285,30 @@ def test_overhead_cpi_override():
         pytest.approx(estimate_overhead(s).percent / 2)
     with pytest.raises(ScenarioError, match="cpi must be positive"):
         estimate_overhead(s, cpi=0.0)
+
+
+@pytest.mark.parametrize("cpi", [float("inf"), float("nan")])
+def test_overhead_rejects_non_finite_cpi(cpi):
+    with pytest.raises(ScenarioError, match="cpi must be positive and finite"):
+        estimate_overhead(summary(10_000, 10), cpi=cpi)
+
+
+@pytest.mark.parametrize("field", ["hot", "cold", "promotion"])
+@pytest.mark.parametrize("value", [-400.0, -1e-9, float("nan"), float("inf"), float("-inf")])
+def test_cost_model_rejects_negative_and_non_finite_costs(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a finite cost >= 0"):
+        CostModel(**{field: value})
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])
+def test_cost_model_rejects_hot_fraction_outside_unit_interval(value):
+    with pytest.raises(ValueError, match=r"hot_fraction must lie in \[0, 1\]"):
+        CostModel(hot_fraction=value)
+
+
+def test_cost_model_accepts_zero_costs():
+    cm = CostModel(hot=0.0, cold=0.0, hot_fraction=0.0, promotion=0.0)
+    assert estimate_overhead(summary(1000, 2, promos=4), cm).percent == 0.0
 
 
 # ---------------------------------------------------------------------------
