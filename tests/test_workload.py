@@ -7,8 +7,10 @@ ways: against a static recomputation from the emitted instruction streams and
 against frozen values derived from that oracle.
 """
 
+import dataclasses
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from capcomp.workload import (
@@ -19,8 +21,10 @@ from capcomp.workload import (
     HOT_WEIGHTS,
     PHASES,
     SWITCH_PHASES,
+    Scenario,
     ScenarioCall,
     ScenarioError,
+    ScenarioFn,
     ScenarioSummary,
     emit_report,
     estimate_overhead,
@@ -129,6 +133,114 @@ def test_self_call_is_a_cycle():
         parse_scenario("fn a comp=x instr=1\ncall a a count=1\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("scenario a b\nfn f comp=c instr=1", "line 1: scenario takes one name"),
+    ("fn f comp=c", "line 1: expected fn <name> comp=<c> instr=<n>"),
+    ("fn f comp=c instr=1\nfn f comp=d instr=2", "line 2: duplicate fn 'f'"),
+    ("fn f co=c instr=1", "line 1: expected comp=..., got 'co=c'"),
+    # a misnamed numeric key is reported as a bad number, not by its name
+    ("fn f comp=c inst=1", "line 1: bad instruction count"),
+    ("fn f comp=c instr=zz", "line 1: bad instruction count"),
+    ("fn f comp=c instr=-4", "line 1: negative instruction count"),
+    ("fn a comp=c instr=1\nfn b comp=d instr=1\ncall a b",
+     "line 3: expected call <from> <to> count=<k> [promote=<n>]"),
+    ("fn a comp=c instr=1\nfn b comp=d instr=1\ncall a b cnt=1",
+     "line 3: bad integer"),
+    ("fn a comp=c instr=1\nfn b comp=d instr=1\ncall a b count=1 pro=1",
+     "line 3: bad integer"),
+    ("fn a comp=c instr=1\nfn b comp=d instr=1\ncall a b count=x", "line 3: bad integer"),
+    ("fn a comp=c instr=1\nfn b comp=d instr=1\ncall a b count=0",
+     "line 3: count must be positive"),
+    ("fn a comp=c instr=1\nfn b comp=d instr=1\ncall a b count=1 promote=-1",
+     "line 3: promote must be non-negative"),
+    ("fn a comp=c instr=1\niterations 0", "line 2: iterations must be positive"),
+    ("fn a comp=c instr=1\niterations x", "line 2: bad integer 'x'"),
+    ("fn a comp=c instr=1\niterations", "line 2: iterations takes one integer"),
+    ("fn a comp=c instr=1\ncpi 0", "line 2: cpi must be positive and finite"),
+    ("fn a comp=c instr=1\ncpi abc", "line 2: bad number 'abc'"),
+    ("fn a comp=c instr=1\ncpi inf", "line 2: cpi must be positive and finite"),
+    ("fn a comp=c instr=1\ncpi nan", "line 2: cpi must be positive and finite"),
+    ("fn a comp=c instr=1\ncpi 1 2", "line 2: cpi takes one number"),
+    ("wibble 3", "line 1: unknown directive 'wibble'"),
+    ("# only a comment\n", "line 1: scenario declares no functions"),
+    ("fn a comp=c instr=1\ncall a b count=1", "call references unknown fn 'b'"),
+    ("fn b comp=c instr=1\ncall a b count=1", "call references unknown fn 'a'"),
+    ("fn a comp=c instr=1\ncall x y count=1", "call references unknown fn 'x'"),
+    # unknown names are reported before cycles
+    ("fn a comp=c instr=1\ncall a a count=1\ncall a z count=1",
+     "call references unknown fn 'z'"),
+])
+def test_parse_rejection_messages(text, message):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text)
+    assert str(exc.value) == message
+
+
+def test_parse_whitespace_comments_and_repeats():
+    sc = parse_scenario("  scenario first   # named twice\n"
+                        "\tscenario second\n"
+                        "\n"
+                        "   # a whole-line comment\n"
+                        "fn a\tcomp=x   instr=3#no space before the comment\n"
+                        "iterations 2\niterations 0x3\n"
+                        "cpi 2\ncpi 1e0\n")
+    assert sc == Scenario("second", (ScenarioFn("a", "x", 3),), (), 3, 1.0)
+
+
+def test_cycle_message_follows_declaration_and_call_order():
+    # the first cycle found from the first declared fn, callees in call order
+    text = ("fn a comp=x instr=1\nfn b comp=x instr=1\nfn c comp=x instr=1\n"
+            "fn d comp=x instr=1\n"
+            "call a b count=1\ncall b d count=1\ncall b c count=1\n"
+            "call c b count=1\ncall d a count=1\n")
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text)
+    assert str(exc.value) == "call graph has a cycle: a -> b -> d -> a"
+    # a cycle no path from the entry point reaches is still rejected
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario("fn a comp=x instr=1\nfn b comp=x instr=1\n"
+                       "fn c comp=x instr=1\ncall b c count=1\ncall c b count=1\n")
+    assert str(exc.value) == "call graph has a cycle: b -> c -> b"
+
+
+BUNDLED = {
+    "libsodium_all.scn": Scenario(
+        "libsodium_all",
+        (ScenarioFn("main", "app", 4409), ScenarioFn("secretbox_easy", "sodium", 17300)),
+        (ScenarioCall("main", "secretbox_easy", 5),), 1, 2.2),
+    "libsodium_chacha_only.scn": Scenario(
+        "libsodium_chacha_only",
+        (ScenarioFn("main", "app", 6600), ScenarioFn("chacha20_xor", "sodium", 2888)),
+        (ScenarioCall("main", "chacha20_xor", 65),), 1, 2.2),
+    "libsodium_hex.scn": Scenario(
+        "libsodium_hex",
+        (ScenarioFn("main", "app", 500000), ScenarioFn("hex2bin", "sodium", 2525),
+         ScenarioFn("bin2hex", "sodium", 2525)),
+        (ScenarioCall("main", "hex2bin", 1), ScenarioCall("main", "bin2hex", 1)), 1, 2.2),
+    "promote_pipeline.scn": Scenario(
+        "promote_pipeline",
+        (ScenarioFn("driver", "app", 20000), ScenarioFn("stage", "filter", 1500)),
+        (ScenarioCall("driver", "stage", 24, 1),), 10, 1.1),
+    "sqlite_fs.scn": Scenario(
+        "sqlite_fs",
+        (ScenarioFn("query", "sqlite", 24257), ScenarioFn("vfs_io", "vfs", 500)),
+        (ScenarioCall("query", "vfs_io", 80),), 1, 0.83),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_bundled_scenarios_parse_to_reference(name):
+    sc = parse_scenario(fixture(name))
+    assert sc == BUNDLED[name]
+    assert hash(sc) == hash(BUNDLED[name])
+    assert sc.fns[0] == ScenarioFn(*dataclasses.astuple(BUNDLED[name].fns[0]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc.fns[0].instr = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc.calls[0].count = 1
+    assert not hasattr(sc.calls[0], "__dict__")
+
+
 # ---------------------------------------------------------------------------
 # Traversal accounting
 
@@ -235,6 +347,69 @@ def test_memoized_traversal_matches_naive_expansion(text):
     i, sw, p, edges = _naive_summary(sc)
     assert (s.instructions, s.transitions, s.promotions) == (i, sw, p)
     assert s.edge_crossings == edges
+
+
+@st.composite
+def any_direction_scenario_texts(draw):
+    """Up to 12 fns with calls in either direction; some texts are cyclic."""
+    n = draw(st.integers(1, 12))
+    lines = ["scenario prop"]
+    for i in range(n):
+        comp = draw(st.sampled_from(["c0", "c1", "c2"]))
+        lines.append(f"fn f{i} comp={comp} instr={draw(st.integers(0, 300))}")
+    if n > 1:
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for i, j in draw(st.lists(st.sampled_from(pairs), max_size=10)):
+            cnt = draw(st.integers(1, 3))
+            pro = draw(st.integers(0, 2))
+            lines.append(f"call f{i} f{j} count={cnt} promote={pro}")
+    lines.append(f"iterations {draw(st.integers(1, 3))}")
+    return "\n".join(lines)
+
+
+@settings(deadline=None, max_examples=150)
+@given(any_direction_scenario_texts())
+def test_traversal_matches_naive_expansion_in_any_call_direction(text):
+    try:
+        sc = parse_scenario(text)
+    except ScenarioError as e:
+        assert str(e).startswith("call graph has a cycle: ")
+        assume(False)
+    s = run_scenario(sc)
+    i, sw, p, edges = _naive_summary(sc)
+    assert (s.instructions, s.transitions, s.promotions) == (i, sw, p)
+    assert s.edge_crossings == edges
+
+
+def test_root_with_callers_runs_once_per_iteration():
+    # the entry point is the first declared fn, even when another fn calls it
+    text = ("fn main comp=a instr=10\nfn boot comp=b instr=1000\n"
+            "call boot main count=5\niterations 3\n")
+    s = run_scenario(parse_scenario(text))
+    assert (s.instructions, s.transitions, s.promotions) == (30, 0, 0)
+    assert s.edge_crossings == ()
+
+
+def test_unreachable_fns_add_nothing_and_leave_no_edges():
+    text = ("fn main comp=a instr=10\nfn leaf comp=b instr=4\n"
+            "fn orphan comp=c instr=1000\nfn orphan_leaf comp=d instr=7\n"
+            "call main leaf count=2\n"
+            "call orphan orphan_leaf count=9 promote=3\n"
+            "call orphan leaf count=4 promote=1\n")
+    s = run_scenario(parse_scenario(text))
+    assert (s.instructions, s.transitions, s.promotions) == (18, 4, 0)
+    assert s.edge_crossings == (("main", "leaf", 4),)
+
+
+def test_repeated_call_lines_sum_their_counts():
+    text = ("fn main comp=a instr=1\nfn leaf comp=b instr=10\n"
+            "call main leaf count=2 promote=1\ncall main leaf count=3\n"
+            "iterations 2\n")
+    s = run_scenario(parse_scenario(text))
+    assert s.instructions == 2 * (1 + 5 * 10)
+    assert s.transitions == 2 * 2 * 5
+    assert s.promotions == 2 * 2
+    assert s.edge_crossings == (("main", "leaf", 20),)
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +627,37 @@ def test_breakdown_matches_static_op_composition():
             assert bd.phase_cycles[phase] == pytest.approx(want), (cold, phase)
 
 
+def test_breakdown_prices_one_round_trip_of_two_transitions():
+    """`capcomp micro` weighs one round trip, and a round trip is two
+    transitions: the switcher's call leg and its return leg, one domain
+    switch each.  `CostModel.hot` is charged per transition, so one
+    cross-compartment call costs 2 * hot in the model."""
+    from capcomp.isa import retl
+    from capcomp.layout import boot_init, compute_layout, install_function, parse_config
+    from capcomp.runtime import (GateDescriptor, SWITCHER_END, SWITCHER_RET_ENTRY,
+                                 call_compartment)
+    from capcomp.workload import _BREAKDOWN_CONFIG
+
+    bd = switch_breakdown()
+    # both legs of the switcher run once each
+    assert bd.phase_instructions["switcher"] == SWITCHER_END
+    assert 0 < SWITCHER_RET_ENTRY < SWITCHER_END
+
+    img = boot_init(compute_layout(parse_config(_BREAKDOWN_CONFIG), memory_size=1 << 16))
+    entry = install_function(img, "target", [retl()])
+    before = img.machine.switches
+    st_ = call_compartment(img, GateDescriptor("origin", "target", entry, dest=0), [0])
+    assert st_.fault is None
+    assert st_.switches - before == 2
+
+    one_call = run_scenario(parse_scenario(
+        "fn a comp=origin instr=1\nfn b comp=target instr=1\ncall a b count=1\n"))
+    assert one_call.transitions == 2
+    cm = CostModel(hot_fraction=1.0, promotion=0.0)
+    assert estimate_overhead(one_call, cm).extra_cycles == 2 * cm.hot
+    assert bd.total / one_call.transitions == pytest.approx(181.35)
+
+
 def test_format_breakdown_table():
     text = format_breakdown(switch_breakdown(), "steady state")
     assert text.startswith("single-switch latency, steady state:")
@@ -481,6 +687,28 @@ def test_report_round_trip():
     assert float(parsed["cost"]["cpi"]) == 0.83
     assert parsed["overhead"]["percent"] == "120.165"
     assert parsed["edges"] == [("query", "vfs_io", 160)]
+
+
+def test_parse_report_odd_input():
+    text = ("totals a=1 a=2\n"              # a repeated key: the last wins
+            "odd a=b=c k=x-y=3\n"           # '=' inside a value
+            "dash x-y=3\n"                  # the key match starts after '-'
+            "bare word k=v\n"               # a token with no '=' is skipped
+            "\n   \n"
+            "   cost hot=1 \t cold=2\n"     # leading whitespace, tabs
+            "edge from=a to=b crossings=3\n"
+            "edge from=a to=b crossings=4\n"
+            "lonely\n")
+    assert parse_report(text) == {
+        "edges": [("a", "b", 3), ("a", "b", 4)],
+        "totals": {"a": "2"},
+        "odd": {"a": "b=c", "k": "x-y=3"},
+        "dash": {"y": "3"},
+        "bare": {"k": "v"},
+        "cost": {"hot": "1", "cold": "2"},
+        "lonely": {},
+    }
+    assert parse_report("") == {"edges": []}
 
 
 def test_report_table_facts():
