@@ -30,6 +30,18 @@ class ScenarioFn:
     comp: str
     instr: int          # body instructions per execution, callees excluded
 
+    def __init__(self, name: str, comp: str, instr: int):
+        # Same slot-descriptor stores as Capability.__init__: parsing builds
+        # one of these per line, and the generated frozen __init__ costs
+        # about twice as much.
+        _set_fn_name(self, name)
+        _set_fn_comp(self, comp)
+        _set_fn_instr(self, instr)
+
+
+_set_fn_name, _set_fn_comp, _set_fn_instr = (
+    ScenarioFn.__dict__[f].__set__ for f in ("name", "comp", "instr"))
+
 
 @dataclass(frozen=True, slots=True)
 class ScenarioCall:
@@ -37,6 +49,16 @@ class ScenarioCall:
     callee: str
     count: int          # calls per single caller execution
     promote: int = 0    # allocations promoted per individual call
+
+    def __init__(self, caller: str, callee: str, count: int, promote: int = 0):
+        _set_caller(self, caller)
+        _set_callee(self, callee)
+        _set_count(self, count)
+        _set_promote(self, promote)
+
+
+_set_caller, _set_callee, _set_count, _set_promote = (
+    ScenarioCall.__dict__[f].__set__ for f in ("caller", "callee", "count", "promote"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,6 +80,13 @@ class Scenario:
         raise KeyError(name)
 
 
+def _attr(tok: str, prefix: str, line_no: int) -> str:
+    """The value of `tok`, which must start with `prefix` ("key=")."""
+    if not tok.startswith(prefix):
+        raise ScenarioError(f"line {line_no}: expected {prefix}..., got {tok!r}")
+    return tok[len(prefix):]
+
+
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     """Parse the scenario description language.
 
@@ -71,16 +100,10 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     cpi = 1.0
     seen: set[str] = set()
 
-    def attr(tok: str, key: str, line_no: int) -> str:
-        if not tok.startswith(key + "="):
-            raise ScenarioError(f"line {line_no}: expected {key}=..., got {tok!r}")
-        return tok[len(key) + 1:]
-
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#")[0].strip()
-        if not line:
+        toks = raw.partition("#")[0].split()
+        if not toks:
             continue
-        toks = line.split()
         kind = toks[0]
         if kind == "scenario":
             if len(toks) != 2:
@@ -92,9 +115,9 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             if toks[1] in seen:
                 raise ScenarioError(f"line {line_no}: duplicate fn {toks[1]!r}")
             seen.add(toks[1])
-            comp = attr(toks[2], "comp", line_no)
+            comp = _attr(toks[2], "comp=", line_no)
             try:
-                instr = int(attr(toks[3], "instr", line_no), 0)
+                instr = int(_attr(toks[3], "instr=", line_no), 0)
             except ValueError:
                 raise ScenarioError(f"line {line_no}: bad instruction count") from None
             if instr < 0:
@@ -105,8 +128,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                 raise ScenarioError(
                     f"line {line_no}: expected call <from> <to> count=<k> [promote=<n>]")
             try:
-                count = int(attr(toks[3], "count", line_no), 0)
-                promote = int(attr(toks[4], "promote", line_no), 0) if len(toks) == 5 else 0
+                count = int(_attr(toks[3], "count=", line_no), 0)
+                promote = int(_attr(toks[4], "promote=", line_no), 0) if len(toks) == 5 else 0
             except ValueError:
                 raise ScenarioError(f"line {line_no}: bad integer") from None
             if count < 1:
@@ -137,40 +160,56 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
 
     if not fns:
         raise ScenarioError("line 1: scenario declares no functions")
-    names = {f.name for f in fns}
     for c in calls:
-        if c.caller not in names:
+        if c.caller not in seen:
             raise ScenarioError(f"call references unknown fn {c.caller!r}")
-        if c.callee not in names:
+        if c.callee not in seen:
             raise ScenarioError(f"call references unknown fn {c.callee!r}")
 
     sc = Scenario(name, tuple(fns), tuple(calls), iterations, cpi)
-    _check_acyclic(sc)
+    _call_order(sc)
     return sc
 
 
-def _check_acyclic(sc: Scenario) -> None:
-    out: dict[str, list[str]] = {f.name: [] for f in sc.fns}
+def _call_order(sc: Scenario) -> list[tuple[ScenarioFn, list[ScenarioCall]]]:
+    """Every fn of `sc` with its outgoing calls, callers before callees.
+
+    The order is the reversed postorder of a depth-first search that starts
+    from each fn in declaration order and follows calls in call order.  The
+    search keeps its own stack, so call depth is not bounded by Python's
+    recursion limit.  A cycle raises ScenarioError naming the first one met.
+    """
+    out: dict[str, list[ScenarioCall]] = {f.name: [] for f in sc.fns}
     for c in sc.calls:
-        out[c.caller].append(c.callee)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in out}
-
-    def visit(n: str, trail: list[str]) -> None:
-        color[n] = GREY
-        trail.append(n)
-        for m in out[n]:
-            if color[m] == GREY:
-                cyc = trail[trail.index(m):] + [m]
-                raise ScenarioError("call graph has a cycle: " + " -> ".join(cyc))
-            if color[m] == WHITE:
-                visit(m, trail)
-        trail.pop()
-        color[n] = BLACK
-
-    for n in out:
-        if color[n] == WHITE:
-            visit(n, [])
+        out[c.caller].append(c)
+    fn_of = {f.name: f for f in sc.fns}
+    done: dict[str, bool] = {}   # False while on the current path, then True
+    order: list[tuple[ScenarioFn, list[ScenarioCall]]] = []
+    for start in out:
+        if start in done:
+            continue
+        trail = [start]
+        done[start] = False
+        stack = [iter(out[start])]
+        while stack:
+            for c in stack[-1]:
+                m = c.callee
+                state = done.get(m)
+                if state is None:
+                    trail.append(m)
+                    done[m] = False
+                    stack.append(iter(out[m]))
+                    break
+                if not state:
+                    cyc = trail[trail.index(m):] + [m]
+                    raise ScenarioError("call graph has a cycle: " + " -> ".join(cyc))
+            else:
+                stack.pop()
+                n = trail.pop()
+                done[n] = True
+                order.append((fn_of[n], out[n]))
+    order.reverse()
+    return order
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,45 +230,36 @@ class ScenarioSummary:
 
 
 def run_scenario(sc: Scenario) -> ScenarioSummary:
-    """Traverse the call graph once per iteration and total everything up.
+    """Total everything up in one pass over the call graph.
 
-    Memoized over functions, so repeated subtrees cost nothing to analyze;
-    correctness of the memoization is what the naive-traversal oracle in the
-    test suite checks.
+    Walks the fns in `_call_order`, callers before callees, counting each
+    fn's executions over all iterations: the entry point runs `iterations`
+    times, and each call adds its caller's executions times `count` to its
+    callee.  O(fns + calls), iterative, exact ints, nothing cached across
+    calls.  Fns that never execute add nothing and leave no edge.  The
+    naive-expansion oracle in the test suite checks the totals.
     """
-    by_caller: dict[str, list[ScenarioCall]] = {}
-    for c in sc.calls:
-        by_caller.setdefault(c.caller, []).append(c)
     comp = {f.name: f.comp for f in sc.fns}
-    instr = {f.name: f.instr for f in sc.fns}
-
-    # per single execution of fn: (instructions, transitions, promotions,
-    # edge crossing counts)
-    memo: dict[str, tuple[int, int, int, dict[tuple[str, str], int]]] = {}
-
-    def total(fn: str) -> tuple[int, int, int, dict[tuple[str, str], int]]:
-        if fn in memo:
-            return memo[fn]
-        t_i, t_s, t_p = instr[fn], 0, 0
-        edges: dict[tuple[str, str], int] = {}
-        for c in by_caller.get(fn, ()):
-            s_i, s_s, s_p, s_e = total(c.callee)
-            t_i += c.count * s_i
-            t_s += c.count * s_s
-            t_p += c.count * (s_p + c.promote)
-            for k, v in s_e.items():
-                edges[k] = edges.get(k, 0) + c.count * v
-            if comp[fn] != comp[c.callee]:
-                t_s += 2 * c.count
-                k = (fn, c.callee)
-                edges[k] = edges.get(k, 0) + 2 * c.count
-        memo[fn] = (t_i, t_s, t_p, edges)
-        return memo[fn]
-
-    i1, s1, p1, e1 = total(sc.root)
-    n = sc.iterations
-    edge_list = tuple(sorted((f, g, n * v) for (f, g), v in e1.items()))
-    return ScenarioSummary(sc.name, n, sc.cpi, n * i1, n * s1, n * p1, edge_list)
+    execs = dict.fromkeys(comp, 0)
+    execs[sc.root] = sc.iterations
+    instructions = transitions = promotions = 0
+    edges: dict[tuple[str, str], int] = {}
+    for f, calls in _call_order(sc):
+        n = execs[f.name]
+        if not n:
+            continue
+        instructions += n * f.instr
+        for c in calls:
+            k = n * c.count
+            execs[c.callee] += k
+            promotions += k * c.promote
+            if comp[c.callee] != f.comp:
+                transitions += 2 * k
+                e = (f.name, c.callee)
+                edges[e] = edges.get(e, 0) + 2 * k
+    edge_list = tuple(sorted((g, h, v) for (g, h), v in edges.items()))
+    return ScenarioSummary(sc.name, sc.iterations, sc.cpi, instructions,
+                           transitions, promotions, edge_list)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +269,10 @@ def run_scenario(sc: Scenario) -> ScenarioSummary:
 @dataclass(frozen=True, slots=True)
 class CostModel:
     """Cycle costs of domain transitions.
+
+    hot and cold are charged per transition, and a cross-compartment call
+    makes two (call and return).  `switch_breakdown` weighs a whole round
+    trip, so its total is the cost of two transitions, not one.
 
     A hot switch finds the capability table entries and switcher lines
     resident; a cold one pays the misses.  hot_fraction is the long-run share
@@ -430,7 +464,7 @@ def parse_report(text: str) -> dict:
         if not line:
             continue
         kind, _, rest = line.partition(" ")
-        kv = {m.group(1): m.group(2) for m in _KV_RE.finditer(rest)}
+        kv = dict(_KV_RE.findall(rest))
         if kind == "edge":
             out["edges"].append((kv["from"], kv["to"], int(kv["crossings"])))
         else:

@@ -1,10 +1,12 @@
 """Scenario language, call-graph traversal accounting, the transition cost
 model, the instrumented single-switch breakdown, and report round trips.
 
-The memoized traversal in run_scenario is checked against a naive oracle that
-expands every call individually.  The breakdown cycle totals are checked two
-ways: against a static recomputation from the emitted instruction streams and
-against frozen values derived from that oracle.
+The one-pass traversal in run_scenario, which walks the fns callers before
+callees and carries each fn's execution count, is checked against a naive
+oracle that expands every call individually, and against closed forms on
+call chains deeper than Python's recursion limit.  The breakdown cycle totals
+are checked two ways: against a static recomputation from the emitted
+instruction streams and against frozen values derived from that oracle.
 """
 
 import dataclasses
@@ -379,6 +381,54 @@ def test_traversal_matches_naive_expansion_in_any_call_direction(text):
     i, sw, p, edges = _naive_summary(sc)
     assert (s.instructions, s.transitions, s.promotions) == (i, sw, p)
     assert s.edge_crossings == edges
+
+
+DEEP = 5000
+
+
+def chain_text(n, cycle=False):
+    """f0 -> f1 -> ... -> f(n-1), alternating two compartments; f_i runs
+    i instructions, and every call promotes one allocation."""
+    lines = ["scenario chain", "iterations 3"]
+    lines += [f"fn f{i} comp=c{i % 2} instr={i}" for i in range(n)]
+    lines += [f"call f{i} f{i + 1} count=1 promote=1" for i in range(n - 1)]
+    if cycle:
+        lines.append(f"call f{n - 1} f0 count=1")
+    return "\n".join(lines) + "\n"
+
+
+def test_deep_chain_parses_and_runs_without_a_recursion_limit():
+    s = run_scenario(parse_scenario(chain_text(DEEP)))
+    assert s.instructions == 3 * DEEP * (DEEP - 1) // 2
+    assert s.transitions == 3 * 2 * (DEEP - 1)
+    assert s.promotions == 3 * (DEEP - 1)
+    assert s.edge_crossings == tuple(sorted(
+        (f"f{i}", f"f{i + 1}", 6) for i in range(DEEP - 1)))
+
+
+def test_deep_chain_through_the_cli(tmp_path, capsys):
+    from capcomp.cli import main
+
+    path = tmp_path / "chain.scn"
+    path.write_text(chain_text(DEEP))
+    assert main(["run", str(path), "--format", "records"]) == 0
+    out = capsys.readouterr().out
+    assert f"transitions={3 * 2 * (DEEP - 1)} " in out
+    assert out.count("\nedge ") == DEEP - 1
+
+
+def test_deep_cycle_is_rejected_and_named():
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(chain_text(DEEP, cycle=True))
+    names = [f"f{i}" for i in range(DEEP)] + ["f0"]
+    assert str(exc.value) == "call graph has a cycle: " + " -> ".join(names)
+
+
+def test_run_scenario_rejects_a_hand_built_cycle():
+    sc = Scenario("loop", (ScenarioFn("a", "x", 1), ScenarioFn("b", "y", 1)),
+                  (ScenarioCall("a", "b", 1), ScenarioCall("b", "a", 1)))
+    with pytest.raises(ScenarioError, match=r"^call graph has a cycle: a -> b -> a$"):
+        run_scenario(sc)
 
 
 def test_root_with_callers_runs_once_per_iteration():
