@@ -35,13 +35,13 @@ from .layout import (
     parse_config,
 )
 from .isa import addi, retl
-from .machine import format_trace, run
+from .machine import format_trace
 from .memory import DEFAULT_SIZE
 from .runtime import (
     GateDescriptor,
     GateError,
+    call_compartment,
     fuzz_isolation,
-    install_call_site,
 )
 from .workload import (
     CostModel,
@@ -211,11 +211,10 @@ def cmd_trace(args) -> int:
     img = boot_init(plan)
     img.enter(caller)
     entry = install_function(img, callee, [addi(0, 0, 1), retl()])
-    gate = GateDescriptor(caller, callee, entry, dest=0)
-    install_call_site(img, gate, [int(a) for a in args.args])
     st = img.machine
     st.events = []
-    run(st, img.mem, img.program, max_steps=10_000)
+    call_compartment(img, GateDescriptor(caller, callee, entry, dest=0),
+                     [int(a) for a in args.args], max_steps=10_000)
     for line in format_trace(st.events, img.program):
         print(line)
     if st.fault is not None:

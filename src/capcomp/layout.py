@@ -10,8 +10,9 @@ graph must embed into a disjoint union of paths.  Exception-mode regions are
 placed after all spans and are covered by no default data capability at all.
 
 Code lives in a separate instruction-index space: the switcher occupies the
-first slots, then one region per compartment, each starting with a private
-trampoline copy.
+first slots, then one region per compartment followed by one slice per
+sandbox it hosts.  Each compartment's and sandbox's region starts with a
+private trampoline copy, and its pcc covers that region and nothing else.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .capability import NULL_CAP, Capability, Perm, int_cap, make_root, seal, set_address
-from .isa import REG_FP, REG_SHARED, REG_SP
+from .isa import REG_FP, REG_SHARED, REG_SP, halt
+from .machine import MachineState
 from .memory import CAP_SLOT, DEFAULT_SIZE, GRANULE, TaggedMemory
 
 # otype assignments: 0 is reserved for unsealed values.
@@ -46,6 +48,8 @@ SANDBOX_CODE = 64          # instruction slots carved per sandbox
 DDC_PERMS = Perm.LOAD | Perm.STORE | Perm.LOAD_CAP | Perm.STORE_CAP
 PCC_PERMS = Perm.EXECUTE    # no LOAD: code slots alias data addresses
 ENTRY_PERMS = Perm.LOAD_CAP | Perm.INVOKE
+
+_HALT = halt()             # fills every code slot nothing was emitted into
 
 
 class ConfigError(ValueError):
@@ -542,7 +546,7 @@ class BootImage:
 
     plan: LayoutPlan
     mem: TaggedMemory
-    machine: "MachineState"
+    machine: MachineState
     program: list
     heap_ptrs: dict[str, int]
     shared_ptrs: dict[str, int]
@@ -560,9 +564,7 @@ class BootImage:
 
     def user_entry(self, name: str) -> int:
         """First instruction slot after the trampoline."""
-        if name in self.plan.sandboxes:
-            return self.plan.sandboxes[name].code_base + TRAMP_SLOTS
-        return self.plan.code_bounds[name][0] + TRAMP_SLOTS
+        return self.tramp_entries[name] + TRAMP_SLOTS
 
     def enter(self, name: str) -> None:
         """Put the machine in compartment `name`: its code capability with
@@ -586,59 +588,44 @@ def boot_init(plan: LayoutPlan) -> BootImage:
     entry capabilities, trampolines, and the initial machine state sitting at
     the default compartment's first user instruction."""
     from . import runtime as _rt     # emitters live there; import is one-way at runtime
-    from .machine import MachineState
 
     mem = TaggedMemory(plan.memory_size)
     cfg = plan.config
-    program = [None] * plan.total_code_slots
+    program = [_HALT] * plan.total_code_slots
 
     switcher_ins = _rt.emit_switcher(plan)
     if len(switcher_ins) > SWITCHER_CODE_SLOTS:
         raise LayoutError("switcher does not fit its reserved slots")
-    for i, ins in enumerate(switcher_ins):
-        program[i] = ins
+    program[:len(switcher_ins)] = switcher_ins
+    tramp = _rt.emit_trampoline()
+    if len(tramp) > TRAMP_SLOTS:
+        raise LayoutError("trampoline does not fit its reserved slots")
 
     pcc_caps: dict[str, Capability] = {}
     ddc_caps: dict[str, Capability] = {}
     tramp_entries: dict[str, int] = {}
-
-    def emit_tramp(code_base: int) -> None:
-        tramp = _rt.emit_trampoline()
-        if len(tramp) > TRAMP_SLOTS:
-            raise LayoutError("trampoline does not fit its reserved slots")
-        for i, ins in enumerate(tramp):
-            program[code_base + i] = ins
-
-    for c in cfg.compartments:
-        cb, ct = plan.code_bounds[c.name]
-        lo, hi = plan.ddc_bounds[c.name]
-        pcc_caps[c.name] = make_root(cb, ct, PCC_PERMS)
-        ddc_caps[c.name] = make_root(lo, hi, DDC_PERMS)
-        tramp_entries[c.name] = cb
-        emit_tramp(cb)
-    for sb in plan.sandboxes.values():
-        pcc_caps[sb.name] = make_root(sb.code_base, sb.code_top, PCC_PERMS)
-        ddc_caps[sb.name] = make_root(sb.scratch_base, sb.scratch_top, DDC_PERMS)
-        tramp_entries[sb.name] = sb.code_base
-        emit_tramp(sb.code_base)
-
-    from .isa import halt as _halt
-    filler = _halt()
-    for i, ins in enumerate(program):
-        if ins is None:
-            program[i] = filler
+    code_regions = []
 
     # Capability table: (pcc, ddc, resume sp, trampoline entry) per entity.
+    # Each entity's pcc is exactly its own `<name>.code` region, which starts
+    # with its trampoline copy.
     for name, cid in plan.comp_ids.items():
-        slot = plan.table_base + cid * TABLE_ENTRY
+        code = plan.region(f"{name}.code")
         if name in plan.sandboxes:
-            sp0 = plan.sandboxes[name].scratch_top
+            sb = plan.sandboxes[name]
+            view, sp0 = (sb.scratch_base, sb.scratch_top), sb.scratch_top
         else:
-            sp0 = plan.stack_top[name]
+            view, sp0 = plan.ddc_bounds[name], plan.stack_top[name]
+        pcc_caps[name] = make_root(code.base, code.top, PCC_PERMS)
+        ddc_caps[name] = make_root(*view, DDC_PERMS)
+        tramp_entries[name] = code.base
+        program[code.base:code.base + len(tramp)] = tramp
+        code_regions.append((code.base, code.top, cid))
+        slot = plan.table_base + cid * TABLE_ENTRY
         mem.store_cap(slot + OFF_PCC, pcc_caps[name])
         mem.store_cap(slot + OFF_DDC, ddc_caps[name])
         mem.write_bytes(slot + OFF_SP, sp0.to_bytes(8, "little"))
-        mem.write_bytes(slot + OFF_TRAMP, tramp_entries[name].to_bytes(8, "little"))
+        mem.write_bytes(slot + OFF_TRAMP, code.base.to_bytes(8, "little"))
 
     # The switcher's own pair: branch target plus the locator capability that
     # becomes its ddc (covers switcher data and the table, nothing else).
@@ -660,14 +647,7 @@ def boot_init(plan: LayoutPlan) -> BootImage:
     st.switcher_bounds = plan.switcher_code
     st.lpb_otypes = frozenset(otypes)
     st.exception_sharing = bool(plan.exception_region)
-
-    regions = []
-    for sb in plan.sandboxes.values():
-        regions.append((sb.code_base, sb.code_top, sb.comp_id))
-    for c in cfg.compartments:
-        cb, ct = plan.code_bounds[c.name]
-        regions.append((cb, ct, plan.comp_ids[c.name]))
-    st.code_regions = regions
+    st.code_regions = code_regions
 
     img = BootImage(
         plan=plan,
@@ -722,14 +702,9 @@ def install_function(img: BootImage, owner: str, instructions: Sequence,
     was there, allocation pointer untouched), which lets a call site be
     re-emitted repeatedly without exhausting the region.
     """
-    if owner in img.plan.sandboxes:
-        base, top = img.plan.sandboxes[owner].code_base, img.plan.sandboxes[owner].code_top
-    elif owner in img.plan.code_bounds:
-        base, top = img.plan.code_bounds[owner]
-        carve = sum(1 for s in img.plan.sandboxes.values() if s.host == owner)
-        top -= carve * SANDBOX_CODE
-    else:
+    if owner not in img.pcc_caps:
         raise LayoutError(f"unknown code owner {owner!r}")
+    base, top = img.pcc_caps[owner].base, img.pcc_caps[owner].top
     if at is not None:
         if not base + TRAMP_SLOTS <= at or at + len(instructions) > top:
             raise LayoutError(f"fixed entry {at} outside the code region of {owner!r}")

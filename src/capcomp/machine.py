@@ -116,7 +116,7 @@ class MachineState:
     switcher_bounds: tuple[int, int] | None = None
     # Object types load-pair-branch accepts; None accepts any sealed value.
     lpb_otypes: frozenset[int] | None = None
-    # (base, top, compartment) in instruction-index space, most specific first.
+    # (base, top, compartment) in instruction-index space, pairwise disjoint.
     code_regions: list[tuple[int, int, int]] = field(default_factory=list)
 
     # One-shot install-ddc window armed by load-pair-branch.
@@ -164,8 +164,8 @@ def _setreg(st: MachineState, idx: int, value: Capability) -> None:
 
 
 def _retire(st: MachineState, pc: int) -> None:
-    """Count the retired instruction and continue at `pc`.  The first code
-    region holding `pc` becomes the current compartment; a pc outside every
+    """Count the retired instruction and continue at `pc`.  The code region
+    holding `pc` becomes the current compartment; a pc outside every
     region (the switcher) leaves it unchanged.  `invoke_sealed` retires
     through this; `step` runs the same lines inline, because the call on
     every instruction cost about 2 % of gate round-trip throughput."""

@@ -352,14 +352,9 @@ def emit_gate_sequence(plan, gate: GateDescriptor, args: list) -> GateCode:
     gate.validate()
     if gate.caller not in plan.code_bounds:
         raise GateError(f"gate caller {gate.caller!r} is not a compartment")
-    if gate.callee in plan.sandboxes:
-        c_lo, c_hi = (plan.sandboxes[gate.callee].code_base,
-                      plan.sandboxes[gate.callee].code_top)
-    elif gate.callee in plan.code_bounds:
-        c_lo, c_hi = plan.code_bounds[gate.callee]
-    else:
+    if gate.callee not in plan.comp_ids:
         raise GateError(f"unknown gate callee {gate.callee!r}")
-    if not c_lo <= gate.entry < c_hi:
+    if gate.entry not in plan.region(f"{gate.callee}.code"):
         raise GateError(f"entry {gate.entry} outside the code region of {gate.callee!r}")
     if len(args) > R_ARG_MAX:
         raise GateError(f"{len(args)} arguments do not fit the argument registers")

@@ -116,8 +116,9 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                 raise ScenarioError(f"line {line_no}: duplicate fn {toks[1]!r}")
             seen.add(toks[1])
             comp = _attr(toks[2], "comp=", line_no)
+            instr = _attr(toks[3], "instr=", line_no)
             try:
-                instr = int(_attr(toks[3], "instr=", line_no), 0)
+                instr = int(instr, 0)
             except ValueError:
                 raise ScenarioError(f"line {line_no}: bad instruction count") from None
             if instr < 0:
@@ -127,9 +128,11 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             if len(toks) not in (4, 5):
                 raise ScenarioError(
                     f"line {line_no}: expected call <from> <to> count=<k> [promote=<n>]")
+            count = _attr(toks[3], "count=", line_no)
+            promote = _attr(toks[4], "promote=", line_no) if len(toks) == 5 else None
             try:
-                count = int(_attr(toks[3], "count=", line_no), 0)
-                promote = int(_attr(toks[4], "promote=", line_no), 0) if len(toks) == 5 else 0
+                count = int(count, 0)
+                promote = 0 if promote is None else int(promote, 0)
             except ValueError:
                 raise ScenarioError(f"line {line_no}: bad integer") from None
             if count < 1:

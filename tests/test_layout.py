@@ -301,6 +301,23 @@ def test_boot_table_entries_decoded():
         assert tramp == plan.code_bounds[name][0]
 
 
+@pytest.mark.parametrize("cfg", ["two_comp.cfg", "three_comp_shared.cfg", "sandbox_host.cfg"])
+def test_every_pcc_is_exactly_its_code_region(cfg):
+    # A host's pcc stops where its sandboxes' code slices begin, so host code
+    # cannot reach sandbox code and run it under the host's ddc.
+    plan = compute_layout(parse_config(fixture(cfg)))
+    img = boot_init(plan)
+    for name in plan.comp_ids:
+        code = plan.region(f"{name}.code")
+        pcc = img.mem.load_cap(img.table_slot(name) + OFF_PCC)
+        assert (pcc.base, pcc.top) == (code.base, code.top)
+        assert (img.pcc_caps[name].base, img.pcc_caps[name].top) == (code.base, code.top)
+    regions = sorted(img.machine.code_regions)
+    assert len(regions) == len(plan.comp_ids)
+    for (_, top, _), (base, _, _) in zip(regions, regions[1:]):
+        assert top <= base
+
+
 def test_code_capability_cannot_read_data():
     """Code slots and data bytes are numbered from 0 in separate spaces, so a
     code capability that could load would read whatever data sits at the

@@ -5,7 +5,7 @@ length arithmetic."""
 import pytest
 
 from capcomp.capability import FaultKind, NULL_CAP, Perm, make_root
-from capcomp.isa import REG_FP, REG_SP, REG_ZERO, addi, halt, ldi, mov, movi, retl, sti
+from capcomp.isa import REG_FP, REG_SP, REG_ZERO, addi, calll, halt, ldi, mov, movi, retl, sti
 from capcomp.layout import (
     DDC_PERMS,
     FRAME_OTYPE,
@@ -569,6 +569,28 @@ def test_host_reads_sandbox_scratch():
     assert st.fault is None and st.regs[2].address == 0x2A
 
 
+def test_host_cannot_call_into_sandbox_code():
+    # The sandbox body would write the host stack if it ran under the
+    # host's ddc; the host's pcc does not cover the slice, so the call faults
+    # before the body runs.
+    img = sandbox_img()
+    entry = install_function(img, "parse_header", [sti(0, REG_SP, -32), retl()])
+    site = install_function(img, "host", [movi(9, entry), calll(9), halt()])
+    st = img.machine
+    st.pc = site
+    st.events = []
+    run(st, img.mem, img.program)
+    assert st.fault is not None and st.fault.kind is FaultKind.BOUNDS
+    assert [ev for ev in st.events if ev[0] == "access"] == []
+
+
+def test_gate_entry_in_a_sandbox_slice_is_not_the_hosts():
+    plan = compute_layout(parse_config(fixture("sandbox_host.cfg")))
+    inside = plan.sandboxes["parse_header"].code_base + TRAMP_SLOTS
+    with pytest.raises(GateError, match="outside the code region of 'host'"):
+        emit_gate_sequence(plan, GateDescriptor("peer", "host", inside), [])
+
+
 def test_sandbox_call_validation():
     img = sandbox_img()
     entry = install_function(img, "parse_header", [retl()])
@@ -605,6 +627,14 @@ def test_fuzz_isolation_smoke():
     assert report.violations == []
     assert report.steps > 0
     assert sum(report.faults.values()) > 0          # random code mostly faults
+
+
+def test_fuzz_sandbox_host_confined():
+    # At this seed, sequence 38750 calls from host code into a sandbox
+    # slice; a host pcc spanning the slices lets that code write the host
+    # stack under the host's ddc.
+    img = sandbox_img()
+    assert fuzz_isolation(img, sequences=40_000, seed=1).violations == []
 
 
 @pytest.mark.parametrize("report_cap", [1, 4, 20])

@@ -140,16 +140,16 @@ def test_self_call_is_a_cycle():
     ("fn f comp=c", "line 1: expected fn <name> comp=<c> instr=<n>"),
     ("fn f comp=c instr=1\nfn f comp=d instr=2", "line 2: duplicate fn 'f'"),
     ("fn f co=c instr=1", "line 1: expected comp=..., got 'co=c'"),
-    # a misnamed numeric key is reported as a bad number, not by its name
-    ("fn f comp=c inst=1", "line 1: bad instruction count"),
+    # a misnamed numeric key is reported by its name, not as a bad number
+    ("fn f comp=c inst=1", "line 1: expected instr=..., got 'inst=1'"),
     ("fn f comp=c instr=zz", "line 1: bad instruction count"),
     ("fn f comp=c instr=-4", "line 1: negative instruction count"),
     ("fn a comp=c instr=1\nfn b comp=d instr=1\ncall a b",
      "line 3: expected call <from> <to> count=<k> [promote=<n>]"),
     ("fn a comp=c instr=1\nfn b comp=d instr=1\ncall a b cnt=1",
-     "line 3: bad integer"),
+     "line 3: expected count=..., got 'cnt=1'"),
     ("fn a comp=c instr=1\nfn b comp=d instr=1\ncall a b count=1 pro=1",
-     "line 3: bad integer"),
+     "line 3: expected promote=..., got 'pro=1'"),
     ("fn a comp=c instr=1\nfn b comp=d instr=1\ncall a b count=x", "line 3: bad integer"),
     ("fn a comp=c instr=1\nfn b comp=d instr=1\ncall a b count=0",
      "line 3: count must be positive"),
