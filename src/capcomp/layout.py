@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .capability import NULL_CAP, Capability, Perm, int_cap, make_root, seal, set_address
 from .isa import REG_FP, REG_SHARED, REG_SP, halt
@@ -271,37 +271,90 @@ class SandboxPlan:
 
 @dataclass(slots=True)
 class LayoutPlan:
+    """A placement. `regions` is the plan: each compartment's code, data,
+    stack and heap, each sandbox's code slice and scratch, each shared
+    region, the switcher's code and data and the capability table, each one
+    named `Region`. `region(name)` looks one up by name.
+
+    The per-name views `code_bounds`, `span_bounds`, `data_base`,
+    `stack_top`, `heap_bounds`, `shared_bounds`, `shared_mode` and
+    `shared_owners` are dicts built from `regions` and `config` on each read;
+    the package itself reads the regions. `code_bounds` is each
+    compartment's own `<name>.code` region, the range of its pcc, so a
+    host's excludes its sandboxes' slices. `sandboxes` gives each sandbox's
+    code and scratch regions with its host and id.
+
+    `ddc_bounds` stays stored: whether a span's default view is widened over
+    an adjacent window is the planner's decision, which no single region
+    records, and `audit_plan` checks that decision against the windows.
+    """
+
     config: CompartmentConfig
     memory_size: int
     regions: list[Region]
     placement_order: list[str]
     comp_ids: dict[str, int]
-    code_bounds: dict[str, tuple[int, int]]       # full per-compartment code region
-    span_bounds: dict[str, tuple[int, int]]       # private data span (data+stack+heap)
     ddc_bounds: dict[str, tuple[int, int]]        # span widened over adjacent windows
-    data_base: dict[str, int]
-    stack_top: dict[str, int]
-    heap_bounds: dict[str, tuple[int, int]]
-    shared_bounds: dict[str, tuple[int, int]]
-    shared_mode: dict[str, str]
-    shared_owners: dict[str, tuple[str, str]]
-    exception_region: dict[str, str]              # owner -> its exception-mode region
     sandboxes: dict[str, SandboxPlan]
     table_base: int
     pair_addr: int
     switcher_code: tuple[int, int]
     total_code_slots: int
     data_top: int
+    _by_name: dict[str, Region] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._by_name = {r.name: r for r in self.regions}
 
     def region(self, name: str) -> Region:
-        for r in self.regions:
-            if r.name == name:
-                return r
-        raise KeyError(name)
+        return self._by_name[name]
 
     def sealed_cap_addr(self, comp: str) -> int:
         """The fixed slot holding a compartment's sealed entry capability."""
-        return self.data_base[comp]
+        return self._by_name[f"{comp}.data"].base
+
+    def _span(self, name: str) -> list[Region]:
+        """A compartment's private span in address order: data, stack, heap,
+        then the scratch of each sandbox it hosts."""
+        return ([self._by_name[f"{name}.{kind}"] for kind in ("data", "stack", "heap")]
+                + [self._by_name[f"{sb.name}.scratch"]
+                   for sb in self.config.sandboxes if sb.host == name])
+
+    def _per_compartment(self, kind: str) -> dict[str, Region]:
+        return {name: self._by_name[f"{name}.{kind}"] for name in self.placement_order}
+
+    @property
+    def code_bounds(self) -> dict[str, tuple[int, int]]:
+        return {n: (r.base, r.top) for n, r in self._per_compartment("code").items()}
+
+    @property
+    def span_bounds(self) -> dict[str, tuple[int, int]]:
+        spans = {n: self._span(n) for n in self.placement_order}
+        return {n: (span[0].base, span[-1].top) for n, span in spans.items()}
+
+    @property
+    def data_base(self) -> dict[str, int]:
+        return {n: r.base for n, r in self._per_compartment("data").items()}
+
+    @property
+    def stack_top(self) -> dict[str, int]:
+        return {n: r.top for n, r in self._per_compartment("stack").items()}
+
+    @property
+    def heap_bounds(self) -> dict[str, tuple[int, int]]:
+        return {n: (r.base, r.top) for n, r in self._per_compartment("heap").items()}
+
+    @property
+    def shared_bounds(self) -> dict[str, tuple[int, int]]:
+        return {r.name: (r.base, r.top) for r in self.regions if r.kind == "shared"}
+
+    @property
+    def shared_mode(self) -> dict[str, str]:
+        return {s.name: s.mode for s in self.config.shared}
+
+    @property
+    def shared_owners(self) -> dict[str, tuple[str, str]]:
+        return {s.name: (s.a, s.b) for s in self.config.shared}
 
 
 def _order_for_adjacency(cfg: CompartmentConfig) -> list[str]:
@@ -366,145 +419,80 @@ def _order_for_adjacency(cfg: CompartmentConfig) -> list[str]:
 def compute_layout(cfg: CompartmentConfig, memory_size: int = DEFAULT_SIZE) -> LayoutPlan:
     """Plan every region deterministically; identical input, identical plan."""
     order = _order_for_adjacency(cfg)
-    comp_ids = {c.name: i for i, c in enumerate(cfg.compartments)}
-    next_id = len(cfg.compartments)
-    sandbox_ids = {}
+    names = [c.name for c in cfg.compartments] + [sb.name for sb in cfg.sandboxes]
+    comp_ids = {name: i for i, name in enumerate(names)}
+    by_host: dict[str, list[str]] = {}
     for sb in cfg.sandboxes:
-        sandbox_ids[sb.name] = next_id
-        next_id += 1
-
-    by_host: dict[str, list[SandboxDecl]] = {}
-    for sb in cfg.sandboxes:
-        by_host.setdefault(sb.host, []).append(sb)
+        by_host.setdefault(sb.host, []).append(sb.name)
 
     regions: list[Region] = []
 
-    # Code space.
-    code_cursor = SWITCHER_CODE_SLOTS
-    regions.append(Region("switcher_code", "switcher_code", 0, SWITCHER_CODE_SLOTS, ()))
-    code_bounds: dict[str, tuple[int, int]] = {}
-    sandbox_code: dict[str, tuple[int, int]] = {}
+    def place(name: str, kind: str, base: int, size: int, owners: tuple[str, ...] = ()) -> int:
+        regions.append(Region(name, kind, base, base + size, owners))
+        return base + size
+
+    # Code space: each compartment's own region, then its sandboxes' slices.
+    cursor = place("switcher_code", "switcher_code", 0, SWITCHER_CODE_SLOTS)
     for name in order:
-        decl = cfg.compartment(name)
-        carve = len(by_host.get(name, ())) * SANDBOX_CODE
-        if decl.code < TRAMP_SLOTS + 8 + carve:
+        code, sbs = cfg.compartment(name).code, by_host.get(name, ())
+        carve = len(sbs) * SANDBOX_CODE
+        if code < TRAMP_SLOTS + 8 + carve:
             raise LayoutError(
                 f"compartment {name!r} code region too small for its trampoline"
                 + (" and sandboxes" if carve else ""))
-        base, top = code_cursor, code_cursor + decl.code
-        code_bounds[name] = (base, top)
-        own_top = top - carve
-        regions.append(Region(f"{name}.code", "code", base, own_top, (name,)))
-        slice_base = own_top
-        for sb in by_host.get(name, ()):
-            sandbox_code[sb.name] = (slice_base, slice_base + SANDBOX_CODE)
-            regions.append(Region(f"{sb.name}.code", "code",
-                                  slice_base, slice_base + SANDBOX_CODE, (sb.name,)))
-            slice_base += SANDBOX_CODE
-        code_cursor = top
-    total_code_slots = code_cursor
+        cursor = place(f"{name}.code", "code", cursor, code - carve, (name,))
+        for sb in sbs:
+            cursor = place(f"{sb}.code", "code", cursor, SANDBOX_CODE, (sb,))
+    total_code_slots = cursor
 
     # Data space.
-    regions.append(Region("switcher_data", "switcher_data", 0, SWITCHER_DATA_SIZE, ()))
-    pair_addr = 0
-    table_base = SWITCHER_DATA_SIZE
-    table_size = next_id * TABLE_ENTRY
-    regions.append(Region("cap_table", "cap_table", table_base, table_base + table_size, ()))
-    cursor = table_base + table_size
+    table_base = place("switcher_data", "switcher_data", 0, SWITCHER_DATA_SIZE)
+    cursor = place("cap_table", "cap_table", table_base, len(names) * TABLE_ENTRY)
 
-    overlap_between: dict[tuple[str, str], list[SharedDecl]] = {}
+    overlap_between: dict[frozenset[str], list[SharedDecl]] = {}
     for s in cfg.shared:
         if s.mode == "overlap":
             overlap_between.setdefault(frozenset((s.a, s.b)), []).append(s)
 
-    span_bounds: dict[str, tuple[int, int]] = {}
-    data_base: dict[str, int] = {}
-    stack_top: dict[str, int] = {}
-    heap_bounds: dict[str, tuple[int, int]] = {}
-    shared_bounds: dict[str, tuple[int, int]] = {}
-    scratch_bounds: dict[str, tuple[int, int]] = {}
-    low_window: dict[str, int] = {}    # ddc extension below the span
-    high_window: dict[str, int] = {}   # and above
-
+    # Each span's ddc runs from the windows placed just below it (or its own
+    # base) to the top of the windows placed just above it (or its own top).
+    # The last span's one-name pair matches no window.
+    ddc_bounds: dict[str, tuple[int, int]] = {}
+    view_base = cursor
     for pos, name in enumerate(order):
-        decl = cfg.compartment(name)
-        sbs = by_host.get(name, ())
+        decl, sbs = cfg.compartment(name), by_host.get(name, ())
         carve = len(sbs) * SANDBOX_SCRATCH
         if sbs and decl.heap < carve + CAP_SLOT:
             raise LayoutError(
                 f"compartment {name!r} heap too small to host {len(sbs)} sandbox(es)")
-        span_base = cursor
-        data_base[name] = cursor
-        regions.append(Region(f"{name}.data", "data", cursor, cursor + decl.data, (name,)))
-        cursor += decl.data
-        regions.append(Region(f"{name}.stack", "stack", cursor, cursor + decl.stack, (name,)))
-        cursor += decl.stack
-        stack_top[name] = cursor
-        heap_top = cursor + decl.heap - carve
-        regions.append(Region(f"{name}.heap", "heap", cursor, heap_top, (name,)))
-        heap_bounds[name] = (cursor, heap_top)
-        cursor += decl.heap - carve
+        cursor = place(f"{name}.data", "data", cursor, decl.data, (name,))
+        cursor = place(f"{name}.stack", "stack", cursor, decl.stack, (name,))
+        cursor = place(f"{name}.heap", "heap", cursor, decl.heap - carve, (name,))
         for sb in sbs:
-            scratch_bounds[sb.name] = (cursor, cursor + SANDBOX_SCRATCH)
-            regions.append(Region(f"{sb.name}.scratch", "scratch",
-                                  cursor, cursor + SANDBOX_SCRATCH, (sb.name,)))
-            cursor += SANDBOX_SCRATCH
-        span_bounds[name] = (span_base, cursor)
-
-        if pos + 1 < len(order):
-            pair = frozenset((name, order[pos + 1]))
-            for s in overlap_between.get(pair, ()):
-                shared_bounds[s.name] = (cursor, cursor + s.size)
-                regions.append(Region(s.name, "shared", cursor, cursor + s.size, (s.a, s.b)))
-                high_window[name] = cursor + s.size
-                low_window[order[pos + 1]] = min(
-                    low_window.get(order[pos + 1], cursor), cursor)
-                cursor += s.size
+            cursor = place(f"{sb}.scratch", "scratch", cursor, SANDBOX_SCRATCH, (sb,))
+        windows_base = cursor
+        for s in overlap_between.get(frozenset(order[pos:pos + 2]), ()):
+            cursor = place(s.name, "shared", cursor, s.size, (s.a, s.b))
+        ddc_bounds[name] = (view_base, cursor)
+        view_base = windows_base
 
     for s in cfg.shared:
         if s.mode == "exception":
-            shared_bounds[s.name] = (cursor, cursor + s.size)
-            regions.append(Region(s.name, "shared", cursor, cursor + s.size, (s.a, s.b)))
-            cursor += s.size
+            cursor = place(s.name, "shared", cursor, s.size, (s.a, s.b))
 
     if cursor > memory_size:
         raise LayoutError(f"layout needs {cursor:#x} bytes, memory holds {memory_size:#x}")
 
-    ddc_bounds = {}
-    for name in order:
-        lo, hi = span_bounds[name]
-        ddc_bounds[name] = (low_window.get(name, lo), high_window.get(name, hi))
-
-    sandboxes = {}
+    plan = LayoutPlan(
+        config=cfg, memory_size=memory_size, regions=regions, placement_order=order,
+        comp_ids=comp_ids, ddc_bounds=ddc_bounds, sandboxes={}, table_base=table_base,
+        pair_addr=0, switcher_code=(0, SWITCHER_CODE_SLOTS),
+        total_code_slots=total_code_slots, data_top=cursor)
     for sb in cfg.sandboxes:
-        cb, ct = sandbox_code[sb.name]
-        scb, sct = scratch_bounds[sb.name]
-        sandboxes[sb.name] = SandboxPlan(sb.name, sb.host, sandbox_ids[sb.name],
-                                         cb, ct, scb, sct)
-
-    return LayoutPlan(
-        config=cfg,
-        memory_size=memory_size,
-        regions=regions,
-        placement_order=order,
-        comp_ids={**comp_ids, **sandbox_ids},
-        code_bounds=code_bounds,
-        span_bounds=span_bounds,
-        ddc_bounds=ddc_bounds,
-        data_base=data_base,
-        stack_top=stack_top,
-        heap_bounds=heap_bounds,
-        shared_bounds=shared_bounds,
-        shared_mode={s.name: s.mode for s in cfg.shared},
-        shared_owners={s.name: (s.a, s.b) for s in cfg.shared},
-        exception_region=_exception_regions(cfg.shared),
-        sandboxes=sandboxes,
-        table_base=table_base,
-        pair_addr=pair_addr,
-        switcher_code=(0, SWITCHER_CODE_SLOTS),
-        total_code_slots=total_code_slots,
-        data_top=cursor,
-    )
+        code, scratch = plan.region(f"{sb.name}.code"), plan.region(f"{sb.name}.scratch")
+        plan.sandboxes[sb.name] = SandboxPlan(sb.name, sb.host, comp_ids[sb.name], code.base,
+                                              code.top, scratch.base, scratch.top)
+    return plan
 
 
 def format_table(rows: list[tuple[str, ...]]) -> list[str]:
@@ -571,16 +559,18 @@ class BootImage:
         the pc at its first user instruction, its ddc, sp and fp at its stack
         top, and in r18 the exception region it owns (null if none)."""
         plan = self.plan
-        if name not in plan.code_bounds:
+        if name not in plan.comp_ids or name in plan.sandboxes:
             raise LayoutError(f"{name!r} is not a compartment")
         st = self.machine
         st.pcc = set_address(self.pcc_caps[name], self.user_entry(name))
         st.ddc = self.ddc_caps[name]
         st.current_compartment = plan.comp_ids[name]
-        st.regs[REG_SP] = st.regs[REG_FP] = int_cap(plan.stack_top[name])
-        exc = plan.exception_region.get(name)
-        st.regs[REG_SHARED] = (make_root(*plan.shared_bounds[exc], DDC_PERMS)
-                               if exc is not None else NULL_CAP)
+        st.regs[REG_SP] = st.regs[REG_FP] = int_cap(plan.region(f"{name}.stack").top)
+        st.regs[REG_SHARED] = NULL_CAP
+        for s in plan.config.shared:
+            if s.mode == "exception" and name in (s.a, s.b):
+                exc = plan.region(s.name)
+                st.regs[REG_SHARED] = make_root(exc.base, exc.top, DDC_PERMS)
 
 
 def boot_init(plan: LayoutPlan) -> BootImage:
@@ -615,7 +605,7 @@ def boot_init(plan: LayoutPlan) -> BootImage:
             sb = plan.sandboxes[name]
             view, sp0 = (sb.scratch_base, sb.scratch_top), sb.scratch_top
         else:
-            view, sp0 = plan.ddc_bounds[name], plan.stack_top[name]
+            view, sp0 = plan.ddc_bounds[name], plan.region(f"{name}.stack").top
         pcc_caps[name] = make_root(code.base, code.top, PCC_PERMS)
         ddc_caps[name] = make_root(*view, DDC_PERMS)
         tramp_entries[name] = code.base
@@ -646,7 +636,7 @@ def boot_init(plan: LayoutPlan) -> BootImage:
     st = MachineState()
     st.switcher_bounds = plan.switcher_code
     st.lpb_otypes = frozenset(otypes)
-    st.exception_sharing = bool(plan.exception_region)
+    st.exception_sharing = any(s.mode == "exception" for s in cfg.shared)
     st.code_regions = code_regions
 
     img = BootImage(
@@ -654,8 +644,8 @@ def boot_init(plan: LayoutPlan) -> BootImage:
         mem=mem,
         machine=st,
         program=program,
-        heap_ptrs={c.name: plan.heap_bounds[c.name][0] for c in cfg.compartments},
-        shared_ptrs={name: b for name, (b, _) in plan.shared_bounds.items()},
+        heap_ptrs={c.name: plan.region(f"{c.name}.heap").base for c in cfg.compartments},
+        shared_ptrs={r.name: r.base for r in plan.regions if r.kind == "shared"},
         user_code_ptrs={name: TRAMP_SLOTS for name in plan.comp_ids},
         tramp_entries=tramp_entries,
         pcc_caps=pcc_caps,
@@ -673,7 +663,7 @@ def comp_alloc(img: BootImage, comp: str, size: int) -> int:
     if comp not in img.heap_ptrs:
         raise AllocError(f"unknown compartment {comp!r}")
     size = max(CAP_SLOT, (size + CAP_SLOT - 1) // CAP_SLOT * CAP_SLOT)
-    lo, hi = img.plan.heap_bounds[comp]
+    hi = img.plan.region(f"{comp}.heap").top
     ptr = img.heap_ptrs[comp]
     if ptr + size > hi:
         raise AllocError(f"heap of {comp!r} exhausted")
@@ -686,7 +676,7 @@ def shared_alloc(img: BootImage, region: str, size: int) -> int:
     if region not in img.shared_ptrs:
         raise AllocError(f"unknown shared region {region!r}")
     size = max(CAP_SLOT, (size + CAP_SLOT - 1) // CAP_SLOT * CAP_SLOT)
-    lo, hi = img.plan.shared_bounds[region]
+    hi = img.plan.region(region).top
     ptr = img.shared_ptrs[region]
     if ptr + size > hi:
         raise AllocError(f"shared region {region!r} exhausted")
@@ -744,29 +734,24 @@ def audit_plan(plan: LayoutPlan) -> list[str]:
         if r.base >= r.top and r.kind != "heap":
             problems.append(f"region {r.name} is empty or inverted")
 
+    cfg = plan.config
+    windows = [(plan.region(s.name), (s.a, s.b)) for s in cfg.shared if s.mode == "overlap"]
     for name in plan.placement_order:
-        d = plan.region(f"{name}.data")
-        s = plan.region(f"{name}.stack")
-        h = plan.region(f"{name}.heap")
-        if not (d.top == s.base and s.top == h.base):
+        span = plan._span(name)
+        if any(a.top != b.base for a, b in zip(span, span[1:])):
             problems.append(f"span of {name} is not contiguous")
-        lo, hi = plan.span_bounds[name]
-        if d.base != lo:
-            problems.append(f"span of {name} does not start at its data region")
         dlo, dhi = plan.ddc_bounds[name]
-        expect_lo, expect_hi = lo, hi
+        expect_lo, expect_hi = span[0].base, span[-1].top
         changed = True
         while changed:          # several windows may chain between one pair
             changed = False
-            for sname, (b, t) in plan.shared_bounds.items():
-                if plan.shared_mode[sname] != "overlap":
-                    continue
-                if name in plan.shared_owners[sname]:
-                    if t == expect_lo:
-                        expect_lo = b
+            for w, owners in windows:
+                if name in owners:
+                    if w.top == expect_lo:
+                        expect_lo = w.base
                         changed = True
-                    if b == expect_hi:
-                        expect_hi = t
+                    if w.base == expect_hi:
+                        expect_hi = w.top
                         changed = True
         if (dlo, dhi) != (expect_lo, expect_hi):
             problems.append(f"ddc of {name} is {dlo:#x}..{dhi:#x}, expected "
@@ -780,26 +765,30 @@ def audit_plan(plan: LayoutPlan) -> list[str]:
             if dlo < hidden.top and hidden.base < dhi:
                 problems.append(f"ddc of {name} can see {hidden.name}")
 
-    for sname, (b, t) in plan.shared_bounds.items():
-        owners = plan.shared_owners[sname]
+    for s in cfg.shared:
+        w = plan.region(s.name)
+        b, t = w.base, w.top
         for name in plan.placement_order:
             dlo, dhi = plan.ddc_bounds[name]
             covers = dlo <= b and t <= dhi
-            if plan.shared_mode[sname] == "overlap":
-                if name in owners and not covers:
-                    problems.append(f"owner {name} ddc misses shared region {sname}")
-                if name not in owners and dlo < t and b < dhi:
-                    problems.append(f"non-owner {name} ddc touches shared region {sname}")
+            if s.mode == "overlap":
+                if name in (s.a, s.b) and not covers:
+                    problems.append(f"owner {name} ddc misses shared region {s.name}")
+                if name not in (s.a, s.b) and dlo < t and b < dhi:
+                    problems.append(f"non-owner {name} ddc touches shared region {s.name}")
             else:
                 if dlo < t and b < dhi:
-                    problems.append(f"exception region {sname} visible to ddc of {name}")
+                    problems.append(f"exception region {s.name} visible to ddc of {name}")
 
+    # A sandbox's code slice lies after its host's own code region and
+    # inside the code size the host declared; its scratch inside the span.
     for sb in plan.sandboxes.values():
-        hlo, hhi = plan.span_bounds[sb.host]
-        if not (hlo <= sb.scratch_base and sb.scratch_top <= hhi):
+        span = plan._span(sb.host)
+        if not (span[0].base <= sb.scratch_base and sb.scratch_top <= span[-1].top):
             problems.append(f"sandbox {sb.name} scratch escapes host span")
-        hclo, hchi = plan.code_bounds[sb.host]
-        if not (hclo <= sb.code_base and sb.code_top <= hchi):
+        code = plan.region(f"{sb.host}.code")
+        if not (code.top <= sb.code_base
+                and sb.code_top <= code.base + cfg.compartment(sb.host).code):
             problems.append(f"sandbox {sb.name} code escapes host code region")
 
     return problems

@@ -350,7 +350,7 @@ def emit_gate_sequence(plan, gate: GateDescriptor, args: list) -> GateCode:
     the save block, the sealed invoke and the epilogue are shared.
     """
     gate.validate()
-    if gate.caller not in plan.code_bounds:
+    if gate.caller not in plan.comp_ids or gate.caller in plan.sandboxes:
         raise GateError(f"gate caller {gate.caller!r} is not a compartment")
     if gate.callee not in plan.comp_ids:
         raise GateError(f"unknown gate callee {gate.callee!r}")
@@ -498,11 +498,9 @@ def promote_shared(img: BootImage, frm: str, to: str, size: int) -> int:
     """Move a would-be stack allocation into the overlap window shared by
     the two compartments; returns its address.  Raises ShareError when no
     overlap-mode region joins them."""
-    for name, owners in img.plan.shared_owners.items():
-        if img.plan.shared_mode[name] != "overlap":
-            continue
-        if set(owners) == {frm, to}:
-            addr = shared_alloc(img, name, size)
+    for s in img.plan.config.shared:
+        if s.mode == "overlap" and {s.a, s.b} == {frm, to}:
+            addr = shared_alloc(img, s.name, size)
             img.promotion_count += 1
             return addr
     raise ShareError(f"no overlap window between {frm!r} and {to!r}")
@@ -613,18 +611,15 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     gb = random.Random(seed).getrandbits
 
     # Allowed views, by compartment id.
-    allowed: dict[int, list[tuple[int, int]]] = {}
-    names: dict[int, str] = {}
-    for name, cid in plan.comp_ids.items():
-        names[cid] = name
-        if name in plan.sandboxes:
-            sb = plan.sandboxes[name]
-            allowed[cid] = [(sb.scratch_base, sb.scratch_top)]
-        else:
-            ivs = [plan.ddc_bounds[name]]
-            if name in plan.exception_region:
-                ivs.append(plan.shared_bounds[plan.exception_region[name]])
-            allowed[cid] = ivs
+    names = {cid: name for name, cid in plan.comp_ids.items()}
+    allowed = {plan.comp_ids[name]: [ddc] for name, ddc in plan.ddc_bounds.items()}
+    for s in plan.config.shared:
+        if s.mode == "exception":
+            exc = plan.region(s.name)
+            for owner in (s.a, s.b):
+                allowed[plan.comp_ids[owner]].append((exc.base, exc.top))
+    for sb in plan.sandboxes.values():
+        allowed[sb.comp_id] = [(sb.scratch_base, sb.scratch_top)]
 
     code_regions = list(st.code_regions)
 
@@ -645,8 +640,8 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     for name in (c.name for c in plan.config.compartments):
         st.regs[:] = [NULL_CAP] * len(st.regs)
         img.enter(name)
-        base, entry_at = plan.data_base[name], plan.sealed_cap_addr(name)
-        st.regs[0:4] = [int_cap(base), int_cap(plan.stack_top[name] - 128),
+        base = entry_at = plan.sealed_cap_addr(name)
+        st.regs[0:4] = [int_cap(base), int_cap(plan.region(f"{name}.stack").top - 128),
                         int_cap(plan.table_base), int_cap(0)]
         st.regs[5] = int_cap(entry_at)
         st.regs[6] = make_root(base, base + 64, DDC_PERMS)

@@ -1,6 +1,7 @@
 """Configuration parsing, deterministic placement, the overlap-adjacency
 ordering, boot-image construction, and the structural audit."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -455,3 +456,36 @@ def test_audit_detects_planted_corruption():
     problems = audit_plan(plan)
     assert any("can see" in p for p in problems)
     assert any("ddc of app is" in p for p in problems)
+
+
+def test_host_code_bounds_are_its_pcc():
+    # A host's code bounds are its own region, the range its pcc covers and
+    # install_function accepts; its sandboxes' slices lie beyond it.
+    plan = compute_layout(parse_config(fixture("sandbox_host.cfg")))
+    img = boot_init(plan)
+    at = plan.code_bounds["host"][1] - 20
+    assert install_function(img, "host", [halt()], at=at) == at
+    pcc = img.pcc_caps["host"]
+    assert plan.code_bounds["host"] == (pcc.base, pcc.top) == (64, 448)
+
+
+@pytest.mark.parametrize("field,values,finding", [
+    ("code", (0, SANDBOX_CODE), "code escapes host code region"),
+    ("code", (576, 576 + SANDBOX_CODE), "code escapes host code region"),
+    ("scratch", (0x40, 0x40 + SANDBOX_SCRATCH), "scratch escapes host span"),
+])
+def test_audit_detects_sandbox_escaping_its_host(field, values, finding):
+    plan = compute_layout(parse_config(fixture("sandbox_host.cfg")))
+    assert audit_plan(plan) == []
+    sb = plan.sandboxes["parse_header"]
+    base, top = values
+    plan.sandboxes["parse_header"] = dataclasses.replace(
+        sb, **{f"{field}_base": base, f"{field}_top": top})
+    assert f"sandbox parse_header {finding}" in audit_plan(plan)
+
+
+@pytest.mark.parametrize("name", ["parse_header", "ghost"])
+def test_enter_rejects_what_is_not_a_compartment(name):
+    img = boot_init(compute_layout(parse_config(fixture("sandbox_host.cfg"))))
+    with pytest.raises(LayoutError, match=f"'{name}' is not a compartment"):
+        img.enter(name)
