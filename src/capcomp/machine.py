@@ -13,11 +13,26 @@ installed default data capability (ddc); capability-operand accesses are
 checked against the operand itself.  A step either retires completely or
 faults without touching any register, memory byte, or tag.
 
-`step` checks the fetch, runs the opcode's handler, and retires in one
-place: the handler returns the next pc, or None when it faulted or halted.
-The fetch check and the data-access check test the allowed case inline and
-call `check_access` only when that test fails, so `check_access` alone
-decides which fault kind is reported.
+`run` is the one per-instruction loop.  Each iteration checks the fetch,
+runs the opcode's handler, and retires in one place: the handler returns the
+next pc, or None when it faulted or halted.  `step` is a one-step `run`
+behind two guards, and `invoke_sealed` is a load-pair-branch retired by the
+same rule.  The fetch check and the data-access check test the allowed case
+inline and call `check_access` only when that test fails, so `check_access`
+alone decides which fault kind is reported.
+
+The loop re-derives two facts only when they can have changed, and both are
+locals of one `run` call.  The code capability's tag, seal and execute bit
+are tested once per `code` value: a `Capability` is immutable, so while
+`st.code` is the very object that passed (`code is checked`), it still
+passes, and only a branch or load-pair-branch installs a new one.  The
+bounds test runs on every step.  The current compartment is the first code
+region that holds the retired pc (a pc in none keeps it), and each
+resolution also yields the interval around that pc, clipped by every
+earlier region it passed, on which first match gives the same answer; the
+regions are scanned again only when a retire leaves that interval.  Nothing
+else in the loop writes the compartment, so skipping the scan inside the
+interval changes nothing.
 
 Privileged operations (seal, install-ddc, read-ddc) only execute while the
 pcc lies inside the switcher/boot code region.  The one exception is the
@@ -63,6 +78,7 @@ PAIR_BYTES = 2 * CAP_SLOT      # a (pcc, ddc) capability pair in memory
 _LOAD, _STORE, _EXECUTE, _LOAD_CAP, _STORE_CAP = (
     int(p) for p in (Perm.LOAD, Perm.STORE, Perm.EXECUTE, Perm.LOAD_CAP, Perm.STORE_CAP))
 _int_and = int.__and__     # AND of a Perm and an int mask, as a plain int
+_PC_LIMIT = ADDR_MASK + 2  # above every pc a retire can reach
 
 
 class MachineError(Exception):
@@ -91,8 +107,8 @@ class MachineState:
     untagged capabilities whose cursor is the integer.  Register 16 is
     hardwired to zero.  The pcc is `code`, the capability the fetch is
     checked against, plus the program counter `pc`; the `pcc` property reads
-    and writes the two as one capability.  `step` mutates the state in place
-    and returns it.
+    and writes the two as one capability.  `run` and `step` mutate the state
+    in place and return it.
     """
 
     regs: list[Capability] = field(default_factory=lambda: [NULL_CAP] * NUM_REGS)
@@ -116,7 +132,9 @@ class MachineState:
     switcher_bounds: tuple[int, int] | None = None
     # Object types load-pair-branch accepts; None accepts any sealed value.
     lpb_otypes: frozenset[int] | None = None
-    # (base, top, compartment) in instruction-index space, pairwise disjoint.
+    # (base, top, compartment) in instruction-index space.  A booted image's
+    # regions are pairwise disjoint (`audit_plan` checks the plan); where
+    # hand-built regions overlap, the first one that holds the pc wins.
     code_regions: list[tuple[int, int, int]] = field(default_factory=list)
 
     # One-shot install-ddc window armed by load-pair-branch.
@@ -163,24 +181,29 @@ def _setreg(st: MachineState, idx: int, value: Capability) -> None:
         st.regs[idx] = value
 
 
-def _retire(st: MachineState, pc: int) -> None:
-    """Count the retired instruction and continue at `pc`.  The code region
-    holding `pc` becomes the current compartment; a pc outside every
-    region (the switcher) leaves it unchanged.  `invoke_sealed` retires
-    through this; `step` runs the same lines inline, because the call on
-    every instruction cost about 2 % of gate round-trip throughput."""
-    st.instructions_retired += 1
-    st.pc = pc
+def _enter_region(st: MachineState, pc: int) -> tuple[int, int]:
+    """Make the first code region that holds `pc` the current compartment;
+    a pc outside every region (the switcher) leaves it unchanged.  Returns
+    the interval [lo, hi) of pcs that resolve the same way: the matched
+    region, or the gap, clipped by every earlier region it passed, so no pc
+    in it falls in an earlier region and first match there picks the same
+    region, or none."""
+    lo, hi = 0, _PC_LIMIT
     for base, top, comp in st.code_regions:
         if base <= pc < top:
             st.current_compartment = comp
-            break
+            return max(lo, base), min(hi, top)
+        if top <= pc:
+            lo = max(lo, top)
+        else:
+            hi = min(hi, base)
+    return lo, hi
 
 
 # One handler per opcode: handler(st, mem, ins, pc, grant) executes `ins`,
 # fetched from `pc` and past the fetch checks; `grant` is the install-ddc
 # grant armed for this instruction.  The handler returns the next pc, or
-# None when it faulted or halted; `step` retires.  Only `_halt` counts its
+# None when it faulted or halted; `run` retires.  Only `_halt` counts its
 # own retire.
 
 
@@ -403,37 +426,14 @@ _HANDLERS = {op.value: handler for op, handler in (
 
 
 def step(st: MachineState, mem: TaggedMemory, program: list[Ins]) -> MachineState:
-    """Execute exactly one instruction (or record exactly one fault)."""
+    """Execute exactly one instruction (or record exactly one fault): a
+    one-step `run`, so it appends one step record while `st.events` is a
+    list."""
     if st.fault is not None:
         raise MachineError("step with a pending fault; clear or handle it first")
     if st.halted:
         raise MachineError("step after halt")
-
-    pc = st.pc
-    grant = st.ddc_grant
-    st.ddc_grant = None            # the window is exactly one instruction wide
-
-    # The allowed case of the fetch check, inline; `check_access` names the
-    # fault.
-    code = st.code
-    if not (code.tag and not code.otype and _int_and(code.perms, _EXECUTE)
-            and code.base <= pc < code.top):
-        _fault(st, check_access(code, pc, 1, _EXECUTE), pc, pc)
-        return st
-    if pc >= len(program):
-        _fault(st, FaultKind.ADDRESS, pc, pc)
-        return st
-
-    ins = program[pc]
-    nxt = _HANDLERS[ins.op._value_](st, mem, ins, pc, grant)
-    if nxt is not None:            # `_retire(st, nxt)`, inline
-        st.instructions_retired += 1
-        st.pc = nxt
-        for base, top, comp in st.code_regions:
-            if base <= nxt < top:
-                st.current_compartment = comp
-                break
-    return st
+    return run(st, mem, program, max_steps=1)
 
 
 def invoke_sealed(st: MachineState, mem: TaggedMemory, sealed_reg: int,
@@ -447,11 +447,15 @@ def invoke_sealed(st: MachineState, mem: TaggedMemory, sealed_reg: int,
     """
     if st.fault is not None:
         raise MachineError("invoke_sealed with a pending fault")
+    if st.halted:
+        raise MachineError("invoke_sealed after halt")
     st.ddc_grant = None
     target = _load_pair_branch(st, mem, Ins(Op.LOAD_PAIR_BRANCH, sealed_reg, second_reg),
                                st.pc, None)
     if target is not None:
-        _retire(st, target)
+        st.instructions_retired += 1
+        st.pc = target
+        _enter_region(st, target)
     return st
 
 
@@ -491,6 +495,11 @@ def run(st: MachineState, mem: TaggedMemory, program: list[Ins],
     attempted step; `format_trace` turns them into lines.
     """
     events = st.events
+    handlers = _HANDLERS
+    end = len(program)
+    checked = None         # the last `code` that passed tag, seal and execute
+    cbase = ctop = 0       # its bounds
+    lo = hi = 0            # retired pcs in [lo, hi) keep the compartment
     steps = 0
     while steps < max_steps:
         if st.halted:
@@ -499,12 +508,30 @@ def run(st: MachineState, mem: TaggedMemory, program: list[Ins],
             if st.exception_sharing and handle_fault_ddc_swap(st, mem):
                 continue
             break
+        steps += 1
         pc = st.pc
         comp = st.current_compartment
-        step(st, mem, program)
+        grant = st.ddc_grant
+        st.ddc_grant = None        # the window is exactly one instruction wide
+        # The fetch check: the allowed case inline, `check_access` names the
+        # fault.  Only a new `code` needs its tag, seal and execute bit tested.
+        code = st.code
+        if code is not checked and code.tag and not code.otype and _int_and(code.perms, _EXECUTE):
+            checked, cbase, ctop = code, code.base, code.top
+        if code is not checked or not cbase <= pc < ctop:
+            _fault(st, check_access(code, pc, 1, _EXECUTE), pc, pc)
+        elif pc >= end:
+            _fault(st, FaultKind.ADDRESS, pc, pc)
+        else:
+            ins = program[pc]
+            nxt = handlers[ins.op._value_](st, mem, ins, pc, grant)
+            if nxt is not None:    # retire
+                st.instructions_retired += 1
+                st.pc = nxt
+                if not lo <= nxt < hi:
+                    lo, hi = _enter_region(st, nxt)
         if events is not None:
             events.append(("step", pc, comp, st.fault))
-        steps += 1
     return st
 
 

@@ -339,6 +339,25 @@ def test_run_matches_the_per_step_loop():
         assert seen[what] > 0, what
 
 
+def test_fall_through_walks_every_region_set():
+    # A straight run of NOPs over the whole program crosses every region
+    # edge in order, from outside a region into a nested, overlapping or
+    # later one, and out again.
+    program = [nop()] * PROGRAM_LEN
+    mem = TaggedMemory(CAP_SLOT)
+    rng = random.Random(2)
+    region_sets = REGION_SETS + [random_regions(rng) for _ in range(400)]
+    for regions in region_sets:
+        got, want = MachineState(), MachineState()
+        for st in (got, want):
+            st.code = make_root(0, PROGRAM_LEN, Perm.EXECUTE)
+            st.code_regions = list(regions)
+            st.events = []
+        run(got, mem, program)
+        ref_run(want, mem, program)
+        assert observe(got, mem) == observe(want, mem), regions
+
+
 def test_step_matches_the_per_step_loop():
     # A `step` record, if `step` appends one, is the loop's to check: only
     # the access records are compared here.

@@ -23,7 +23,7 @@ from capcomp.capability import (
 )
 from capcomp.isa import INT_WIDTH, bcap, halt, ldc, ldi, nop, stc, sti
 from capcomp.layout import boot_init, compute_layout, parse_config
-from capcomp.machine import Fault, MachineState, invoke_sealed, run, step
+from capcomp.machine import Fault, MachineError, MachineState, invoke_sealed, run, step
 from capcomp.memory import CAP_SLOT, TaggedMemory
 
 MEM_SIZE = 1024
@@ -283,3 +283,59 @@ def test_invoke_sealed_retires_into_the_target_region():
     assert st.fault is None
     assert (st.pc, st.current_compartment, st.instructions_retired) == (100, 4, 1)
     assert st.regs[9].base == 0 and st.ddc_grant == 9
+
+
+def test_invoke_sealed_after_halt_raises():
+    st, mem = region_machine(2, [(100, 200, 4)], 0)
+    mem.store_cap(512, make_root(100, 200, Perm.EXECUTE))
+    mem.store_cap(544, make_root(0, 256, PERM_ALL))
+    st.regs[3] = seal(make_root(512, 576, Perm.LOAD_CAP), OTYPE)
+    st.halted = True
+    before = snapshot(st, mem)
+    with pytest.raises(MachineError, match="after halt"):
+        invoke_sealed(st, mem, 3, second_reg=9)
+    assert snapshot(st, mem) == before
+    assert st.switches == 0
+
+
+# --------------------------------------------------------------------------
+# `step` is a one-step `run`
+
+def test_step_refuses_a_pending_fault_or_a_halted_machine():
+    st, mem = region_machine(3, [], 0)
+    st.fault = Fault(FaultKind.BOUNDS, 3, 3)
+    with pytest.raises(MachineError, match="pending fault"):
+        step(st, mem, [nop()] * 8)
+    st, mem = region_machine(3, [], 0)
+    st.halted = True
+    with pytest.raises(MachineError, match="after halt"):
+        step(st, mem, [nop()] * 8)
+    assert st.instructions_retired == 0
+
+
+def test_step_executes_exactly_one_instruction():
+    st, mem = region_machine(3, [(0, 10, 0), (10, 20, 1)], 0)
+    program = [nop()] * 40
+    for n in range(1, 12):
+        step(st, mem, program)
+        assert (st.pc, st.instructions_retired) == (3 + n, n)
+    assert st.current_compartment == 1
+
+
+def test_step_appends_one_step_record():
+    st, mem = region_machine(9, [(0, 10, 0), (10, 20, 1)], 0)
+    st.switcher_bounds = (40, 40)
+    st.events = []
+    program = [nop()] * 40
+    program[10] = sti(1, 2, 0)
+    st.regs[2] = int_cap(512)
+    step(st, mem, program)
+    assert st.events == [("step", 9, 0, None)]
+    step(st, mem, program)                  # an access, then its step record
+    assert st.events[1:] == [("access", 10, 512, INT_WIDTH, True), ("step", 10, 1, None)]
+    st.ddc = make_root(0, 64, PERM_ALL)
+    st.regs[2] = int_cap(512)
+    st.pc = 10
+    step(st, mem, program)                  # a fault: one record, naming it
+    assert st.events[3:] == [("step", 10, 1, st.fault)]
+    assert st.fault == Fault(FaultKind.BOUNDS, 512, 10, INT_WIDTH, True)
