@@ -182,12 +182,11 @@ def _setreg(st: MachineState, idx: int, value: Capability) -> None:
 
 
 def _enter_region(st: MachineState, pc: int) -> tuple[int, int]:
-    """Make the first code region that holds `pc` the current compartment;
-    a pc outside every region (the switcher) leaves it unchanged.  Returns
-    the interval [lo, hi) of pcs that resolve the same way: the matched
-    region, or the gap, clipped by every earlier region it passed, so no pc
-    in it falls in an earlier region and first match there picks the same
-    region, or none."""
+    """Make the first code region that holds `pc` the current compartment
+    (a pc outside every region, such as the switcher's, leaves it
+    unchanged), and return the interval [lo, hi) on which first match gives
+    the same answer: the matched region or the gap, clipped by every
+    earlier region the scan passed."""
     lo, hi = 0, _PC_LIMIT
     for base, top, comp in st.code_regions:
         if base <= pc < top:

@@ -304,6 +304,24 @@ def observe(st, mem, events=None):
     }
 
 
+def blocked_entry(st, program):
+    """Whether the pending fault is a branch to an executable target that
+    `_blocked_entry` refused: a way into the privileged window."""
+    f = st.fault
+    if f is None or f.kind is not FaultKind.PERMISSION or f.pc >= len(program):
+        return False
+    ins = program[f.pc]
+    if ins.op is Op.BRANCH_CAP:
+        target = st.regs[ins.a]
+    elif ins.op is Op.RETURN_LOCAL:
+        target = st.regs[REG_LINK]
+    elif ins.op is Op.CALL_LOCAL:
+        target = set_address(st.code, st.regs[ins.a].address)
+    else:
+        return False
+    return check_access(target, target.address, 1, Perm.EXECUTE) is None
+
+
 def max_steps_of(seed):
     rng = random.Random(seed ^ 0x5EED)
     return rng.choice((0, 1, 2, rng.randrange(400), rng.randrange(400), rng.randrange(400)))
@@ -331,8 +349,7 @@ def test_run_matches_the_per_step_loop():
         seen["compartment changed"] += ref.current_compartment != comp
         if ref.fault is not None:
             seen[ref.fault.kind] += 1
-            seen["blocked entry"] += (ref.fault.kind is FaultKind.PERMISSION
-                                      and ref.fault.addr != ref.fault.pc)
+            seen["blocked entry"] += blocked_entry(ref, program)
     # The cases reach every path the loop takes.
     for what in ("retired", "switch", "swap", "halt", "events", "budget 0",
                  "compartment changed", "blocked entry", *FaultKind):

@@ -3,7 +3,8 @@
 The data-access and fetch checks are compared, case by case, with the fault
 that `check_access` implies: the whole `Fault` record, and no change to any
 register, memory byte or tag when the step faults.  The retire tests pin
-where a step leaves the pc, the retire count and the current compartment.
+where a step leaves the pc, the retire count and the current compartment,
+and the last tests pin `step` as a one-step `run` behind its two guards.
 """
 
 import importlib.resources as ir
