@@ -580,6 +580,27 @@ def _fuzz_ins(gb, addr_regs: tuple[int, ...]):
     return retl() if _draw(gb, 2) else setaddr(rd, _draw(gb, 32), _draw(gb, 32))
 
 
+def _run_sequence(st, mem, program, site: int, end: int, max_steps: int, draw) -> None:
+    """Run as one `run(st, mem, program, max_steps)` call runs, with the same
+    step budget, exception-sharing swaps and step and access records, but one
+    step at a time, so that each slot of [site, end) gets `draw(pc)` written
+    into it just before its first fetch.  The machine sees a slot only by
+    fetching it, so a slot it never fetches is never drawn.  `st.events` must
+    be a list: a call that made no step leaves no step record, which is how
+    a fault that no swap clears is told from one that a swap cleared."""
+    events = st.events
+    drawn = set()
+    for _ in range(max_steps):
+        pc = st.pc
+        if site <= pc < end and pc not in drawn:
+            drawn.add(pc)
+            program[pc] = draw(pc)
+        mark = len(events)
+        run(st, mem, program, 1)
+        if st.halted or len(events) == mark or st.fault is not None and not st.exception_sharing:
+            return
+
+
 def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
                    max_len: int = 8, max_steps: int = 32,
                    report_cap: int = 20) -> FuzzReport:
@@ -592,6 +613,14 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     Accesses made while the pc is inside the switcher are trusted-computing
     base activity and exempt.  Faults are the machine working as intended and
     are tallied, not flagged.
+
+    Each sequence draws, from one `random.Random(seed)`, its length, then
+    the address r4 starts with, and ends in a halt at `site + length`.  Its
+    instructions are drawn one slot at a time, just before the machine first
+    fetches the slot (`_run_sequence`); a slot it never fetches keeps what
+    was there before.  The slots are independent draws from one
+    distribution, so what runs is distributed as if every slot had been
+    drawn up front.
 
     At most `report_cap` violations are listed.  At the first one beyond
     that, fuzzing stops and the list is truncated: its last entry becomes
@@ -607,6 +636,7 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
         raise ValueError(f"max_steps must be at least 1, not {max_steps}")
     plan = img.plan
     st = img.machine
+    mem = img.mem
     program = img.program
     gb = random.Random(seed).getrandbits
 
@@ -636,8 +666,14 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     # capability to the home data region.  Per sequence, r4 takes a random
     # address and r7 the sealed entry capability, reloaded because a
     # sequence can overwrite it in memory.
+    home_names = [c.name for c in plan.config.compartments]
+    for name in home_names:
+        site, top = img.user_entry(name), plan.region(f"{name}.code").top
+        if site + max_len >= top:
+            raise ValueError(f"max_len {max_len} plus the halt does not fit in the code region "
+                             f"of {name!r}: its fuzz site is slot {site}, the region ends at {top}")
     homes = []
-    for name in (c.name for c in plan.config.compartments):
+    for name in home_names:
         st.regs[:] = [NULL_CAP] * len(st.regs)
         img.enter(name)
         base = entry_at = plan.sealed_cap_addr(name)
@@ -655,17 +691,15 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     total_steps = 0
     switches0 = st.switches
     addr_regs = (0, 1, 2, 3, 4, 5, 6, 7, 31)
+    draw = lambda pc: _fuzz_ins(gb, addr_regs)   # slots are independent draws
 
     for i in range(sequences):
         site, regs, entry_at, code, ddc, home_id, sharing = homes[i % len(homes)]
-        seq_len = 1 + _draw(gb, max_len)
-        for j in range(seq_len):
-            program[site + j] = _fuzz_ins(gb, addr_regs)
-        program[site + seq_len] = _HALT
-
+        end = site + 1 + _draw(gb, max_len)
         st.regs[:] = regs
         st.regs[4] = int_cap(_draw(gb, plan.data_top))
-        st.regs[7] = img.mem.load_cap(entry_at)
+        st.regs[7] = mem.load_cap(entry_at)
+        program[end] = _HALT
         st.code = code
         st.pc = site
         st.ddc = ddc
@@ -676,7 +710,7 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
         st.ddc_grant = None
 
         n0 = st.instructions_retired
-        run(st, img.mem, program, max_steps=max_steps)
+        _run_sequence(st, mem, program, site, end, max_steps, draw)
         total_steps += st.instructions_retired - n0
         if st.fault is not None:
             kind = st.fault.kind.value

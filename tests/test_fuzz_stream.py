@@ -1,12 +1,21 @@
 """The isolation fuzzer's random stream, pinned.
 
 Every `FuzzReport` field of `fuzz_isolation`, for three seeds on each bundled
-configuration and on `FUZZ_CONFIG`, and at other sequence widths.  The
-harness draws the sequence length, then the instructions, then the r4
-address from one `random.Random(seed)`; any change to those draws, to their
-order, or to the machine's behaviour moves these numbers.  Fault kinds are
-pinned in first-seen order, which `capcomp verify` uses to break ties in its
-tally.
+configuration and on `FUZZ_CONFIG`, and at other sequence widths.  Per
+sequence, the harness draws from one `random.Random(seed)` the sequence
+length, then the r4 address, and writes the halt after the last slot; it
+then draws each slot's instruction just before the machine first fetches
+that slot, so a slot that is never fetched is never drawn and keeps what an
+earlier sequence left there.  Any change to those draws, to their order, or
+to the machine's behaviour moves these numbers.  Fault kinds are pinned in
+first-seen order, which `capcomp verify` uses to break ties in its tally.
+
+The lazy drawing is checked three ways below: each sequence draws exactly
+the slots its step records fetch, in first-fetch order; replaying every
+sequence as one `run(max_steps)` call, with a poison instruction in each
+undrawn slot, repeats the `FuzzReport` and every record; and on the
+exception-sharing swap path, stepping a sequence leaves the state and
+records one `run(max_steps)` call leaves.
 
 Every draw goes through `runtime._draw`, which calls the generator's
 `getrandbits` exactly as `Random._randbelow` does: `n.bit_length()` bits,
@@ -20,15 +29,20 @@ generator state included.
 
 import importlib.resources as ir
 import random
+from dataclasses import dataclass
 
 import pytest
 
-from capcomp.capability import Perm
+from capcomp import runtime
+from capcomp.capability import FaultKind, Perm, make_root
 from capcomp.isa import (
+    REG_SP,
+    REG_ZERO,
     addi,
     bcap,
     calll,
     cvtd,
+    halt,
     installddc,
     ldc,
     ldi,
@@ -42,25 +56,26 @@ from capcomp.isa import (
     stc,
     sti,
 )
-from capcomp.layout import boot_init, compute_layout, parse_config
-from capcomp.runtime import FUZZ_CONFIG, _draw, _fuzz_ins, fuzz_isolation
+from capcomp.layout import DDC_PERMS, boot_init, compute_layout, parse_config
+from capcomp.machine import run
+from capcomp.runtime import FUZZ_CONFIG, FuzzReport, _draw, _fuzz_ins, fuzz_isolation
 
 SEQUENCES = 500
 
 # (config, seed): (sequences, steps, switches, faults in first-seen order, violations)
 PINNED = {
-    ("two_comp", 3): (500, 321, 4, [("BoundsFault", 129), ("PermissionFault", 75), ("TagFault", 237), ("AlignmentFault", 16), ("SealFault", 2)], []),
-    ("two_comp", 41): (500, 435, 21, [("TagFault", 213), ("PermissionFault", 85), ("BoundsFault", 146), ("AlignmentFault", 13), ("SealFault", 16)], []),
-    ("two_comp", 1009): (500, 380, 15, [("BoundsFault", 144), ("TagFault", 219), ("PermissionFault", 67), ("SealFault", 16), ("AlignmentFault", 24)], []),
-    ("three_comp_shared", 3): (500, 353, 6, [("BoundsFault", 133), ("TagFault", 236), ("PermissionFault", 69), ("AlignmentFault", 23), ("SealFault", 4)], []),
-    ("three_comp_shared", 41): (500, 334, 9, [("TagFault", 226), ("PermissionFault", 65), ("BoundsFault", 138), ("AlignmentFault", 24), ("SealFault", 18)], []),
-    ("three_comp_shared", 1009): (500, 429, 20, [("BoundsFault", 139), ("TagFault", 227), ("PermissionFault", 71), ("AlignmentFault", 23), ("SealFault", 14)], []),
-    ("sandbox_host", 3): (500, 362, 9, [("BoundsFault", 124), ("PermissionFault", 75), ("TagFault", 236), ("AlignmentFault", 19), ("SealFault", 5)], []),
-    ("sandbox_host", 41): (500, 407, 18, [("TagFault", 221), ("PermissionFault", 78), ("BoundsFault", 146), ("AlignmentFault", 15), ("SealFault", 13)], []),
-    ("sandbox_host", 1009): (500, 366, 11, [("BoundsFault", 128), ("TagFault", 233), ("PermissionFault", 65), ("SealFault", 16), ("AlignmentFault", 24)], []),
-    ("FUZZ_CONFIG", 3): (500, 382, 11, [("BoundsFault", 131), ("PermissionFault", 75), ("TagFault", 220), ("AlignmentFault", 22), ("SealFault", 7)], []),
-    ("FUZZ_CONFIG", 41): (500, 403, 17, [("TagFault", 216), ("PermissionFault", 80), ("BoundsFault", 148), ("AlignmentFault", 15), ("SealFault", 15)], []),
-    ("FUZZ_CONFIG", 1009): (500, 427, 17, [("BoundsFault", 120), ("TagFault", 228), ("PermissionFault", 69), ("SealFault", 20), ("AlignmentFault", 29)], []),
+    ("two_comp", 3): (500, 382, 15, [("TagFault", 226), ("BoundsFault", 152), ("PermissionFault", 65), ("AlignmentFault", 20), ("SealFault", 7)], []),
+    ("two_comp", 41): (500, 299, 8, [("TagFault", 214), ("BoundsFault", 150), ("AlignmentFault", 18), ("SealFault", 10), ("PermissionFault", 81)], []),
+    ("two_comp", 1009): (500, 313, 8, [("TagFault", 235), ("BoundsFault", 130), ("SealFault", 9), ("PermissionFault", 70), ("AlignmentFault", 32)], []),
+    ("three_comp_shared", 3): (500, 426, 17, [("TagFault", 221), ("SealFault", 9), ("BoundsFault", 143), ("PermissionFault", 73), ("AlignmentFault", 19)], []),
+    ("three_comp_shared", 41): (500, 360, 11, [("TagFault", 208), ("AlignmentFault", 22), ("SealFault", 19), ("BoundsFault", 155), ("PermissionFault", 67)], []),
+    ("three_comp_shared", 1009): (500, 417, 13, [("TagFault", 213), ("BoundsFault", 140), ("SealFault", 12), ("PermissionFault", 66), ("AlignmentFault", 32)], []),
+    ("sandbox_host", 3): (500, 463, 24, [("TagFault", 221), ("BoundsFault", 151), ("PermissionFault", 68), ("SealFault", 11), ("AlignmentFault", 29)], []),
+    ("sandbox_host", 41): (500, 315, 7, [("TagFault", 222), ("BoundsFault", 145), ("AlignmentFault", 19), ("PermissionFault", 80), ("SealFault", 3)], []),
+    ("sandbox_host", 1009): (500, 309, 10, [("TagFault", 214), ("BoundsFault", 147), ("SealFault", 9), ("PermissionFault", 74), ("AlignmentFault", 30)], []),
+    ("FUZZ_CONFIG", 3): (500, 400, 17, [("TagFault", 212), ("BoundsFault", 155), ("PermissionFault", 66), ("AlignmentFault", 28), ("SealFault", 15)], []),
+    ("FUZZ_CONFIG", 41): (500, 373, 13, [("TagFault", 209), ("BoundsFault", 148), ("AlignmentFault", 22), ("PermissionFault", 79), ("SealFault", 9)], []),
+    ("FUZZ_CONFIG", 1009): (500, 330, 10, [("TagFault", 220), ("BoundsFault", 137), ("SealFault", 10), ("PermissionFault", 68), ("AlignmentFault", 35)], []),
 }
 
 
@@ -82,9 +97,9 @@ def test_fuzz_report_is_pinned(name, seed):
 # seed 41.  max_len=1 still spends one draw on the sequence length.
 # (keyword arguments): (sequences, steps, switches, faults in first-seen order, violations)
 PINNED_WIDTHS = {
-    (("max_len", 1),): (500, 420, 8, [("BoundsFault", 106), ("TagFault", 160), ("SealFault", 6), ("AlignmentFault", 18), ("PermissionFault", 36)], []),
-    (("max_len", 16),): (500, 438, 18, [("TagFault", 238), ("BoundsFault", 147), ("PermissionFault", 65), ("AlignmentFault", 29), ("SealFault", 10)], []),
-    (("max_steps", 4),): (500, 310, 17, [("TagFault", 198), ("PermissionFault", 80), ("BoundsFault", 148), ("AlignmentFault", 15), ("SealFault", 15)], []),
+    (("max_len", 1),): (500, 390, 6, [("TagFault", 156), ("BoundsFault", 99), ("AlignmentFault", 13), ("PermissionFault", 61), ("SealFault", 3)], []),
+    (("max_len", 16),): (500, 381, 15, [("TagFault", 226), ("BoundsFault", 150), ("AlignmentFault", 24), ("PermissionFault", 76), ("SealFault", 7)], []),
+    (("max_steps", 4),): (500, 299, 12, [("TagFault", 194), ("BoundsFault", 148), ("AlignmentFault", 20), ("PermissionFault", 80), ("SealFault", 8)], []),
 }
 
 
@@ -157,3 +172,213 @@ def test_draw_matches_randrange(n):
         gb = new.getrandbits
         assert [_draw(gb, n) for _ in range(500)] == [ref.randrange(n) for _ in range(500)]
         assert new.getstate() == ref.getstate()
+
+
+# --------------------------------------------------------------------------
+# Lazy drawing: a slot is drawn just before its first fetch, and only then.
+
+@dataclass
+class Recorded:
+    site: int
+    end: int            # the halt's slot
+    start: tuple        # regs, code, pc, ddc, compartment, exception sharing
+    drawn: dict         # slot -> instruction, in draw order
+    events: list        # the step and access records the sequence left
+
+
+def start_of(st):
+    assert (st.fault, st.halted, st.ddc_grant) == (None, False, None)
+    return (list(st.regs), st.code, st.pc, st.ddc, st.current_compartment, st.exception_sharing)
+
+
+def record_sequences(monkeypatch):
+    """Record every sequence `fuzz_isolation` runs, through `_run_sequence`,
+    checking that no slot is drawn after it was fetched or drawn twice."""
+    seqs = []
+    real = runtime._run_sequence
+
+    def recording(st, mem, program, site, end, max_steps, draw):
+        rec = Recorded(site, end, start_of(st), {}, [])
+        mark = len(st.events)
+
+        def logged(pc):
+            assert pc not in rec.drawn, f"slot {pc} drawn twice"
+            assert pc not in [ev[1] for ev in st.events[mark:] if ev[0] == "step"]
+            rec.drawn[pc] = ins = draw(pc)
+            return ins
+
+        real(st, mem, program, site, end, max_steps, logged)
+        rec.events = st.events[mark:]
+        seqs.append(rec)
+
+    monkeypatch.setattr(runtime, "_run_sequence", recording)
+    return seqs
+
+
+def boot(name):
+    return boot_init(compute_layout(parse_config(config_text(name)), memory_size=1 << 20))
+
+
+@pytest.mark.parametrize("name, seed", [("three_comp_shared", 7), ("sandbox_host", 41), ("FUZZ_CONFIG", 3)])
+def test_each_fetched_slot_is_drawn_once(monkeypatch, name, seed):
+    seqs = record_sequences(monkeypatch)
+    fuzz_isolation(boot(name), sequences=2000, seed=seed)
+    assert len(seqs) == 2000
+    for i, rec in enumerate(seqs):
+        fetched = [ev[1] for ev in rec.events if ev[0] == "step"]
+        first_fetches = dict.fromkeys(pc for pc in fetched if rec.site <= pc < rec.end)
+        assert list(rec.drawn) == list(first_fetches), f"sequence {i}"
+    # most sequences fault on their first instruction, so most slots stay undrawn
+    assert sum(len(r.drawn) for r in seqs) < sum(r.end - r.site for r in seqs) / 2
+
+
+class Poison:
+    """What an undrawn slot holds in a replay: fetching it fails the test."""
+
+    @property
+    def op(self):
+        raise AssertionError("the machine fetched a slot the fuzzer never drew")
+
+
+POISON = Poison()
+
+
+def views(plan):
+    allowed = {plan.comp_ids[name]: [ddc] for name, ddc in plan.ddc_bounds.items()}
+    for s in plan.config.shared:
+        if s.mode == "exception":
+            exc = plan.region(s.name)
+            for owner in (s.a, s.b):
+                allowed[plan.comp_ids[owner]].append((exc.base, exc.top))
+    for sb in plan.sandboxes.values():
+        allowed[sb.comp_id] = [(sb.scratch_base, sb.scratch_top)]
+    return allowed
+
+
+def replay(img, seqs, max_steps=32):
+    """Run each recorded sequence as one `run(max_steps)` call, from its
+    recorded start, over a program holding its drawn instructions, a halt at
+    its end and `POISON` in every slot of the sequence it did not draw.  An
+    undrawn slot then gets back what it held, as the fuzzer never wrote it.
+    Returns the `FuzzReport` the replay makes, judged as `fuzz_isolation`
+    judges."""
+    st, mem, program, plan = img.machine, img.mem, img.program, img.plan
+    names = {cid: name for name, cid in plan.comp_ids.items()}
+    allowed = views(plan)
+    faults, violations, steps, switches0 = {}, [], 0, st.switches
+    for i, rec in enumerate(seqs):
+        kept = dict(zip(range(rec.site, rec.end), program[rec.site:rec.end]))
+        program[rec.site:rec.end] = [rec.drawn.get(pc, POISON) for pc in kept]
+        program[rec.end] = halt()
+        regs, st.code, st.pc, st.ddc, st.current_compartment, st.exception_sharing = rec.start
+        st.regs[:] = regs
+        st.fault, st.halted, st.ddc_grant, st.events = None, False, None, []
+        n0 = st.instructions_retired
+        run(st, mem, program, max_steps)
+        steps += st.instructions_retired - n0
+        if st.fault is not None:
+            faults[st.fault.kind.value] = faults.get(st.fault.kind.value, 0) + 1
+        assert st.events == rec.events, f"sequence {i}"
+        for ev in st.events:
+            if ev[0] == "access":
+                _, pc, addr, ln, is_write = ev
+                cid = next((c for lo, hi, c in st.code_regions if lo <= pc < hi), None)
+                if cid is not None and not any(a <= addr and addr + ln <= b for a, b in allowed[cid]):
+                    violations.append(f"sequence {i}: pc {pc} ({names[cid]}) "
+                                      f"{'wrote' if is_write else 'read'} "
+                                      f"[{addr:#x}, {addr + ln:#x}) outside its view")
+        for pc, ins in kept.items():
+            if pc not in rec.drawn:
+                program[pc] = ins
+    st.events = None
+    return FuzzReport(len(seqs), steps, st.switches - switches0, faults, violations)
+
+
+@pytest.mark.parametrize("name, seed, breach", [("three_comp_shared", 7, False),
+                                                ("three_comp_shared", 1009, False),
+                                                ("two_comp", 3, True)])
+def test_undrawn_slots_are_never_seen(monkeypatch, name, seed, breach):
+    # The breach widens app's ddc to all of data memory, so the replay must
+    # also repeat every violation.
+    def image():
+        img = boot(name)
+        if breach:
+            img.ddc_caps["app"] = make_root(0, img.plan.data_top, DDC_PERMS)
+        return img
+
+    seqs = record_sequences(monkeypatch)
+    rep = fuzz_isolation(image(), sequences=2000, seed=seed, report_cap=10**6)
+    assert (rep.violations != []) == breach
+    got = replay(image(), seqs)
+    assert got == rep
+    assert list(got.faults.items()) == list(rep.faults.items())
+
+
+SWAP_SCRIPTS = {
+    # store into the mailbox and load from the stack, over and over: every
+    # access swaps ddc, and slots are fetched again after they were drawn
+    "loop": lambda mb, site, other: [addi(8, REG_ZERO, mb), sti(8, 8, 0), ldi(9, REG_SP, -8),
+                                     addi(10, REG_ZERO, site + 1), calll(10)],
+    # a swap each way, then a bounds fault that no swap clears
+    "fault": lambda mb, site, other: [addi(8, REG_ZERO, mb), sti(8, 8, 0), ldi(9, REG_SP, -8),
+                                      addi(11, REG_ZERO, other), ldi(9, 11, 0)],
+    # a swap each way, then the halt
+    "halt": lambda mb, site, other: [addi(8, REG_ZERO, mb), sti(8, 8, 0), ldi(9, REG_SP, -8)],
+}
+
+
+@pytest.mark.parametrize("script", sorted(SWAP_SCRIPTS))
+def test_stepping_matches_one_run_on_the_swap_path(script):
+    # app owns the mailbox, an exception-mode region: its accesses there
+    # swap ddc and r18, and the faulting instruction runs again.
+    def enter():
+        img = boot("three_comp_shared")
+        img.enter("app")
+        st = img.machine
+        st.events = []
+        site = st.pc
+        code = SWAP_SCRIPTS[script](img.plan.region("mailbox").base, site,
+                                    img.plan.ddc_bounds["store"][0])
+        end = site + len(code)
+        img.program[end] = halt()
+        return img, st, site, end, code
+
+    swaps = set()
+    for max_steps in range(1, 40):
+        img, st, site, end, code = enter()
+        img.program[site:end] = code
+        run(st, img.mem, img.program, max_steps)
+        want = observe(st, img.mem)
+
+        img, st, site, end, code = enter()
+        img.program[site:end] = [POISON] * len(code)
+        drawn = []
+
+        def draw(pc):
+            drawn.append(pc)
+            return code[pc - site]
+
+        runtime._run_sequence(st, img.mem, img.program, site, end, max_steps, draw)
+        fetched = [ev[1] for ev in st.events if ev[0] == "step"]
+        assert drawn == list(dict.fromkeys(pc for pc in fetched if pc < end)), max_steps
+        assert observe(st, img.mem) == want, max_steps
+        assert img.program[site:end] == [code[j] if site + j in drawn else POISON
+                                         for j in range(len(code))]
+        swaps.add(st.ddc_swap_events)
+    # the budget ran out before, between and after the swaps, also with a
+    # fault pending that a swap would clear
+    assert swaps == set(range(max(swaps) + 1)) and max(swaps) >= 2
+    if script == "fault":
+        assert st.fault.kind is FaultKind.BOUNDS
+    assert st.halted == (script == "halt")
+
+
+def observe(st, mem):
+    return {
+        "regs": tuple(st.regs), "code": st.code, "pc": st.pc, "ddc": st.ddc,
+        "current_compartment": st.current_compartment, "fault": st.fault,
+        "halted": st.halted, "instructions_retired": st.instructions_retired,
+        "switches": st.switches, "ddc_swap_events": st.ddc_swap_events,
+        "ddc_grant": st.ddc_grant, "events": list(st.events),
+        "data": bytes(mem.data), "tags": bytes(mem.tags),
+    }

@@ -662,6 +662,25 @@ def test_fuzz_rejects_bad_widths(name, value):
         fuzz_isolation(img_two(), **{"sequences": 1, name: value})
 
 
+def test_fuzz_rejects_a_sequence_past_its_code_region():
+    # app's fuzz site is slot 72 and its code region ends at slot 576, where
+    # lib's trampoline starts.  A 600-slot sequence overwrote that trampoline
+    # (seed 6) or ran off the end of the program with an IndexError (seed 1).
+    for sequences, seed in ((1, 6), (50, 1)):
+        img = img_two()
+        before = list(img.program)
+        with pytest.raises(ValueError, match="max_len 600 plus the halt does not fit"):
+            fuzz_isolation(img, sequences, seed=seed, max_len=600)
+        assert img.program == before
+    img = img_two()
+    site, top = img.user_entry("app"), img.plan.region("app.code").top
+    with pytest.raises(ValueError, match="'app'"):
+        fuzz_isolation(img, 1, max_len=top - site)       # the halt would land on `top`
+    tramp = img.program[top:top + 8]
+    fuzz_isolation(img, 50, seed=6, max_len=top - site - 1)
+    assert img.program[top:top + 8] == tramp
+
+
 def test_fuzz_leaves_the_event_list_off():
     img = img_two()
     assert fuzz_isolation(img, sequences=300, seed=3).violations == []
@@ -674,11 +693,11 @@ def test_fuzz_breach_report_is_pinned():
     img = img_two()
     img.ddc_caps["app"] = make_root(0, img.plan.data_top, DDC_PERMS)
     report = fuzz_isolation(img, sequences=20_000, seed=3, report_cap=4)
-    assert (report.sequences, report.steps, report.switches) == (131, 90, 2)
+    assert (report.sequences, report.steps, report.switches) == (123, 115, 4)
     assert report.violations == [
-        "sequence 22: pc 73 (app) read [0x53, 0x5b) outside its view",
-        "sequence 40: pc 72 (app) read [0xa2, 0xaa) outside its view",
-        "sequence 46: pc 72 (app) read [0xc0, 0xe0) outside its view",
+        "sequence 4: pc 72 (app) wrote [0xd5, 0xdd) outside its view",
+        "sequence 16: pc 73 (app) wrote [0xe7, 0xef) outside its view",
+        "sequence 26: pc 73 (app) read [0x120, 0x140) outside its view",
         "...",
     ]
     assert img.machine.events is None
