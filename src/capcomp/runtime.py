@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from .capability import NULL_CAP, Capability, Perm, int_cap, make_root, set_address
 from .isa import (
     Ins,
+    Op,
     REG_FP,
     REG_LINK,
     REG_SHARED,
@@ -55,7 +56,6 @@ from .isa import (
     movi,
     readddc,
     restrict,
-    retl,
     sealr,
     setaddr,
     setbounds,
@@ -541,43 +541,88 @@ def _draw(getrandbits, n: int) -> int:
     return r
 
 
-def _fuzz_ins(gb, addr_regs: tuple[int, ...]):
+# The memory ops `_fuzz_ins` picks for k = 0..9: 3 sti, 3 ldi, 2 stc, 2 ldc.
+_FUZZ_MEM_OPS = (Op.STORE_INT,) * 3 + (Op.LOAD_INT,) * 3 + (Op.STORE_CAP,) * 2 + (Op.LOAD_CAP,) * 2
+
+
+def _fuzz_ins(gb, addr_regs: tuple[int, ...]) -> Ins:
     """One random instruction, biased toward capability and memory traffic.
-    `gb` is the fuzzer's `Random.getrandbits`."""
-    k = _draw(gb, 20)
-    rd = _draw(gb, 16)
-    ra = addr_regs[_draw(gb, len(addr_regs))] if _draw(gb, 2) else _draw(gb, 32)
-    off = _draw(gb, 320) - 64
-    capm = bool(_draw(gb, 2))
-    if k < 3:
-        return sti(rd, ra, off, cap=capm)
-    if k < 6:
-        return ldi(rd, ra, off, cap=capm)
-    if k < 8:
-        return stc(rd, ra, off, cap=capm)
-    if k < 10:
-        return ldc(rd, ra, off, cap=capm)
-    if k == 10:
-        return setbounds(rd, _draw(gb, 32), _draw(gb, 32), _draw(gb, 32))
-    if k == 11:
-        return cvtd(rd, _draw(gb, 32), _draw(gb, 32))
-    if k == 12:
-        return restrict(rd, _draw(gb, 32), Perm(_draw(gb, 64)))
-    if k == 13:
-        return sealr(rd, _draw(gb, 32), 1 + _draw(gb, 7))
-    if k == 14:
-        return installddc(_draw(gb, 32))
+    `gb` is the fuzzer's `Random.getrandbits`.
+
+    Each draw is `_draw` written out: an int in [0, n) is `n.bit_length()`
+    bits, drawn again while it is `>= n`.  Every instruction first draws k
+    (its kind, 0..19), rd, ra (from `addr_regs` or any register, on a coin),
+    an offset and the operand mode, and then, in order, the operands its
+    kind needs; it is built as `Ins`, as the `isa` helper of its op builds
+    it."""
+    k = gb(5)
+    while k >= 20: k = gb(5)
+    rd = gb(5)
+    while rd >= 16: rd = gb(5)
+    coin = gb(2)
+    while coin >= 2: coin = gb(2)
+    if coin:
+        n = len(addr_regs)
+        ra = gb(n.bit_length())
+        while ra >= n: ra = gb(n.bit_length())
+        ra = addr_regs[ra]
+    else:
+        ra = gb(6)
+        while ra >= 32: ra = gb(6)
+    off = gb(9)
+    while off >= 320: off = gb(9)
+    capm = gb(2)
+    while capm >= 2: capm = gb(2)
+    if k < 10:                      # sti, ldi, stc, ldc
+        return Ins(_FUZZ_MEM_OPS[k], rd, ra, 0, 0, off - 64, capm == 1)
     if k == 15:
-        # r7 is seeded with the sealed entry capability, so half of these
-        # genuinely reach the switcher with junk in the parameter registers
-        return lpb(7 if _draw(gb, 2) else _draw(gb, 32), 1 + _draw(gb, 15))
-    if k == 16:
-        return addi(rd, _draw(gb, 32), _draw(gb, 4352) - 256)
+        # lpb: r7 is seeded with the sealed entry capability, so half of
+        # these genuinely reach the switcher with junk in the parameter
+        # registers
+        coin = gb(2)
+        while coin >= 2: coin = gb(2)
+        if coin:
+            a = 7
+        else:
+            a = gb(6)
+            while a >= 32: a = gb(6)
+        b = gb(4)
+        while b >= 15: b = gb(4)
+        return Ins(Op.LOAD_PAIR_BRANCH, a, 1 + b)
+    if k >= 18:                     # bcap or call, ret or setaddr: a coin first
+        coin = gb(2)
+        while coin >= 2: coin = gb(2)
+        if k == 19 and coin:
+            return Ins(Op.RETURN_LOCAL)
+    a = gb(6)
+    while a >= 32: a = gb(6)
+    if k == 14:
+        return Ins(Op.INSTALL_DDC, a)
     if k == 17:
-        return mov(rd, _draw(gb, 32))
+        return Ins(Op.MOVE, rd, a)
     if k == 18:
-        return bcap(_draw(gb, 32)) if _draw(gb, 2) else calll(_draw(gb, 32))
-    return retl() if _draw(gb, 2) else setaddr(rd, _draw(gb, 32), _draw(gb, 32))
+        return Ins(Op.BRANCH_CAP if coin else Op.CALL_LOCAL, a)
+    if k == 16:
+        imm = gb(13)
+        while imm >= 4352: imm = gb(13)
+        return Ins(Op.ADD_IMM, rd, a, 0, 0, imm - 256)
+    if k == 13:
+        otype = gb(3)
+        while otype >= 7: otype = gb(3)
+        return Ins(Op.SEAL, rd, a, 0, 0, 1 + otype)
+    if k == 12:
+        perms = gb(7)
+        while perms >= 64: perms = gb(7)
+        return Ins(Op.RESTRICT_PERMS, rd, a, 0, 0, perms)
+    b = gb(6)
+    while b >= 32: b = gb(6)
+    if k == 11:
+        return Ins(Op.DERIVE_DDC, rd, a, b)
+    if k == 19:
+        return Ins(Op.SET_ADDRESS, rd, a, b)
+    c = gb(6)
+    while c >= 32: c = gb(6)
+    return Ins(Op.SET_BOUNDS, rd, a, b, c)      # k == 10
 
 
 def _run_sequence(st, mem, program, site: int, end: int, max_steps: int, draw) -> None:

@@ -630,11 +630,13 @@ def test_fuzz_isolation_smoke():
 
 
 def test_fuzz_sandbox_host_confined():
-    # At this seed, sequence 38750 calls from host code into a sandbox
-    # slice; a host pcc spanning the slices lets that code write the host
-    # stack under the host's ddc.
+    # At this seed, sequence 17476 calls from host code into a sandbox
+    # slice (`call r7`: an earlier sequence left slot 512, decode_frame's
+    # first, in the sealed-entry slot r7 is reloaded from); a host pcc
+    # spanning the slices lets that code write the host stack under the
+    # host's ddc.
     img = sandbox_img()
-    assert fuzz_isolation(img, sequences=40_000, seed=1).violations == []
+    assert fuzz_isolation(img, sequences=40_000, seed=67).violations == []
 
 
 @pytest.mark.parametrize("report_cap", [1, 4, 20])
