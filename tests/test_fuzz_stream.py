@@ -314,6 +314,17 @@ def test_undrawn_slots_are_never_seen(monkeypatch, name, seed, breach):
     assert list(got.faults.items()) == list(rep.faults.items())
 
 
+def observe(st, mem):
+    return {
+        "regs": tuple(st.regs), "code": st.code, "pc": st.pc, "ddc": st.ddc,
+        "current_compartment": st.current_compartment, "fault": st.fault,
+        "halted": st.halted, "instructions_retired": st.instructions_retired,
+        "switches": st.switches, "ddc_swap_events": st.ddc_swap_events,
+        "ddc_grant": st.ddc_grant, "events": list(st.events),
+        "data": bytes(mem.data), "tags": bytes(mem.tags),
+    }
+
+
 SWAP_SCRIPTS = {
     # store into the mailbox and load from the stack, over and over: every
     # access swaps ddc, and slots are fetched again after they were drawn
@@ -372,13 +383,3 @@ def test_stepping_matches_one_run_on_the_swap_path(script):
         assert st.fault.kind is FaultKind.BOUNDS
     assert st.halted == (script == "halt")
 
-
-def observe(st, mem):
-    return {
-        "regs": tuple(st.regs), "code": st.code, "pc": st.pc, "ddc": st.ddc,
-        "current_compartment": st.current_compartment, "fault": st.fault,
-        "halted": st.halted, "instructions_retired": st.instructions_retired,
-        "switches": st.switches, "ddc_swap_events": st.ddc_swap_events,
-        "ddc_grant": st.ddc_grant, "events": list(st.events),
-        "data": bytes(mem.data), "tags": bytes(mem.tags),
-    }
