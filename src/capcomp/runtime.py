@@ -631,8 +631,8 @@ def _run_sequence(st, mem, program, site: int, end: int, max_steps: int, draw) -
     step at a time, so that each slot of [site, end) gets `draw(pc)` written
     into it just before its first fetch.  The machine sees a slot only by
     fetching it, so a slot it never fetches is never drawn.  `st.events` must
-    be a list: a call that made no step leaves no step record, which is how
-    a fault that no swap clears is told from one that a swap cleared."""
+    be a list: every step leaves a step record, so a call that leaves none
+    found the machine halted or a fault pending that no swap clears."""
     events = st.events
     drawn = set()
     for _ in range(max_steps):
@@ -642,7 +642,7 @@ def _run_sequence(st, mem, program, site: int, end: int, max_steps: int, draw) -
             program[pc] = draw(pc)
         mark = len(events)
         run(st, mem, program, 1)
-        if st.halted or len(events) == mark or st.fault is not None and not st.exception_sharing:
+        if len(events) == mark:
             return
 
 
