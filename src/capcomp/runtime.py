@@ -681,7 +681,6 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
         raise ValueError(f"max_steps must be at least 1, not {max_steps}")
     plan = img.plan
     st = img.machine
-    mem = img.mem
     program = img.program
     gb = random.Random(seed).getrandbits
 
@@ -743,7 +742,7 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
         end = site + 1 + _draw(gb, max_len)
         st.regs[:] = regs
         st.regs[4] = int_cap(_draw(gb, plan.data_top))
-        st.regs[7] = mem.load_cap(entry_at)
+        st.regs[7] = img.mem.load_cap(entry_at)
         program[end] = _HALT
         st.code = code
         st.pc = site
@@ -755,7 +754,7 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
         st.ddc_grant = None
 
         n0 = st.instructions_retired
-        _run_sequence(st, mem, program, site, end, max_steps, draw)
+        _run_sequence(st, img.mem, program, site, end, max_steps, draw)
         total_steps += st.instructions_retired - n0
         if st.fault is not None:
             kind = st.fault.kind.value
