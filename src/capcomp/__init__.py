@@ -18,7 +18,7 @@ from .capability import (
     unseal,
 )
 from .memory import TaggedMemory
-from .machine import Fault, MachineState, invoke_sealed, run, step
+from .machine import Fault, MachineState, run, step
 from .layout import (
     BootImage,
     CompartmentConfig,
@@ -57,7 +57,7 @@ __all__ = [
     "int_cap", "make_root", "restrict_perms", "seal", "serialize",
     "set_address", "set_bounds", "unseal",
     "TaggedMemory",
-    "Fault", "MachineState", "invoke_sealed", "run", "step",
+    "Fault", "MachineState", "run", "step",
     "BootImage", "CompartmentConfig", "ConfigError", "InfeasibleOverlap",
     "LayoutError", "LayoutPlan", "audit_plan", "boot_init", "comp_alloc",
     "compute_layout", "install_function", "parse_config", "shared_alloc",

@@ -636,7 +636,6 @@ def boot_init(plan: LayoutPlan) -> BootImage:
     st = MachineState()
     st.switcher_bounds = plan.switcher_code
     st.lpb_otypes = frozenset(otypes)
-    st.exception_sharing = any(s.mode == "exception" for s in cfg.shared)
     st.code_regions = code_regions
 
     img = BootImage(

@@ -16,10 +16,9 @@ faults without touching any register, memory byte, or tag.
 `run` is the one per-instruction loop.  Each iteration checks the fetch,
 runs the opcode's handler, and retires in one place: the handler returns the
 next pc, or None when it faulted or halted.  `step` is a one-step `run`
-behind two guards, and `invoke_sealed` is a load-pair-branch retired by the
-same rule.  The fetch check and the data-access check test the allowed case
-inline and call `check_access` only when that test fails, so `check_access`
-alone decides which fault kind is reported.
+behind two guards.  The fetch check and the data-access check test the
+allowed case inline and call `check_access` only when that test fails, so
+`check_access` alone decides which fault kind is reported.
 
 The loop re-derives two facts only when they can have changed, and both are
 locals of one `run` call.  The code capability's tag, seal and execute bit
@@ -101,7 +100,9 @@ class Fault:
 
 @dataclass(slots=True)
 class MachineState:
-    """Full architectural state plus the counters the cost model reads.
+    """Full architectural state plus the retire, switch and swap counters
+    the CLI, the fuzzer and the bench read (the cost model reads step
+    records, not counters).
 
     The register file holds capability values; plain integers travel as
     untagged capabilities whose cursor is the integer.  Register 16 is
@@ -122,10 +123,6 @@ class MachineState:
     instructions_retired: int = 0
     switches: int = 0          # domain switches (load-pair-branch commits)
     ddc_swap_events: int = 0
-
-    # Exception-based sharing: when enabled, `run` lets a bounds fault on a
-    # legacy access swap ddc with the shared-region capability in r18.
-    exception_sharing: bool = False
 
     # Privileged-code window in instruction-index space; None means the whole
     # program is boot context (bare-machine tests).
@@ -435,37 +432,17 @@ def step(st: MachineState, mem: TaggedMemory, program: list[Ins]) -> MachineStat
     return run(st, mem, program, max_steps=1)
 
 
-def invoke_sealed(st: MachineState, mem: TaggedMemory, sealed_reg: int,
-                  second_reg: int = 19) -> MachineState:
-    """Invoke a sealed capability: the only road into the switcher.
-
-    Equivalent to executing a load-pair-branch on `sealed_reg`.  On success
-    the pcc points at the loaded branch target, the pair's second element is
-    in `second_reg`, and the link register holds the return capability.  The
-    ddc is not switched here; the landing code does that itself.
-    """
-    if st.fault is not None:
-        raise MachineError("invoke_sealed with a pending fault")
-    if st.halted:
-        raise MachineError("invoke_sealed after halt")
-    st.ddc_grant = None
-    target = _load_pair_branch(st, mem, Ins(Op.LOAD_PAIR_BRANCH, sealed_reg, second_reg),
-                               st.pc, None)
-    if target is not None:
-        st.instructions_retired += 1
-        st.pc = target
-        _enter_region(st, target)
-    return st
-
-
 def handle_fault_ddc_swap(st: MachineState, mem: TaggedMemory) -> bool:
-    """Exception-based sharing handler.
+    """Exception-based sharing handler, which `run` calls on every pending
+    fault.
 
     If the pending fault is a bounds miss on a legacy (ddc-checked) data
     access and the faulting range lies inside the shared-region capability in
     r18, swap ddc and r18, clear the fault, and report True; execution then
     resumes at the faulting instruction.  The swap is symmetric, so the next
-    private access swaps straight back.
+    private access swaps straight back.  r18 alone decides: a compartment
+    without an exception-mode region enters with r18 null, so its bounds
+    misses stay faults.
     """
     f = st.fault
     if f is None:
@@ -488,8 +465,9 @@ def run(st: MachineState, mem: TaggedMemory, program: list[Ins],
         max_steps: int = 100_000) -> MachineState:
     """Run until halt, an unhandled fault, or the step budget is exhausted.
 
-    With exception sharing enabled, eligible bounds faults are transparently
-    swapped and retried (each retry consumes budget).  While `st.events` is
+    A pending fault goes to `handle_fault_ddc_swap` first: a legacy bounds
+    miss inside the tagged, unsealed shared-region capability in r18 swaps
+    the two and is retried (the retry consumes budget).  While `st.events` is
     a list, one ("step", pc, compartment, fault) record is appended per
     attempted step; `format_trace` turns them into lines.
     """
@@ -504,7 +482,7 @@ def run(st: MachineState, mem: TaggedMemory, program: list[Ins],
         if st.halted:
             break
         if st.fault is not None:
-            if st.exception_sharing and handle_fault_ddc_swap(st, mem):
+            if handle_fault_ddc_swap(st, mem):
                 continue
             break
         steps += 1

@@ -16,16 +16,18 @@ A cross-compartment call is a fixed choreography:
   trampoline enter (callee)     stashes the sealed frame capability on the
                                 callee stack and calls the target function;
   trampoline return (callee)    pops the sealed frame capability and invokes
-                                it, which unseals the frame, restores the
-                                caller pcc, and hands back the caller ddc;
-  gate epilogue (caller code)   reinstalls the caller ddc (one-shot window),
-                                restores sp/fp from the frame, restores every
+                                it, which unseals the frame and lands in the
+                                switcher's return leg with the caller ddc;
+  switcher return leg           (`SWITCHER_RET_ENTRY`) reinstalls the caller
+  (privileged code)             ddc, resets the callee's resume stack pointer,
+                                restores sp/fp from the frame, and branches to
+                                the caller's resume capability;
+  gate epilogue (caller code)   moves the return value aside, restores every
                                 saved register, and scrubs the frame and save
                                 area back to zero bytes.
 
-The return path never re-enters the switcher.  If the callee corrupts the
-stashed sealed capability, the return faults with a tag fault: a detected,
-not silent, attack.
+If the callee corrupts the stashed sealed capability, the return faults with
+a tag fault: a detected, not silent, attack.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .isa import (
     Op,
     REG_FP,
     REG_LINK,
-    REG_SHARED,
     REG_SP,
     REG_ZERO,
     addi,
@@ -383,15 +384,10 @@ def emit_gate_sequence(plan, gate: GateDescriptor, args: list) -> GateCode:
 # Execution helpers
 
 
-def _run_phase(img: BootImage, length: int, max_steps: int) -> MachineState:
-    """Run one straight-line phase of `length` steps through `run`.  A budget
-    shorter than the phase is an error unless the phase faulted or halted
-    first."""
+def _run_phase(img: BootImage, length: int) -> MachineState:
+    """Run one straight-line phase of `length` steps through `run`."""
     st = img.machine
-    run(st, img.mem, img.program, max_steps=min(length, max_steps))
-    if max_steps < length and st.fault is None and not st.halted:
-        raise GateError("phase did not converge within its step budget")
-    return st
+    return run(st, img.mem, img.program, max_steps=length)
 
 
 def _check_caller(img: BootImage, gate: GateDescriptor) -> None:
@@ -419,7 +415,7 @@ def install_call_site(img: BootImage, gate: GateDescriptor, args, *,
 
 
 def gate_call(img: BootImage, gate: GateDescriptor, args: list, *,
-              at: int | None = None, max_steps: int = 2000) -> MachineState:
+              at: int | None = None) -> MachineState:
     """Install the gate sequence at a caller call site and run its prologue
     through `run`, up to the switcher entry (the sealed invoke included).
 
@@ -431,31 +427,31 @@ def gate_call(img: BootImage, gate: GateDescriptor, args: list, *,
     """
     _check_caller(img, gate)
     _, code = install_call_site(img, gate, args, at=at)
-    return _run_phase(img, code.prologue_len, max_steps)
+    return _run_phase(img, code.prologue_len)
 
 
-def switcher_switch(img: BootImage, max_steps: int = 200) -> MachineState:
+def switcher_switch(img: BootImage) -> MachineState:
     """Run the privileged switch sequence to the exit branch of the leg the
     pcc is in: the call leg, or the return leg a sealed frame invokes."""
     off = img.machine.pc - img.plan.switcher_code[0]
     if not 0 <= off < SWITCHER_END:
         raise GateError("switcher_switch: pcc is not inside the switcher")
     end = SWITCHER_RET_ENTRY if off < SWITCHER_RET_ENTRY else SWITCHER_END
-    return _run_phase(img, end - off, max_steps)
+    return _run_phase(img, end - off)
 
 
-def trampoline_enter(img: BootImage, max_steps: int = 16) -> MachineState:
+def trampoline_enter(img: BootImage) -> MachineState:
     """Run the callee trampoline up to the call into the target function."""
     if img.machine.pc not in img.tramp_entries.values():
         raise GateError("trampoline_enter: pcc is not at a trampoline entry")
-    return _run_phase(img, TRAMP_ENTER_SLOTS, max_steps)
+    return _run_phase(img, TRAMP_ENTER_SLOTS)
 
 
-def trampoline_return(img: BootImage, max_steps: int = 16) -> MachineState:
+def trampoline_return(img: BootImage) -> MachineState:
     """Run the pop-and-invoke tail of the trampoline (back to the caller)."""
     if img.machine.pc - TRAMP_ENTER_SLOTS not in img.tramp_entries.values():
         raise GateError("trampoline_return: pcc is not at a trampoline return point")
-    return _run_phase(img, TRAMP_RETURN_SLOTS, max_steps)
+    return _run_phase(img, TRAMP_RETURN_SLOTS)
 
 
 def call_compartment(img: BootImage, gate: GateDescriptor, args: list, *,
@@ -469,8 +465,7 @@ def call_compartment(img: BootImage, gate: GateDescriptor, args: list, *,
     return run(img.machine, img.mem, img.program, max_steps=max_steps)
 
 
-def sandbox_call(img: BootImage, sig: SandboxSignature, args: list, *,
-                 max_steps: int = 100_000) -> MachineState:
+def sandbox_call(img: BootImage, sig: SandboxSignature, args: list) -> MachineState:
     """Call a sandboxed function from its host compartment.
 
     Scalar arguments pass by value; region arguments pass as capabilities
@@ -491,7 +486,7 @@ def sandbox_call(img: BootImage, sig: SandboxSignature, args: list, *,
         else:
             raise GateError(f"unknown parameter kind {p.kind!r}")
     gate = GateDescriptor(sb.host, sig.name, sig.entry, dest=sig.dest)
-    return call_compartment(img, gate, lowered, max_steps=max_steps)
+    return call_compartment(img, gate, lowered)
 
 
 def promote_shared(img: BootImage, frm: str, to: str, size: int) -> int:
@@ -627,7 +622,7 @@ def _fuzz_ins(gb, addr_regs: tuple[int, ...]) -> Ins:
 
 def _run_sequence(st, mem, program, site: int, end: int, max_steps: int, draw) -> None:
     """Run as one `run(st, mem, program, max_steps)` call runs, with the same
-    step budget, exception-sharing swaps and step and access records, but one
+    step budget, r18 swaps and step and access records, but one
     step at a time, so that each slot of [site, end) gets `draw(pc)` written
     into it just before its first fetch.  The machine sees a slot only by
     fetching it, so a slot it never fetches is never drawn.  `st.events` must
@@ -726,7 +721,7 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
         st.regs[5] = int_cap(entry_at)
         st.regs[6] = make_root(base, base + 64, DDC_PERMS)
         homes.append((st.pc, list(st.regs), entry_at, st.code, st.ddc,
-                      st.current_compartment, st.regs[REG_SHARED].tag))
+                      st.current_compartment))
 
     events: list = []
     st.events = events
@@ -738,7 +733,7 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     draw = lambda pc: _fuzz_ins(gb, addr_regs)   # slots are independent draws
 
     for i in range(sequences):
-        site, regs, entry_at, code, ddc, home_id, sharing = homes[i % len(homes)]
+        site, regs, entry_at, code, ddc, home_id = homes[i % len(homes)]
         end = site + 1 + _draw(gb, max_len)
         st.regs[:] = regs
         st.regs[4] = int_cap(_draw(gb, plan.data_top))
@@ -748,7 +743,6 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
         st.pc = site
         st.ddc = ddc
         st.current_compartment = home_id
-        st.exception_sharing = sharing
         st.fault = None
         st.halted = False
         st.ddc_grant = None

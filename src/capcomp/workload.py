@@ -310,18 +310,16 @@ class OverheadEstimate:
     percent: float
 
 
-def estimate_overhead(summary: ScenarioSummary, cm: CostModel | None = None,
-                      cpi: float | None = None) -> OverheadEstimate:
+def estimate_overhead(summary: ScenarioSummary, cm: CostModel | None = None) -> OverheadEstimate:
     """Switching overhead relative to the same instruction stream without
-    compartment boundaries, at the scenario's baseline CPI."""
+    compartment boundaries, at the scenario's baseline CPI (`summary.cpi`)."""
     cm = cm or CostModel()
-    cpi = summary.cpi if cpi is None else cpi
     if summary.instructions == 0:
         raise ScenarioError("scenario executes no instructions; overhead undefined")
-    if not 0 < cpi < math.inf:
+    if not 0 < summary.cpi < math.inf:
         raise ScenarioError("baseline cpi must be positive and finite")
     extra = summary.transitions * cm.effective_switch() + summary.promotions * cm.promotion
-    baseline = summary.instructions * cpi
+    baseline = summary.instructions * summary.cpi
     return OverheadEstimate(
         switches=summary.transitions,
         switches_per_1k=summary.switches_per_1k,

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from capcomp.capability import (
+    NULL_CAP,
     PERM_ALL,
     Perm,
     make_root,
@@ -285,7 +286,7 @@ def test_05_overlap_window_boundaries_exact():
                              st_site[comp] if write else ld_site[comp])
         st.ddc = img.ddc_caps[comp]
         st.current_compartment = img.plan.comp_ids[comp]
-        st.exception_sharing = False
+        st.regs[REG_SHARED] = NULL_CAP     # only the ddc decides
         st.fault = None
         st.halted = False
         run(st, img.mem, img.program, max_steps=8)
@@ -397,7 +398,6 @@ def _sharing_machine():
     st.ddc = make_root(0, 1024, PERM_ALL)
     st.switcher_bounds = (1 << 18, 1 << 18)    # nothing privileged here
     st.regs[REG_SHARED] = make_root(4096, 4352, PERM_ALL)
-    st.exception_sharing = True
     return st, TaggedMemory(8192)
 
 

@@ -5,6 +5,8 @@ import importlib.resources as ir
 
 import pytest
 
+from capcomp import layout
+from capcomp.capability import Perm
 from capcomp.cli import build_parser, main
 from capcomp.layout import compute_layout, parse_config
 from capcomp.memory import TaggedMemory
@@ -93,6 +95,16 @@ def test_verify_code_capabilities_do_not_read_data(capsys):
                              "--seed", "10465", "--memory-size", "0x100000")
     assert code == 0 and err == ""
     assert "confinement holds" in out
+
+
+def test_verify_code_capabilities_guard_is_armed(capsys, monkeypatch):
+    # The guard above holds only while its seed still reaches that load:
+    # with LOAD back on code capabilities, the same run must report the read.
+    monkeypatch.setattr(layout, "PCC_PERMS", Perm.EXECUTE | Perm.LOAD)
+    code, out, err = run_cli(capsys, "verify", "three_comp_shared.cfg", "--fuzz", "2000",
+                             "--seed", "10465", "--memory-size", "0x100000")
+    assert code == 1
+    assert err == "violation: sequence 466: pc 585 (codec) read [0x2cf, 0x2d7) outside its view\n"
 
 
 def test_run_table(capsys):

@@ -13,9 +13,9 @@ first-seen order, which `capcomp verify` uses to break ties in its tally.
 The lazy drawing is checked three ways below: each sequence draws exactly
 the slots its step records fetch, in first-fetch order; replaying every
 sequence as one `run(max_steps)` call, with a poison instruction in each
-undrawn slot, repeats the `FuzzReport` and every record; and on the
-exception-sharing swap path, stepping a sequence leaves the state and
-records one `run(max_steps)` call leaves.
+undrawn slot, repeats the `FuzzReport` and every record; and on the r18
+swap path, stepping a sequence leaves the state and records one
+`run(max_steps)` call leaves.
 
 Every draw goes through `runtime._draw`, which calls the generator's
 `getrandbits` exactly as `Random._randbelow` does: `n.bit_length()` bits,
@@ -181,14 +181,14 @@ def test_draw_matches_randrange(n):
 class Recorded:
     site: int
     end: int            # the halt's slot
-    start: tuple        # regs, code, pc, ddc, compartment, exception sharing
+    start: tuple        # regs, code, pc, ddc, compartment
     drawn: dict         # slot -> instruction, in draw order
     events: list        # the step and access records the sequence left
 
 
 def start_of(st):
     assert (st.fault, st.halted, st.ddc_grant) == (None, False, None)
-    return (list(st.regs), st.code, st.pc, st.ddc, st.current_compartment, st.exception_sharing)
+    return (list(st.regs), st.code, st.pc, st.ddc, st.current_compartment)
 
 
 def record_sequences(monkeypatch):
@@ -270,7 +270,7 @@ def replay(img, seqs, max_steps=32):
         kept = dict(zip(range(rec.site, rec.end), program[rec.site:rec.end]))
         program[rec.site:rec.end] = [rec.drawn.get(pc, POISON) for pc in kept]
         program[rec.end] = halt()
-        regs, st.code, st.pc, st.ddc, st.current_compartment, st.exception_sharing = rec.start
+        regs, st.code, st.pc, st.ddc, st.current_compartment = rec.start
         st.regs[:] = regs
         st.fault, st.halted, st.ddc_grant, st.events = None, False, None, []
         n0 = st.instructions_retired

@@ -387,9 +387,28 @@ def test_boot_exception_region_arms_r18():
     plan = compute_layout(parse_config(fixture("three_comp_shared.cfg")))
     img = boot_init(plan)
     st = img.machine
-    assert st.exception_sharing
     lo, hi = plan.shared_bounds["mailbox"]
-    assert (st.regs[18].base, st.regs[18].top) == (lo, hi)
+    assert st.regs[18].tag and (st.regs[18].base, st.regs[18].top) == (lo, hi)
+
+
+def test_boot_without_exception_region_keeps_bounds_misses_faults():
+    """r18 alone decides whether a ddc bounds miss may swap: two_comp.cfg has
+    no exception region, so app enters with r18 null and a legacy store
+    into lib's data stays a fault."""
+    from capcomp.capability import NULL_CAP, FaultKind
+    from capcomp.isa import movi, sti
+    from capcomp.machine import Fault, run
+
+    plan = compute_layout(parse_config(fixture("two_comp.cfg")))
+    img = boot_init(plan)
+    st = img.machine
+    assert st.regs[18] == NULL_CAP and not st.regs[18].tag
+    target = plan.ddc_bounds["lib"][0]
+    site = install_function(img, "app", [movi(2, target), sti(1, 2, 0), halt()])
+    st.pc = site
+    run(st, img.mem, img.program, max_steps=10)
+    assert st.fault == Fault(FaultKind.BOUNDS, target, site + 1, 8, ddc_access=True)
+    assert st.ddc_swap_events == 0 and st.regs[18] == NULL_CAP
 
 
 def test_boot_tagged_granules_are_only_the_planted_ones():

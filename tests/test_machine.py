@@ -46,7 +46,6 @@ from capcomp.machine import (
     MachineState,
     format_trace,
     handle_fault_ddc_swap,
-    invoke_sealed,
     run,
     step,
 )
@@ -371,11 +370,13 @@ def test_lpb_rejects_untagged_pair_elements():
     assert st.fault.kind is FaultKind.TAG
 
 
-def test_invoke_sealed_equals_lpb():
+def test_step_lpb_arms_the_grant():
+    # one step of an lpb is the whole invoke: branch, pair, grant, one retire
     st, mem = pair_image()
-    invoke_sealed(st, mem, 3, second_reg=9)
+    step(st, mem, [lpb(3, 9)] + [nop()] * 99 + [halt()])
     assert st.fault is None and st.pcc.address == 100
     assert st.regs[9].base == 1024 and st.ddc_grant == 9
+    assert st.instructions_retired == 1 and st.switches == 1
 
 
 # --------------------------------------------------------------------------
@@ -416,8 +417,25 @@ def shared_machine():
     st, mem = bare_machine(mem_size=8192, data_lo=0, data_hi=1024)
     make_unprivileged(st)                      # ddc checks must be live
     st.regs[REG_SHARED] = make_root(4096, 4352, PERM_ALL)
-    st.exception_sharing = True
     return st, mem
+
+
+@pytest.mark.parametrize("tagged", [True, False])
+def test_r18_alone_decides_the_swap(tagged):
+    # a legacy bounds miss inside a tagged r18 swaps and the retried store
+    # retires; with r18 null it stays a fault
+    st, mem = shared_machine()
+    if not tagged:
+        st.regs[REG_SHARED] = NULL_CAP
+    run(st, mem, [movi(1, 4096), movi(2, 5), sti(2, 1, 0), halt()])
+    if tagged:
+        assert st.fault is None and st.halted
+        assert st.ddc_swap_events == 1 and st.instructions_retired == 4
+        assert (st.ddc.base, st.ddc.top) == (4096, 4352)
+        assert mem.read_bytes(4096, 1) == b"\x05"
+    else:
+        assert st.fault == Fault(FaultKind.BOUNDS, 4096, 2, 8, ddc_access=True)
+        assert st.ddc_swap_events == 0 and st.instructions_retired == 2
 
 
 def test_swap_handler_unit():

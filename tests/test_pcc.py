@@ -1,4 +1,4 @@
-"""The program-counter capability as `step`, `invoke_sealed` and `run` see it.
+"""The program-counter capability as `step` and `run` see it.
 
 Control transfers are checked against a reference that derives the pcc the
 plain way: every retire moves the cursor of the old pcc with
@@ -23,7 +23,7 @@ from capcomp.capability import (
     seal,
 )
 from capcomp.isa import REG_LINK, addi, bcap, calll, halt, ldi, lpb, movi, nop, retl
-from capcomp.machine import MachineState, format_trace, invoke_sealed, run, step
+from capcomp.machine import MachineState, format_trace, run, step
 from capcomp.memory import TaggedMemory
 
 CODE = make_root(0, 64, Perm.EXECUTE)
@@ -125,10 +125,10 @@ def test_lpb_branches_to_the_pair_and_links_past_itself():
     assert_same(st.regs[REG_LINK], ref_set_address(before, 7))
 
 
-def test_invoke_sealed_links_past_the_current_pc():
+def test_lpb_links_past_the_current_pc():
     st, mem, target = pair_machine(12)
     before = st.pcc
-    invoke_sealed(st, mem, 3, second_reg=9)
+    step(st, mem, [nop()] * 12 + [lpb(3, 9)] + PROGRAM[13:])
     assert st.fault is None
     assert_same(st.pcc, target)
     assert_same(st.regs[REG_LINK], ref_set_address(before, 13))

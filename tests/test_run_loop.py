@@ -1,15 +1,15 @@
 """The run loop, checked against the loop it replaced.
 
-`ref_step`, `ref_run` and `ref_invoke_sealed` are the interpreter loop as it
-was when `run` called `step` once per instruction: every step re-tests the
-code capability's tag, seal and execute bit, and every retire scans
-`code_regions` from the front.  The machine's `run`, `step` and
-`invoke_sealed` must leave exactly the state these leave: pc, code, ddc,
-registers, current compartment, fault, halt flag, every counter, the event
-list, and memory bytes and tags.  The cases are seeded random programs over
+`ref_step` and `ref_run` are the interpreter loop as it was when `run`
+called `step` once per instruction: every step re-tests the code
+capability's tag, seal and execute bit, and every retire scans
+`code_regions` from the front.  The machine's `run` and `step` must leave
+exactly the state these leave: pc, code, ddc, registers, current
+compartment, fault, halt flag, every counter, the event list, and memory
+bytes and tags.  The cases are seeded random programs over
 region sets with overlaps, nesting, gaps and a region at base 0, with
 branches to untagged, sealed, non-executable, out-of-bounds and privileged
-targets, and with exception-sharing swaps.
+targets, and with r18 swaps (r18 tagged or null).
 """
 
 import random
@@ -32,7 +32,6 @@ from capcomp.isa import (
     REG_LINK,
     REG_SHARED,
     REG_ZERO,
-    Ins,
     Op,
     addi,
     bcap,
@@ -60,9 +59,7 @@ from capcomp.machine import (
     MachineState,
     _fault,
     _int_and,
-    _load_pair_branch,
     handle_fault_ddc_swap,
-    invoke_sealed,
     run,
     step,
 )
@@ -118,7 +115,7 @@ def ref_run(st, mem, program, max_steps=100_000):
         if st.halted:
             break
         if st.fault is not None:
-            if st.exception_sharing and handle_fault_ddc_swap(st, mem):
+            if handle_fault_ddc_swap(st, mem):
                 continue
             break
         pc = st.pc
@@ -127,17 +124,6 @@ def ref_run(st, mem, program, max_steps=100_000):
         if events is not None:
             events.append(("step", pc, comp, st.fault))
         steps += 1
-    return st
-
-
-def ref_invoke_sealed(st, mem, sealed_reg, second_reg=19):
-    if st.fault is not None:
-        raise MachineError("invoke_sealed with a pending fault")
-    st.ddc_grant = None
-    target = _load_pair_branch(st, mem, Ins(Op.LOAD_PAIR_BRANCH, sealed_reg, second_reg),
-                               st.pc, None)
-    if target is not None:
-        ref_retire(st, target)
     return st
 
 
@@ -279,15 +265,16 @@ def build_case(seed):
     st.code_regions = random_regions(rng)
     st.switcher_bounds = rng.choice((None, (48, 56), (48, 56), (0, 0)))
     st.lpb_otypes = rng.choice((None, frozenset({OTYPE})))
-    st.exception_sharing = rng.random() < 0.5
-    st.regs[REG_SHARED] = make_root(*SHARED, Perm.LOAD | Perm.STORE | Perm.LOAD_CAP | Perm.STORE_CAP)
+    st.regs[REG_SHARED] = (
+        make_root(*SHARED, Perm.LOAD | Perm.STORE | Perm.LOAD_CAP | Perm.STORE_CAP)
+        if rng.random() < 0.5 else NULL_CAP)
     st.ddc_grant = rng.choice((None, None, rng.choice(REGS)))
     st.events = [] if rng.random() < 0.5 else None
     if rng.random() < 0.05:
         st.halted = True
     elif rng.random() < 0.08:
-        # A pending legacy bounds fault inside the shared region: with
-        # exception sharing on, the loop swaps before its first step.
+        # A pending legacy bounds fault inside the shared region: with r18
+        # tagged, the loop swaps before its first step.
         st.fault = Fault(FaultKind.BOUNDS, SHARED[0] + 8, st.pc, 8, True)
     return st, mem, program
 
@@ -391,17 +378,3 @@ def test_step_matches_the_per_step_loop():
             access = None if st.events is None else [e for e in st.events if e[0] != "step"]
             assert observe(st, mem, access) == observe(ref, ref_mem), seed
 
-
-def test_invoke_sealed_matches_the_reference():
-    invoked = 0
-    for seed in CASES[:600]:
-        st, mem, program = build_case(seed)
-        ref, ref_mem, _ = build_case(seed)
-        if ref.fault is not None or ref.halted:
-            continue
-        reg = random.Random(seed).choice(REGS)
-        invoke_sealed(st, mem, reg, second_reg=5)
-        ref_invoke_sealed(ref, ref_mem, reg, second_reg=5)
-        assert observe(st, mem) == observe(ref, ref_mem), seed
-        invoked += ref.switches
-    assert invoked > 0

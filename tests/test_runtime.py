@@ -10,6 +10,7 @@ from capcomp.layout import (
     DDC_PERMS,
     FRAME_OTYPE,
     OFF_SP,
+    PCC_PERMS,
     TABLE_ENTRY,
     TRAMP_SLOTS,
     boot_init,
@@ -260,22 +261,6 @@ def test_phase_composition_matches_full_call():
     st2 = call_compartment(img2, GateDescriptor("app", "lib", entry2, dest=6), [10])
     assert st2.regs[6].address == 11
     assert st2.switches == st.switches == 2
-
-
-def test_phase_budget_is_exact():
-    """A phase that ends on its last budgeted step has converged; one step
-    short of it has not."""
-    for budget, converges in ((TRAMP_ENTER_SLOTS, True), (TRAMP_ENTER_SLOTS - 1, False)):
-        img = img_two()
-        entry = leaf_plus_one(img)
-        gate_call(img, GateDescriptor("app", "lib", entry), [1])
-        switcher_switch(img)
-        if converges:
-            st = trampoline_enter(img, max_steps=budget)
-            assert st.fault is None and st.pc == entry
-        else:
-            with pytest.raises(GateError, match="converge"):
-                trampoline_enter(img, max_steps=budget)
 
 
 def step_pcs(events):
@@ -637,6 +622,18 @@ def test_fuzz_sandbox_host_confined():
     # host's ddc.
     img = sandbox_img()
     assert fuzz_isolation(img, sequences=40_000, seed=67).violations == []
+
+
+def test_fuzz_sandbox_host_guard_is_armed():
+    # The guard above holds only while its seed still reaches that call:
+    # with the host pcc widened over its sandbox slices, the same run must
+    # report the escape.
+    img = sandbox_img()
+    host = img.pcc_caps["host"]
+    top = max(img.plan.region(f"{name}.code").top for name in img.plan.sandboxes)
+    img.pcc_caps["host"] = make_root(host.base, top, PCC_PERMS)
+    assert fuzz_isolation(img, sequences=40_000, seed=67).violations == [
+        "sequence 17476: pc 513 (decode_frame) wrote [0x2420, 0x2440) outside its view"]
 
 
 @pytest.mark.parametrize("report_cap", [1, 4, 20])

@@ -22,9 +22,9 @@ from capcomp.capability import (
     seal,
     set_address,
 )
-from capcomp.isa import INT_WIDTH, bcap, halt, ldc, ldi, nop, stc, sti
+from capcomp.isa import INT_WIDTH, bcap, halt, ldc, ldi, lpb, nop, stc, sti
 from capcomp.layout import boot_init, compute_layout, parse_config
-from capcomp.machine import Fault, MachineError, MachineState, invoke_sealed, run, step
+from capcomp.machine import Fault, MachineError, MachineState, run, step
 from capcomp.memory import CAP_SLOT, TaggedMemory
 
 MEM_SIZE = 1024
@@ -274,19 +274,25 @@ def test_faulting_step_retires_nothing_and_clears_the_grant():
     assert (st.pc, st.instructions_retired, st.current_compartment) == (11, 0, 0)
 
 
-def test_invoke_sealed_retires_into_the_target_region():
+def lpb_program():
+    program = [nop()] * 200
+    program[2] = lpb(3, 9)
+    return program
+
+
+def test_lpb_retires_into_the_target_region():
     st, mem = region_machine(2, [(100, 200, 4)], 0)
     target = make_root(100, 200, Perm.EXECUTE)
     mem.store_cap(512, target)
     mem.store_cap(544, make_root(0, 256, PERM_ALL))
     st.regs[3] = seal(make_root(512, 576, Perm.LOAD_CAP), OTYPE)
-    invoke_sealed(st, mem, 3, second_reg=9)
+    step(st, mem, lpb_program())
     assert st.fault is None
     assert (st.pc, st.current_compartment, st.instructions_retired) == (100, 4, 1)
     assert st.regs[9].base == 0 and st.ddc_grant == 9
 
 
-def test_invoke_sealed_after_halt_raises():
+def test_lpb_step_after_halt_raises():
     st, mem = region_machine(2, [(100, 200, 4)], 0)
     mem.store_cap(512, make_root(100, 200, Perm.EXECUTE))
     mem.store_cap(544, make_root(0, 256, PERM_ALL))
@@ -294,7 +300,7 @@ def test_invoke_sealed_after_halt_raises():
     st.halted = True
     before = snapshot(st, mem)
     with pytest.raises(MachineError, match="after halt"):
-        invoke_sealed(st, mem, 3, second_reg=9)
+        step(st, mem, lpb_program())
     assert snapshot(st, mem) == before
     assert st.switches == 0
 

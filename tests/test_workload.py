@@ -504,18 +504,17 @@ def test_overhead_charges_promotions():
     assert est.percent == pytest.approx(180.11)
 
 
-def test_overhead_cpi_override():
-    s = summary(10_000, 10, cpi=1.0)
-    assert estimate_overhead(s, cpi=2.0).percent == \
-        pytest.approx(estimate_overhead(s).percent / 2)
+def test_overhead_reads_the_summary_cpi():
+    assert estimate_overhead(summary(10_000, 10, cpi=2.0)).percent == \
+        pytest.approx(estimate_overhead(summary(10_000, 10, cpi=1.0)).percent / 2)
     with pytest.raises(ScenarioError, match="cpi must be positive"):
-        estimate_overhead(s, cpi=0.0)
+        estimate_overhead(summary(10_000, 10, cpi=0.0))
 
 
 @pytest.mark.parametrize("cpi", [float("inf"), float("nan")])
 def test_overhead_rejects_non_finite_cpi(cpi):
     with pytest.raises(ScenarioError, match="cpi must be positive and finite"):
-        estimate_overhead(summary(10_000, 10), cpi=cpi)
+        estimate_overhead(summary(10_000, 10, cpi=cpi))
 
 
 @pytest.mark.parametrize("field", ["hot", "cold", "promotion"])
