@@ -107,6 +107,10 @@ class CompartmentConfig:
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
+# The planner's own regions.  A shared region is placed under the name the
+# configuration gives it, so no shared region may take one of these.
+_SWITCHER_REGIONS = ("switcher_code", "switcher_data", "cap_table")
+
 
 def _attr_int(tok: str, key: str, line_no: int) -> int:
     if not tok.startswith(key + "="):
@@ -192,6 +196,8 @@ def parse_config(text: str) -> CompartmentConfig:
             name = toks[1]
             if not _NAME_RE.match(name):
                 raise ConfigError(f"line {line_no}: bad shared region name {name!r}")
+            if name in _SWITCHER_REGIONS:
+                raise ConfigError(f"line {line_no}: {name!r} names the switcher's own region")
             if name in names:
                 raise ConfigError(f"line {line_no}: duplicate name {name!r}")
             names.add(name)
@@ -426,8 +432,12 @@ def compute_layout(cfg: CompartmentConfig, memory_size: int = DEFAULT_SIZE) -> L
         by_host.setdefault(sb.host, []).append(sb.name)
 
     regions: list[Region] = []
+    placed: set[str] = set()
 
     def place(name: str, kind: str, base: int, size: int, owners: tuple[str, ...] = ()) -> int:
+        if name in placed:
+            raise LayoutError(f"two regions are named {name!r}")
+        placed.add(name)
         regions.append(Region(name, kind, base, base + size, owners))
         return base + size
 

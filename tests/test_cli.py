@@ -46,6 +46,16 @@ def test_layout_directory_is_exit_2(capsys, tmp_path):
     assert err.startswith("error:") and "bundled fixtures" in err
 
 
+def test_layout_shared_region_named_cap_table_is_exit_2(capsys, tmp_path):
+    cfg = tmp_path / "clash.cfg"
+    cfg.write_text("compartment app code=512 data=512 stack=512 heap=0\n"
+                   "compartment lib code=512 data=512 stack=512 heap=0\n"
+                   "shared cap_table size=64 between app,lib mode=overlap\n")
+    code, out, err = run_cli(capsys, "layout", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "error: line 3: 'cap_table' names the switcher's own region\n"
+
+
 def test_layout_memory_size_accepts_hex(capsys):
     code, out, _ = run_cli(capsys, "layout", "two_comp.cfg",
                            "--memory-size", "0x10000")

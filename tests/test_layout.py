@@ -28,6 +28,7 @@ from capcomp.layout import (
     format_region_records,
     format_region_table,
     install_function,
+    SharedDecl,
     parse_config,
     shared_alloc,
 )
@@ -107,6 +108,23 @@ def test_parse_rejects_two_exception_regions_for_one_compartment():
     cfg = parse_config(comps + "shared m1 size=32 between a,b mode=exception\n"
                                "shared w size=32 between b,c mode=overlap\n")
     assert [s.name for s in cfg.shared] == ["m1", "w"]
+
+
+@pytest.mark.parametrize("name", ["cap_table", "switcher_data", "switcher_code"])
+def test_shared_region_cannot_take_a_switcher_region_name(name):
+    # Accepted, this gave two regions one name, and `plan.region` found the
+    # later one: the audit reported app's ddc seeing the capability table.
+    with pytest.raises(ConfigError, match=f"line 3: '{name}' names the switcher's own region"):
+        parse_config("compartment app code=512 data=512 stack=512 heap=0\n"
+                     "compartment lib code=512 data=512 stack=512 heap=0\n"
+                     f"shared {name} size=64 between app,lib mode=overlap\n")
+
+
+def test_planner_refuses_two_regions_with_one_name():
+    cfg = parse_config(fixture("two_comp.cfg"))
+    cfg = dataclasses.replace(cfg, shared=(SharedDecl("cap_table", 64, "app", "lib", "overlap"),))
+    with pytest.raises(LayoutError, match="two regions are named 'cap_table'"):
+        compute_layout(cfg)
 
 
 def test_parse_hex_sizes():
