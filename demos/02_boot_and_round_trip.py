@@ -41,7 +41,7 @@ def main():
     site = install_function(img, "app", list(code.instructions) + [halt()])
 
     st = img.machine
-    st.pcc = set_address(img.pcc_caps["app"], site)
+    st.pcc = set_address(st.pcc, site)       # boot leaves the machine in app
     run(st, img.mem, img.program)
     assert st.halted and st.fault is None
 

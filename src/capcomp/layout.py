@@ -21,7 +21,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .capability import NULL_CAP, Capability, Perm, int_cap, make_root, seal, set_address
+from .capability import NULL_CAP, Perm, int_cap, make_root, seal, set_address
 from .isa import REG_FP, REG_SHARED, REG_SP, halt
 from .machine import MachineState
 from .memory import CAP_SLOT, DEFAULT_SIZE, GRANULE, TaggedMemory
@@ -248,6 +248,9 @@ def parse_config(text: str) -> CompartmentConfig:
 # Placement
 
 
+_CODE_KINDS = ("switcher_code", "code")     # regions in instruction-index space
+
+
 @dataclass(frozen=True, slots=True)
 class Region:
     """One planned range. Data-space and code-space regions share this type;
@@ -264,17 +267,6 @@ class Region:
         return self.base <= addr < self.top
 
 
-@dataclass(frozen=True, slots=True)
-class SandboxPlan:
-    name: str
-    host: str
-    comp_id: int
-    code_base: int
-    code_top: int
-    scratch_base: int
-    scratch_top: int
-
-
 @dataclass(slots=True)
 class LayoutPlan:
     """A placement. `regions` is the plan: each compartment's code, data,
@@ -282,17 +274,20 @@ class LayoutPlan:
     region, the switcher's code and data and the capability table, each one
     named `Region`. `region(name)` looks one up by name.
 
-    The per-name views `code_bounds`, `span_bounds`, `data_base`,
-    `stack_top`, `heap_bounds`, `shared_bounds`, `shared_mode` and
-    `shared_owners` are dicts built from `regions` and `config` on each read;
-    the package itself reads the regions. `code_bounds` is each
-    compartment's own `<name>.code` region, the range of its pcc, so a
-    host's excludes its sandboxes' slices. `sandboxes` gives each sandbox's
-    code and scratch regions with its host and id.
+    Beside the regions the plan stores only what they do not record: the
+    configuration, the memory size, the placement order, the entity ids and
+    `ddc_bounds`, the planner's decision to widen a span's default view over
+    its adjacent windows, which `audit_plan` checks against the windows.
 
-    `ddc_bounds` stays stored: whether a span's default view is widened over
-    an adjacent window is the planner's decision, which no single region
-    records, and `audit_plan` checks that decision against the windows.
+    Everything else is a read-only view built from the regions on each
+    read: the per-name dicts `code_bounds`, `span_bounds`, `data_base`,
+    `stack_top`, `heap_bounds`, `shared_bounds`, `shared_mode` and
+    `shared_owners`, and `table_base`, `pair_addr`, `switcher_code`,
+    `total_code_slots` and `data_top`. `code_bounds` is each compartment's
+    own `<name>.code` region, the range of its pcc, so a host's excludes its
+    sandboxes' slices. `sandboxes` maps each sandbox's name to its
+    declaration; its bounds are its `<name>.code` and `<name>.scratch`
+    regions.
     """
 
     config: CompartmentConfig
@@ -301,16 +296,12 @@ class LayoutPlan:
     placement_order: list[str]
     comp_ids: dict[str, int]
     ddc_bounds: dict[str, tuple[int, int]]        # span widened over adjacent windows
-    sandboxes: dict[str, SandboxPlan]
-    table_base: int
-    pair_addr: int
-    switcher_code: tuple[int, int]
-    total_code_slots: int
-    data_top: int
+    sandboxes: dict[str, SandboxDecl] = field(init=False, repr=False, compare=False)
     _by_name: dict[str, Region] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._by_name = {r.name: r for r in self.regions}
+        self.sandboxes = {sb.name: sb for sb in self.config.sandboxes}
 
     def region(self, name: str) -> Region:
         return self._by_name[name]
@@ -328,6 +319,28 @@ class LayoutPlan:
 
     def _per_compartment(self, kind: str) -> dict[str, Region]:
         return {name: self._by_name[f"{name}.{kind}"] for name in self.placement_order}
+
+    @property
+    def table_base(self) -> int:
+        return self._by_name["cap_table"].base
+
+    @property
+    def pair_addr(self) -> int:
+        """The switcher's own (pcc, locator) pair, at the base of its data."""
+        return self._by_name["switcher_data"].base
+
+    @property
+    def switcher_code(self) -> tuple[int, int]:
+        r = self._by_name["switcher_code"]
+        return r.base, r.top
+
+    @property
+    def total_code_slots(self) -> int:
+        return max(r.top for r in self.regions if r.kind in _CODE_KINDS)
+
+    @property
+    def data_top(self) -> int:
+        return max(r.top for r in self.regions if r.kind not in _CODE_KINDS)
 
     @property
     def code_bounds(self) -> dict[str, tuple[int, int]]:
@@ -453,11 +466,10 @@ def compute_layout(cfg: CompartmentConfig, memory_size: int = DEFAULT_SIZE) -> L
         cursor = place(f"{name}.code", "code", cursor, code - carve, (name,))
         for sb in sbs:
             cursor = place(f"{sb}.code", "code", cursor, SANDBOX_CODE, (sb,))
-    total_code_slots = cursor
 
     # Data space.
-    table_base = place("switcher_data", "switcher_data", 0, SWITCHER_DATA_SIZE)
-    cursor = place("cap_table", "cap_table", table_base, len(names) * TABLE_ENTRY)
+    cursor = place("switcher_data", "switcher_data", 0, SWITCHER_DATA_SIZE)
+    cursor = place("cap_table", "cap_table", cursor, len(names) * TABLE_ENTRY)
 
     overlap_between: dict[frozenset[str], list[SharedDecl]] = {}
     for s in cfg.shared:
@@ -493,16 +505,8 @@ def compute_layout(cfg: CompartmentConfig, memory_size: int = DEFAULT_SIZE) -> L
     if cursor > memory_size:
         raise LayoutError(f"layout needs {cursor:#x} bytes, memory holds {memory_size:#x}")
 
-    plan = LayoutPlan(
-        config=cfg, memory_size=memory_size, regions=regions, placement_order=order,
-        comp_ids=comp_ids, ddc_bounds=ddc_bounds, sandboxes={}, table_base=table_base,
-        pair_addr=0, switcher_code=(0, SWITCHER_CODE_SLOTS),
-        total_code_slots=total_code_slots, data_top=cursor)
-    for sb in cfg.sandboxes:
-        code, scratch = plan.region(f"{sb.name}.code"), plan.region(f"{sb.name}.scratch")
-        plan.sandboxes[sb.name] = SandboxPlan(sb.name, sb.host, comp_ids[sb.name], code.base,
-                                              code.top, scratch.base, scratch.top)
-    return plan
+    return LayoutPlan(config=cfg, memory_size=memory_size, regions=regions,
+                      placement_order=order, comp_ids=comp_ids, ddc_bounds=ddc_bounds)
 
 
 def format_table(rows: list[tuple[str, ...]]) -> list[str]:
@@ -540,19 +544,20 @@ def format_region_records(plan: LayoutPlan) -> str:
 
 @dataclass(slots=True)
 class BootImage:
-    """A booted machine: planned memory, filled program store, live state."""
+    """A booted machine: planned memory, filled program store, live state.
+
+    The capability table in `mem` is the one copy of each entity's pcc,
+    ddc, resume stack pointer and trampoline entry: the switcher loads a
+    callee's from it, and so does `enter`. `next_free` maps each region
+    that `comp_alloc`, `shared_alloc` and `install_function` take from
+    (every compartment heap, every shared region and every entity's code
+    region) to its first free address or slot."""
 
     plan: LayoutPlan
     mem: TaggedMemory
     machine: MachineState
     program: list
-    heap_ptrs: dict[str, int]
-    shared_ptrs: dict[str, int]
-    user_code_ptrs: dict[str, int]
-    tramp_entries: dict[str, int]
-    pcc_caps: dict[str, Capability]
-    ddc_caps: dict[str, Capability]
-    promotion_count: int = 0
+    next_free: dict[str, int]
 
     def compartment_id(self, name: str) -> int:
         return self.plan.comp_ids[name]
@@ -562,18 +567,20 @@ class BootImage:
 
     def user_entry(self, name: str) -> int:
         """First instruction slot after the trampoline."""
-        return self.tramp_entries[name] + TRAMP_SLOTS
+        return self.plan.region(f"{name}.code").base + TRAMP_SLOTS
 
     def enter(self, name: str) -> None:
-        """Put the machine in compartment `name`: its code capability with
-        the pc at its first user instruction, its ddc, sp and fp at its stack
-        top, and in r18 the exception region it owns (null if none)."""
+        """Put the machine in compartment `name`: the pcc and ddc of its
+        table entry with the pc at its first user instruction, sp and fp at
+        its stack top, and in r18 the exception region it owns (null if
+        none)."""
         plan = self.plan
         if name not in plan.comp_ids or name in plan.sandboxes:
             raise LayoutError(f"{name!r} is not a compartment")
         st = self.machine
-        st.pcc = set_address(self.pcc_caps[name], self.user_entry(name))
-        st.ddc = self.ddc_caps[name]
+        slot = self.table_slot(name)
+        st.pcc = set_address(self.mem.load_cap(slot + OFF_PCC), self.user_entry(name))
+        st.ddc = self.mem.load_cap(slot + OFF_DDC)
         st.current_compartment = plan.comp_ids[name]
         st.regs[REG_SP] = st.regs[REG_FP] = int_cap(plan.region(f"{name}.stack").top)
         st.regs[REG_SHARED] = NULL_CAP
@@ -601,9 +608,7 @@ def boot_init(plan: LayoutPlan) -> BootImage:
     if len(tramp) > TRAMP_SLOTS:
         raise LayoutError("trampoline does not fit its reserved slots")
 
-    pcc_caps: dict[str, Capability] = {}
-    ddc_caps: dict[str, Capability] = {}
-    tramp_entries: dict[str, int] = {}
+    next_free: dict[str, int] = {}
     code_regions = []
 
     # Capability table: (pcc, ddc, resume sp, trampoline entry) per entity.
@@ -612,20 +617,21 @@ def boot_init(plan: LayoutPlan) -> BootImage:
     for name, cid in plan.comp_ids.items():
         code = plan.region(f"{name}.code")
         if name in plan.sandboxes:
-            sb = plan.sandboxes[name]
-            view, sp0 = (sb.scratch_base, sb.scratch_top), sb.scratch_top
+            scratch = plan.region(f"{name}.scratch")
+            view, sp0 = (scratch.base, scratch.top), scratch.top
         else:
             view, sp0 = plan.ddc_bounds[name], plan.region(f"{name}.stack").top
-        pcc_caps[name] = make_root(code.base, code.top, PCC_PERMS)
-        ddc_caps[name] = make_root(*view, DDC_PERMS)
-        tramp_entries[name] = code.base
         program[code.base:code.base + len(tramp)] = tramp
+        next_free[code.name] = code.base + TRAMP_SLOTS
         code_regions.append((code.base, code.top, cid))
         slot = plan.table_base + cid * TABLE_ENTRY
-        mem.store_cap(slot + OFF_PCC, pcc_caps[name])
-        mem.store_cap(slot + OFF_DDC, ddc_caps[name])
+        mem.store_cap(slot + OFF_PCC, make_root(code.base, code.top, PCC_PERMS))
+        mem.store_cap(slot + OFF_DDC, make_root(*view, DDC_PERMS))
         mem.write_bytes(slot + OFF_SP, sp0.to_bytes(8, "little"))
         mem.write_bytes(slot + OFF_TRAMP, code.base.to_bytes(8, "little"))
+    for r in plan.regions:
+        if r.kind in ("heap", "shared"):
+            next_free[r.name] = r.base
 
     # The switcher's own pair: branch target plus the locator capability that
     # becomes its ddc (covers switcher data and the table, nothing else).
@@ -648,20 +654,24 @@ def boot_init(plan: LayoutPlan) -> BootImage:
     st.lpb_otypes = frozenset(otypes)
     st.code_regions = code_regions
 
-    img = BootImage(
-        plan=plan,
-        mem=mem,
-        machine=st,
-        program=program,
-        heap_ptrs={c.name: plan.region(f"{c.name}.heap").base for c in cfg.compartments},
-        shared_ptrs={r.name: r.base for r in plan.regions if r.kind == "shared"},
-        user_code_ptrs={name: TRAMP_SLOTS for name in plan.comp_ids},
-        tramp_entries=tramp_entries,
-        pcc_caps=pcc_caps,
-        ddc_caps=ddc_caps,
-    )
+    img = BootImage(plan=plan, mem=mem, machine=st, program=program, next_free=next_free)
     img.enter(cfg.compartments[0].name)
     return img
+
+
+def _cap_slots(size: int) -> int:
+    """`size` bytes rounded up to whole capability slots, at least one."""
+    return max(CAP_SLOT, (size + CAP_SLOT - 1) // CAP_SLOT * CAP_SLOT)
+
+
+def _bump(img: BootImage, region: str, size: int) -> int | None:
+    """Take `size` bytes or slots from the front of a region's free space
+    and return where they start, or None when they do not fit."""
+    ptr = img.next_free[region]
+    if ptr + size > img.plan.region(region).top:
+        return None
+    img.next_free[region] = ptr + size
+    return ptr
 
 
 def comp_alloc(img: BootImage, comp: str, size: int) -> int:
@@ -669,27 +679,22 @@ def comp_alloc(img: BootImage, comp: str, size: int) -> int:
 
     Chunks are capability-slot aligned so any allocation can hold
     capabilities."""
-    if comp not in img.heap_ptrs:
+    region = f"{comp}.heap"
+    if region not in img.next_free:
         raise AllocError(f"unknown compartment {comp!r}")
-    size = max(CAP_SLOT, (size + CAP_SLOT - 1) // CAP_SLOT * CAP_SLOT)
-    hi = img.plan.region(f"{comp}.heap").top
-    ptr = img.heap_ptrs[comp]
-    if ptr + size > hi:
+    ptr = _bump(img, region, _cap_slots(size))
+    if ptr is None:
         raise AllocError(f"heap of {comp!r} exhausted")
-    img.heap_ptrs[comp] = ptr + size
     return ptr
 
 
 def shared_alloc(img: BootImage, region: str, size: int) -> int:
     """Bump-allocate from a shared region (capability-slot aligned)."""
-    if region not in img.shared_ptrs:
+    if region not in img.next_free or img.plan.region(region).kind != "shared":
         raise AllocError(f"unknown shared region {region!r}")
-    size = max(CAP_SLOT, (size + CAP_SLOT - 1) // CAP_SLOT * CAP_SLOT)
-    hi = img.plan.region(region).top
-    ptr = img.shared_ptrs[region]
-    if ptr + size > hi:
+    ptr = _bump(img, region, _cap_slots(size))
+    if ptr is None:
         raise AllocError(f"shared region {region!r} exhausted")
-    img.shared_ptrs[region] = ptr + size
     return ptr
 
 
@@ -701,20 +706,19 @@ def install_function(img: BootImage, owner: str, instructions: Sequence,
     was there, allocation pointer untouched), which lets a call site be
     re-emitted repeatedly without exhausting the region.
     """
-    if owner not in img.pcc_caps:
+    region = f"{owner}.code"
+    if region not in img.next_free:
         raise LayoutError(f"unknown code owner {owner!r}")
-    base, top = img.pcc_caps[owner].base, img.pcc_caps[owner].top
     if at is not None:
-        if not base + TRAMP_SLOTS <= at or at + len(instructions) > top:
+        code = img.plan.region(region)
+        if not code.base + TRAMP_SLOTS <= at or at + len(instructions) > code.top:
             raise LayoutError(f"fixed entry {at} outside the code region of {owner!r}")
-        img.program[at:at + len(instructions)] = instructions
-        return at
-    ptr = img.user_code_ptrs[owner]
-    entry = base + ptr
-    if entry + len(instructions) > top:
-        raise LayoutError(f"code region of {owner!r} exhausted")
+        entry = at
+    else:
+        entry = _bump(img, region, len(instructions))
+        if entry is None:
+            raise LayoutError(f"code region of {owner!r} exhausted")
     img.program[entry:entry + len(instructions)] = instructions
-    img.user_code_ptrs[owner] = ptr + len(instructions)
     return entry
 
 
@@ -728,7 +732,7 @@ def audit_plan(plan: LayoutPlan) -> list[str]:
     problems: list[str] = []
     data_kinds = {"switcher_data", "cap_table", "data", "stack", "heap", "scratch", "shared"}
     data_regions = [r for r in plan.regions if r.kind in data_kinds]
-    code_regions = [r for r in plan.regions if r.kind in ("switcher_code", "code")]
+    code_regions = [r for r in plan.regions if r.kind in _CODE_KINDS]
 
     def overlapping(a: Region, b: Region) -> bool:
         return a.base < b.top and b.base < a.top
@@ -791,13 +795,13 @@ def audit_plan(plan: LayoutPlan) -> list[str]:
 
     # A sandbox's code slice lies after its host's own code region and
     # inside the code size the host declared; its scratch inside the span.
-    for sb in plan.sandboxes.values():
+    for sb in cfg.sandboxes:
         span = plan._span(sb.host)
-        if not (span[0].base <= sb.scratch_base and sb.scratch_top <= span[-1].top):
+        scratch = plan.region(f"{sb.name}.scratch")
+        if not (span[0].base <= scratch.base and scratch.top <= span[-1].top):
             problems.append(f"sandbox {sb.name} scratch escapes host span")
-        code = plan.region(f"{sb.host}.code")
-        if not (code.top <= sb.code_base
-                and sb.code_top <= code.base + cfg.compartment(sb.host).code):
+        code, host = plan.region(f"{sb.name}.code"), plan.region(f"{sb.host}.code")
+        if not (host.top <= code.base and code.top <= host.base + cfg.compartment(sb.host).code):
             problems.append(f"sandbox {sb.name} code escapes host code region")
 
     return problems

@@ -34,7 +34,8 @@ else in the loop writes the compartment, so skipping the scan inside the
 interval changes nothing.
 
 Privileged operations (seal, install-ddc, read-ddc) only execute while the
-pcc lies inside the switcher/boot code region.  The one exception is the
+pc lies inside the switcher's code window, `MachineState.switcher_bounds`,
+which is empty on a bare machine.  The one exception is the
 gate-return path: a successful load-pair-branch arms a one-shot grant that
 lets exactly the next instruction install the ddc from the pair's second
 register.  Since load-pair-branch always transfers control, untrusted code
@@ -124,11 +125,12 @@ class MachineState:
     switches: int = 0          # domain switches (load-pair-branch commits)
     ddc_swap_events: int = 0
 
-    # Privileged-code window in instruction-index space; None means the whole
-    # program is boot context (bare-machine tests).
-    switcher_bounds: tuple[int, int] | None = None
-    # Object types load-pair-branch accepts; None accepts any sealed value.
-    lpb_otypes: frozenset[int] | None = None
+    # Privileged-code window [lo, hi) in instruction-index space.  Empty by
+    # default, so a bare machine has no privileged pc and checks every
+    # legacy access against its ddc.
+    switcher_bounds: tuple[int, int] = (0, 0)
+    # Object types load-pair-branch accepts; by default none.
+    lpb_otypes: frozenset[int] = frozenset()
     # (base, top, compartment) in instruction-index space.  A booted image's
     # regions are pairwise disjoint (`audit_plan` checks the plan); where
     # hand-built regions overlap, the first one that holds the pc wins.
@@ -157,8 +159,8 @@ class MachineState:
 
 
 def _privileged(st: MachineState, pc: int) -> bool:
-    bounds = st.switcher_bounds
-    return bounds is None or bounds[0] <= pc < bounds[1]
+    lo, hi = st.switcher_bounds
+    return lo <= pc < hi
 
 
 def _blocked_entry(st: MachineState, target: int, pc: int) -> bool:
@@ -217,7 +219,7 @@ def _load_pair_branch(st, mem, ins, pc, grant):
         return _fault(st, FaultKind.TAG, sc.address, pc)
     if not sc.sealed:
         return _fault(st, FaultKind.SEAL, sc.address, pc)
-    if st.lpb_otypes is not None and sc.otype not in st.lpb_otypes:
+    if sc.otype not in st.lpb_otypes:
         return _fault(st, FaultKind.SEAL, sc.address, pc)
     u = unseal(sc)
     addr = u.address
@@ -282,7 +284,7 @@ def _access(need: int, is_store: bool, is_cap: bool):
             # ddc is already installed.  Explicit capability operands stay
             # checked.  This is `_privileged`, inline.
             bounds = st.switcher_bounds
-            checked = bounds is not None and not bounds[0] <= pc < bounds[1]
+            checked = not bounds[0] <= pc < bounds[1]
         # The allowed case of `check_access`, inline; it runs only to name
         # the fault.
         if checked and not (auth.tag and not auth.otype

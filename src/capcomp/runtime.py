@@ -440,16 +440,23 @@ def switcher_switch(img: BootImage) -> MachineState:
     return _run_phase(img, end - off)
 
 
+def _at_trampoline(img: BootImage, offset: int) -> bool:
+    """Whether the pc is `offset` slots into a trampoline.  Every entity's
+    code region starts with its trampoline copy."""
+    pc = img.machine.pc - offset
+    return any(r.base == pc for r in img.plan.regions if r.kind == "code")
+
+
 def trampoline_enter(img: BootImage) -> MachineState:
     """Run the callee trampoline up to the call into the target function."""
-    if img.machine.pc not in img.tramp_entries.values():
+    if not _at_trampoline(img, 0):
         raise GateError("trampoline_enter: pcc is not at a trampoline entry")
     return _run_phase(img, TRAMP_ENTER_SLOTS)
 
 
 def trampoline_return(img: BootImage) -> MachineState:
     """Run the pop-and-invoke tail of the trampoline (back to the caller)."""
-    if img.machine.pc - TRAMP_ENTER_SLOTS not in img.tramp_entries.values():
+    if not _at_trampoline(img, TRAMP_ENTER_SLOTS):
         raise GateError("trampoline_return: pcc is not at a trampoline return point")
     return _run_phase(img, TRAMP_RETURN_SLOTS)
 
@@ -495,9 +502,7 @@ def promote_shared(img: BootImage, frm: str, to: str, size: int) -> int:
     overlap-mode region joins them."""
     for s in img.plan.config.shared:
         if s.mode == "overlap" and {s.a, s.b} == {frm, to}:
-            addr = shared_alloc(img, s.name, size)
-            img.promotion_count += 1
-            return addr
+            return shared_alloc(img, s.name, size)
     raise ShareError(f"no overlap window between {frm!r} and {to!r}")
 
 
@@ -677,6 +682,7 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     plan = img.plan
     st = img.machine
     program = img.program
+    data_top = plan.data_top
     gb = random.Random(seed).getrandbits
 
     # Allowed views, by compartment id.
@@ -687,8 +693,9 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
             exc = plan.region(s.name)
             for owner in (s.a, s.b):
                 allowed[plan.comp_ids[owner]].append((exc.base, exc.top))
-    for sb in plan.sandboxes.values():
-        allowed[sb.comp_id] = [(sb.scratch_base, sb.scratch_top)]
+    for sb in plan.sandboxes:
+        scratch = plan.region(f"{sb}.scratch")
+        allowed[plan.comp_ids[sb]] = [(scratch.base, scratch.top)]
 
     code_regions = list(st.code_regions)
 
@@ -736,7 +743,7 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
         site, regs, entry_at, code, ddc, home_id = homes[i % len(homes)]
         end = site + 1 + _draw(gb, max_len)
         st.regs[:] = regs
-        st.regs[4] = int_cap(_draw(gb, plan.data_top))
+        st.regs[4] = int_cap(_draw(gb, data_top))
         st.regs[7] = img.mem.load_cap(entry_at)
         program[end] = _HALT
         st.code = code

@@ -221,11 +221,11 @@ def test_04_round_trip_state_diff_is_empty():
         site = install_function(img, "c0", list(code.instructions) + [halt()])
 
         # priming run settles the root's resume slot at its fixed point
-        st.pcc = set_address(img.pcc_caps["c0"], site)
+        st.pcc = set_address(st.pcc, site)      # boot left the machine in c0
         run(st, img.mem, img.program, max_steps=50_000)
         assert st.halted and st.fault is None, (trial, st.fault)
 
-        st.pcc = set_address(img.pcc_caps["c0"], site)
+        st.pcc = set_address(st.pcc, site)
         st.halted = False
         pre_regs = list(st.regs)
         pre_ddc = st.ddc
@@ -280,12 +280,10 @@ def test_05_overlap_window_boundaries_exact():
 
     def probe(comp, addr, write):
         st = img.machine
+        img.enter(comp)
+        st.pcc = set_address(st.pcc, st_site[comp] if write else ld_site[comp])
         st.regs[1] = int_cap(0x5A5A5A5A)
         st.regs[2] = int_cap(addr)
-        st.pcc = set_address(img.pcc_caps[comp],
-                             st_site[comp] if write else ld_site[comp])
-        st.ddc = img.ddc_caps[comp]
-        st.current_compartment = img.plan.comp_ids[comp]
         st.regs[REG_SHARED] = NULL_CAP     # only the ddc decides
         st.fault = None
         st.halted = False
@@ -376,10 +374,10 @@ def test_05_sandbox_argument_capability_exact():
 
     # the host's view covers the sandbox scratch: host reads sandbox memory
     img = fresh()
-    sb = img.plan.sandboxes["parse_header"]
-    img.mem.write_bytes(sb.scratch_base, b"\x2a")
+    scratch = img.plan.region("parse_header.scratch")
+    img.mem.write_bytes(scratch.base, b"\x2a")
     site = install_function(img, "host",
-                            [movi(1, sb.scratch_base), ldi(2, 1, 0), halt()])
+                            [movi(1, scratch.base), ldi(2, 1, 0), halt()])
     st = img.machine
     st.pcc = set_address(st.pcc, site)
     run(st, img.mem, img.program)

@@ -61,8 +61,8 @@ def ref_emit_gate_sequence(plan, gate, args):
     if gate.caller not in plan.code_bounds:
         raise GateError(f"gate caller {gate.caller!r} is not a compartment")
     if gate.callee in plan.sandboxes:
-        c_lo, c_hi = (plan.sandboxes[gate.callee].code_base,
-                      plan.sandboxes[gate.callee].code_top)
+        c_lo, c_hi = (plan.region(f"{gate.callee}.code").base,
+                      plan.region(f"{gate.callee}.code").top)
     elif gate.callee in plan.code_bounds:
         c_lo, c_hi = plan.code_bounds[gate.callee]
     else:
@@ -176,10 +176,10 @@ def test_install_call_site_places_code_and_halt(three):
         assert img.program[site:site + n + 1] == [*code.instructions, halt()]
         assert img.machine.pc == site
         assert img.machine.pcc.address == site
-    free = img.user_code_ptrs["app"]
+    free = img.next_free["app.code"]
     site, code = install_call_site(img, gate, [1])
-    assert site == img.plan.code_bounds["app"][0] + free
-    assert img.user_code_ptrs["app"] == free + len(code.instructions) + 1
+    assert site == free
+    assert img.next_free["app.code"] == free + len(code.instructions) + 1
 
 
 # --------------------------------------------------------------------------

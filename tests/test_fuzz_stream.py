@@ -56,7 +56,7 @@ from capcomp.isa import (
     stc,
     sti,
 )
-from capcomp.layout import DDC_PERMS, boot_init, compute_layout, parse_config
+from capcomp.layout import DDC_PERMS, OFF_DDC, boot_init, compute_layout, parse_config
 from capcomp.machine import run
 from capcomp.runtime import FUZZ_CONFIG, FuzzReport, _draw, _fuzz_ins, fuzz_isolation
 
@@ -250,8 +250,9 @@ def views(plan):
             exc = plan.region(s.name)
             for owner in (s.a, s.b):
                 allowed[plan.comp_ids[owner]].append((exc.base, exc.top))
-    for sb in plan.sandboxes.values():
-        allowed[sb.comp_id] = [(sb.scratch_base, sb.scratch_top)]
+    for sb in plan.sandboxes:
+        scratch = plan.region(f"{sb}.scratch")
+        allowed[plan.comp_ids[sb]] = [(scratch.base, scratch.top)]
     return allowed
 
 
@@ -303,7 +304,8 @@ def test_undrawn_slots_are_never_seen(monkeypatch, name, seed, breach):
     def image():
         img = boot(name)
         if breach:
-            img.ddc_caps["app"] = make_root(0, img.plan.data_top, DDC_PERMS)
+            img.mem.store_cap(img.table_slot("app") + OFF_DDC,
+                              make_root(0, img.plan.data_top, DDC_PERMS))
         return img
 
     seqs = record_sequences(monkeypatch)

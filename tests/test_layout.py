@@ -258,13 +258,14 @@ def test_three_comp_chained_windows():
 def test_sandbox_carving():
     plan = compute_layout(parse_config(fixture("sandbox_host.cfg")))
     assert set(plan.sandboxes) == {"parse_header", "decode_frame"}
-    ph = plan.sandboxes["parse_header"]
-    assert (ph.code_base, ph.code_top) == (448, 448 + SANDBOX_CODE)
-    assert (ph.scratch_base, ph.scratch_top) == (17472, 17472 + SANDBOX_SCRATCH)
+    assert plan.sandboxes["parse_header"].host == "host"
+    code, scratch = plan.region("parse_header.code"), plan.region("parse_header.scratch")
+    assert (code.base, code.top) == (448, 448 + SANDBOX_CODE)
+    assert (scratch.base, scratch.top) == (17472, 17472 + SANDBOX_SCRATCH)
     # scratch is carved out of the host heap, inside the host span
     hlo, hhi = plan.span_bounds["host"]
-    assert hlo <= ph.scratch_base and ph.scratch_top <= hhi
-    assert plan.heap_bounds["host"][1] <= ph.scratch_base
+    assert hlo <= scratch.base and scratch.top <= hhi
+    assert plan.heap_bounds["host"][1] <= scratch.base
     assert plan.comp_ids == {"host": 0, "peer": 1, "parse_header": 2, "decode_frame": 3}
     assert audit_plan(plan) == []
 
@@ -330,7 +331,6 @@ def test_every_pcc_is_exactly_its_code_region(cfg):
         code = plan.region(f"{name}.code")
         pcc = img.mem.load_cap(img.table_slot(name) + OFF_PCC)
         assert (pcc.base, pcc.top) == (code.base, code.top)
-        assert (img.pcc_caps[name].base, img.pcc_caps[name].top) == (code.base, code.top)
     regions = sorted(img.machine.code_regions)
     assert len(regions) == len(plan.comp_ids)
     for (_, top, _), (base, _, _) in zip(regions, regions[1:]):
@@ -362,9 +362,8 @@ def test_code_capability_cannot_read_data():
         halt(),
     ], at=site)
     st = img.machine
-    st.pcc = set_address(img.pcc_caps["codec"], site)
-    st.ddc = img.ddc_caps["codec"]
-    st.current_compartment = plan.comp_ids["codec"]
+    img.enter("codec")
+    st.pc = site
     run(st, img.mem, img.program, max_steps=10)
     assert st.fault is not None and st.fault.kind is FaultKind.PERMISSION
     assert st.fault.pc == site + 2 and st.fault.addr == target
@@ -450,7 +449,7 @@ def test_comp_alloc_bump_and_exhaustion():
     lo, hi = img.plan.heap_bounds["app"]
     a = comp_alloc(img, "app", 1)
     b = comp_alloc(img, "app", 33)
-    assert a == lo and b == lo + 32 and img.heap_ptrs["app"] == lo + 96
+    assert a == lo and b == lo + 32 and img.next_free["app.heap"] == lo + 96
     with pytest.raises(AllocError, match="exhausted"):
         comp_alloc(img, "app", hi - lo)
     with pytest.raises(AllocError, match="unknown"):
@@ -474,9 +473,9 @@ def test_install_function_bump_and_fixed():
     assert e1 == base + TRAMP_SLOTS
     e2 = install_function(img, "app", [halt()])
     assert e2 == e1 + 2
-    ptr_before = img.user_code_ptrs["app"]
+    ptr_before = img.next_free["app.code"]
     fixed = install_function(img, "app", [nop(), nop(), halt()], at=top - 3)
-    assert fixed == top - 3 and img.user_code_ptrs["app"] == ptr_before
+    assert fixed == top - 3 and img.next_free["app.code"] == ptr_before
     with pytest.raises(LayoutError, match="outside"):
         install_function(img, "app", [halt()], at=base)          # tramp slots
     with pytest.raises(LayoutError, match="outside"):
@@ -502,7 +501,7 @@ def test_host_code_bounds_are_its_pcc():
     img = boot_init(plan)
     at = plan.code_bounds["host"][1] - 20
     assert install_function(img, "host", [halt()], at=at) == at
-    pcc = img.pcc_caps["host"]
+    pcc = img.mem.load_cap(img.table_slot("host") + OFF_PCC)
     assert plan.code_bounds["host"] == (pcc.base, pcc.top) == (64, 448)
 
 
@@ -514,10 +513,11 @@ def test_host_code_bounds_are_its_pcc():
 def test_audit_detects_sandbox_escaping_its_host(field, values, finding):
     plan = compute_layout(parse_config(fixture("sandbox_host.cfg")))
     assert audit_plan(plan) == []
-    sb = plan.sandboxes["parse_header"]
+    moved = f"parse_header.{field}"
     base, top = values
-    plan.sandboxes["parse_header"] = dataclasses.replace(
-        sb, **{f"{field}_base": base, f"{field}_top": top})
+    plan = dataclasses.replace(plan, regions=[
+        dataclasses.replace(r, base=base, top=top) if r.name == moved else r
+        for r in plan.regions])
     assert f"sandbox parse_header {finding}" in audit_plan(plan)
 
 

@@ -53,7 +53,8 @@ from capcomp.memory import TaggedMemory
 
 
 def bare_machine(mem_size=4096, data_lo=0, data_hi=None):
-    """Boot-context machine: everything privileged, pcc over the program."""
+    """A machine with no switcher: pcc over the program, no privileged pc,
+    and no otype that load-pair-branch accepts."""
     st = MachineState()
     st.pcc = make_root(0, 1 << 20, Perm.EXECUTE)
     st.ddc = make_root(data_lo, data_hi if data_hi is not None else mem_size, PERM_ALL)
@@ -130,9 +131,17 @@ def test_legacy_store_load_through_ddc():
 
 def test_legacy_fault_sets_ddc_access_flag():
     st, mem = bare_machine(data_lo=0, data_hi=128)
-    make_unprivileged(st)
     run(st, mem, [movi(1, 4000), sti(1, 1, 0), halt()])
     assert st.fault.kind is FaultKind.BOUNDS and st.fault.ddc_access
+
+
+def test_bare_machine_checks_every_legacy_access():
+    # No switcher window was set, so no pc is privileged: a legacy store
+    # past a ddc of [0, 64) faults.
+    st, mem = bare_machine(data_lo=0, data_hi=64)
+    run(st, mem, [movi(1, 2048), sti(1, 1, 0), halt()])
+    assert st.fault == Fault(FaultKind.BOUNDS, 2048, 1, 8, ddc_access=True)
+    assert mem.read_bytes(2048, 8) == bytes(8)
 
 
 def test_cap_operand_fault_has_no_ddc_flag():
@@ -222,13 +231,12 @@ def test_fault_atomicity(name, setup, tail):
 # --------------------------------------------------------------------------
 # Privileged operations and the grant window
 
-def make_unprivileged(st):
-    st.switcher_bounds = (1 << 18, 1 << 18)    # empty window: nothing privileged
+def make_privileged(st):
+    st.switcher_bounds = (0, 1 << 20)          # the whole pcc is switcher code
 
 
 def test_seal_requires_privilege():
     st, mem = bare_machine()
-    make_unprivileged(st)
     st.regs[2] = make_root(0, 64, PERM_ALL)
     run(st, mem, [sealr(1, 2, 5)])
     assert st.fault.kind is FaultKind.PERMISSION
@@ -236,10 +244,12 @@ def test_seal_requires_privilege():
 
 def test_seal_privileged_and_otype_range():
     st, mem = bare_machine()
+    make_privileged(st)
     st.regs[2] = make_root(0, 64, PERM_ALL)
     run(st, mem, [sealr(1, 2, 5), halt()])
     assert st.fault is None and st.regs[1].sealed and st.regs[1].otype == 5
     st2, mem2 = bare_machine()
+    make_privileged(st2)
     st2.regs[2] = make_root(0, 64, PERM_ALL)
     run(st2, mem2, [sealr(1, 2, 0)])
     assert st2.fault.kind is FaultKind.PERMISSION   # otype 0 is reserved
@@ -247,17 +257,16 @@ def test_seal_privileged_and_otype_range():
 
 def test_readddc_requires_privilege():
     st, mem = bare_machine()
-    make_unprivileged(st)
     run(st, mem, [readddc(1)])
     assert st.fault.kind is FaultKind.PERMISSION
     st2, mem2 = bare_machine()
+    make_privileged(st2)
     run(st2, mem2, [readddc(1), halt()])
     assert st2.fault is None and st2.regs[1] == st2.ddc
 
 
 def test_installddc_requires_privilege_or_grant():
     st, mem = bare_machine()
-    make_unprivileged(st)
     st.regs[1] = make_root(0, 64, PERM_ALL)
     run(st, mem, [installddc(1)])
     assert st.fault.kind is FaultKind.PERMISSION
@@ -265,9 +274,11 @@ def test_installddc_requires_privilege_or_grant():
 
 def test_installddc_rejects_untagged_and_sealed():
     st, mem = bare_machine()
+    make_privileged(st)
     run(st, mem, [installddc(1)])
     assert st.fault.kind is FaultKind.TAG
     st2, mem2 = bare_machine()
+    make_privileged(st2)
     st2.regs[1] = seal(make_root(0, 64, PERM_ALL), 3)
     run(st2, mem2, [installddc(1)])
     assert st2.fault.kind is FaultKind.SEAL
@@ -275,7 +286,6 @@ def test_installddc_rejects_untagged_and_sealed():
 
 def test_derive_ddc_is_unprivileged_and_monotone():
     st, mem = bare_machine(data_lo=256, data_hi=1024)
-    make_unprivileged(st)
     prog = assemble("""
         movi r1, 512
         movi r2, 640
@@ -294,7 +304,7 @@ def test_derive_ddc_is_unprivileged_and_monotone():
 # --------------------------------------------------------------------------
 # Load-pair-branch and the one-shot grant
 
-def pair_image(otype=7, lpb_otypes=None):
+def pair_image(otype=7, lpb_otypes=frozenset({7})):
     """Memory with a (branch target, data view) pair at 512 and a sealed
     capability to it in r3; program indices 0.. are the caller, 100.. the
     landing pad."""
@@ -323,7 +333,6 @@ def test_lpb_success_effects():
 
 def test_lpb_grant_is_one_shot():
     st, mem = pair_image()
-    make_unprivileged(st)
     prog = [lpb(3, 9)] + [nop()] * 99
     prog += [installddc(9), halt()]            # pc 100: immediately after lpb
     run(st, mem, prog)
@@ -331,7 +340,6 @@ def test_lpb_grant_is_one_shot():
     assert st.ddc.base == 1024                 # grant honored exactly once
 
     st2, mem2 = pair_image()
-    make_unprivileged(st2)
     prog2 = [lpb(3, 9)] + [nop()] * 99
     prog2 += [nop(), installddc(9), halt()]    # one instruction too late
     run(st2, mem2, prog2)
@@ -340,7 +348,6 @@ def test_lpb_grant_is_one_shot():
 
 def test_lpb_grant_register_must_match():
     st, mem = pair_image()
-    make_unprivileged(st)
     st.regs[10] = make_root(0, 4096, PERM_ALL)
     prog = [lpb(3, 9)] + [nop()] * 99 + [installddc(10), halt()]
     run(st, mem, prog)
@@ -415,7 +422,6 @@ def test_compartment_tracking_follows_pc():
 
 def shared_machine():
     st, mem = bare_machine(mem_size=8192, data_lo=0, data_hi=1024)
-    make_unprivileged(st)                      # ddc checks must be live
     st.regs[REG_SHARED] = make_root(4096, 4352, PERM_ALL)
     return st, mem
 

@@ -113,6 +113,7 @@ def pair_machine(pc):
     mem.store_cap(512, target)
     mem.store_cap(544, make_root(1024, 2048, PERM_ALL))
     st.regs[3] = seal(make_root(512, 576, Perm.LOAD_CAP), 7)
+    st.lpb_otypes = frozenset({7})
     return st, mem, target
 
 
@@ -166,7 +167,6 @@ def test_run_trace_lines():
     st.current_compartment = 0
     prog = [movi(1, 4), calll(1), movi(5, 9999), ldi(2, 5, 0),
             addi(2, 2, 1), retl()]
-    st.switcher_bounds = (60, 64)              # legacy accesses are ddc-checked
     st.ddc = make_root(0, 64, PERM_ALL)
     st.events = []
     run(st, mem, prog)

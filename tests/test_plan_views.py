@@ -18,7 +18,6 @@ from capcomp.layout import (
     InfeasibleOverlap,
     LayoutError,
     Region,
-    SandboxPlan,
     _order_for_adjacency,
     compute_layout,
     parse_config,
@@ -54,7 +53,6 @@ def ref_compute_layout(cfg, memory_size=DEFAULT_SIZE):
     code_cursor = SWITCHER_CODE_SLOTS
     regions.append(Region("switcher_code", "switcher_code", 0, SWITCHER_CODE_SLOTS, ()))
     code_bounds = {}
-    sandbox_code = {}
     for name in order:
         decl = cfg.compartment(name)
         carve = len(by_host.get(name, ())) * SANDBOX_CODE
@@ -68,7 +66,6 @@ def ref_compute_layout(cfg, memory_size=DEFAULT_SIZE):
         regions.append(Region(f"{name}.code", "code", base, own_top, (name,)))
         slice_base = own_top
         for sb in by_host.get(name, ()):
-            sandbox_code[sb.name] = (slice_base, slice_base + SANDBOX_CODE)
             regions.append(Region(f"{sb.name}.code", "code",
                                   slice_base, slice_base + SANDBOX_CODE, (sb.name,)))
             slice_base += SANDBOX_CODE
@@ -91,7 +88,6 @@ def ref_compute_layout(cfg, memory_size=DEFAULT_SIZE):
     stack_top = {}
     heap_bounds = {}
     shared_bounds = {}
-    scratch_bounds = {}
     low_window = {}
     high_window = {}
 
@@ -114,7 +110,6 @@ def ref_compute_layout(cfg, memory_size=DEFAULT_SIZE):
         heap_bounds[name] = (cursor, heap_top)
         cursor += decl.heap - carve
         for sb in sbs:
-            scratch_bounds[sb.name] = (cursor, cursor + SANDBOX_SCRATCH)
             regions.append(Region(f"{sb.name}.scratch", "scratch",
                                   cursor, cursor + SANDBOX_SCRATCH, (sb.name,)))
             cursor += SANDBOX_SCRATCH
@@ -144,13 +139,6 @@ def ref_compute_layout(cfg, memory_size=DEFAULT_SIZE):
         lo, hi = span_bounds[name]
         ddc_bounds[name] = (low_window.get(name, lo), high_window.get(name, hi))
 
-    sandboxes = {}
-    for sb in cfg.sandboxes:
-        cb, ct = sandbox_code[sb.name]
-        scb, sct = scratch_bounds[sb.name]
-        sandboxes[sb.name] = SandboxPlan(sb.name, sb.host, sandbox_ids[sb.name],
-                                         cb, ct, scb, sct)
-
     return SimpleNamespace(
         regions=regions,
         placement_order=order,
@@ -164,8 +152,9 @@ def ref_compute_layout(cfg, memory_size=DEFAULT_SIZE):
         shared_bounds=shared_bounds,
         shared_mode={s.name: s.mode for s in cfg.shared},
         shared_owners={s.name: (s.a, s.b) for s in cfg.shared},
-        sandboxes=sandboxes,
+        sandboxes={sb.name: sb for sb in cfg.sandboxes},
         table_base=table_base,
+        pair_addr=0,
         switcher_code=(0, SWITCHER_CODE_SLOTS),
         total_code_slots=total_code_slots,
         data_top=cursor,
@@ -191,7 +180,7 @@ def assert_views_match(plan, ref):
     for view in ("placement_order", "comp_ids", "span_bounds", "ddc_bounds",
                  "data_base", "stack_top", "heap_bounds", "shared_bounds",
                  "shared_mode", "shared_owners", "sandboxes", "table_base",
-                 "switcher_code", "total_code_slots", "data_top"):
+                 "pair_addr", "switcher_code", "total_code_slots", "data_top"):
         assert getattr(plan, view) == getattr(ref, view), view
 
 

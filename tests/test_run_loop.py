@@ -263,8 +263,9 @@ def build_case(seed):
     st.ddc = make_root(0, SHARED[0], PERM_ALL)
     st.current_compartment = rng.choice((None, 0, 9))
     st.code_regions = random_regions(rng)
-    st.switcher_bounds = rng.choice((None, (48, 56), (48, 56), (0, 0)))
-    st.lpb_otypes = rng.choice((None, frozenset({OTYPE})))
+    st.switcher_bounds = rng.choice(((0, PROGRAM_LEN), (48, 56), (48, 56), (0, 0)))
+    # {OTYPE, 11} holds every otype `random_cap` seals with
+    st.lpb_otypes = rng.choice((frozenset({OTYPE, 11}), frozenset({OTYPE})))
     st.regs[REG_SHARED] = (
         make_root(*SHARED, Perm.LOAD | Perm.STORE | Perm.LOAD_CAP | Perm.STORE_CAP)
         if rng.random() < 0.5 else NULL_CAP)

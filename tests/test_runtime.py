@@ -9,6 +9,8 @@ from capcomp.isa import REG_FP, REG_SP, REG_ZERO, addi, calll, halt, ldi, mov, m
 from capcomp.layout import (
     DDC_PERMS,
     FRAME_OTYPE,
+    OFF_DDC,
+    OFF_PCC,
     OFF_SP,
     PCC_PERMS,
     TABLE_ENTRY,
@@ -60,6 +62,21 @@ def img_two():
 
 def img_three():
     return boot_init(compute_layout(parse_config(fixture("three_comp_shared.cfg"))))
+
+
+def tramp_entry(img, name):
+    """Where the switcher enters `name`: its code region starts with its
+    trampoline."""
+    return img.plan.region(f"{name}.code").base
+
+
+def table_cap(img, name, off):
+    return img.mem.load_cap(img.table_slot(name) + off)
+
+
+def plant(img, name, off, cap):
+    """Replace the pcc (OFF_PCC) or ddc (OFF_DDC) in `name`'s table entry."""
+    img.mem.store_cap(img.table_slot(name) + off, cap)
 
 
 def leaf_plus_one(img, owner="lib"):
@@ -199,7 +216,7 @@ def test_callee_entry_register_hygiene():
     for r in (9, 10, 11, 13, 14, 15, 17, 19, 20, 21, 27, 28):
         assert st.regs[r] == NULL_CAP, f"r{r} leaked through the switch"
     assert st.regs[12].address == entry
-    assert st.regs[30].address == img.tramp_entries["lib"] + TRAMP_ENTER_SLOTS
+    assert st.regs[30].address == tramp_entry(img, "lib") + TRAMP_ENTER_SLOTS
     # the sealed frame capability sits on the callee stack, nowhere else
     sp = st.regs[REG_SP].address
     stash = img.mem.load_cap(sp)
@@ -223,19 +240,19 @@ def test_phase_composition_matches_full_call():
     frame = read_switch_frame(img, sp0 - SAVE_BYTES - FRAME_SIZE)
     assert frame.sp == sp0 - SAVE_BYTES
     assert frame.ret_cap.tag and frame.ret_cap.address == site + 37
-    assert frame.caller_ddc == img.ddc_caps["app"]
+    assert frame.caller_ddc == table_cap(img, "app", OFF_DDC)
     from capcomp.runtime import SWITCHER_RET_ENTRY
     assert frame.ret_leg.address == SWITCHER_RET_ENTRY
     assert frame.callee_slot == img.table_slot("lib") + OFF_SP
     assert frame.callee_sp == img.plan.stack_top["lib"]
-    assert st.pcc.address == img.tramp_entries["lib"]
+    assert st.pcc.address == tramp_entry(img, "lib")
     # caller resume slot now points at the frame
     slot = img.table_slot("app") + OFF_SP
     assert int.from_bytes(img.mem.read_bytes(slot, 8), "little") == frame.addr
 
     trampoline_enter(img)
     guard = 0
-    back = img.tramp_entries["lib"] + TRAMP_ENTER_SLOTS
+    back = tramp_entry(img, "lib") + TRAMP_ENTER_SLOTS
     while st.pcc.address != back:
         step(st, img.mem, img.program)
         guard += 1
@@ -438,6 +455,30 @@ def test_region_arg_bounds_and_perms():
     assert st3.fault.kind is FaultKind.BOUNDS       # one past the view
 
 
+def test_enter_and_the_switcher_read_one_table_entry():
+    # lib's pcc and ddc, narrowed in its table entry alone: `enter`
+    # installs both, and a gated call into lib runs under the same two.
+    from capcomp.capability import set_address
+    img = img_two()
+    code = img.plan.region("lib.code")
+    lo, hi = img.plan.ddc_bounds["lib"]
+    pcc = make_root(code.base, code.top - 8, PCC_PERMS)
+    ddc = make_root(lo, hi - 64, DDC_PERMS)
+    plant(img, "lib", OFF_PCC, pcc)
+    plant(img, "lib", OFF_DDC, ddc)
+    st = img.machine
+    img.enter("lib")
+    assert (st.code, st.pc, st.ddc) == (set_address(pcc, img.user_entry("lib")),
+                                        img.user_entry("lib"), ddc)
+    img.enter("app")
+    entry = install_function(img, "lib", [retl()])
+    gate_call(img, GateDescriptor("app", "lib", entry), [])
+    switcher_switch(img)
+    assert (st.code, st.pc, st.ddc) == (set_address(pcc, tramp_entry(img, "lib")),
+                                        tramp_entry(img, "lib"), ddc)
+    assert st.fault is None
+
+
 def test_corrupted_frame_stash_fail_stops():
     img = img_two()
     entry = install_function(img, "lib", [retl()])
@@ -449,7 +490,7 @@ def test_corrupted_frame_stash_fail_stops():
     from capcomp.machine import run
     run(st, img.mem, img.program)
     assert st.fault is not None and st.fault.kind is FaultKind.TAG
-    assert st.fault.pc == img.tramp_entries["lib"] + 7   # the return invoke
+    assert st.fault.pc == tramp_entry(img, "lib") + 7   # the return invoke
     assert st.current_compartment == 1              # never re-entered the caller
 
 
@@ -498,7 +539,7 @@ def test_junk_branch_target_fail_stops():
     img = img_two()
     st = rogue_invoke(img, "app", r10=0, r11=1 * TABLE_ENTRY, r12=999_999)
     assert st.fault is not None and st.fault.kind is FaultKind.BOUNDS
-    assert st.fault.pc == img.tramp_entries["lib"] + 3   # the trampoline call
+    assert st.fault.pc == tramp_entry(img, "lib") + 3   # the trampoline call
 
 
 # --------------------------------------------------------------------------
@@ -542,9 +583,9 @@ def test_sandbox_arg_window_is_exact():
 
 def test_host_reads_sandbox_scratch():
     img = sandbox_img()
-    sb = img.plan.sandboxes["parse_header"]
-    img.mem.write_bytes(sb.scratch_base, b"\x2a")
-    body = [movi(1, sb.scratch_base), ldi(2, 1, 0), halt()]
+    scratch = img.plan.region("parse_header.scratch")
+    img.mem.write_bytes(scratch.base, b"\x2a")
+    body = [movi(1, scratch.base), ldi(2, 1, 0), halt()]
     entry = install_function(img, "host", body)
     st = img.machine
     from capcomp.capability import set_address
@@ -571,7 +612,7 @@ def test_host_cannot_call_into_sandbox_code():
 
 def test_gate_entry_in_a_sandbox_slice_is_not_the_hosts():
     plan = compute_layout(parse_config(fixture("sandbox_host.cfg")))
-    inside = plan.sandboxes["parse_header"].code_base + TRAMP_SLOTS
+    inside = plan.region("parse_header.code").base + TRAMP_SLOTS
     with pytest.raises(GateError, match="outside the code region of 'host'"):
         emit_gate_sequence(plan, GateDescriptor("peer", "host", inside), [])
 
@@ -597,7 +638,7 @@ def test_promote_shared_paths():
     lo, hi = img.plan.shared_bounds["inbuf"]
     a = promote_shared(img, "app", "codec", 64)
     b = promote_shared(img, "codec", "app", 64)    # order-insensitive
-    assert a == lo and b == lo + 64 and img.promotion_count == 2
+    assert a == lo and b == lo + 64
     with pytest.raises(ShareError, match="no overlap window"):
         promote_shared(img, "app", "store", 16)    # mailbox is exception mode
 
@@ -629,9 +670,9 @@ def test_fuzz_sandbox_host_guard_is_armed():
     # with the host pcc widened over its sandbox slices, the same run must
     # report the escape.
     img = sandbox_img()
-    host = img.pcc_caps["host"]
+    host = table_cap(img, "host", OFF_PCC)
     top = max(img.plan.region(f"{name}.code").top for name in img.plan.sandboxes)
-    img.pcc_caps["host"] = make_root(host.base, top, PCC_PERMS)
+    plant(img, "host", OFF_PCC, make_root(host.base, top, PCC_PERMS))
     assert fuzz_isolation(img, sequences=40_000, seed=67).violations == [
         "sequence 17476: pc 513 (decode_frame) wrote [0x2420, 0x2440) outside its view"]
 
@@ -640,7 +681,7 @@ def test_fuzz_sandbox_host_guard_is_armed():
 def test_fuzz_violations_are_capped(report_cap):
     # A planted breach: app's ddc widened to all of data memory.
     img = img_two()
-    img.ddc_caps["app"] = make_root(0, img.plan.data_top, DDC_PERMS)
+    plant(img, "app", OFF_DDC, make_root(0, img.plan.data_top, DDC_PERMS))
     report = fuzz_isolation(img, sequences=20_000, seed=3, report_cap=report_cap)
     assert report.sequences < 20_000                # stopped at the breach beyond the cap
     assert len(report.violations) == report_cap
@@ -690,7 +731,7 @@ def test_fuzz_breach_report_is_pinned():
     # Each access is judged once, in the sequence that made it, and the
     # capped early return leaves the event list off too.
     img = img_two()
-    img.ddc_caps["app"] = make_root(0, img.plan.data_top, DDC_PERMS)
+    plant(img, "app", OFF_DDC, make_root(0, img.plan.data_top, DDC_PERMS))
     report = fuzz_isolation(img, sequences=20_000, seed=3, report_cap=4)
     assert (report.sequences, report.steps, report.switches) == (123, 115, 4)
     assert report.violations == [

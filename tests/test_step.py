@@ -225,16 +225,16 @@ def test_nested_region_wins_over_its_host():
 def test_booted_sandbox_region_wins_over_its_host():
     text = ir.files("capcomp").joinpath("fixtures", "sandbox_host.cfg").read_text()
     img = boot_init(compute_layout(parse_config(text)))
-    sb = img.plan.sandboxes["parse_header"]
+    slice_base = img.plan.region("parse_header.code").base
     host = img.compartment_id("host")
     st = img.machine
     img.enter("host")
-    img.program[sb.code_base - 1] = nop()
-    st.pc = sb.code_base - 1
+    img.program[slice_base - 1] = nop()
+    st.pc = slice_base - 1
     assert st.current_compartment == host
     step(img.machine, img.mem, img.program)
-    assert st.fault is None and st.pc == sb.code_base
-    assert st.current_compartment == sb.comp_id != host
+    assert st.fault is None and st.pc == slice_base
+    assert st.current_compartment == img.compartment_id("parse_header") != host
 
 
 def test_fall_through_into_the_next_region_then_fetch_fault():
@@ -286,6 +286,7 @@ def test_lpb_retires_into_the_target_region():
     mem.store_cap(512, target)
     mem.store_cap(544, make_root(0, 256, PERM_ALL))
     st.regs[3] = seal(make_root(512, 576, Perm.LOAD_CAP), OTYPE)
+    st.lpb_otypes = frozenset({OTYPE})
     step(st, mem, lpb_program())
     assert st.fault is None
     assert (st.pc, st.current_compartment, st.instructions_retired) == (100, 4, 1)
