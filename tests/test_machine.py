@@ -135,15 +135,6 @@ def test_legacy_fault_sets_ddc_access_flag():
     assert st.fault.kind is FaultKind.BOUNDS and st.fault.ddc_access
 
 
-def test_bare_machine_checks_every_legacy_access():
-    # No switcher window was set, so no pc is privileged: a legacy store
-    # past a ddc of [0, 64) faults.
-    st, mem = bare_machine(data_lo=0, data_hi=64)
-    run(st, mem, [movi(1, 2048), sti(1, 1, 0), halt()])
-    assert st.fault == Fault(FaultKind.BOUNDS, 2048, 1, 8, ddc_access=True)
-    assert mem.read_bytes(2048, 8) == bytes(8)
-
-
 def test_cap_operand_fault_has_no_ddc_flag():
     st, mem = bare_machine()
     st.regs[4] = make_root(0, 64, Perm.LOAD)
