@@ -68,6 +68,10 @@ def test_one_memory_size_default():
     assert compute_layout(cfg).memory_size == TaggedMemory().size == cli_default
 
 
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
+
+
 def test_boot_dump_decodes_protected_structures(capsys):
     code, out, _ = run_cli(capsys, "boot-dump", "two_comp.cfg")
     assert code == 0

@@ -1,9 +1,10 @@
-"""Gate emission from shared blocks and the slot-descriptor `Ins`
-constructor, checked against references: the per-call builder that emitted
-every instruction of a call site afresh, and an `Ins` built field by field
-the way the generated frozen-dataclass `__init__` builds it."""
+"""Gate, switcher and trampoline emission from shared blocks and the
+slot-descriptor `Ins` constructor, checked against references: the per-call
+builders that emitted every instruction afresh, and an `Ins` built field by
+field the way the generated frozen-dataclass `__init__` builds it."""
 
 import dataclasses
+import importlib.resources as ir
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,26 +13,56 @@ from capcomp.capability import Perm
 from capcomp.isa import (
     Ins,
     Op,
+    REG_FP,
+    REG_LINK,
     REG_SP,
     REG_ZERO,
     addi,
+    bcap,
+    calll,
     cvtd,
     format_ins,
     halt,
+    installddc,
     ldc,
+    ldi,
     lpb,
     mov,
     movi,
+    readddc,
     restrict,
     retl,
+    sealr,
+    setaddr,
+    setbounds,
     stc,
+    sti,
 )
-from capcomp.layout import TABLE_ENTRY, boot_init, compute_layout, install_function, parse_config
+from capcomp.layout import (
+    FRAME_OTYPE,
+    OFF_SP,
+    OFF_TRAMP,
+    TABLE_ENTRY,
+    boot_init,
+    compute_layout,
+    install_function,
+    parse_config,
+)
 from capcomp.runtime import (
+    FRAME_OFF_CALLEE_SLOT,
+    FRAME_OFF_CALLEE_SP,
+    FRAME_OFF_DDC,
+    FRAME_OFF_FP,
+    FRAME_OFF_RET,
+    FRAME_OFF_RETLEG,
+    FRAME_OFF_SP,
+    FRAME_SIZE,
     R_ADDR,
     R_ARG_MAX,
     R_CALLEE_OFF,
     R_CALLER_OFF,
+    R_FRAME,
+    R_FRAME_OUT,
     R_PAIR2,
     R_SEALED,
     R_STASH,
@@ -39,17 +70,23 @@ from capcomp.runtime import (
     SAVE_BYTES,
     SAVE_SET,
     SCRUB_BYTES,
+    SWITCHER_RET_ENTRY,
+    SWITCHER_SCRUB,
     GateCode,
     GateDescriptor,
     GateError,
     RegionArg,
     emit_gate_sequence,
+    emit_switcher,
+    emit_trampoline,
     install_call_site,
 )
 
+BUNDLED_CONFIGS = sorted(p.name for p in ir.files("capcomp").joinpath("fixtures").iterdir()
+                         if p.name.endswith(".cfg"))
+
 
 def fixture(name):
-    import importlib.resources as ir
     return ir.files("capcomp").joinpath("fixtures", name).read_text()
 
 
@@ -180,6 +217,132 @@ def test_install_call_site_places_code_and_halt(three):
     site, code = install_call_site(img, gate, [1])
     assert site == free
     assert img.next_free["app.code"] == free + len(code.instructions) + 1
+
+
+# --------------------------------------------------------------------------
+# Reference: the per-call switcher and trampoline builders, every instruction
+# constructed on each call.
+
+def ref_emit_switcher(plan):
+    tb = plan.table_base
+    seq = [
+        addi(R_FRAME, REG_SP, -FRAME_SIZE),
+        readddc(21),
+        stc(REG_LINK, R_FRAME, FRAME_OFF_RET),
+        stc(21, R_FRAME, FRAME_OFF_DDC),
+        sti(REG_SP, R_FRAME, FRAME_OFF_SP),
+        sti(REG_FP, R_FRAME, FRAME_OFF_FP),
+        addi(22, R_FRAME, FRAME_SIZE),
+        setbounds(23, 21, R_FRAME, 22),
+        installddc(R_PAIR2),
+        addi(24, R_CALLER_OFF, tb),
+        addi(25, 24, TABLE_ENTRY),
+        setbounds(24, R_PAIR2, 24, 25),
+        sti(R_FRAME, 24, OFF_SP, cap=True),
+        addi(25, R_CALLEE_OFF, tb),
+        addi(26, 25, TABLE_ENTRY),
+        setbounds(25, R_PAIR2, 25, 26),
+        ldc(26, 25, 0, cap=True),
+        ldc(27, 25, 32, cap=True),
+        ldi(22, 25, OFF_SP, cap=True),
+        ldi(R_STASH, 25, OFF_TRAMP, cap=True),
+        ldc(28, REG_ZERO, 0),
+        movi(17, SWITCHER_RET_ENTRY),
+        setaddr(28, 28, 17),
+        stc(28, 23, FRAME_OFF_RETLEG, cap=True),
+        addi(17, R_CALLEE_OFF, tb + OFF_SP),
+        sti(17, 23, FRAME_OFF_CALLEE_SLOT, cap=True),
+        sti(22, 23, FRAME_OFF_CALLEE_SP, cap=True),
+        sealr(R_FRAME_OUT, 23, FRAME_OTYPE),
+        installddc(27),
+        mov(REG_SP, 22),
+        mov(REG_FP, REG_SP),
+        setaddr(26, 26, R_STASH),
+    ]
+    for r in SWITCHER_SCRUB:
+        seq.append(mov(r, REG_ZERO))
+    seq.append(bcap(26))
+    seq += [
+        installddc(R_PAIR2),
+        ldi(24, R_FRAME, FRAME_OFF_CALLEE_SLOT, cap=True),
+        ldi(25, R_FRAME, FRAME_OFF_CALLEE_SP, cap=True),
+        sti(25, 24, 0),
+        ldi(22, R_FRAME, FRAME_OFF_SP, cap=True),
+        ldi(23, R_FRAME, FRAME_OFF_FP, cap=True),
+        ldc(26, R_FRAME, FRAME_OFF_RET, cap=True),
+        mov(REG_SP, 22),
+        mov(REG_FP, 23),
+        bcap(26),
+    ]
+    return seq
+
+
+def ref_emit_trampoline():
+    return [
+        addi(REG_SP, REG_SP, -32),
+        stc(R_FRAME_OUT, REG_SP, 0),
+        mov(R_FRAME_OUT, REG_ZERO),
+        calll(R_TARGET),
+        ldc(R_FRAME, REG_SP, 0),
+        stc(REG_ZERO, REG_SP, 0),
+        addi(REG_SP, REG_SP, 32),
+        lpb(R_FRAME, R_PAIR2),
+    ]
+
+
+def assert_same_sequence(got, want):
+    assert type(got) is list
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"slot {i}: {g} != {w}"
+
+
+@pytest.mark.parametrize("memory_size", [1 << 16, 1 << 20])
+@pytest.mark.parametrize("name", BUNDLED_CONFIGS)
+def test_switcher_equals_the_per_call_builder(name, memory_size):
+    plan = compute_layout(parse_config(fixture(name)), memory_size)
+    assert_same_sequence(emit_switcher(plan), ref_emit_switcher(plan))
+
+
+def test_trampoline_equals_the_per_call_builder():
+    assert_same_sequence(emit_trampoline(), ref_emit_trampoline())
+
+
+def with_table_at(plan, base):
+    return dataclasses.replace(plan, regions=[
+        dataclasses.replace(r, base=base, top=base + r.top - r.base) if r.name == "cap_table"
+        else r for r in plan.regions])
+
+
+def test_switchers_differ_only_in_the_table_base_immediates():
+    plan = compute_layout(parse_config(fixture("three_comp_shared.cfg")))
+    moved = with_table_at(plan, plan.table_base + 0x1000)
+    assert moved.table_base == plan.table_base + 0x1000
+    here, there = emit_switcher(plan), emit_switcher(moved)
+    assert there == ref_emit_switcher(moved)
+    differ = [i for i, (a, b) in enumerate(zip(here, there)) if a != b]
+    assert len(here) == len(there) and differ == [9, 13, 24]
+    for i in differ:
+        assert here[i].op is Op.ADD_IMM
+        assert dataclasses.replace(here[i], imm=there[i].imm) == there[i]
+        assert there[i].imm - here[i].imm == 0x1000
+
+
+def test_emitted_lists_and_booted_programs_are_not_shared():
+    plan = compute_layout(parse_config(fixture("two_comp.cfg")))
+    first, second = emit_switcher(plan), emit_switcher(plan)
+    assert first == second and first is not second
+    first[0] = halt()
+    assert emit_switcher(plan) == second
+    tramp = emit_trampoline()
+    tramp.clear()
+    assert len(emit_trampoline()) == 8
+
+    a, b = boot_init(plan), boot_init(plan)
+    assert a.program is not b.program and a.program == b.program
+    a.program[0] = halt()
+    assert b.program[0] == ref_emit_switcher(plan)[0]
+    assert boot_init(plan).program == b.program
 
 
 # --------------------------------------------------------------------------

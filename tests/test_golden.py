@@ -55,6 +55,28 @@ def test_cli_output_matches_golden(case):
     assert render(CASES[case]) == expected
 
 
+def failing_calls() -> None:
+    """Two calls that end in errors: a missing file (exit 2 from `main`) and
+    a missing argument (argparse's `SystemExit(2)`)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["layout", "no_such_file.cfg"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["verify"])
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert "no_such_file.cfg" in err.getvalue() and "required" in err.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_repeated_calls_print_the_same_output(case):
+    # A process may call `main` many times; nothing one call leaves behind,
+    # failed calls included, may change what the next one prints.
+    first = render(CASES[case])
+    failing_calls()
+    assert render(CASES[case]) == first
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in sorted(CASES.items()):
