@@ -15,6 +15,7 @@ an unexpected fault), 2 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from importlib import resources
@@ -281,9 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# One parser per process: `main` may be called many times in one process,
+# and parsing leaves nothing behind in the parser.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ConfigError, ScenarioError, GateError, LayoutError,

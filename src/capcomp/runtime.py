@@ -219,77 +219,102 @@ def read_switch_frame(img: BootImage, addr: int) -> SwitchFrame:
 # Emitters
 
 
+# The switcher's instructions that do not depend on the plan, built once and
+# split around the three that carry the table base.  Ins values are frozen,
+# so every boot image's program shares these objects.
+_SWITCHER_FRAME = (
+    # Frame construction under the caller's ddc.
+    addi(R_FRAME, REG_SP, -FRAME_SIZE),
+    readddc(21),
+    stc(REG_LINK, R_FRAME, FRAME_OFF_RET),
+    stc(21, R_FRAME, FRAME_OFF_DDC),
+    sti(REG_SP, R_FRAME, FRAME_OFF_SP),
+    sti(REG_FP, R_FRAME, FRAME_OFF_FP),
+    addi(22, R_FRAME, FRAME_SIZE),
+    setbounds(23, 21, R_FRAME, 22),
+    # Switch to the switcher's own data view.
+    installddc(R_PAIR2),
+)
+# Record where the caller resumes (just below its live frame).
+_SWITCHER_CALLER_SLOT = (
+    addi(25, 24, TABLE_ENTRY),
+    setbounds(24, R_PAIR2, 24, 25),
+    sti(R_FRAME, 24, OFF_SP, cap=True),
+)
+_SWITCHER_CALLEE_LOAD = (
+    # Load the callee's pair, resume stack, and trampoline entry.
+    addi(26, 25, TABLE_ENTRY),
+    setbounds(25, R_PAIR2, 25, 26),
+    ldc(26, 25, 0, cap=True),
+    ldc(27, 25, 32, cap=True),
+    ldi(22, 25, OFF_SP, cap=True),
+    ldi(R_STASH, 25, OFF_TRAMP, cap=True),
+    # Finish the frame: the return-leg entry capability (derived from the
+    # switcher's own boot pair) and the two fields the return leg needs to
+    # reset the callee's resume slot when this call comes back.
+    ldc(28, REG_ZERO, 0),
+    movi(17, SWITCHER_RET_ENTRY),
+    setaddr(28, 28, 17),
+    stc(28, 23, FRAME_OFF_RETLEG, cap=True),
+)
+_SWITCHER_CALL_EXIT = (
+    sti(17, 23, FRAME_OFF_CALLEE_SLOT, cap=True),
+    sti(22, 23, FRAME_OFF_CALLEE_SP, cap=True),
+    sealr(R_FRAME_OUT, 23, FRAME_OTYPE),
+    installddc(27),
+    mov(REG_SP, 22),
+    mov(REG_FP, REG_SP),
+    setaddr(26, 26, R_STASH),
+) + tuple(mov(r, REG_ZERO) for r in SWITCHER_SCRUB) + (bcap(26),)
+# Return leg, entered by invoking a sealed frame.  r20 holds the unsealed
+# frame capability, r19 the caller's ddc.  The resume-slot store runs on
+# switcher privilege (the installed ddc is already the caller's again).
+_SWITCHER_RETURN_LEG = (
+    installddc(R_PAIR2),
+    ldi(24, R_FRAME, FRAME_OFF_CALLEE_SLOT, cap=True),
+    ldi(25, R_FRAME, FRAME_OFF_CALLEE_SP, cap=True),
+    sti(25, 24, 0),
+    ldi(22, R_FRAME, FRAME_OFF_SP, cap=True),
+    ldi(23, R_FRAME, FRAME_OFF_FP, cap=True),
+    ldc(26, R_FRAME, FRAME_OFF_RET, cap=True),
+    mov(REG_SP, 22),
+    mov(REG_FP, 23),
+    bcap(26),
+)
+assert len(_SWITCHER_FRAME + _SWITCHER_CALLER_SLOT + _SWITCHER_CALLEE_LOAD
+           + _SWITCHER_CALL_EXIT) + 3 == SWITCHER_RET_ENTRY
+assert SWITCHER_RET_ENTRY + len(_SWITCHER_RETURN_LEG) == SWITCHER_END
+
+
 def emit_switcher(plan) -> list[Ins]:
     """The privileged switch sequence, with plan constants baked in.
+
+    Only three instructions depend on the plan, the `addi`s that add the
+    table base to an entity's table offset: the caller's table entry (slot
+    9), the callee's table entry (slot 13) and the callee's resume-sp field
+    (slot 24).  The rest is built once at import.
 
     Table slots are addressed through bounded sub-capabilities derived from
     the locator, so a garbled compartment offset dies with a tag fault
     instead of scribbling over the table.
     """
     tb = plan.table_base
-    seq = [
-        # Frame construction under the caller's ddc.
-        addi(R_FRAME, REG_SP, -FRAME_SIZE),
-        readddc(21),
-        stc(REG_LINK, R_FRAME, FRAME_OFF_RET),
-        stc(21, R_FRAME, FRAME_OFF_DDC),
-        sti(REG_SP, R_FRAME, FRAME_OFF_SP),
-        sti(REG_FP, R_FRAME, FRAME_OFF_FP),
-        addi(22, R_FRAME, FRAME_SIZE),
-        setbounds(23, 21, R_FRAME, 22),
-        # Switch to the switcher's own data view.
-        installddc(R_PAIR2),
-        # Record where the caller resumes (just below its live frame).
-        addi(24, R_CALLER_OFF, tb),
-        addi(25, 24, TABLE_ENTRY),
-        setbounds(24, R_PAIR2, 24, 25),
-        sti(R_FRAME, 24, OFF_SP, cap=True),
-        # Load the callee's pair, resume stack, and trampoline entry.
-        addi(25, R_CALLEE_OFF, tb),
-        addi(26, 25, TABLE_ENTRY),
-        setbounds(25, R_PAIR2, 25, 26),
-        ldc(26, 25, 0, cap=True),
-        ldc(27, 25, 32, cap=True),
-        ldi(22, 25, OFF_SP, cap=True),
-        ldi(R_STASH, 25, OFF_TRAMP, cap=True),
-        # Finish the frame: the return-leg entry capability (derived from the
-        # switcher's own boot pair) and the two fields the return leg needs to
-        # reset the callee's resume slot when this call comes back.
-        ldc(28, REG_ZERO, 0),
-        movi(17, SWITCHER_RET_ENTRY),
-        setaddr(28, 28, 17),
-        stc(28, 23, FRAME_OFF_RETLEG, cap=True),
-        addi(17, R_CALLEE_OFF, tb + OFF_SP),
-        sti(17, 23, FRAME_OFF_CALLEE_SLOT, cap=True),
-        sti(22, 23, FRAME_OFF_CALLEE_SP, cap=True),
-        sealr(R_FRAME_OUT, 23, FRAME_OTYPE),
-        installddc(27),
-        mov(REG_SP, 22),
-        mov(REG_FP, REG_SP),
-        setaddr(26, 26, R_STASH),
-    ]
-    for r in SWITCHER_SCRUB:
-        seq.append(mov(r, REG_ZERO))
-    seq.append(bcap(26))
-    assert len(seq) == SWITCHER_RET_ENTRY
+    return [*_SWITCHER_FRAME, addi(24, R_CALLER_OFF, tb),
+            *_SWITCHER_CALLER_SLOT, addi(25, R_CALLEE_OFF, tb),
+            *_SWITCHER_CALLEE_LOAD, addi(17, R_CALLEE_OFF, tb + OFF_SP),
+            *_SWITCHER_CALL_EXIT, *_SWITCHER_RETURN_LEG]
 
-    # Return leg, entered by invoking a sealed frame.  r20 holds the unsealed
-    # frame capability, r19 the caller's ddc.  The resume-slot store runs on
-    # switcher privilege (the installed ddc is already the caller's again).
-    seq += [
-        installddc(R_PAIR2),
-        ldi(24, R_FRAME, FRAME_OFF_CALLEE_SLOT, cap=True),
-        ldi(25, R_FRAME, FRAME_OFF_CALLEE_SP, cap=True),
-        sti(25, 24, 0),
-        ldi(22, R_FRAME, FRAME_OFF_SP, cap=True),
-        ldi(23, R_FRAME, FRAME_OFF_FP, cap=True),
-        ldc(26, R_FRAME, FRAME_OFF_RET, cap=True),
-        mov(REG_SP, 22),
-        mov(REG_FP, 23),
-        bcap(26),
-    ]
-    assert len(seq) == SWITCHER_END
-    return seq
+
+_TRAMPOLINE = (
+    addi(REG_SP, REG_SP, -32),
+    stc(R_FRAME_OUT, REG_SP, 0),
+    mov(R_FRAME_OUT, REG_ZERO),
+    calll(R_TARGET),
+    ldc(R_FRAME, REG_SP, 0),
+    stc(REG_ZERO, REG_SP, 0),
+    addi(REG_SP, REG_SP, 32),
+    lpb(R_FRAME, R_PAIR2),
+)
 
 
 def emit_trampoline() -> list[Ins]:
@@ -297,16 +322,7 @@ def emit_trampoline() -> list[Ins]:
     then pop, scrub, and invoke it to return.  The scrub keeps the callee
     stack inductively zero; a replayed stale frame capability would fault on
     the scrubbed frame anyway, so this is hygiene, not the security boundary."""
-    return [
-        addi(REG_SP, REG_SP, -32),
-        stc(R_FRAME_OUT, REG_SP, 0),
-        mov(R_FRAME_OUT, REG_ZERO),
-        calll(R_TARGET),
-        ldc(R_FRAME, REG_SP, 0),
-        stc(REG_ZERO, REG_SP, 0),
-        addi(REG_SP, REG_SP, 32),
-        lpb(R_FRAME, R_PAIR2),
-    ]
+    return list(_TRAMPOLINE)
 
 
 TRAMP_ENTER_SLOTS = 4      # instructions before control enters the callee
