@@ -95,8 +95,23 @@ class Fault:
     length: int = 1
     ddc_access: bool = False   # true only for legacy data accesses checked against ddc
 
+    def __init__(self, kind: FaultKind, addr: int, pc: int, length: int = 1,
+                 ddc_access: bool = False):
+        # Same slot-descriptor stores as Capability.__init__: nearly every
+        # fuzz sequence ends in a fault, and the generated frozen __init__
+        # costs about twice as much.
+        _set_kind(self, kind)
+        _set_addr(self, addr)
+        _set_pc(self, pc)
+        _set_length(self, length)
+        _set_ddc_access(self, ddc_access)
+
     def __str__(self) -> str:
         return f"{self.kind}@{self.addr:#x} pc={self.pc}"
+
+
+_set_kind, _set_addr, _set_pc, _set_length, _set_ddc_access = (
+    Fault.__dict__[f].__set__ for f in ("kind", "addr", "pc", "length", "ddc_access"))
 
 
 @dataclass(slots=True)

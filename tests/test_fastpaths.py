@@ -1,7 +1,9 @@
-"""The int-mask permission path and the struct-packed capability slots,
-checked against reference implementations: the IntFlag and
-`dataclasses.replace` derivations they replaced, and the byte-string
-record codec (`serialize` / `deserialize`)."""
+"""The int-mask permission path, the struct-packed capability slots and
+the slot-descriptor `Fault` constructor, checked against reference
+implementations: the IntFlag and `dataclasses.replace` derivations they
+replaced, the byte-string record codec (`serialize` / `deserialize`), and a
+`Fault` built field by field the way the generated frozen `__init__` builds
+it."""
 
 import dataclasses
 
@@ -26,6 +28,7 @@ from capcomp.capability import (
     set_address,
     unseal,
 )
+from capcomp.machine import Fault
 from capcomp.memory import CAP_SLOT, GRANULE, TaggedMemory
 
 
@@ -206,3 +209,64 @@ def test_load_cap_matches_deserialize(raw, tag_bits, high):
     got = m.load_cap(32)
     assert same(got, ref_load_cap(m.data, m.tags, 32))
     assert got.tag == all(tag_bits)
+
+
+# --------------------------------------------------------------------------
+# Fault: the slot-descriptor constructor behaves like the generated one.
+
+FAULT_FIELDS = ("kind", "addr", "pc", "length", "ddc_access")
+FAULT_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Fault)
+                  if f.default is not dataclasses.MISSING}
+
+
+def ref_fault(**fields):
+    """A Fault built as the generated frozen __init__ builds it."""
+    f = object.__new__(Fault)
+    for name in FAULT_FIELDS:
+        object.__setattr__(f, name, fields.get(name, FAULT_DEFAULTS.get(name)))
+    return f
+
+
+def test_fault_fields_and_defaults():
+    assert tuple(f.name for f in dataclasses.fields(Fault)) == FAULT_FIELDS
+    assert FAULT_DEFAULTS == {"length": 1, "ddc_access": False}
+    f = Fault(FaultKind.BOUNDS, 0x40, 7)
+    assert tuple(getattr(f, n) for n in FAULT_FIELDS) == (FaultKind.BOUNDS, 0x40, 7, 1, False)
+    assert f == ref_fault(kind=FaultKind.BOUNDS, addr=0x40, pc=7)
+    assert str(f) == f"{FaultKind.BOUNDS}@0x40 pc=7"
+
+
+fault_fields = st.fixed_dictionaries({
+    "kind": st.sampled_from(list(FaultKind)),
+    "addr": st.integers(0, ADDR_MASK),
+    "pc": st.integers(-1, 1 << 20),
+    "length": st.integers(1, 64),
+    "ddc_access": st.booleans(),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=fault_fields)
+def test_fault_construction_matches_the_reference(fields):
+    want = ref_fault(**fields)
+    positional = Fault(*(fields[n] for n in FAULT_FIELDS))
+    keyword = Fault(**fields)
+    replaced = dataclasses.replace(Fault(FaultKind.TAG, 0, 0), **fields)
+    for f in (positional, keyword, replaced):
+        assert f == want
+        assert hash(f) == hash(want)
+        assert tuple(getattr(f, n) for n in FAULT_FIELDS) == tuple(fields[n] for n in FAULT_FIELDS)
+        assert repr(f) == repr(want)
+        assert str(f) == str(want)
+    assert dataclasses.replace(want, pc=fields["pc"] + 1) != keyword
+
+
+def test_fault_is_immutable():
+    f = Fault(FaultKind.SEAL, 1, 2, 8, True)
+    for name in FAULT_FIELDS:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, 0)
+    with pytest.raises((AttributeError, TypeError)):
+        f.extra = 1                          # slots: no instance dict
+    with pytest.raises(TypeError):
+        Fault(FaultKind.SEAL, 1)             # pc has no default
