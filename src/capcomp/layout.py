@@ -794,14 +794,18 @@ def audit_plan(plan: LayoutPlan) -> list[str]:
                     problems.append(f"exception region {s.name} visible to ddc of {name}")
 
     # A sandbox's code slice lies after its host's own code region and
-    # inside the code size the host declared; its scratch inside the span.
+    # inside the code size the host declared; its scratch lies inside the
+    # data, stack and heap the host declared.  The span itself cannot be the
+    # yardstick: its last region is the last sandbox's own scratch.
     for sb in cfg.sandboxes:
-        span = plan._span(sb.host)
+        decl = cfg.compartment(sb.host)
+        lo = plan.region(f"{sb.host}.data").base
+        hi = plan.region(f"{sb.host}.heap").base + decl.heap
         scratch = plan.region(f"{sb.name}.scratch")
-        if not (span[0].base <= scratch.base and scratch.top <= span[-1].top):
+        if not (lo <= scratch.base and scratch.top <= hi):
             problems.append(f"sandbox {sb.name} scratch escapes host span")
         code, host = plan.region(f"{sb.name}.code"), plan.region(f"{sb.host}.code")
-        if not (host.top <= code.base and code.top <= host.base + cfg.compartment(sb.host).code):
+        if not (host.top <= code.base and code.top <= host.base + decl.code):
             problems.append(f"sandbox {sb.name} code escapes host code region")
 
     return problems

@@ -505,20 +505,23 @@ def test_host_code_bounds_are_its_pcc():
     assert plan.code_bounds["host"] == (pcc.base, pcc.top) == (64, 448)
 
 
-@pytest.mark.parametrize("field,values,finding", [
-    ("code", (0, SANDBOX_CODE), "code escapes host code region"),
-    ("code", (576, 576 + SANDBOX_CODE), "code escapes host code region"),
-    ("scratch", (0x40, 0x40 + SANDBOX_SCRATCH), "scratch escapes host span"),
+@pytest.mark.parametrize("sandbox,field,values,finding", [
+    ("parse_header", "code", (0, SANDBOX_CODE), "code escapes host code region"),
+    ("parse_header", "code", (576, 576 + SANDBOX_CODE), "code escapes host code region"),
+    ("parse_header", "scratch", (0x40, 0x40 + SANDBOX_SCRATCH), "scratch escapes host span"),
+    # The last sandbox's scratch ends the host's span, so it must be checked
+    # against the host's declared extent, not against that span.
+    ("decode_frame", "scratch", (0x20000, 0x21000), "scratch escapes host span"),
 ])
-def test_audit_detects_sandbox_escaping_its_host(field, values, finding):
+def test_audit_detects_sandbox_escaping_its_host(sandbox, field, values, finding):
     plan = compute_layout(parse_config(fixture("sandbox_host.cfg")))
     assert audit_plan(plan) == []
-    moved = f"parse_header.{field}"
+    moved = f"{sandbox}.{field}"
     base, top = values
     plan = dataclasses.replace(plan, regions=[
         dataclasses.replace(r, base=base, top=top) if r.name == moved else r
         for r in plan.regions])
-    assert f"sandbox parse_header {finding}" in audit_plan(plan)
+    assert f"sandbox {sandbox} {finding}" in audit_plan(plan)
 
 
 @pytest.mark.parametrize("name", ["parse_header", "ghost"])
