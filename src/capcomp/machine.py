@@ -99,7 +99,7 @@ class Fault:
                  ddc_access: bool = False):
         # Same slot-descriptor stores as Capability.__init__: nearly every
         # fuzz sequence ends in a fault, and the generated frozen __init__
-        # costs about twice as much.
+        # costs about 1.7 times as much.
         _set_kind(self, kind)
         _set_addr(self, addr)
         _set_pc(self, pc)
