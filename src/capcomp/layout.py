@@ -274,34 +274,33 @@ class LayoutPlan:
     region, the switcher's code and data and the capability table, each one
     named `Region`. `region(name)` looks one up by name.
 
-    Beside the regions the plan stores only what they do not record: the
-    configuration, the memory size, the placement order, the entity ids and
-    `ddc_bounds`, the planner's decision to widen a span's default view over
-    its adjacent windows, which `audit_plan` checks against the windows.
-
-    Everything else is a read-only view built from the regions on each
-    read: the per-name dicts `code_bounds`, `span_bounds`, `data_base`,
-    `stack_top`, `heap_bounds`, `shared_bounds`, `shared_mode` and
-    `shared_owners`, and `table_base`, `pair_addr`, `switcher_code`,
-    `total_code_slots` and `data_top`. `code_bounds` is each compartment's
-    own `<name>.code` region, the range of its pcc, so a host's excludes its
-    sandboxes' slices. `sandboxes` maps each sandbox's name to its
-    declaration; its bounds are its `<name>.code` and `<name>.scratch`
-    regions.
+    Beside the regions the plan stores only the configuration and the memory
+    size. The rest is derived from those three. On construction:
+    `placement_order`, the owner of each `data` region in region order;
+    `comp_ids`, the compartments then the sandboxes in declaration order;
+    and `sandboxes`, each sandbox's declaration by name (its bounds are its
+    `<name>.code` and `<name>.scratch` regions). On each read:
+    `ddc_bounds`, each compartment's span widened over the overlap windows
+    it owns that abut it; `code_bounds`, each compartment's own
+    `<name>.code` region, the range of its pcc, so a host's excludes its
+    sandboxes' slices; `shared_bounds`; and `table_base`, `pair_addr`,
+    `switcher_code`, `total_code_slots` and `data_top`.
     """
 
     config: CompartmentConfig
     memory_size: int
     regions: list[Region]
-    placement_order: list[str]
-    comp_ids: dict[str, int]
-    ddc_bounds: dict[str, tuple[int, int]]        # span widened over adjacent windows
+    placement_order: list[str] = field(init=False, repr=False, compare=False)
+    comp_ids: dict[str, int] = field(init=False, repr=False, compare=False)
     sandboxes: dict[str, SandboxDecl] = field(init=False, repr=False, compare=False)
     _by_name: dict[str, Region] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._by_name = {r.name: r for r in self.regions}
         self.sandboxes = {sb.name: sb for sb in self.config.sandboxes}
+        self.placement_order = [r.owners[0] for r in self.regions if r.kind == "data"]
+        names = [c.name for c in self.config.compartments] + list(self.sandboxes)
+        self.comp_ids = {name: i for i, name in enumerate(names)}
 
     def region(self, name: str) -> Region:
         return self._by_name[name]
@@ -317,8 +316,30 @@ class LayoutPlan:
                 + [self._by_name[f"{sb.name}.scratch"]
                    for sb in self.config.sandboxes if sb.host == name])
 
-    def _per_compartment(self, kind: str) -> dict[str, Region]:
-        return {name: self._by_name[f"{name}.{kind}"] for name in self.placement_order}
+    @property
+    def ddc_bounds(self) -> dict[str, tuple[int, int]]:
+        """Each compartment's default data view: its span, widened over every
+        overlap window it owns that abuts it, until nothing changes (several
+        windows may chain between one pair)."""
+        windows = [(self._by_name[s.name], (s.a, s.b))
+                   for s in self.config.shared if s.mode == "overlap"]
+        bounds = {}
+        for name in self.placement_order:
+            span = self._span(name)
+            lo, hi = span[0].base, span[-1].top
+            changed = True
+            while changed:
+                changed = False
+                for w, owners in windows:
+                    if name in owners:
+                        if w.top == lo:
+                            lo = w.base
+                            changed = True
+                        if w.base == hi:
+                            hi = w.top
+                            changed = True
+            bounds[name] = (lo, hi)
+        return bounds
 
     @property
     def table_base(self) -> int:
@@ -344,36 +365,12 @@ class LayoutPlan:
 
     @property
     def code_bounds(self) -> dict[str, tuple[int, int]]:
-        return {n: (r.base, r.top) for n, r in self._per_compartment("code").items()}
-
-    @property
-    def span_bounds(self) -> dict[str, tuple[int, int]]:
-        spans = {n: self._span(n) for n in self.placement_order}
-        return {n: (span[0].base, span[-1].top) for n, span in spans.items()}
-
-    @property
-    def data_base(self) -> dict[str, int]:
-        return {n: r.base for n, r in self._per_compartment("data").items()}
-
-    @property
-    def stack_top(self) -> dict[str, int]:
-        return {n: r.top for n, r in self._per_compartment("stack").items()}
-
-    @property
-    def heap_bounds(self) -> dict[str, tuple[int, int]]:
-        return {n: (r.base, r.top) for n, r in self._per_compartment("heap").items()}
+        code = (self._by_name[f"{n}.code"] for n in self.placement_order)
+        return {r.owners[0]: (r.base, r.top) for r in code}
 
     @property
     def shared_bounds(self) -> dict[str, tuple[int, int]]:
         return {r.name: (r.base, r.top) for r in self.regions if r.kind == "shared"}
-
-    @property
-    def shared_mode(self) -> dict[str, str]:
-        return {s.name: s.mode for s in self.config.shared}
-
-    @property
-    def shared_owners(self) -> dict[str, tuple[str, str]]:
-        return {s.name: (s.a, s.b) for s in self.config.shared}
 
 
 def _order_for_adjacency(cfg: CompartmentConfig) -> list[str]:
@@ -438,8 +435,6 @@ def _order_for_adjacency(cfg: CompartmentConfig) -> list[str]:
 def compute_layout(cfg: CompartmentConfig, memory_size: int = DEFAULT_SIZE) -> LayoutPlan:
     """Plan every region deterministically; identical input, identical plan."""
     order = _order_for_adjacency(cfg)
-    names = [c.name for c in cfg.compartments] + [sb.name for sb in cfg.sandboxes]
-    comp_ids = {name: i for i, name in enumerate(names)}
     by_host: dict[str, list[str]] = {}
     for sb in cfg.sandboxes:
         by_host.setdefault(sb.host, []).append(sb.name)
@@ -469,18 +464,16 @@ def compute_layout(cfg: CompartmentConfig, memory_size: int = DEFAULT_SIZE) -> L
 
     # Data space.
     cursor = place("switcher_data", "switcher_data", 0, SWITCHER_DATA_SIZE)
-    cursor = place("cap_table", "cap_table", cursor, len(names) * TABLE_ENTRY)
+    entities = len(cfg.compartments) + len(cfg.sandboxes)
+    cursor = place("cap_table", "cap_table", cursor, entities * TABLE_ENTRY)
 
     overlap_between: dict[frozenset[str], list[SharedDecl]] = {}
     for s in cfg.shared:
         if s.mode == "overlap":
             overlap_between.setdefault(frozenset((s.a, s.b)), []).append(s)
 
-    # Each span's ddc runs from the windows placed just below it (or its own
-    # base) to the top of the windows placed just above it (or its own top).
-    # The last span's one-name pair matches no window.
-    ddc_bounds: dict[str, tuple[int, int]] = {}
-    view_base = cursor
+    # The windows between each adjacent pair sit just above the lower span;
+    # the last span's one-name pair matches no window.
     for pos, name in enumerate(order):
         decl, sbs = cfg.compartment(name), by_host.get(name, ())
         carve = len(sbs) * SANDBOX_SCRATCH
@@ -492,11 +485,8 @@ def compute_layout(cfg: CompartmentConfig, memory_size: int = DEFAULT_SIZE) -> L
         cursor = place(f"{name}.heap", "heap", cursor, decl.heap - carve, (name,))
         for sb in sbs:
             cursor = place(f"{sb}.scratch", "scratch", cursor, SANDBOX_SCRATCH, (sb,))
-        windows_base = cursor
         for s in overlap_between.get(frozenset(order[pos:pos + 2]), ()):
             cursor = place(s.name, "shared", cursor, s.size, (s.a, s.b))
-        ddc_bounds[name] = (view_base, cursor)
-        view_base = windows_base
 
     for s in cfg.shared:
         if s.mode == "exception":
@@ -505,8 +495,7 @@ def compute_layout(cfg: CompartmentConfig, memory_size: int = DEFAULT_SIZE) -> L
     if cursor > memory_size:
         raise LayoutError(f"layout needs {cursor:#x} bytes, memory holds {memory_size:#x}")
 
-    return LayoutPlan(config=cfg, memory_size=memory_size, regions=regions,
-                      placement_order=order, comp_ids=comp_ids, ddc_bounds=ddc_bounds)
+    return LayoutPlan(config=cfg, memory_size=memory_size, regions=regions)
 
 
 def format_table(rows: list[tuple[str, ...]]) -> list[str]:
@@ -559,9 +548,6 @@ class BootImage:
     program: list
     next_free: dict[str, int]
 
-    def compartment_id(self, name: str) -> int:
-        return self.plan.comp_ids[name]
-
     def table_slot(self, name: str) -> int:
         return self.plan.table_base + self.plan.comp_ids[name] * TABLE_ENTRY
 
@@ -610,6 +596,7 @@ def boot_init(plan: LayoutPlan) -> BootImage:
 
     next_free: dict[str, int] = {}
     code_regions = []
+    ddc_bounds = plan.ddc_bounds
 
     # Capability table: (pcc, ddc, resume sp, trampoline entry) per entity.
     # Each entity's pcc is exactly its own `<name>.code` region, which starts
@@ -620,7 +607,7 @@ def boot_init(plan: LayoutPlan) -> BootImage:
             scratch = plan.region(f"{name}.scratch")
             view, sp0 = (scratch.base, scratch.top), scratch.top
         else:
-            view, sp0 = plan.ddc_bounds[name], plan.region(f"{name}.stack").top
+            view, sp0 = ddc_bounds[name], plan.region(f"{name}.stack").top
         program[code.base:code.base + len(tramp)] = tramp
         next_free[code.name] = code.base + TRAMP_SLOTS
         code_regions.append((code.base, code.top, cid))
@@ -725,9 +712,9 @@ def install_function(img: BootImage, owner: str, instructions: Sequence,
 def audit_plan(plan: LayoutPlan) -> list[str]:
     """Structural audit; returns human-readable violations (empty = clean).
 
-    Checks pairwise disjointness per address space, span contiguity, exact
-    ddc widening over adjacent windows, switcher invisibility, shared-region
-    coverage rules, and sandbox nesting.
+    Checks pairwise disjointness per address space, span contiguity, and,
+    on the derived `ddc_bounds`, switcher invisibility and the shared-region
+    coverage rules; then sandbox nesting.
     """
     problems: list[str] = []
     data_kinds = {"switcher_data", "cap_table", "data", "stack", "heap", "scratch", "shared"}
@@ -748,32 +735,15 @@ def audit_plan(plan: LayoutPlan) -> list[str]:
             problems.append(f"region {r.name} is empty or inverted")
 
     cfg = plan.config
-    windows = [(plan.region(s.name), (s.a, s.b)) for s in cfg.shared if s.mode == "overlap"]
     for name in plan.placement_order:
         span = plan._span(name)
         if any(a.top != b.base for a, b in zip(span, span[1:])):
             problems.append(f"span of {name} is not contiguous")
-        dlo, dhi = plan.ddc_bounds[name]
-        expect_lo, expect_hi = span[0].base, span[-1].top
-        changed = True
-        while changed:          # several windows may chain between one pair
-            changed = False
-            for w, owners in windows:
-                if name in owners:
-                    if w.top == expect_lo:
-                        expect_lo = w.base
-                        changed = True
-                    if w.base == expect_hi:
-                        expect_hi = w.top
-                        changed = True
-        if (dlo, dhi) != (expect_lo, expect_hi):
-            problems.append(f"ddc of {name} is {dlo:#x}..{dhi:#x}, expected "
-                            f"{expect_lo:#x}..{expect_hi:#x}")
 
+    ddc_bounds = plan.ddc_bounds
     sw = plan.region("switcher_data")
     tbl = plan.region("cap_table")
-    for name in plan.placement_order:
-        dlo, dhi = plan.ddc_bounds[name]
+    for name, (dlo, dhi) in ddc_bounds.items():
         for hidden in (sw, tbl):
             if dlo < hidden.top and hidden.base < dhi:
                 problems.append(f"ddc of {name} can see {hidden.name}")
@@ -781,8 +751,7 @@ def audit_plan(plan: LayoutPlan) -> list[str]:
     for s in cfg.shared:
         w = plan.region(s.name)
         b, t = w.base, w.top
-        for name in plan.placement_order:
-            dlo, dhi = plan.ddc_bounds[name]
+        for name, (dlo, dhi) in ddc_bounds.items():
             covers = dlo <= b and t <= dhi
             if s.mode == "overlap":
                 if name in (s.a, s.b) and not covers:

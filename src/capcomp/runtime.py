@@ -36,7 +36,7 @@ import functools
 import random
 from dataclasses import dataclass
 
-from .capability import NULL_CAP, Capability, Perm, int_cap, make_root, set_address
+from .capability import NULL_CAP, Perm, int_cap, make_root, set_address
 from .isa import (
     Ins,
     Op,
@@ -172,47 +172,11 @@ class SandboxSignature:
 
 
 @dataclass(frozen=True, slots=True)
-class SwitchFrame:
-    """Decoded on-stack switch frame (for inspection and tests)."""
-
-    addr: int
-    ret_leg: Capability
-    caller_ddc: Capability
-    ret_cap: Capability
-    sp: int
-    fp: int
-    callee_slot: int
-    callee_sp: int
-
-
-@dataclass(frozen=True, slots=True)
 class GateCode:
     """Emitted gate sequence plus the split point for instrumentation."""
 
     instructions: tuple[Ins, ...]
     prologue_len: int                # entry lpb is the last prologue slot
-
-    @property
-    def epilogue_len(self) -> int:
-        return len(self.instructions) - self.prologue_len
-
-
-def read_switch_frame(img: BootImage, addr: int) -> SwitchFrame:
-    mem = img.mem
-
-    def word(off):
-        return int.from_bytes(mem.read_bytes(addr + off, 8), "little")
-
-    return SwitchFrame(
-        addr,
-        mem.load_cap(addr + FRAME_OFF_RETLEG),
-        mem.load_cap(addr + FRAME_OFF_DDC),
-        mem.load_cap(addr + FRAME_OFF_RET),
-        word(FRAME_OFF_SP),
-        word(FRAME_OFF_FP),
-        word(FRAME_OFF_CALLEE_SLOT),
-        word(FRAME_OFF_CALLEE_SP),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +376,7 @@ def _check_caller(img: BootImage, gate: GateDescriptor) -> None:
         raise GateError("gate call with a pending fault")
     if st.halted:
         raise GateError("gate call on a halted machine")
-    if st.current_compartment != img.compartment_id(gate.caller):
+    if st.current_compartment != img.plan.comp_ids[gate.caller]:
         raise GateError(
             f"machine is in compartment {st.current_compartment}, "
             f"gate belongs to {gate.caller!r}")

@@ -186,7 +186,8 @@ def _equal_outside(a, b, excluded):
 def test_04_round_trip_state_diff_is_empty():
     plan = compute_layout(parse_config(CFG4), memory_size=1 << 16)
     comps = ["c0", "c1", "c2", "c3"]
-    excluded = [plan.span_bounds[c] for c in comps[1:]]   # callee-private spans
+    excluded = [(plan.region(f"{c}.data").base, plan.region(f"{c}.heap").top)
+                for c in comps[1:]]                          # callee-private spans
     excluded_g = [(lo // 16, (hi + 15) // 16) for lo, hi in excluded]
     rng = random.Random(4)
     t0 = time.monotonic()
@@ -202,7 +203,7 @@ def test_04_round_trip_state_diff_is_empty():
         k_add = rng.randrange(1, 10)
         leaf = chain[-1]
         entry = install_function(img, leaf, [
-            movi(1, plan.heap_bounds[leaf][0]),
+            movi(1, plan.region(f"{leaf}.heap").base),
             addi(0, 0, k_add),
             sti(0, 1, 0),            # callee-private write that may persist
             retl(),
@@ -264,13 +265,14 @@ def test_05_overlap_window_boundaries_exact():
 
     # independent recomputation of each view: private span widened by the
     # overlap windows the compartment owns
+    windows = [s for s in plan.config.shared if s.mode == "overlap"]
     views = {}
     for c in comps:
-        lo, hi = plan.span_bounds[c]
-        for w, owners in plan.shared_owners.items():
-            if plan.shared_mode[w] == "overlap" and c in owners:
-                wlo, whi = plan.shared_bounds[w]
-                lo, hi = min(lo, wlo), max(hi, whi)
+        lo, hi = plan.region(f"{c}.data").base, plan.region(f"{c}.heap").top
+        for s in windows:
+            if c in (s.a, s.b):
+                w = plan.region(s.name)
+                lo, hi = min(lo, w.base), max(hi, w.top)
         views[c] = (lo, hi)
 
     ld_site, st_site = {}, {}
@@ -291,12 +293,10 @@ def test_05_overlap_window_boundaries_exact():
         return st.fault
 
     checked = 0
-    windows = [w for w in plan.shared_owners
-               if plan.shared_mode[w] == "overlap"]
     assert len(windows) == 2
-    for w in windows:
-        lo, hi = plan.shared_bounds[w]
-        owners = plan.shared_owners[w]
+    for s in windows:
+        w, owners = s.name, (s.a, s.b)
+        lo, hi = plan.region(w).base, plan.region(w).top
         third = next(c for c in comps if c not in owners)
         # accesses are 8 bytes wide, so each boundary gets one probe fully
         # inside and one crossing it by exactly one byte

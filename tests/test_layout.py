@@ -12,6 +12,7 @@ from capcomp.layout import (
     ConfigError,
     InfeasibleOverlap,
     LayoutError,
+    LayoutPlan,
     OFF_DDC,
     OFF_PCC,
     OFF_SP,
@@ -206,7 +207,7 @@ def test_exception_mode_never_constrains_order():
         compute_layout(cfg("overlap"))
     plan = compute_layout(cfg("exception"))
     assert audit_plan(plan) == []
-    assert plan.ddc_bounds["c3"] == plan.span_bounds["c3"]
+    assert plan.ddc_bounds["c3"] == (plan.region("c3.data").base, plan.region("c3.heap").top)
     for region in ("x0", "x1"):
         lo, hi = plan.shared_bounds[region]
         for name in ("c0", "c1", "c2", "c3"):
@@ -262,10 +263,11 @@ def test_sandbox_carving():
     code, scratch = plan.region("parse_header.code"), plan.region("parse_header.scratch")
     assert (code.base, code.top) == (448, 448 + SANDBOX_CODE)
     assert (scratch.base, scratch.top) == (17472, 17472 + SANDBOX_SCRATCH)
-    # scratch is carved out of the host heap, inside the host span
-    hlo, hhi = plan.span_bounds["host"]
+    # scratch is carved out of the host heap, inside the host's declared extent
+    hlo = plan.region("host.data").base
+    hhi = plan.region("host.heap").base + plan.config.compartment("host").heap
     assert hlo <= scratch.base and scratch.top <= hhi
-    assert plan.heap_bounds["host"][1] <= scratch.base
+    assert plan.region("host.heap").top <= scratch.base
     assert plan.comp_ids == {"host": 0, "peer": 1, "parse_header": 2, "decode_frame": 3}
     assert audit_plan(plan) == []
 
@@ -317,7 +319,7 @@ def test_boot_table_entries_decoded():
         assert pcc.perms & Perm.EXECUTE
         assert ddc.tag and (ddc.base, ddc.top) == plan.ddc_bounds[name]
         assert not ddc.perms & Perm.EXECUTE
-        assert sp == plan.stack_top[name]
+        assert sp == plan.region(f"{name}.stack").top
         assert tramp == plan.code_bounds[name][0]
 
 
@@ -394,7 +396,7 @@ def test_boot_machine_initial_state():
     assert st.pcc.address == plan.code_bounds["app"][0] + TRAMP_SLOTS
     assert (st.ddc.base, st.ddc.top) == plan.ddc_bounds["app"]
     assert st.switcher_bounds == (0, SWITCHER_CODE_SLOTS)
-    assert st.regs[31].address == plan.stack_top["app"]
+    assert st.regs[31].address == plan.region("app.stack").top
     assert st.lpb_otypes == frozenset({1, 2, 3})
     assert len(img.program) == plan.total_code_slots
     assert all(ins is not None for ins in img.program)
@@ -446,7 +448,8 @@ def img_two():
 
 def test_comp_alloc_bump_and_exhaustion():
     img = img_two()
-    lo, hi = img.plan.heap_bounds["app"]
+    heap = img.plan.region("app.heap")
+    lo, hi = heap.base, heap.top
     a = comp_alloc(img, "app", 1)
     b = comp_alloc(img, "app", 33)
     assert a == lo and b == lo + 32 and img.next_free["app.heap"] == lo + 96
@@ -488,10 +491,33 @@ def test_install_function_bump_and_fixed():
 
 def test_audit_detects_planted_corruption():
     plan = compute_layout(parse_config(fixture("two_comp.cfg")))
-    plan.ddc_bounds["app"] = (0, plan.ddc_bounds["app"][1])      # sees the table
+    data, table = plan.region("app.data"), plan.region("cap_table")
+    planted = dataclasses.replace(data, base=table.base)        # app's span over the table
+    plan = dataclasses.replace(
+        plan, regions=[planted if r is data else r for r in plan.regions])
     problems = audit_plan(plan)
-    assert any("can see" in p for p in problems)
-    assert any("ddc of app is" in p for p in problems)
+    assert "regions cap_table and app.data overlap" in problems
+    assert "ddc of app can see cap_table" in problems
+
+
+def test_plan_stores_only_its_config_memory_size_and_regions():
+    init = [f.name for f in dataclasses.fields(LayoutPlan) if f.init]
+    assert init == ["config", "memory_size", "regions"]
+
+
+def test_replaced_plan_derives_ddc_bounds_from_its_regions():
+    # inbuf shrinks from below, so it no longer abuts app's span: app's view
+    # stops at its own heap top, and codec's starts at the moved window
+    plan = compute_layout(parse_config(fixture("three_comp_shared.cfg")))
+    inbuf = plan.region("inbuf")
+    moved = dataclasses.replace(inbuf, base=inbuf.base + 0x100)
+    plan = dataclasses.replace(
+        plan, regions=[moved if r is inbuf else r for r in plan.regions])
+    assert plan.region("inbuf") == moved
+    assert plan.ddc_bounds["app"] == (plan.region("app.data").base,
+                                      plan.region("app.heap").top)
+    assert plan.ddc_bounds["codec"][0] == moved.base
+    assert "owner app ddc misses shared region inbuf" in audit_plan(plan)
 
 
 def test_host_code_bounds_are_its_pcc():

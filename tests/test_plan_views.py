@@ -1,6 +1,7 @@
 """Every per-name view of a `LayoutPlan`, checked against a reference
 planner: the `compute_layout` that filled one dict per view alongside the
-region list, as it placed each region."""
+region list, as it placed each region.  The reference keeps the dicts of
+views the plan no longer has; each is checked against the regions."""
 
 import itertools
 import re
@@ -177,11 +178,24 @@ def assert_views_match(plan, ref):
     with pytest.raises(KeyError):
         plan.region("ghost")
     assert plan.code_bounds == expected_code_bounds(ref)
-    for view in ("placement_order", "comp_ids", "span_bounds", "ddc_bounds",
-                 "data_base", "stack_top", "heap_bounds", "shared_bounds",
-                 "shared_mode", "shared_owners", "sandboxes", "table_base",
-                 "pair_addr", "switcher_code", "total_code_slots", "data_top"):
+    for view in ("placement_order", "comp_ids", "ddc_bounds", "shared_bounds",
+                 "sandboxes", "table_base", "pair_addr", "switcher_code",
+                 "total_code_slots", "data_top"):
         assert getattr(plan, view) == getattr(ref, view), view
+
+    # The per-name views the plan no longer keeps, read off its regions.
+    for name in ref.placement_order:
+        span = [f"{name}.data", f"{name}.stack", f"{name}.heap"] + [
+            f"{sb}.scratch" for sb, decl in ref.sandboxes.items() if decl.host == name]
+        assert ref.span_bounds[name] == (plan.region(span[0]).base,
+                                         plan.region(span[-1]).top), name
+        assert ref.data_base[name] == plan.region(f"{name}.data").base, name
+        assert ref.stack_top[name] == plan.region(f"{name}.stack").top, name
+        heap = plan.region(f"{name}.heap")
+        assert ref.heap_bounds[name] == (heap.base, heap.top), name
+    assert ref.shared_mode == {s.name: s.mode for s in plan.config.shared}
+    assert ref.shared_owners == {s.name: plan.region(s.name).owners
+                                 for s in plan.config.shared}
 
 
 # --------------------------------------------------------------------------

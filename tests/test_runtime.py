@@ -23,6 +23,12 @@ from capcomp.layout import (
 )
 from capcomp.machine import run, step
 from capcomp.runtime import (
+    FRAME_OFF_CALLEE_SLOT,
+    FRAME_OFF_CALLEE_SP,
+    FRAME_OFF_DDC,
+    FRAME_OFF_RET,
+    FRAME_OFF_RETLEG,
+    FRAME_OFF_SP,
     FRAME_SIZE,
     FUZZ_CONFIG,
     GateDescriptor,
@@ -43,7 +49,6 @@ from capcomp.runtime import (
     fuzz_isolation,
     gate_call,
     promote_shared,
-    read_switch_frame,
     sandbox_call,
     switcher_switch,
     trampoline_enter,
@@ -122,7 +127,6 @@ def test_epilogue_length(dest, epi):
     entry = leaf_plus_one(img)
     code = emit_gate_sequence(
         img.plan, GateDescriptor("app", "lib", entry, dest=dest), [1])
-    assert code.epilogue_len == epi
     assert len(code.instructions) == code.prologue_len + epi
 
 
@@ -194,7 +198,7 @@ def test_round_trip_dest_other_and_none():
 
 def test_args_reach_callee_registers():
     img = img_two()
-    base = img.plan.data_base["lib"] + 64
+    base = img.plan.region("lib.data").base + 64
     body = [sti(i, REG_ZERO, base + 8 * i) for i in range(4)] + [retl()]
     entry = install_function(img, "lib", body)
     st = call_compartment(img, GateDescriptor("app", "lib", entry), [9, 8, 7, 6])
@@ -237,18 +241,23 @@ def test_phase_composition_matches_full_call():
     site = st.regs[30].address - 37        # link = site + prologue_len
 
     switcher_switch(img)
-    frame = read_switch_frame(img, sp0 - SAVE_BYTES - FRAME_SIZE)
-    assert frame.sp == sp0 - SAVE_BYTES
-    assert frame.ret_cap.tag and frame.ret_cap.address == site + 37
-    assert frame.caller_ddc == table_cap(img, "app", OFF_DDC)
+    frame = sp0 - SAVE_BYTES - FRAME_SIZE
+
+    def frame_word(off):
+        return int.from_bytes(img.mem.read_bytes(frame + off, 8), "little")
+
+    assert frame_word(FRAME_OFF_SP) == sp0 - SAVE_BYTES
+    ret_cap = img.mem.load_cap(frame + FRAME_OFF_RET)
+    assert ret_cap.tag and ret_cap.address == site + 37
+    assert img.mem.load_cap(frame + FRAME_OFF_DDC) == table_cap(img, "app", OFF_DDC)
     from capcomp.runtime import SWITCHER_RET_ENTRY
-    assert frame.ret_leg.address == SWITCHER_RET_ENTRY
-    assert frame.callee_slot == img.table_slot("lib") + OFF_SP
-    assert frame.callee_sp == img.plan.stack_top["lib"]
+    assert img.mem.load_cap(frame + FRAME_OFF_RETLEG).address == SWITCHER_RET_ENTRY
+    assert frame_word(FRAME_OFF_CALLEE_SLOT) == img.table_slot("lib") + OFF_SP
+    assert frame_word(FRAME_OFF_CALLEE_SP) == img.plan.region("lib.stack").top
     assert st.pcc.address == tramp_entry(img, "lib")
     # caller resume slot now points at the frame
     slot = img.table_slot("app") + OFF_SP
-    assert int.from_bytes(img.mem.read_bytes(slot, 8), "little") == frame.addr
+    assert int.from_bytes(img.mem.read_bytes(slot, 8), "little") == frame
 
     trampoline_enter(img)
     guard = 0
@@ -266,7 +275,7 @@ def test_phase_composition_matches_full_call():
     # the callee's resume slot is back at its rest value
     lib_slot = img.table_slot("lib") + OFF_SP
     assert (int.from_bytes(img.mem.read_bytes(lib_slot, 8), "little")
-            == img.plan.stack_top["lib"])
+            == img.plan.region("lib.stack").top)
 
     from capcomp.machine import run
     run(st, img.mem, img.program)
@@ -394,7 +403,7 @@ def test_middle_compartment_stack_does_not_descend():
     gate = GateDescriptor("app", "codec", entry_codec, dest=None)
     site = plan.code_bounds["app"][1] - 120
     slot = img.table_slot("codec") + OFF_SP
-    rest = plan.stack_top["codec"]
+    rest = plan.region("codec.stack").top
     st = img.machine
     for i in range(50):
         st.halted = False
@@ -563,7 +572,7 @@ def test_sandbox_region_param_round_trip():
 
 def test_sandbox_cannot_reach_host_private_data():
     img = sandbox_img()
-    secret = img.plan.data_base["host"] + 64
+    secret = img.plan.region("host.data").base + 64
     entry = install_function(img, "parse_header", [ldi(8, 0, 0), retl()])
     sig = SandboxSignature("parse_header", entry, (SandboxParam("scalar"),))
     st = sandbox_call(img, sig, [secret])

@@ -226,7 +226,7 @@ def test_booted_sandbox_region_wins_over_its_host():
     text = ir.files("capcomp").joinpath("fixtures", "sandbox_host.cfg").read_text()
     img = boot_init(compute_layout(parse_config(text)))
     slice_base = img.plan.region("parse_header.code").base
-    host = img.compartment_id("host")
+    host = img.plan.comp_ids["host"]
     st = img.machine
     img.enter("host")
     img.program[slice_base - 1] = nop()
@@ -234,7 +234,7 @@ def test_booted_sandbox_region_wins_over_its_host():
     assert st.current_compartment == host
     step(img.machine, img.mem, img.program)
     assert st.fault is None and st.pc == slice_base
-    assert st.current_compartment == img.compartment_id("parse_header") != host
+    assert st.current_compartment == img.plan.comp_ids["parse_header"] != host
 
 
 def test_fall_through_into_the_next_region_then_fetch_fault():
