@@ -1,9 +1,10 @@
-"""The int-mask permission path, the struct-packed capability slots and
-the slot-descriptor `Fault` constructor, checked against reference
-implementations: the IntFlag and `dataclasses.replace` derivations they
-replaced, the byte-string record codec (`serialize` / `deserialize`), and a
-`Fault` built field by field the way the generated frozen `__init__` builds
-it."""
+"""The int-mask permission path, the struct-packed capability slots, the
+slot-descriptor `Fault` constructor and the data-access handler's own slot
+work, checked against reference implementations: the IntFlag and
+`dataclasses.replace` derivations they replaced, the byte-string record
+codec (`serialize` / `deserialize`), a `Fault` built field by field the way
+the generated frozen `__init__` builds it, and TaggedMemory's own load and
+store methods."""
 
 import dataclasses
 
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from capcomp.capability import (
     ADDR_MASK,
+    NULL_CAP,
     OTYPE_MAX,
     PERMS,
     PERM_ALL,
@@ -22,13 +24,16 @@ from capcomp.capability import (
     Perm,
     check_access,
     deserialize,
+    int_cap,
+    make_root,
     restrict_perms,
     seal,
     serialize,
     set_address,
     unseal,
 )
-from capcomp.machine import Fault
+from capcomp.isa import INT_WIDTH, REG_ZERO, Op, ldc, ldi, stc, sti
+from capcomp.machine import Fault, MachineState, run
 from capcomp.memory import CAP_SLOT, GRANULE, TaggedMemory
 
 
@@ -270,3 +275,189 @@ def test_fault_is_immutable():
         f.extra = 1                          # slots: no instance dict
     with pytest.raises(TypeError):
         Fault(FaultKind.SEAL, 1)             # pc has no default
+
+
+# --------------------------------------------------------------------------
+# The data-access handler's slot work: a stc, ldc, sti or ldi executed
+# through `run`, with the ddc or the operand register as authority, leaves
+# the memory bytes, the tags and its destination register exactly as
+# TaggedMemory's own store_cap, load_cap, write_bytes and read_bytes do.
+
+HANDLER_MEM = 256
+SLOTS = HANDLER_MEM // CAP_SLOT
+SRC, AUTH, DEST = 1, 2, 3
+MODES = ("legacy", "cap")
+
+
+def handler_machine(mode, program, addr, imm):
+    """A machine at pc 0 of `program` whose register AUTH resolves, with
+    offset `imm`, to `addr` under an authority that grants every access."""
+    root = make_root(0, HANDLER_MEM, PERM_ALL)
+    st = MachineState()
+    st.pcc = make_root(0, len(program), Perm.EXECUTE)
+    cursor = (addr - imm) & ADDR_MASK
+    if mode == "cap":
+        st.regs[AUTH] = set_address(root, cursor)
+    else:
+        st.ddc = root
+        st.regs[AUTH] = int_cap(cursor)
+    st.events = []
+    return st
+
+
+def handler_memory(raw, tags):
+    m = TaggedMemory(HANDLER_MEM)
+    m.data[:] = raw
+    m.tags[:] = bytes(tags)
+    return m
+
+
+def copy_memory(m):
+    return handler_memory(bytes(m.data), bytes(m.tags))
+
+
+def run_one(mode, ins, mem, addr, imm, src=None):
+    """Execute `ins` alone through `run` and check that it retired with one
+    access record; returns the machine."""
+    st = handler_machine(mode, [ins], addr, imm)
+    if src is not None:
+        st.regs[SRC] = src
+    regs = list(st.regs)
+    run(st, mem, [ins], max_steps=1)
+    assert (st.fault, st.halted, st.pc, st.instructions_retired) == (None, False, 1, 1)
+    width = CAP_SLOT if ins.op in (Op.LOAD_CAP, Op.STORE_CAP) else INT_WIDTH
+    is_store = ins.op in (Op.STORE_CAP, Op.STORE_INT)
+    assert st.events == [("access", 0, addr, width, is_store), ("step", 0, None, None)]
+    if is_store:
+        assert st.regs == regs
+    else:
+        assert [r for i, r in enumerate(st.regs) if i != ins.a] == \
+            [r for i, r in enumerate(regs) if i != ins.a]
+    return st
+
+
+def check_handler_slots(mode, value, slot, word, int_addr, raw, tags, imm):
+    cap = mode == "cap"
+    addr = slot * CAP_SLOT
+    # stc: the slot, both granule tags and nothing else.
+    mem, ref = handler_memory(raw, tags), handler_memory(raw, tags)
+    run_one(mode, stc(SRC, AUTH, imm, cap=cap), mem, addr, imm, src=value)
+    ref.store_cap(addr, value)
+    assert (bytes(mem.data), bytes(mem.tags)) == (bytes(ref.data), bytes(ref.tags))
+    # ldc of what was stored, then of the untouched raw slot.
+    for m in (mem, handler_memory(raw, tags)):
+        want = m.load_cap(addr)
+        before = copy_memory(m)
+        got = run_one(mode, ldc(DEST, AUTH, imm, cap=cap), m, addr, imm).regs[DEST]
+        assert same(got, want)
+        assert (bytes(m.data), bytes(m.tags)) == (bytes(before.data), bytes(before.tags))
+    # sti clears the tag of every granule the 8 bytes overlap.
+    mem, ref = handler_memory(raw, tags), handler_memory(raw, tags)
+    run_one(mode, sti(SRC, AUTH, imm, cap=cap), mem, int_addr, imm, src=int_cap(word))
+    ref.write_bytes(int_addr, word.to_bytes(INT_WIDTH, "little"))
+    assert (bytes(mem.data), bytes(mem.tags)) == (bytes(ref.data), bytes(ref.tags))
+    # ldi reads the 8 bytes as an untagged integer.
+    mem = handler_memory(raw, tags)
+    got = run_one(mode, ldi(DEST, AUTH, imm, cap=cap), mem, int_addr, imm).regs[DEST]
+    assert same(got, int_cap(int.from_bytes(mem.read_bytes(int_addr, INT_WIDTH), "little")))
+    # A load into the zero register leaves it zero.
+    for ins, at in ((ldc(REG_ZERO, AUTH, imm, cap=cap), addr),
+                    (ldi(REG_ZERO, AUTH, imm, cap=cap), int_addr)):
+        assert run_one(mode, ins, handler_memory(raw, tags), at, imm).regs[REG_ZERO] is NULL_CAP
+
+
+recordable = st.builds(
+    Capability,
+    base=st.integers(0, ADDR_MASK),
+    top=st.one_of(st.integers(0, TOP_MAX), st.just(TOP_MAX), st.integers(0, (1 << 72) - 1)),
+    address=st.integers(0, ADDR_MASK),
+    perms=st.sampled_from(PERMS),
+    otype=st.one_of(st.just(0), st.integers(0, OTYPE_MAX)),
+    tag=st.booleans(),
+)
+TOP_CAP = Capability(0, TOP_MAX, 5, PERM_ALL, 0, True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mode=st.sampled_from(MODES), value=recordable, slot=st.integers(0, SLOTS - 1),
+       word=st.integers(0, ADDR_MASK), int_addr=st.integers(0, HANDLER_MEM - INT_WIDTH),
+       raw=st.binary(min_size=HANDLER_MEM, max_size=HANDLER_MEM),
+       tags=st.lists(st.integers(0, 1), min_size=HANDLER_MEM // GRANULE,
+                     max_size=HANDLER_MEM // GRANULE),
+       imm=st.integers(-64, 64))
+@example(mode="legacy", value=TOP_CAP, slot=1, word=ADDR_MASK, int_addr=12,
+         raw=bytes(HANDLER_MEM), tags=[1] * (HANDLER_MEM // GRANULE), imm=0)
+@example(mode="cap", value=seal(TOP_CAP, OTYPE_MAX), slot=SLOTS - 1, word=0,
+         int_addr=HANDLER_MEM - INT_WIDTH, raw=b"\xff" * HANDLER_MEM,
+         tags=[1] * (HANDLER_MEM // GRANULE), imm=-32)
+@example(mode="cap", value=dataclasses.replace(TOP_CAP, tag=False), slot=0, word=1,
+         int_addr=28, raw=bytes(HANDLER_MEM), tags=[1] * (HANDLER_MEM // GRANULE), imm=32)
+def test_handler_slot_work_matches_tagged_memory(mode, value, slot, word, int_addr,
+                                                 raw, tags, imm):
+    check_handler_slots(mode, value, slot, word, int_addr, raw, tags, imm)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_handler_slot_work_for_every_perms_value(mode):
+    raw = bytes((i * 7 + 3) & 0xFF for i in range(HANDLER_MEM))
+    tags = [1, 0] * (HANDLER_MEM // GRANULE // 2)
+    for perms in range(64):
+        for otype, tag in ((0, True), (OTYPE_MAX, True), (0, False)):
+            value = Capability(0x40, TOP_MAX, 0x48, PERMS[perms], otype, tag)
+            check_handler_slots(mode, value, perms % SLOTS, perms, perms + 4, raw, tags, 0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_straddling_int_store_clears_both_granule_tags(mode):
+    mem = handler_memory(bytes(HANDLER_MEM), [1] * (HANDLER_MEM // GRANULE))
+    run_one(mode, sti(SRC, AUTH, 0, cap=mode == "cap"), mem, 2 * GRANULE - 4, 0,
+            src=int_cap(ADDR_MASK))
+    assert list(mem.tags[:4]) == [1, 0, 0, 1]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("granule", [0, 1])
+def test_ldc_after_an_int_store_into_either_granule_is_untagged(mode, granule):
+    """stc, then sti into one granule of the slot, then ldc of the slot:
+    the loaded capability carries the surviving bytes and no tag."""
+    cap = mode == "cap"
+    addr = CAP_SLOT
+    int_addr = addr + granule * GRANULE + 4
+    program = [stc(SRC, AUTH, 0, cap=cap), sti(4, 5, 0, cap=cap), ldc(DEST, AUTH, 0, cap=cap)]
+    mem = handler_memory(bytes(HANDLER_MEM), [0] * (HANDLER_MEM // GRANULE))
+    st_ = handler_machine(mode, program, addr, 0)
+    st_.regs[SRC] = TOP_CAP
+    st_.regs[4] = int_cap(0x0102030405060708)
+    st_.regs[5] = set_address(st_.regs[AUTH], int_addr) if cap else int_cap(int_addr)
+    run(st_, mem, program, max_steps=3)
+    assert (st_.fault, st_.instructions_retired) == (None, 3)
+    ref = handler_memory(bytes(HANDLER_MEM), [0] * (HANDLER_MEM // GRANULE))
+    ref.store_cap(addr, TOP_CAP)
+    ref.write_bytes(int_addr, (0x0102030405060708).to_bytes(INT_WIDTH, "little"))
+    want = ref.load_cap(addr)
+    assert not want.tag and not st_.regs[DEST].tag
+    assert same(st_.regs[DEST], want)
+    assert list(mem.tags[2:4]) == [int(granule == 1), int(granule == 0)]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("bad", [
+    dict(base=-1), dict(base=1 << 64), dict(top=-1), dict(top=1 << 72),
+    dict(address=1 << 64), dict(otype=1 << 16),
+])
+def test_stc_of_an_unrecordable_capability_through_run(bad, mode):
+    """The step raises like store_cap and leaves the slot, the pc, the
+    retire count, the registers and the event list as they were."""
+    value = dataclasses.replace(CAPS["unsealed"], **bad)
+    program = [stc(SRC, AUTH, 0, cap=mode == "cap")]
+    mem = TaggedMemory(HANDLER_MEM)
+    mem.store_cap(CAP_SLOT, CAPS["unsealed"])
+    st_ = handler_machine(mode, program, CAP_SLOT, 0)
+    st_.regs[SRC] = value
+    st_.ddc_grant = 4
+    before = (bytes(mem.data), bytes(mem.tags), tuple(st_.regs), st_.code, st_.ddc)
+    with pytest.raises(OverflowError):
+        run(st_, mem, program)
+    assert (bytes(mem.data), bytes(mem.tags), tuple(st_.regs), st_.code, st_.ddc) == before
+    assert (st_.pc, st_.instructions_retired, st_.events) == (0, 0, [])
+    assert (st_.fault, st_.halted, st_.ddc_grant) == (None, False, None)
