@@ -45,9 +45,13 @@ cannot place itself inside that window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from struct import error as struct_error
 
 from .capability import (
+    ADDR_BITS,
     ADDR_MASK,
+    PERMS,
+    TOP_MAX,
     Capability,
     FaultKind,
     NULL_CAP,
@@ -70,7 +74,7 @@ from .isa import (
     REG_ZERO,
     format_ins,
 )
-from .memory import CAP_SLOT, TaggedMemory
+from .memory import CAP_SLOT, GRANULE, PERM_BITS, SLOT, TaggedMemory
 
 PAIR_BYTES = 2 * CAP_SLOT      # a (pcc, ddc) capability pair in memory
 
@@ -79,6 +83,7 @@ _LOAD, _STORE, _EXECUTE, _LOAD_CAP, _STORE_CAP = (
     int(p) for p in (Perm.LOAD, Perm.STORE, Perm.EXECUTE, Perm.LOAD_CAP, Perm.STORE_CAP))
 _int_and = int.__and__     # AND of a Perm and an int mask, as a plain int
 _PC_LIMIT = ADDR_MASK + 2  # above every pc a retire can reach
+_pack_slot, _unpack_slot = SLOT.pack, SLOT.unpack_from
 
 
 class MachineError(Exception):
@@ -282,7 +287,13 @@ def _access(need: int, is_store: bool, is_cap: bool):
     (INT_WIDTH bytes) or a capability (a CAP_SLOT-aligned slot) where the
     authority grants `need`.  The authority is the ddc for a legacy operand,
     whose register holds a plain address, and the operand register itself
-    in capability mode."""
+    in capability mode.
+
+    The handler is the one place that checks the access: once the
+    authority, alignment and end-of-memory tests pass, it copies the bytes
+    and tags itself, under memory's slot layout, with no call into
+    TaggedMemory (whose methods re-test alignment and range for their other
+    callers)."""
     width, align = (CAP_SLOT, CAP_SLOT) if is_cap else (INT_WIDTH, 1)
 
     def access(st, mem, ins, pc, grant):
@@ -311,14 +322,40 @@ def _access(need: int, is_store: bool, is_cap: bool):
             return _fault(st, FaultKind.ALIGNMENT, addr, pc, width)
         if addr + width > mem.size:
             return _fault(st, FaultKind.ADDRESS, addr, pc, width)
+        # The access is in range and aligned.  A register write skips the
+        # zero register, as `_setreg` does.
+        g = addr // GRANULE
         if is_store and is_cap:
-            mem.store_cap(addr, regs[ins.a])
+            c = regs[ins.a]
+            t = 1 if c.tag else 0
+            top = c.top
+            try:
+                # Packed whole before the write, as `store_cap` does, so a
+                # field out of range leaves the slot untouched.
+                record = _pack_slot(t, c.base, top & ADDR_MASK, top >> ADDR_BITS, c.address,
+                                    _int_and(c.perms, 0xFF), c.otype)
+            except struct_error as e:
+                raise OverflowError(f"capability field out of range for its record: {e}") from None
+            mem.data[addr:addr + CAP_SLOT] = record
+            tags = mem.tags
+            tags[g] = tags[g + 1] = t
         elif is_store:
-            mem.write_bytes(addr, (regs[ins.a].address & ADDR_MASK).to_bytes(INT_WIDTH, "little"))
+            mem.data[addr:addr + INT_WIDTH] = (regs[ins.a].address & ADDR_MASK).to_bytes(
+                INT_WIDTH, "little")
+            # An integer is narrower than a granule, so it overlaps at most
+            # two; each loses its tag, as in `write_bytes`.
+            tags = mem.tags
+            tags[g] = tags[(addr + INT_WIDTH - 1) // GRANULE] = 0
         elif is_cap:
-            _setreg(st, ins.a, mem.load_cap(addr))
-        else:
-            _setreg(st, ins.a, int_cap(int.from_bytes(mem.read_bytes(addr, INT_WIDTH), "little")))
+            _, base, top, top_high, address, perms, otype = _unpack_slot(mem.data, addr)
+            if top_high & 1:       # top is 65 bits wide, as `load_cap` reads it
+                top += TOP_MAX
+            tags = mem.tags
+            if ins.a != REG_ZERO:
+                regs[ins.a] = Capability(base, top, address, PERMS[perms & PERM_BITS], otype,
+                                         tags[g] != 0 and tags[g + 1] != 0)
+        elif ins.a != REG_ZERO:
+            regs[ins.a] = int_cap(int.from_bytes(mem.data[addr:addr + INT_WIDTH], "little"))
         if st.events is not None:
             st.events.append(("access", pc, addr, width, is_store))
         return pc + 1
@@ -495,27 +532,29 @@ def run(st: MachineState, mem: TaggedMemory, program: list[Ins],
     cbase = ctop = 0       # its bounds
     lo = hi = 0            # retired pcs in [lo, hi) keep the compartment
     steps = 0
+    nxt = None             # no step has retired yet
     while steps < max_steps:
-        if st.halted:
-            break
-        if st.fault is not None:
-            if handle_fault_ddc_swap(st, mem):
-                continue
-            break
+        # Only a step that did not retire can have halted or faulted.
+        if nxt is None:
+            if st.halted:
+                break
+            if st.fault is not None and not handle_fault_ddc_swap(st, mem):
+                break
         steps += 1
         pc = st.pc
         comp = st.current_compartment
         grant = st.ddc_grant
-        st.ddc_grant = None        # the window is exactly one instruction wide
+        if grant is not None:
+            st.ddc_grant = None    # the window is exactly one instruction wide
         # The fetch check: the allowed case inline, `check_access` names the
         # fault.  Only a new `code` needs its tag, seal and execute bit tested.
         code = st.code
         if code is not checked and code.tag and not code.otype and _int_and(code.perms, _EXECUTE):
             checked, cbase, ctop = code, code.base, code.top
         if code is not checked or not cbase <= pc < ctop:
-            _fault(st, check_access(code, pc, 1, _EXECUTE), pc, pc)
+            nxt = _fault(st, check_access(code, pc, 1, _EXECUTE), pc, pc)
         elif pc >= end:
-            _fault(st, FaultKind.ADDRESS, pc, pc)
+            nxt = _fault(st, FaultKind.ADDRESS, pc, pc)
         else:
             ins = program[pc]
             nxt = handlers[ins.op._value_](st, mem, ins, pc, grant)

@@ -20,9 +20,10 @@ DEFAULT_SIZE = 1 << 20         # 1 MiB: the default of the library and the CLI
 
 # One capability slot: the flat record of `capability.serialize` (tag, base,
 # top as its low 8 bytes and its high byte, address, perms, otype), then 3
-# bytes of zero padding.
-_SLOT = struct.Struct("<BQQBQBH3x")
-_PERM_BITS = int(PERM_ALL)
+# bytes of zero padding.  The machine's data-access handler packs and unpacks
+# slots with this same layout.
+SLOT = struct.Struct("<BQQBQBH3x")
+PERM_BITS = int(PERM_ALL)       # the perms bits a loaded slot keeps
 
 
 class AddressError(Exception):
@@ -89,7 +90,7 @@ class TaggedMemory:
         try:
             # Packed whole before the write, so a field out of range leaves
             # the slot untouched.
-            record = _SLOT.pack(t, c.base, top & ADDR_MASK, top >> ADDR_BITS, c.address,
+            record = SLOT.pack(t, c.base, top & ADDR_MASK, top >> ADDR_BITS, c.address,
                                 int(c.perms) & 0xFF, c.otype)
         except struct.error as e:
             raise OverflowError(f"capability field out of range for its record: {e}") from None
@@ -108,11 +109,11 @@ class TaggedMemory:
             raise AlignmentError(f"capability load at {addr:#x} not {CAP_SLOT}-aligned")
         if addr < 0 or addr + CAP_SLOT > self.size:
             self._check_range(addr, CAP_SLOT)
-        _, base, top, top_high, address, perms, otype = _SLOT.unpack_from(self.data, addr)
+        _, base, top, top_high, address, perms, otype = SLOT.unpack_from(self.data, addr)
         if top_high & 1:         # top is 65 bits wide, like `deserialize` reads it
             top += TOP_MAX
         g = addr // GRANULE
-        return Capability(base, top, address, PERMS[perms & _PERM_BITS], otype,
+        return Capability(base, top, address, PERMS[perms & PERM_BITS], otype,
                           self.tags[g] != 0 and self.tags[g + 1] != 0)
 
     def granule_tag(self, addr: int) -> bool:

@@ -375,10 +375,16 @@ class SwitchBreakdown:
         return max(SWITCH_PHASES, key=lambda p: self.phase_cycles[p])
 
 
-def _weigh(op: Op, cold: bool) -> float:
-    if cold:
-        return COLD_WEIGHTS.get(op, COLD_DEFAULT)
-    return HOT_WEIGHTS.get(op, HOT_DEFAULT)
+def _weight_table(weights: dict[Op, float], default: float) -> dict[str, float]:
+    """The weight of each op, keyed by its mnemonic as the machine's dispatch
+    keys its handlers: a str hashes in C, an Op member through the
+    Python-level Enum.__hash__.  HALT has no entry, since the halt that ends
+    a phase is neither weighed nor counted."""
+    return {op._value_: weights.get(op, default) for op in Op if op is not Op.HALT}
+
+
+_WEIGHT_TABLES = {False: _weight_table(HOT_WEIGHTS, HOT_DEFAULT),
+                  True: _weight_table(COLD_WEIGHTS, COLD_DEFAULT)}
 
 
 def switch_breakdown(cold: bool = False) -> SwitchBreakdown:
@@ -404,6 +410,7 @@ def switch_breakdown(cold: bool = False) -> SwitchBreakdown:
         ("gate_epilogue", lambda: run(st, img.mem, img.program, max_steps=10_000)),
     )
 
+    weights = _WEIGHT_TABLES[cold]
     cycles = dict.fromkeys(PHASES, 0.0)
     counts = dict.fromkeys(PHASES, 0)
     events = st.events = []
@@ -412,10 +419,17 @@ def switch_breakdown(cold: bool = False) -> SwitchBreakdown:
         run_phase()
         if st.fault is not None:
             raise RuntimeError(f"breakdown round trip faulted: {st.fault}")
-        for op in (img.program[ev[1]].op for ev in events if ev[0] == "step"):
-            if op is not Op.HALT:
-                cycles[phase] += _weigh(op, cold)
-                counts[phase] += 1
+        # Added one step at a time, in step order, so every float sum is
+        # the one a per-step `+=` on the phase's entry gives.
+        program = img.program
+        c, n = cycles[phase], counts[phase]
+        for ev in events:
+            if ev[0] == "step":
+                w = weights.get(program[ev[1]].op._value_)
+                if w is not None:
+                    c += w
+                    n += 1
+        cycles[phase], counts[phase] = c, n
 
     total = sum(cycles[p] for p in SWITCH_PHASES)
     return SwitchBreakdown(cycles, counts, total, cycles["callee_body"],
