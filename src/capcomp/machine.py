@@ -15,10 +15,24 @@ faults without touching any register, memory byte, or tag.
 
 `run` is the one per-instruction loop.  Each iteration checks the fetch,
 runs the opcode's handler, and retires in one place: the handler returns the
-next pc, or None when it faulted or halted.  `step` is a one-step `run`
-behind two guards.  The fetch check and the data-access check test the
+next pc, or None when it faulted or halted.  Only a step that does not
+retire can halt or fault the machine, so `run` tests `halted` and `fault` on
+entry and after such a step, never after a retire.  `step` is a one-step
+`run` behind two guards.  The fetch check and the data-access check test the
 allowed case inline and call `check_access` only when that test fails, so
 `check_access` alone decides which fault kind is reported.
+
+The data-access handler is the one place that checks a load or store.  Once
+its authority, alignment and end-of-memory tests pass, it copies the bytes
+and tags itself: it packs or unpacks a capability slot with memory's one
+slot layout (`memory.SLOT`), sets both granule tags on a capability store,
+and clears the tag of every granule an integer store overlaps.
+`TaggedMemory.store_cap`, `load_cap`, `read_bytes` and `write_bytes` keep
+their own alignment and range tests for their other callers (boot, layout,
+tests); on this path the handler has just made the same tests, so repeating
+them could never fail and would cost a call layer per access.  A capability
+field that does not fit the record still raises OverflowError before any
+byte is written.
 
 The loop re-derives two facts only when they can have changed, and both are
 locals of one `run` call.  The code capability's tag, seal and execute bit

@@ -91,7 +91,7 @@ class TaggedMemory:
             # Packed whole before the write, so a field out of range leaves
             # the slot untouched.
             record = SLOT.pack(t, c.base, top & ADDR_MASK, top >> ADDR_BITS, c.address,
-                                int(c.perms) & 0xFF, c.otype)
+                               int(c.perms) & 0xFF, c.otype)
         except struct.error as e:
             raise OverflowError(f"capability field out of range for its record: {e}") from None
         self.data[addr:addr + CAP_SLOT] = record

@@ -383,8 +383,8 @@ def _weight_table(weights: dict[Op, float], default: float) -> dict[str, float]:
     return {op._value_: weights.get(op, default) for op in Op if op is not Op.HALT}
 
 
-_WEIGHT_TABLES = {False: _weight_table(HOT_WEIGHTS, HOT_DEFAULT),
-                  True: _weight_table(COLD_WEIGHTS, COLD_DEFAULT)}
+_HOT_TABLE = _weight_table(HOT_WEIGHTS, HOT_DEFAULT)
+_COLD_TABLE = _weight_table(COLD_WEIGHTS, COLD_DEFAULT)
 
 
 def switch_breakdown(cold: bool = False) -> SwitchBreakdown:
@@ -410,7 +410,7 @@ def switch_breakdown(cold: bool = False) -> SwitchBreakdown:
         ("gate_epilogue", lambda: run(st, img.mem, img.program, max_steps=10_000)),
     )
 
-    weights = _WEIGHT_TABLES[cold]
+    weights = _COLD_TABLE if cold else _HOT_TABLE
     cycles = dict.fromkeys(PHASES, 0.0)
     counts = dict.fromkeys(PHASES, 0)
     events = st.events = []
