@@ -433,7 +433,13 @@ def _order_for_adjacency(cfg: CompartmentConfig) -> list[str]:
 
 
 def compute_layout(cfg: CompartmentConfig, memory_size: int = DEFAULT_SIZE) -> LayoutPlan:
-    """Plan every region deterministically; identical input, identical plan."""
+    """Plan every region deterministically; identical input, identical plan.
+
+    `memory_size` must be one `TaggedMemory` can have: a positive multiple
+    of GRANULE.
+    """
+    if memory_size <= 0 or memory_size % GRANULE != 0:
+        raise LayoutError(f"memory size must be a positive multiple of {GRANULE}")
     order = _order_for_adjacency(cfg)
     by_host: dict[str, list[str]] = {}
     for sb in cfg.sandboxes:

@@ -34,6 +34,18 @@ them could never fail and would cost a call layer per access.  A capability
 field that does not fit the record still raises OverflowError before any
 byte is written.
 
+The null capability is one object on this path.  A capability store whose
+source register holds `NULL_CAP` itself writes the constant `NULL_RECORD`
+and clears both granule tags, without packing.  A capability load returns
+`NULL_CAP` itself when the slot decodes to base, top, address, perms and
+otype all 0 and its two granule tags are not both set, the rule
+`TaggedMemory.load_cap` applies too.  The gate's scrub stores of r16 and
+its spills of dead caller registers are such stores, and its restores of
+those spills such loads, so a restored register is `NULL_CAP` and the next
+crossing's spill of it takes the store shortcut again.  The rule reads only
+the slot's bytes and tags, so every value, byte and tag is what packing and
+unpacking would give.
+
 The loop re-derives two facts only when they can have changed, and both are
 locals of one `run` call.  The code capability's tag, seal and execute bit
 are tested once per `code` value: a `Capability` is immutable, so while
@@ -88,7 +100,7 @@ from .isa import (
     REG_ZERO,
     format_ins,
 )
-from .memory import CAP_SLOT, GRANULE, PERM_BITS, SLOT, TaggedMemory
+from .memory import CAP_SLOT, GRANULE, NULL_RECORD, PERM_BITS, SLOT, TaggedMemory
 
 PAIR_BYTES = 2 * CAP_SLOT      # a (pcc, ddc) capability pair in memory
 
@@ -341,15 +353,19 @@ def _access(need: int, is_store: bool, is_cap: bool):
         g = addr // GRANULE
         if is_store and is_cap:
             c = regs[ins.a]
-            t = 1 if c.tag else 0
-            top = c.top
-            try:
-                # Packed whole before the write, as `store_cap` does, so a
-                # field out of range leaves the slot untouched.
-                record = _pack_slot(t, c.base, top & ADDR_MASK, top >> ADDR_BITS, c.address,
-                                    _int_and(c.perms, 0xFF), c.otype)
-            except struct_error as e:
-                raise OverflowError(f"capability field out of range for its record: {e}") from None
+            if c is NULL_CAP:
+                record, t = NULL_RECORD, 0
+            else:
+                t = 1 if c.tag else 0
+                top = c.top
+                try:
+                    # Packed whole before the write, as `store_cap` does, so
+                    # a field out of range leaves the slot untouched.
+                    record = _pack_slot(t, c.base, top & ADDR_MASK, top >> ADDR_BITS,
+                                        c.address, _int_and(c.perms, 0xFF), c.otype)
+                except struct_error as e:
+                    raise OverflowError(
+                        f"capability field out of range for its record: {e}") from None
             mem.data[addr:addr + CAP_SLOT] = record
             tags = mem.tags
             tags[g] = tags[g + 1] = t
@@ -364,10 +380,14 @@ def _access(need: int, is_store: bool, is_cap: bool):
             _, base, top, top_high, address, perms, otype = _unpack_slot(mem.data, addr)
             if top_high & 1:       # top is 65 bits wide, as `load_cap` reads it
                 top += TOP_MAX
+            perms &= PERM_BITS
             tags = mem.tags
+            tag = tags[g] != 0 and tags[g + 1] != 0
             if ins.a != REG_ZERO:
-                regs[ins.a] = Capability(base, top, address, PERMS[perms & PERM_BITS], otype,
-                                         tags[g] != 0 and tags[g + 1] != 0)
+                # `load_cap`'s null rule.
+                regs[ins.a] = (Capability(base, top, address, PERMS[perms], otype, tag)
+                               if tag or base or top or address or perms or otype
+                               else NULL_CAP)
         elif ins.a != REG_ZERO:
             regs[ins.a] = int_cap(int.from_bytes(mem.data[addr:addr + INT_WIDTH], "little"))
         if st.events is not None:

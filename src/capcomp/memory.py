@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 
-from .capability import ADDR_BITS, ADDR_MASK, PERMS, PERM_ALL, TOP_MAX, Capability
+from .capability import ADDR_BITS, ADDR_MASK, NULL_CAP, PERMS, PERM_ALL, TOP_MAX, Capability
 
 GRANULE = 16
 CAP_SLOT = 2 * GRANULE          # in-memory footprint of one capability
@@ -24,6 +24,10 @@ DEFAULT_SIZE = 1 << 20         # 1 MiB: the default of the library and the CLI
 # slots with this same layout.
 SLOT = struct.Struct("<BQQBQBH3x")
 PERM_BITS = int(PERM_ALL)       # the perms bits a loaded slot keeps
+# The slot a store of NULL_CAP writes (32 zero bytes, both tags clear).  A
+# slot loads as NULL_CAP itself when it decodes to base, top, address, perms
+# and otype all 0 and its two granule tags are not both set.
+NULL_RECORD = SLOT.pack(0, 0, 0, 0, 0, 0, 0)
 
 
 class AddressError(Exception):
@@ -104,6 +108,7 @@ class TaggedMemory:
         Never traps on content: raw bytes decode to an untagged capability.
         The result is valid only when both granule tags survived, so a byte
         write anywhere in the slot kills it and forged records stay dead.
+        A slot that decodes to the null capability loads as NULL_CAP itself.
         """
         if addr % CAP_SLOT != 0:
             raise AlignmentError(f"capability load at {addr:#x} not {CAP_SLOT}-aligned")
@@ -112,9 +117,12 @@ class TaggedMemory:
         _, base, top, top_high, address, perms, otype = SLOT.unpack_from(self.data, addr)
         if top_high & 1:         # top is 65 bits wide, like `deserialize` reads it
             top += TOP_MAX
+        perms &= PERM_BITS
         g = addr // GRANULE
-        return Capability(base, top, address, PERMS[perms & PERM_BITS], otype,
-                          self.tags[g] != 0 and self.tags[g + 1] != 0)
+        tag = self.tags[g] != 0 and self.tags[g + 1] != 0
+        if tag or base or top or address or perms or otype:
+            return Capability(base, top, address, PERMS[perms], otype, tag)
+        return NULL_CAP
 
     def granule_tag(self, addr: int) -> bool:
         self._check_range(addr, 1)

@@ -249,3 +249,11 @@ def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["layout", "boot-dump", "verify"])
+@pytest.mark.parametrize("size", ["0x6548", "0", "-0x100"])
+def test_memory_size_not_a_granule_multiple_is_exit_2(capsys, command, size):
+    code, out, err = run_cli(capsys, command, "two_comp.cfg", f"--memory-size={size}")
+    assert code == 2 and out == ""
+    assert err == "error: memory size must be a positive multiple of 16\n"

@@ -461,3 +461,78 @@ def test_stc_of_an_unrecordable_capability_through_run(bad, mode):
     assert (bytes(mem.data), bytes(mem.tags), tuple(st_.regs), st_.code, st_.ddc) == before
     assert (st_.pc, st_.instructions_retired, st_.events) == (0, 0, [])
     assert (st_.fault, st_.halted, st_.ddc_grant) == (None, False, None)
+
+
+# --------------------------------------------------------------------------
+# The null capability on the access path: a capability store of null writes
+# what `store_cap(NULL_CAP)` writes, and a slot that decodes to null loads as
+# NULL_CAP itself, through the handler and through `load_cap` alike.
+
+NULL_AT = 2 * CAP_SLOT
+# Slots that decode to null, as {byte offset: value} over a zeroed slot.
+# SLOT's layout: tag byte 0, base 1-8, top 9-16, top's high byte 17,
+# address 18-25, perms 26, otype 27-28, padding 29-31.
+NULL_SLOTS = {
+    "zeroed": {},
+    "perms bits outside PERM_BITS": {26: 0xC0},
+    "high byte of top above bit 64": {17: 0xFE},
+    "tag byte and padding": {0: 1, 29: 0xFF, 31: 0x80},
+}
+# Slots that are almost null and must not load as NULL_CAP: (bytes, tags).
+NEAR_NULL_SLOTS = {
+    "both tags set": ({}, (1, 1)),
+    "top is 2^64": ({17: 1}, (0, 0)),
+    "nonzero otype": ({27: 1}, (0, 0)),
+    "one perms bit": ({26: 0x01}, (1, 0)),
+}
+
+
+def load_slot_both_ways(mode, patch, tag_bits):
+    """ldc the slot at NULL_AT through `run` into a register that held
+    TOP_CAP, and through `load_cap`; returns both results."""
+    raw = bytearray(HANDLER_MEM)
+    for offset, byte in patch.items():
+        raw[NULL_AT + offset] = byte
+    tags = [0] * (HANDLER_MEM // GRANULE)
+    tags[NULL_AT // GRANULE], tags[NULL_AT // GRANULE + 1] = tag_bits
+    mem = handler_memory(raw, tags)
+    program = [ldc(DEST, AUTH, 0, cap=mode == "cap")]
+    st_ = handler_machine(mode, program, NULL_AT, 0)
+    st_.regs[DEST] = TOP_CAP
+    run(st_, mem, program, max_steps=1)
+    assert (st_.fault, st_.instructions_retired) == (None, 1)
+    return st_.regs[DEST], mem.load_cap(NULL_AT)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("src", ["r16", "distinct"])
+def test_null_store_writes_what_store_cap_writes(mode, src):
+    raw, tags = b"\xa5" * HANDLER_MEM, [1] * (HANDLER_MEM // GRANULE)
+    mem, ref = handler_memory(raw, tags), handler_memory(raw, tags)
+    cap = mode == "cap"
+    if src == "r16":
+        run_one(mode, stc(REG_ZERO, AUTH, 0, cap=cap), mem, NULL_AT, 0)
+    else:
+        value = int_cap(0)
+        assert value == NULL_CAP and value is not NULL_CAP
+        run_one(mode, stc(SRC, AUTH, 0, cap=cap), mem, NULL_AT, 0, src=value)
+    ref.store_cap(NULL_AT, NULL_CAP)
+    assert (bytes(mem.data), bytes(mem.tags)) == (bytes(ref.data), bytes(ref.tags))
+    assert mem.data[NULL_AT:NULL_AT + CAP_SLOT] == bytes(CAP_SLOT)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", sorted(NULL_SLOTS))
+@pytest.mark.parametrize("tag_bits", [(0, 0), (1, 0), (0, 1)])
+def test_a_null_slot_loads_as_null_cap_itself(mode, name, tag_bits):
+    got, want = load_slot_both_ways(mode, NULL_SLOTS[name], tag_bits)
+    assert same(got, NULL_CAP) and same(want, NULL_CAP)
+    assert got is NULL_CAP and want is NULL_CAP
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", sorted(NEAR_NULL_SLOTS))
+def test_a_near_null_slot_loads_as_its_own_capability(mode, name):
+    got, want = load_slot_both_ways(mode, *NEAR_NULL_SLOTS[name])
+    assert same(got, want) and got != NULL_CAP
+    assert got is not NULL_CAP and want is not NULL_CAP
