@@ -3,15 +3,20 @@ slot-descriptor `Fault` constructor and the data-access handler's own slot
 work, checked against reference implementations: the IntFlag and
 `dataclasses.replace` derivations they replaced, the byte-string record
 codec (`serialize` / `deserialize`), a `Fault` built field by field the way
-the generated frozen `__init__` builds it, and TaggedMemory's own load and
-store methods."""
+the generated frozen `__init__` builds it, TaggedMemory's own load and
+store methods, and the one data-access factory the four handlers were
+built from."""
 
 import dataclasses
+import random
+import struct
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from capcomp.capability import (
+    ADDR_BITS,
     ADDR_MASK,
     NULL_CAP,
     OTYPE_MAX,
@@ -33,8 +38,8 @@ from capcomp.capability import (
     unseal,
 )
 from capcomp.isa import INT_WIDTH, REG_ZERO, Op, ldc, ldi, stc, sti
-from capcomp.machine import Fault, MachineState, run
-from capcomp.memory import CAP_SLOT, GRANULE, TaggedMemory
+from capcomp.machine import _HANDLERS, Fault, MachineState, _fault, _int_and, run
+from capcomp.memory import CAP_SLOT, GRANULE, NULL_RECORD, PERM_BITS, SLOT, TaggedMemory
 
 
 # --------------------------------------------------------------------------
@@ -536,3 +541,213 @@ def test_a_near_null_slot_loads_as_its_own_capability(mode, name):
     got, want = load_slot_both_ways(mode, *NEAR_NULL_SLOTS[name])
     assert same(got, want) and got != NULL_CAP
     assert got is not NULL_CAP and want is not NULL_CAP
+
+
+# --------------------------------------------------------------------------
+# The four data-access handlers against `ref_access`, the one factory they
+# were built from when a single handler served every (need, is_store,
+# is_cap) and copied with slices, `int.to_bytes` and `int.from_bytes`.  Each
+# seeded case is one access, executed by the handler in `_HANDLERS` and by
+# the reference on identical, independent copies of one machine and memory.
+
+def ref_access(need, is_store, is_cap):
+    """The data-access handler factory as it was: one closure per op that
+    tests `is_cap` and `is_store` on every access."""
+    width, align = (CAP_SLOT, CAP_SLOT) if is_cap else (INT_WIDTH, 1)
+
+    def access(st, mem, ins, pc, grant):
+        regs = st.regs
+        if ins.cap:
+            auth = regs[ins.b]
+            addr = (auth.address + ins.imm) & ADDR_MASK
+            checked = True
+        else:
+            auth = st.ddc
+            addr = (regs[ins.b].address + ins.imm) & ADDR_MASK
+            bounds = st.switcher_bounds
+            checked = not bounds[0] <= pc < bounds[1]
+        if checked and not (auth.tag and not auth.otype
+                            and _int_and(auth.perms, need) == need
+                            and auth.base <= addr and addr + width <= auth.top):
+            return _fault(st, check_access(auth, addr, width, need), addr, pc, width,
+                          ddc_access=not ins.cap)
+        if addr % align != 0:
+            return _fault(st, FaultKind.ALIGNMENT, addr, pc, width)
+        if addr + width > mem.size:
+            return _fault(st, FaultKind.ADDRESS, addr, pc, width)
+        g = addr // GRANULE
+        if is_store and is_cap:
+            c = regs[ins.a]
+            if c is NULL_CAP:
+                record, t = NULL_RECORD, 0
+            else:
+                t = 1 if c.tag else 0
+                top = c.top
+                try:
+                    record = SLOT.pack(t, c.base, top & ADDR_MASK, top >> ADDR_BITS,
+                                       c.address, _int_and(c.perms, 0xFF), c.otype)
+                except struct.error as e:
+                    raise OverflowError(
+                        f"capability field out of range for its record: {e}") from None
+            mem.data[addr:addr + CAP_SLOT] = record
+            tags = mem.tags
+            tags[g] = tags[g + 1] = t
+        elif is_store:
+            mem.data[addr:addr + INT_WIDTH] = (regs[ins.a].address & ADDR_MASK).to_bytes(
+                INT_WIDTH, "little")
+            tags = mem.tags
+            tags[g] = tags[(addr + INT_WIDTH - 1) // GRANULE] = 0
+        elif is_cap:
+            _, base, top, top_high, address, perms, otype = SLOT.unpack_from(mem.data, addr)
+            if top_high & 1:
+                top += TOP_MAX
+            perms &= PERM_BITS
+            tags = mem.tags
+            tag = tags[g] != 0 and tags[g + 1] != 0
+            if ins.a != REG_ZERO:
+                regs[ins.a] = (Capability(base, top, address, PERMS[perms], otype, tag)
+                               if tag or base or top or address or perms or otype
+                               else NULL_CAP)
+        elif ins.a != REG_ZERO:
+            regs[ins.a] = int_cap(int.from_bytes(mem.data[addr:addr + INT_WIDTH], "little"))
+        if st.events is not None:
+            st.events.append(("access", pc, addr, width, is_store))
+        return pc + 1
+
+    return access
+
+
+# (constructor, need, is_store, is_cap) of each data-access op.
+ACCESS_OPS = (
+    (ldi, int(Perm.LOAD), False, False),
+    (sti, int(Perm.STORE), True, False),
+    (ldc, int(Perm.LOAD_CAP), False, True),
+    (stc, int(Perm.STORE_CAP), True, True),
+)
+DIFF_MEM = 512
+DIFF_CASES = 4096          # each (op, perms value) pair 16 times
+DIFF_PC_LIMIT = 16
+# Addresses at memory's end: the last word, the last slot, one granule past
+# each, and the first slot past the end.
+EDGE_ADDRS = (DIFF_MEM - INT_WIDTH, DIFF_MEM - CAP_SLOT,
+              DIFF_MEM - INT_WIDTH + GRANULE, DIFF_MEM - CAP_SLOT + GRANULE, DIFF_MEM)
+# Capabilities whose fields do not fit the slot record.
+UNRECORDABLE = (dict(base=-1), dict(top=1 << 72), dict(address=1 << 64), dict(otype=1 << 16))
+
+
+def diff_value(rng):
+    """A register value: null, plain integers, tagged, sealed and untagged
+    capabilities with random fields, and now and then one that does not
+    fit the slot record."""
+    kind = rng.randrange(12)
+    if kind == 0:
+        return NULL_CAP
+    if kind in (1, 2):
+        return int_cap(rng.choice((0, rng.randrange(DIFF_MEM), rng.getrandbits(64))))
+    top = rng.choice((TOP_MAX, rng.randrange(TOP_MAX + 1), rng.randrange(DIFF_MEM)))
+    c = Capability(rng.choice((0, rng.getrandbits(64))), top, rng.getrandbits(64),
+                   PERMS[rng.randrange(64)], rng.choice((0, 0, rng.randrange(OTYPE_MAX + 1))),
+                   rng.random() < 0.7)
+    if kind in (3, 4):
+        c = dataclasses.replace(c, **rng.choice(UNRECORDABLE))
+    return c
+
+
+def diff_case(seed):
+    """One access: (handler key, reference args, machine, memory, ins, pc,
+    grant).  The same seed builds an identical, independent copy."""
+    rng = random.Random(seed)
+    ctor, need, is_store, is_cap = ACCESS_OPS[seed % 4]
+    perms = PERMS[(seed // 4) % 64]
+    cap = rng.random() < 0.5
+    a = rng.choice((SRC, DEST, AUTH, REG_ZERO))
+    ins = ctor(a, AUTH, rng.randrange(-64, 65), cap=cap)
+    pick = rng.randrange(8)
+    if pick < 3:
+        addr = rng.randrange(DIFF_MEM // CAP_SLOT + 1) * CAP_SLOT
+    elif pick == 3:
+        addr = rng.randrange(DIFF_MEM + 2 * GRANULE)
+    elif pick == 4:
+        addr = rng.choice(EDGE_ADDRS)
+    elif pick == 5:
+        addr = rng.randrange(DIFF_MEM // CAP_SLOT) * CAP_SLOT + rng.randrange(1, CAP_SLOT)
+    elif pick == 6:
+        addr = rng.randrange(DIFF_MEM - INT_WIDTH + 1)
+    else:
+        addr = rng.randrange(-8, 0) & ADDR_MASK      # wraps round the address space
+    cursor = (addr - ins.imm) & ADDR_MASK
+    lo, hi = rng.choice(((0, TOP_MAX), (0, DIFF_MEM), (0, DIFF_MEM + 2 * GRANULE),
+                         sorted((rng.randrange(DIFF_MEM + 64), rng.randrange(DIFF_MEM + 64)))))
+    auth = Capability(lo, hi, cursor, perms, rng.choice((0,) * 7 + (3,)), rng.random() < 0.9)
+
+    st_ = MachineState()
+    for i in range(1, len(st_.regs)):
+        if i != REG_ZERO:
+            st_.regs[i] = diff_value(rng)
+    pc = rng.randrange(DIFF_PC_LIMIT)
+    st_.code = make_root(0, DIFF_PC_LIMIT, Perm.EXECUTE)
+    st_.pc = pc
+    st_.switcher_bounds = rng.choice(((0, 0), (0, DIFF_PC_LIMIT), (pc + 1, DIFF_PC_LIMIT)))
+    if cap:
+        st_.regs[AUTH] = auth
+        st_.ddc = diff_value(rng)
+    else:
+        st_.ddc = auth
+        st_.regs[AUTH] = int_cap(cursor) if rng.random() < 0.8 else set_address(auth, cursor)
+    st_.events = rng.choice((None, [], [("step", 0, None, None)]))
+    mem = TaggedMemory(DIFF_MEM)
+    mem.data[:] = rng.randbytes(DIFF_MEM)
+    mem.tags[:] = bytes(rng.randrange(2) for _ in range(DIFF_MEM // GRANULE))
+    for slot in range(0, DIFF_MEM, CAP_SLOT):
+        if rng.random() < 0.3:         # stored slots, some of them null
+            try:
+                mem.store_cap(slot, diff_value(rng))
+            except OverflowError:
+                pass
+    grant = rng.choice((None, None, AUTH, SRC))
+    return ins.op.value, (need, is_store, is_cap), st_, mem, ins, pc, grant
+
+
+def diff_outcome(handler, st_, mem, ins, pc, grant):
+    """Run one access as `run` would, retiring on success; returns what it
+    left: registers (and which hold NULL_CAP itself), pc, retire count,
+    fault, memory bytes and tags, the event list, and any exception."""
+    raised = None
+    try:
+        nxt = handler(st_, mem, ins, pc, grant)
+    except OverflowError:
+        nxt, raised = None, OverflowError
+    if nxt is not None:
+        st_.instructions_retired += 1
+        st_.pc = nxt
+    return {
+        "regs": tuple(st_.regs), "null": tuple(r is NULL_CAP for r in st_.regs),
+        "perms": tuple(r.perms for r in st_.regs),
+        "pc": st_.pc, "retired": st_.instructions_retired, "fault": st_.fault,
+        "data": bytes(mem.data), "tags": bytes(mem.tags),
+        "events": None if st_.events is None else list(st_.events), "raised": raised,
+    }
+
+
+def test_data_access_handlers_match_the_reference_factory():
+    outcomes = Counter()
+    for seed in range(DIFF_CASES):
+        key, ref_args, st_, mem, ins, pc, grant = diff_case(seed)
+        got = diff_outcome(_HANDLERS[key], st_, mem, ins, pc, grant)
+        *_, rst, rmem, rins, rpc, rgrant = diff_case(seed)
+        want = diff_outcome(ref_access(*ref_args), rst, rmem, rins, rpc, rgrant)
+        assert got == want, (seed, ins)
+        assert [p is q for p, q in zip(got["perms"], want["perms"])] == [True] * len(rst.regs)
+        fault = got["fault"]
+        outcomes[key, "raised" if got["raised"] else fault.kind if fault else "retired"] += 1
+    # Every handler retired and met every fault its checks can report; the
+    # capability store also met an unrecordable value.
+    for key in ("ldi", "sti", "ldc", "stc"):
+        kinds = {k for (op, k), n in outcomes.items() if op == key}
+        want = {"retired", FaultKind.TAG, FaultKind.SEAL, FaultKind.PERMISSION,
+                FaultKind.BOUNDS, FaultKind.ADDRESS}
+        if key in ("ldc", "stc"):
+            want.add(FaultKind.ALIGNMENT)
+        if key == "stc":
+            want.add("raised")
+        assert want <= kinds, (key, kinds)
