@@ -93,6 +93,8 @@ def _parse_cost(spec: str | None) -> CostModel:
             key = "hot_fraction"
         if key not in ("hot", "cold", "hot_fraction", "promotion"):
             raise ValueError(f"unknown cost field {key!r}")
+        if key in fields:
+            raise ValueError(f"cost field {key!r} given twice")
         try:
             fields[key] = float(val)
         except ValueError:

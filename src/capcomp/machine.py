@@ -22,17 +22,23 @@ entry and after such a step, never after a retire.  `step` is a one-step
 allowed case inline and call `check_access` only when that test fails, so
 `check_access` alone decides which fault kind is reported.
 
-The data-access handler is the one place that checks a load or store.  Once
-its authority, alignment and end-of-memory tests pass, it copies the bytes
-and tags itself: it packs or unpacks a capability slot with memory's one
-slot layout (`memory.SLOT`), sets both granule tags on a capability store,
-and clears the tag of every granule an integer store overlaps.
+Two data-access handlers, one for integer and one for capability loads and
+stores, are the one place that checks an access.  Once the authority,
+alignment (capabilities only) and end-of-memory tests pass, the handler
+copies the bytes and tags itself, and each copy is one `struct` call under
+memory's formats: an integer store packs `memory.WORD` into memory and an
+integer load unpacks it there; a capability load unpacks `memory.SLOT` in
+place; a capability store packs the whole record with `SLOT.pack` and then
+copies it with `memory.copy_slot`.  The record is packed whole before the
+copy because `SLOT.pack_into` would zero-fill the slot and write field by
+field before finding a field too wide for the record: packing first, as
+`store_cap` does, makes such a capability raise OverflowError before any
+byte is written.  A capability store sets both granule tags, and an integer
+store clears the tag of every granule it overlaps.
 `TaggedMemory.store_cap`, `load_cap`, `read_bytes` and `write_bytes` keep
 their own alignment and range tests for their other callers (boot, layout,
-tests); on this path the handler has just made the same tests, so repeating
-them could never fail and would cost a call layer per access.  A capability
-field that does not fit the record still raises OverflowError before any
-byte is written.
+tests); on this path the handler has just made the same tests, so
+repeating them could never fail and would cost a call layer per access.
 
 The null capability is one object on this path.  A capability store whose
 source register holds `NULL_CAP` itself writes the constant `NULL_RECORD`
@@ -100,7 +106,16 @@ from .isa import (
     REG_ZERO,
     format_ins,
 )
-from .memory import CAP_SLOT, GRANULE, NULL_RECORD, PERM_BITS, SLOT, TaggedMemory
+from .memory import (
+    CAP_SLOT,
+    GRANULE,
+    NULL_RECORD,
+    PERM_BITS,
+    SLOT,
+    WORD,
+    TaggedMemory,
+    copy_slot,
+)
 
 PAIR_BYTES = 2 * CAP_SLOT      # a (pcc, ddc) capability pair in memory
 
@@ -110,6 +125,7 @@ _LOAD, _STORE, _EXECUTE, _LOAD_CAP, _STORE_CAP = (
 _int_and = int.__and__     # AND of a Perm and an int mask, as a plain int
 _PC_LIMIT = ADDR_MASK + 2  # above every pc a retire can reach
 _pack_slot, _unpack_slot = SLOT.pack, SLOT.unpack_from
+_pack_word, _unpack_word = WORD.pack_into, WORD.unpack_from
 
 
 class MachineError(Exception):
@@ -308,19 +324,16 @@ def _halt(st, mem, ins, pc, grant):
     return None
 
 
-def _access(need: int, is_store: bool, is_cap: bool):
-    """The handler of one data-access op: it loads or stores an integer
-    (INT_WIDTH bytes) or a capability (a CAP_SLOT-aligned slot) where the
-    authority grants `need`.  The authority is the ddc for a legacy operand,
-    whose register holds a plain address, and the operand register itself
-    in capability mode.
+def _int_access(need: int, is_store: bool):
+    """The handler of an integer load or store: it moves one INT_WIDTH-byte
+    word, at any alignment, where the authority grants `need`.  The
+    authority is the ddc for a legacy operand, whose register holds a plain
+    address, and the operand register itself in capability mode.
 
-    The handler is the one place that checks the access: once the
-    authority, alignment and end-of-memory tests pass, it copies the bytes
-    and tags itself, under memory's slot layout, with no call into
-    TaggedMemory (whose methods re-test alignment and range for their other
+    Once the authority and end-of-memory tests pass, the handler copies the
+    word in one struct call under `memory.WORD`, with no call into
+    TaggedMemory (whose methods re-test the range for their other
     callers)."""
-    width, align = (CAP_SLOT, CAP_SLOT) if is_cap else (INT_WIDTH, 1)
 
     def access(st, mem, ins, pc, grant):
         regs = st.regs
@@ -341,17 +354,60 @@ def _access(need: int, is_store: bool, is_cap: bool):
         # the fault.
         if checked and not (auth.tag and not auth.otype
                             and _int_and(auth.perms, need) == need
-                            and auth.base <= addr and addr + width <= auth.top):
-            return _fault(st, check_access(auth, addr, width, need), addr, pc, width,
+                            and auth.base <= addr and addr + INT_WIDTH <= auth.top):
+            return _fault(st, check_access(auth, addr, INT_WIDTH, need), addr, pc, INT_WIDTH,
                           ddc_access=not ins.cap)
-        if addr % align != 0:
-            return _fault(st, FaultKind.ALIGNMENT, addr, pc, width)
-        if addr + width > mem.size:
-            return _fault(st, FaultKind.ADDRESS, addr, pc, width)
-        # The access is in range and aligned.  A register write skips the
-        # zero register, as `_setreg` does.
+        if addr + INT_WIDTH > mem.size:
+            return _fault(st, FaultKind.ADDRESS, addr, pc, INT_WIDTH)
+        if is_store:
+            _pack_word(mem.data, addr, regs[ins.a].address & ADDR_MASK)
+            # An integer is narrower than a granule, so it overlaps at most
+            # two; each loses its tag, as in `write_bytes`.
+            tags = mem.tags
+            tags[addr // GRANULE] = tags[(addr + INT_WIDTH - 1) // GRANULE] = 0
+        elif ins.a != REG_ZERO:      # skips the zero register, as `_setreg` does
+            regs[ins.a] = int_cap(_unpack_word(mem.data, addr)[0])
+        if st.events is not None:
+            st.events.append(("access", pc, addr, INT_WIDTH, is_store))
+        return pc + 1
+
+    return access
+
+
+def _cap_access(need: int, is_store: bool):
+    """The handler of a capability load or store: it moves one CAP_SLOT-
+    aligned slot and both its granule tags where the authority grants
+    `need`, the authority being chosen as for `_int_access`.
+
+    Once the authority, alignment and end-of-memory tests pass, the handler
+    copies the slot in one struct call, with no call into TaggedMemory: a
+    load unpacks it in place, and a store packs the whole record before
+    `memory.copy_slot` writes it, so a field too wide for the record raises
+    OverflowError before any byte is written."""
+
+    def access(st, mem, ins, pc, grant):
+        regs = st.regs
+        if ins.cap:
+            auth = regs[ins.b]
+            addr = (auth.address + ins.imm) & ADDR_MASK
+            checked = True
+        else:
+            auth = st.ddc
+            addr = (regs[ins.b].address + ins.imm) & ADDR_MASK
+            bounds = st.switcher_bounds       # `_privileged`, inline
+            checked = not bounds[0] <= pc < bounds[1]
+        if checked and not (auth.tag and not auth.otype
+                            and _int_and(auth.perms, need) == need
+                            and auth.base <= addr and addr + CAP_SLOT <= auth.top):
+            return _fault(st, check_access(auth, addr, CAP_SLOT, need), addr, pc, CAP_SLOT,
+                          ddc_access=not ins.cap)
+        if addr % CAP_SLOT != 0:
+            return _fault(st, FaultKind.ALIGNMENT, addr, pc, CAP_SLOT)
+        if addr + CAP_SLOT > mem.size:
+            return _fault(st, FaultKind.ADDRESS, addr, pc, CAP_SLOT)
         g = addr // GRANULE
-        if is_store and is_cap:
+        tags = mem.tags
+        if is_store:
             c = regs[ins.a]
             if c is NULL_CAP:
                 record, t = NULL_RECORD, 0
@@ -359,39 +415,26 @@ def _access(need: int, is_store: bool, is_cap: bool):
                 t = 1 if c.tag else 0
                 top = c.top
                 try:
-                    # Packed whole before the write, as `store_cap` does, so
-                    # a field out of range leaves the slot untouched.
                     record = _pack_slot(t, c.base, top & ADDR_MASK, top >> ADDR_BITS,
                                         c.address, _int_and(c.perms, 0xFF), c.otype)
                 except struct_error as e:
                     raise OverflowError(
                         f"capability field out of range for its record: {e}") from None
-            mem.data[addr:addr + CAP_SLOT] = record
-            tags = mem.tags
+            copy_slot(mem.data, addr, record)
             tags[g] = tags[g + 1] = t
-        elif is_store:
-            mem.data[addr:addr + INT_WIDTH] = (regs[ins.a].address & ADDR_MASK).to_bytes(
-                INT_WIDTH, "little")
-            # An integer is narrower than a granule, so it overlaps at most
-            # two; each loses its tag, as in `write_bytes`.
-            tags = mem.tags
-            tags[g] = tags[(addr + INT_WIDTH - 1) // GRANULE] = 0
-        elif is_cap:
+        else:
             _, base, top, top_high, address, perms, otype = _unpack_slot(mem.data, addr)
             if top_high & 1:       # top is 65 bits wide, as `load_cap` reads it
                 top += TOP_MAX
             perms &= PERM_BITS
-            tags = mem.tags
             tag = tags[g] != 0 and tags[g + 1] != 0
             if ins.a != REG_ZERO:
                 # `load_cap`'s null rule.
                 regs[ins.a] = (Capability(base, top, address, PERMS[perms], otype, tag)
                                if tag or base or top or address or perms or otype
                                else NULL_CAP)
-        elif ins.a != REG_ZERO:
-            regs[ins.a] = int_cap(int.from_bytes(mem.data[addr:addr + INT_WIDTH], "little"))
         if st.events is not None:
-            st.events.append(("access", pc, addr, width, is_store))
+            st.events.append(("access", pc, addr, CAP_SLOT, is_store))
         return pc + 1
 
     return access
@@ -489,10 +532,10 @@ def _derive_ddc(st, mem, ins, pc, grant):
 _HANDLERS = {op.value: handler for op, handler in (
     (Op.NOP, _nop),
     (Op.HALT, _halt),
-    (Op.LOAD_INT, _access(_LOAD, is_store=False, is_cap=False)),
-    (Op.STORE_INT, _access(_STORE, is_store=True, is_cap=False)),
-    (Op.LOAD_CAP, _access(_LOAD_CAP, is_store=False, is_cap=True)),
-    (Op.STORE_CAP, _access(_STORE_CAP, is_store=True, is_cap=True)),
+    (Op.LOAD_INT, _int_access(_LOAD, is_store=False)),
+    (Op.STORE_INT, _int_access(_STORE, is_store=True)),
+    (Op.LOAD_CAP, _cap_access(_LOAD_CAP, is_store=False)),
+    (Op.STORE_CAP, _cap_access(_STORE_CAP, is_store=True)),
     (Op.SET_BOUNDS, _set_bounds),
     (Op.SET_ADDRESS, _set_address),
     (Op.RESTRICT_PERMS, _restrict),

@@ -13,16 +13,32 @@ from __future__ import annotations
 import struct
 
 from .capability import ADDR_BITS, ADDR_MASK, NULL_CAP, PERMS, PERM_ALL, TOP_MAX, Capability
+from .isa import INT_WIDTH
 
 GRANULE = 16
 CAP_SLOT = 2 * GRANULE          # in-memory footprint of one capability
 DEFAULT_SIZE = 1 << 20         # 1 MiB: the default of the library and the CLI
 
+# The data path's two byte formats, owned here.  The machine's data-access
+# handlers copy every access in one struct call under them, and `store_cap`
+# shares the slot format and its copier.
+#
+# One integer word: INT_WIDTH bytes, little-endian.  A store packs it into
+# memory in place and a load unpacks it in place, with no bytes object
+# between.
+WORD = struct.Struct("<Q")
+assert WORD.size == INT_WIDTH
 # One capability slot: the flat record of `capability.serialize` (tag, base,
 # top as its low 8 bytes and its high byte, address, perms, otype), then 3
-# bytes of zero padding.  The machine's data-access handler packs and unpacks
-# slots with this same layout.
+# bytes of zero padding.
 SLOT = struct.Struct("<BQQBQBH3x")
+assert SLOT.size == CAP_SLOT
+# The slot copier: copy_slot(buffer, addr, record) writes one record that
+# `SLOT.pack` has already built.  A store packs the whole record first and
+# only then copies it: `SLOT.pack_into` zero-fills the slot and writes field
+# by field before it finds a field too wide for the record, so it would
+# clobber the slot it then refuses to store.
+copy_slot = struct.Struct(f"{CAP_SLOT}s").pack_into
 PERM_BITS = int(PERM_ALL)       # the perms bits a loaded slot keeps
 # The slot a store of NULL_CAP writes (32 zero bytes, both tags clear).  A
 # slot loads as NULL_CAP itself when it decodes to base, top, address, perms
@@ -98,7 +114,7 @@ class TaggedMemory:
                                int(c.perms) & 0xFF, c.otype)
         except struct.error as e:
             raise OverflowError(f"capability field out of range for its record: {e}") from None
-        self.data[addr:addr + CAP_SLOT] = record
+        copy_slot(self.data, addr, record)
         self.tags[addr // GRANULE] = t
         self.tags[addr // GRANULE + 1] = t
 

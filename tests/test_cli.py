@@ -149,6 +149,8 @@ def test_run_cost_override(capsys):
     ("hot=abc", "bad number"),
     ("wibble=3", "unknown cost field"),
     ("hotfrac=1.5", "hot_fraction must lie in [0, 1]"),
+    ("hot=1,hot=2", "cost field 'hot' given twice"),
+    ("hotfrac=0.5,hot_fraction=0.9", "cost field 'hot_fraction' given twice"),
 ])
 def test_run_bad_cost_is_exit_2(capsys, spec, fragment):
     code, out, err = run_cli(capsys, "run", "sqlite_fs.scn", "--cost", spec)

@@ -743,7 +743,7 @@ def test_data_access_handlers_match_the_reference_factory():
     # Every handler retired and met every fault its checks can report; the
     # capability store also met an unrecordable value.
     for key in ("ldi", "sti", "ldc", "stc"):
-        kinds = {k for (op, k), n in outcomes.items() if op == key}
+        kinds = {k for op, k in outcomes if op == key}
         want = {"retired", FaultKind.TAG, FaultKind.SEAL, FaultKind.PERMISSION,
                 FaultKind.BOUNDS, FaultKind.ADDRESS}
         if key in ("ldc", "stc"):

@@ -4,11 +4,14 @@ raw byte traffic can never forge a valid capability."""
 import pytest
 
 from capcomp.capability import PERM_ALL, Perm, make_root, seal, serialize
+from capcomp.isa import INT_WIDTH
 from capcomp.memory import (
     AddressError,
     AlignmentError,
     CAP_SLOT,
     GRANULE,
+    SLOT,
+    WORD,
     TaggedMemory,
 )
 
@@ -16,6 +19,10 @@ from capcomp.memory import (
 def test_constants():
     assert GRANULE == 16
     assert CAP_SLOT == 32
+    # The data path's formats move exactly one integer and one slot; the
+    # import-time asserts beside them vanish under -O.
+    assert WORD.size == INT_WIDTH
+    assert SLOT.size == CAP_SLOT
 
 
 def test_byte_round_trip():
