@@ -55,17 +55,20 @@ def main():
     print("3. Tags live beside memory, not in it")
     mem = TaggedMemory(4096)
     mem.store_cap(0, window)
-    print(f"  stored the window at slot 0; load tag = "
-          f"{int(mem.load_cap(0).tag)}")
+    tag = int(mem.load_cap(0).tag)
+    print(f"  stored the window at slot 0; load tag = {tag}")
+    assert tag == 1
 
     mem.write_bytes(17, b"\xff")        # one stray byte inside the slot
-    print(f"  after a 1-byte raw write into the slot: load tag = "
-          f"{int(mem.load_cap(0).tag)}")
+    tag = int(mem.load_cap(0).tag)
+    print(f"  after a 1-byte raw write into the slot: load tag = {tag}")
+    assert tag == 0
 
     record = serialize(window)
     mem.write_bytes(CAP_SLOT, record)   # bit-identical bytes, no store_cap
-    print(f"  bit-identical record written as plain bytes: load tag = "
-          f"{int(mem.load_cap(CAP_SLOT).tag)}")
+    tag = int(mem.load_cap(CAP_SLOT).tag)
+    print(f"  bit-identical record written as plain bytes: load tag = {tag}")
+    assert tag == 0
     print()
     print("Raw data can describe a capability but can never become one.")
 

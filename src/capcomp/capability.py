@@ -207,8 +207,10 @@ def check_access(c: Capability, addr: int, length: int, need: Perm) -> FaultKind
 def serialize(c: Capability) -> bytes:
     """Pack a capability into its flat debug record.
 
-    This and `deserialize` are the reference codec: `TaggedMemory` packs
-    and unpacks the same layout in one step with a precompiled struct.
+    This and `deserialize` are the independent reference codec, spelled
+    out field by field; they are not what memory runs.  `memory.write_slot`
+    and `read_slot` pack and unpack the same layout with a precompiled
+    struct for `TaggedMemory` and the machine, and the tests compare the two.
     """
     return (
         bytes([1 if c.tag else 0])

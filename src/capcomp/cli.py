@@ -37,7 +37,7 @@ from .layout import (
 )
 from .isa import addi, retl
 from .machine import format_trace
-from .memory import DEFAULT_SIZE
+from .memory import CAP_SLOT, DEFAULT_SIZE
 from .runtime import (
     GateDescriptor,
     GateError,
@@ -140,7 +140,7 @@ def cmd_boot_dump(args) -> int:
     print()
     print("switcher pair:")
     first = img.mem.load_cap(plan.pair_addr)
-    second = img.mem.load_cap(plan.pair_addr + 32)
+    second = img.mem.load_cap(plan.pair_addr + CAP_SLOT)
     print(f"  branch target [{first.base}, {first.top}) addr={first.address} tag={first.tag}")
     print(f"  locator [{second.base:#x}, {second.top:#x}) tag={second.tag}")
     print()

@@ -631,7 +631,7 @@ def boot_init(plan: LayoutPlan) -> BootImage:
     sw_pcc = make_root(0, SWITCHER_CODE_SLOTS, PCC_PERMS)
     locator = make_root(0, plan.table_base + len(plan.comp_ids) * TABLE_ENTRY, DDC_PERMS)
     mem.store_cap(plan.pair_addr, sw_pcc)
-    mem.store_cap(plan.pair_addr + 32, locator)
+    mem.store_cap(plan.pair_addr + CAP_SLOT, locator)
 
     # One sealed entry capability per compartment, at its data-region base.
     otypes = {FRAME_OTYPE}

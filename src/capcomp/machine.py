@@ -25,32 +25,13 @@ allowed case inline and call `check_access` only when that test fails, so
 Two data-access handlers, one for integer and one for capability loads and
 stores, are the one place that checks an access.  Once the authority,
 alignment (capabilities only) and end-of-memory tests pass, the handler
-copies the bytes and tags itself, and each copy is one `struct` call under
-memory's formats: an integer store packs `memory.WORD` into memory and an
-integer load unpacks it there; a capability load unpacks `memory.SLOT` in
-place; a capability store packs the whole record with `SLOT.pack` and then
-copies it with `memory.copy_slot`.  The record is packed whole before the
-copy because `SLOT.pack_into` would zero-fill the slot and write field by
-field before finding a field too wide for the record: packing first, as
-`store_cap` does, makes such a capability raise OverflowError before any
-byte is written.  A capability store sets both granule tags, and an integer
-store clears the tag of every granule it overlaps.
-`TaggedMemory.store_cap`, `load_cap`, `read_bytes` and `write_bytes` keep
-their own alignment and range tests for their other callers (boot, layout,
-tests); on this path the handler has just made the same tests, so
-repeating them could never fail and would cost a call layer per access.
-
-The null capability is one object on this path.  A capability store whose
-source register holds `NULL_CAP` itself writes the constant `NULL_RECORD`
-and clears both granule tags, without packing.  A capability load returns
-`NULL_CAP` itself when the slot decodes to base, top, address, perms and
-otype all 0 and its two granule tags are not both set, the rule
-`TaggedMemory.load_cap` applies too.  The gate's scrub stores of r16 and
-its spills of dead caller registers are such stores, and its restores of
-those spills such loads, so a restored register is `NULL_CAP` and the next
-crossing's spill of it takes the store shortcut again.  The rule reads only
-the slot's bytes and tags, so every value, byte and tag is what packing and
-unpacking would give.
+moves the data itself: an integer access packs or unpacks `memory.WORD` in
+place and clears the tag of every granule a store overlaps, and a
+capability access calls `memory.write_slot` or `memory.read_slot`, the slot
+codec whose docstrings, with memory.py's, say how a capability maps onto
+its slot.  `TaggedMemory`'s methods keep their own alignment and range
+tests for their other callers (boot, layout, tests); on this path the
+handler has just made the same tests, so it does not call them.
 
 The loop re-derives two facts only when they can have changed, and both are
 locals of one `run` call.  The code capability's tag, seal and execute bit
@@ -77,13 +58,9 @@ cannot place itself inside that window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from struct import error as struct_error
 
 from .capability import (
-    ADDR_BITS,
     ADDR_MASK,
-    PERMS,
-    TOP_MAX,
     Capability,
     FaultKind,
     NULL_CAP,
@@ -106,16 +83,7 @@ from .isa import (
     REG_ZERO,
     format_ins,
 )
-from .memory import (
-    CAP_SLOT,
-    GRANULE,
-    NULL_RECORD,
-    PERM_BITS,
-    SLOT,
-    WORD,
-    TaggedMemory,
-    copy_slot,
-)
+from .memory import CAP_SLOT, GRANULE, WORD, TaggedMemory, read_slot, write_slot
 
 PAIR_BYTES = 2 * CAP_SLOT      # a (pcc, ddc) capability pair in memory
 
@@ -124,7 +92,6 @@ _LOAD, _STORE, _EXECUTE, _LOAD_CAP, _STORE_CAP = (
     int(p) for p in (Perm.LOAD, Perm.STORE, Perm.EXECUTE, Perm.LOAD_CAP, Perm.STORE_CAP))
 _int_and = int.__and__     # AND of a Perm and an int mask, as a plain int
 _PC_LIMIT = ADDR_MASK + 2  # above every pc a retire can reach
-_pack_slot, _unpack_slot = SLOT.pack, SLOT.unpack_from
 _pack_word, _unpack_word = WORD.pack_into, WORD.unpack_from
 
 
@@ -292,8 +259,8 @@ def _load_pair_branch(st, mem, ins, pc, grant):
         return _fault(st, FaultKind.ALIGNMENT, addr, pc, PAIR_BYTES)
     if addr + PAIR_BYTES > mem.size:
         return _fault(st, FaultKind.ADDRESS, addr, pc, PAIR_BYTES)
-    first = mem.load_cap(addr)
-    second = mem.load_cap(addr + CAP_SLOT)
+    first = read_slot(mem, addr)
+    second = read_slot(mem, addr + CAP_SLOT)
     if not first.tag:
         return _fault(st, FaultKind.TAG, addr, pc, CAP_SLOT)
     if not second.tag:
@@ -380,10 +347,9 @@ def _cap_access(need: int, is_store: bool):
     `need`, the authority being chosen as for `_int_access`.
 
     Once the authority, alignment and end-of-memory tests pass, the handler
-    copies the slot in one struct call, with no call into TaggedMemory: a
-    load unpacks it in place, and a store packs the whole record before
-    `memory.copy_slot` writes it, so a field too wide for the record raises
-    OverflowError before any byte is written."""
+    moves the slot through memory's codec, `write_slot` or `read_slot`, with
+    no call into TaggedMemory."""
+    write, read = write_slot, read_slot
 
     def access(st, mem, ins, pc, grant):
         regs = st.regs
@@ -405,34 +371,10 @@ def _cap_access(need: int, is_store: bool):
             return _fault(st, FaultKind.ALIGNMENT, addr, pc, CAP_SLOT)
         if addr + CAP_SLOT > mem.size:
             return _fault(st, FaultKind.ADDRESS, addr, pc, CAP_SLOT)
-        g = addr // GRANULE
-        tags = mem.tags
         if is_store:
-            c = regs[ins.a]
-            if c is NULL_CAP:
-                record, t = NULL_RECORD, 0
-            else:
-                t = 1 if c.tag else 0
-                top = c.top
-                try:
-                    record = _pack_slot(t, c.base, top & ADDR_MASK, top >> ADDR_BITS,
-                                        c.address, _int_and(c.perms, 0xFF), c.otype)
-                except struct_error as e:
-                    raise OverflowError(
-                        f"capability field out of range for its record: {e}") from None
-            copy_slot(mem.data, addr, record)
-            tags[g] = tags[g + 1] = t
-        else:
-            _, base, top, top_high, address, perms, otype = _unpack_slot(mem.data, addr)
-            if top_high & 1:       # top is 65 bits wide, as `load_cap` reads it
-                top += TOP_MAX
-            perms &= PERM_BITS
-            tag = tags[g] != 0 and tags[g + 1] != 0
-            if ins.a != REG_ZERO:
-                # `load_cap`'s null rule.
-                regs[ins.a] = (Capability(base, top, address, PERMS[perms], otype, tag)
-                               if tag or base or top or address or perms or otype
-                               else NULL_CAP)
+            write(mem, addr, regs[ins.a])
+        elif ins.a != REG_ZERO:      # skips the zero register, as `_setreg` does
+            regs[ins.a] = read(mem, addr)
         if st.events is not None:
             st.events.append(("access", pc, addr, CAP_SLOT, is_store))
         return pc + 1

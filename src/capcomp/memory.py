@@ -6,6 +6,28 @@ and both granules carry its tag; a load yields a valid capability only when
 both tags are set.  Any plain byte write clears the tags of every granule it
 overlaps, which is what makes capabilities unforgeable: bytes alone can
 never conjure a set tag.
+
+The data path's two byte formats are owned here.  An integer word is
+`WORD`, INT_WIDTH bytes little-endian, which the machine's integer-access
+handler packs into and unpacks from memory in place.  A capability slot is
+`SLOT`, the flat record of `capability.serialize` (tag, base, top as its
+low 8 bytes and its high byte, address, perms, otype) then 3 bytes of zero
+padding, and `write_slot` and `read_slot` are its one codec: the only code
+the program runs that maps a `Capability` onto the record.
+`TaggedMemory.store_cap` and `load_cap`, the machine's capability-access
+handler and its load-pair-branch all call them once they have made their
+own alignment and range tests, so the codec tests neither.
+`capability.serialize` and `deserialize` spell the record out
+independently, as the reference the tests compare the codec with.
+
+The null capability is one object on the slot path.  `write_slot` stores
+`NULL_CAP` itself as the constant `NULL_RECORD` without packing, and
+`read_slot` returns `NULL_CAP` itself for a slot that decodes to null.  The
+gate's scrub stores of r16 and its spills of dead caller registers are such
+stores, and its restores of those spills such loads, so a restored register
+is `NULL_CAP` and the next crossing's spill of it takes the shortcut again.
+The rule reads only the slot's bytes and tags, so every value, byte and tag
+is what packing and unpacking would give.
 """
 
 from __future__ import annotations
@@ -19,31 +41,67 @@ GRANULE = 16
 CAP_SLOT = 2 * GRANULE          # in-memory footprint of one capability
 DEFAULT_SIZE = 1 << 20         # 1 MiB: the default of the library and the CLI
 
-# The data path's two byte formats, owned here.  The machine's data-access
-# handlers copy every access in one struct call under them, and `store_cap`
-# shares the slot format and its copier.
-#
-# One integer word: INT_WIDTH bytes, little-endian.  A store packs it into
-# memory in place and a load unpacks it in place, with no bytes object
-# between.
 WORD = struct.Struct("<Q")
 assert WORD.size == INT_WIDTH
-# One capability slot: the flat record of `capability.serialize` (tag, base,
-# top as its low 8 bytes and its high byte, address, perms, otype), then 3
-# bytes of zero padding.
 SLOT = struct.Struct("<BQQBQBH3x")
 assert SLOT.size == CAP_SLOT
-# The slot copier: copy_slot(buffer, addr, record) writes one record that
-# `SLOT.pack` has already built.  A store packs the whole record first and
-# only then copies it: `SLOT.pack_into` zero-fills the slot and writes field
-# by field before it finds a field too wide for the record, so it would
-# clobber the slot it then refuses to store.
 copy_slot = struct.Struct(f"{CAP_SLOT}s").pack_into
 PERM_BITS = int(PERM_ALL)       # the perms bits a loaded slot keeps
-# The slot a store of NULL_CAP writes (32 zero bytes, both tags clear).  A
-# slot loads as NULL_CAP itself when it decodes to base, top, address, perms
-# and otype all 0 and its two granule tags are not both set.
 NULL_RECORD = SLOT.pack(0, 0, 0, 0, 0, 0, 0)
+_pack_slot, _unpack_slot = SLOT.pack, SLOT.unpack_from
+_int_and = int.__and__
+
+
+def write_slot(mem: TaggedMemory, addr: int, c: Capability) -> None:
+    """Store `c` in the slot at `addr` and set both its granule tags to
+    `c.tag`; the caller has tested that `addr` is CAP_SLOT-aligned and in
+    memory.
+
+    `NULL_CAP` itself is written as `NULL_RECORD` (32 zero bytes) with both
+    tags clear, without packing.  Any other capability is packed whole with
+    `SLOT.pack` and then copied with `copy_slot`.  `SLOT.pack_into` would
+    zero-fill the slot and write field by field before finding a field too
+    wide for the record, clobbering the slot it then refuses to store;
+    packing first makes such a capability raise OverflowError before any
+    byte is written.
+    """
+    tags = mem.tags
+    g = addr // GRANULE
+    if c is NULL_CAP:
+        copy_slot(mem.data, addr, NULL_RECORD)
+        tags[g] = tags[g + 1] = 0
+        return
+    t = 1 if c.tag else 0
+    top = c.top
+    try:
+        record = _pack_slot(t, c.base, top & ADDR_MASK, top >> ADDR_BITS, c.address,
+                            _int_and(c.perms, 0xFF), c.otype)
+    except struct.error as e:
+        raise OverflowError(f"capability field out of range for its record: {e}") from None
+    copy_slot(mem.data, addr, record)
+    tags[g] = tags[g + 1] = t
+
+
+def read_slot(mem: TaggedMemory, addr: int) -> Capability:
+    """Decode the slot at `addr`; the caller has tested that `addr` is
+    CAP_SLOT-aligned and in memory.
+
+    Never traps on content: raw bytes decode to a capability, tagged only
+    when both granule tags are set.  Top is 65 bits wide, as `deserialize`
+    reads it, and perms keep only the `PERM_BITS`.  A slot that decodes to
+    base, top, address, perms and otype all 0, with its two granule tags
+    not both set, loads as `NULL_CAP` itself.
+    """
+    _, base, top, top_high, address, perms, otype = _unpack_slot(mem.data, addr)
+    if top_high & 1:
+        top += TOP_MAX
+    perms &= PERM_BITS
+    tags = mem.tags
+    g = addr // GRANULE
+    tag = tags[g] != 0 and tags[g + 1] != 0
+    if tag or base or top or address or perms or otype:
+        return Capability(base, top, address, PERMS[perms], otype, tag)
+    return NULL_CAP
 
 
 class AddressError(Exception):
@@ -105,18 +163,7 @@ class TaggedMemory:
             raise AlignmentError(f"capability store at {addr:#x} not {CAP_SLOT}-aligned")
         if addr < 0 or addr + CAP_SLOT > self.size:
             self._check_range(addr, CAP_SLOT)
-        t = 1 if c.tag else 0
-        top = c.top
-        try:
-            # Packed whole before the write, so a field out of range leaves
-            # the slot untouched.
-            record = SLOT.pack(t, c.base, top & ADDR_MASK, top >> ADDR_BITS, c.address,
-                               int(c.perms) & 0xFF, c.otype)
-        except struct.error as e:
-            raise OverflowError(f"capability field out of range for its record: {e}") from None
-        copy_slot(self.data, addr, record)
-        self.tags[addr // GRANULE] = t
-        self.tags[addr // GRANULE + 1] = t
+        write_slot(self, addr, c)
 
     def load_cap(self, addr: int) -> Capability:
         """Load a capability from a naturally aligned 32-byte slot.
@@ -130,15 +177,7 @@ class TaggedMemory:
             raise AlignmentError(f"capability load at {addr:#x} not {CAP_SLOT}-aligned")
         if addr < 0 or addr + CAP_SLOT > self.size:
             self._check_range(addr, CAP_SLOT)
-        _, base, top, top_high, address, perms, otype = SLOT.unpack_from(self.data, addr)
-        if top_high & 1:         # top is 65 bits wide, like `deserialize` reads it
-            top += TOP_MAX
-        perms &= PERM_BITS
-        g = addr // GRANULE
-        tag = self.tags[g] != 0 and self.tags[g + 1] != 0
-        if tag or base or top or address or perms or otype:
-            return Capability(base, top, address, PERMS[perms], otype, tag)
-        return NULL_CAP
+        return read_slot(self, addr)
 
     def granule_tag(self, addr: int) -> bool:
         self._check_range(addr, 1)

@@ -1,11 +1,17 @@
 """The int-mask permission path, the struct-packed capability slots, the
-slot-descriptor `Fault` constructor and the data-access handler's own slot
-work, checked against reference implementations: the IntFlag and
-`dataclasses.replace` derivations they replaced, the byte-string record
-codec (`serialize` / `deserialize`), a `Fault` built field by field the way
-the generated frozen `__init__` builds it, TaggedMemory's own load and
-store methods, and the one data-access factory the four handlers were
-built from."""
+slot-descriptor `Fault` constructor, the data-access handler's own slot
+work and the load-pair-branch pair load, checked against reference
+implementations: the IntFlag and `dataclasses.replace` derivations they
+replaced, the byte-string record codec (`serialize` / `deserialize`), a
+`Fault` built field by field the way the generated frozen `__init__` builds
+it, TaggedMemory's own load and store methods, and the one data-access
+factory the four handlers were built from.
+
+The handler and TaggedMemory share memory's one slot codec, so where a test
+compares the two it checks the handler's own tests and register traffic,
+not the codec; the codec itself is checked against `serialize` /
+`deserialize` and the `ref_access` factory, which spell the record out
+independently."""
 
 import dataclasses
 import random
@@ -37,7 +43,7 @@ from capcomp.capability import (
     set_address,
     unseal,
 )
-from capcomp.isa import INT_WIDTH, REG_ZERO, Op, ldc, ldi, stc, sti
+from capcomp.isa import INT_WIDTH, REG_LINK, REG_ZERO, Op, ldc, ldi, lpb, stc, sti
 from capcomp.machine import _HANDLERS, Fault, MachineState, _fault, _int_and, run
 from capcomp.memory import CAP_SLOT, GRANULE, NULL_RECORD, PERM_BITS, SLOT, TaggedMemory
 
@@ -751,3 +757,117 @@ def test_data_access_handlers_match_the_reference_factory():
         if key == "stc":
             want.add("raised")
         assert want <= kinds, (key, kinds)
+
+
+# --------------------------------------------------------------------------
+# Load-pair-branch against the reference codec: raw pair slots written with
+# `write_bytes` and tagged by hand, then one `lpb` through `run`, checked
+# against `ref_load_cap` (`deserialize` plus the two-tag rule) and
+# `ref_check_access`, never against the slot codec the machine runs.
+
+PAIR_MEM = 256
+PAIR_AT = 128                  # the pair's first slot; its second follows
+PAIR_OTYPE = 5
+PAIR_CASES = 64                # seeds per case
+PAIR_GRANULES = range(PAIR_AT // GRANULE, PAIR_AT // GRANULE + 4)
+
+
+def pair_slot(rng):
+    """One slot's 32 raw bytes: the reference record of a capability that is
+    often executable at its cursor, then garbage padding."""
+    base = rng.choice((0, rng.randrange(PAIR_MEM), rng.getrandbits(64)))
+    top = rng.choice((TOP_MAX, base + rng.randrange(1, 64), rng.randrange(TOP_MAX + 1)))
+    address = rng.choice((base, base + rng.randrange(64), rng.getrandbits(64))) & ADDR_MASK
+    perms = rng.choice((PERM_ALL, Perm.EXECUTE, PERMS[rng.randrange(64)]))
+    otype = rng.choice((0, 0, 0, rng.randrange(1, OTYPE_MAX + 1)))
+    c = Capability(base, top, address, perms, otype, rng.random() < 0.8)
+    return bytearray(serialize(c) + rng.randbytes(CAP_SLOT - RECORD_LEN))
+
+
+def clear_first_granule(rng, slots, tags):
+    tags[rng.randrange(2)] = 0
+
+
+def clear_second_granule(rng, slots, tags):
+    tags[2 + rng.randrange(2)] = 0
+
+
+def set_top_high_bit(rng, slots, tags):
+    for raw in rng.choice((slots[:1], slots[1:], slots)):
+        raw[17] = rng.randrange(256) | 1
+
+
+def set_perms_above_perm_bits(rng, slots, tags):
+    for raw in rng.choice((slots[:1], slots[1:], slots)):
+        raw[26] |= rng.randrange(1, 4) << 6
+
+
+def zero_an_untagged_slot(rng, slots, tags):
+    i = rng.randrange(2)
+    slots[i][:] = bytes(CAP_SLOT)
+    tags[2 * i] = tags[2 * i + 1] = 0
+
+
+PAIR_PATCHES = {
+    "all four tags set": lambda rng, slots, tags: None,
+    "a granule of the first slot untagged": clear_first_granule,
+    "a granule of the second slot untagged": clear_second_granule,
+    "top's high bit set": set_top_high_bit,
+    "perms bits above PERM_BITS": set_perms_above_perm_bits,
+    "an all-zero untagged slot": zero_an_untagged_slot,
+}
+
+
+def lpb_case(name, seed):
+    """(machine, memory, program) for one seeded pair under patch `name`."""
+    rng = random.Random(f"{name}/{seed}")
+    slots = [pair_slot(rng), pair_slot(rng)]
+    tags = [1, 1, 1, 1]
+    PAIR_PATCHES[name](rng, slots, tags)
+    mem = TaggedMemory(PAIR_MEM)
+    mem.write_bytes(0, rng.randbytes(PAIR_MEM))
+    mem.write_bytes(PAIR_AT, bytes(slots[0] + slots[1]))
+    for g, t in zip(PAIR_GRANULES, tags):
+        mem.tags[g] = t
+    st_ = MachineState()
+    st_.pcc = make_root(0, 4, Perm.EXECUTE)
+    st_.lpb_otypes = frozenset({PAIR_OTYPE})
+    st_.regs[SRC] = seal(make_root(PAIR_AT, PAIR_AT + 2 * CAP_SLOT, Perm.LOAD_CAP), PAIR_OTYPE)
+    return st_, mem, [lpb(SRC, DEST)]
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_PATCHES))
+def test_lpb_loads_the_pair_like_deserialize(name):
+    outcomes = Counter()
+    for seed in range(PAIR_CASES):
+        st_, mem, program = lpb_case(name, seed)
+        code, regs = st_.code, list(st_.regs)
+        first = ref_load_cap(mem.data, mem.tags, PAIR_AT)
+        second = ref_load_cap(mem.data, mem.tags, PAIR_AT + CAP_SLOT)
+        if not first.tag:
+            want, outcome = Fault(FaultKind.TAG, PAIR_AT, 0, CAP_SLOT), "first untagged"
+        elif not second.tag:
+            want = Fault(FaultKind.TAG, PAIR_AT + CAP_SLOT, 0, CAP_SLOT)
+            outcome = "second untagged"
+        else:
+            kind = ref_check_access(first, first.address, 1, int(Perm.EXECUTE))
+            want = None if kind is None else Fault(kind, first.address, 0)
+            outcome = kind or "retired"
+        outcomes[outcome] += 1
+        run(st_, mem, program, max_steps=1)
+        assert st_.fault == want, (name, seed)
+        if want is None:
+            assert same(st_.code, first) and st_.pc == first.address, (name, seed)
+            assert same(st_.regs[DEST], second), (name, seed)
+            assert st_.regs[REG_LINK] == set_address(code, 1)
+            assert st_.regs[SRC] == unseal(regs[SRC])
+            assert (st_.switches, st_.ddc_grant) == (1, DEST)
+        else:
+            assert (st_.code, st_.pc, st_.regs, st_.switches) == (code, 0, regs, 0)
+    # Each case reaches the outcomes it is there for.
+    expect = {
+        "a granule of the first slot untagged": {"first untagged"},
+        "a granule of the second slot untagged": {"second untagged"},
+        "an all-zero untagged slot": {"first untagged", "second untagged"},
+    }.get(name, {"retired", FaultKind.SEAL, FaultKind.PERMISSION, FaultKind.BOUNDS})
+    assert expect <= set(outcomes), outcomes
