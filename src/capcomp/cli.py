@@ -20,6 +20,7 @@ import math
 import sys
 from importlib import resources
 
+from .capability import ADDR_MASK
 from .layout import (
     ConfigError,
     LayoutError,
@@ -204,6 +205,10 @@ def cmd_micro(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    call_args = [int(a) for a in args.args]
+    for a in call_args:
+        if not 0 <= a <= ADDR_MASK:
+            raise ValueError(f"trace argument {a} outside [0, 2^64)")
     plan = compute_layout(parse_config(_read_input(args.config)), args.memory_size)
     comps = [c.name for c in plan.config.compartments]
     caller = args.caller or comps[0]
@@ -217,7 +222,7 @@ def cmd_trace(args) -> int:
     st = img.machine
     st.events = []
     call_compartment(img, GateDescriptor(caller, callee, entry, dest=0),
-                     [int(a) for a in args.args], max_steps=10_000)
+                     call_args, max_steps=10_000)
     for line in format_trace(st.events, img.program):
         print(line)
     if st.fault is not None:
@@ -277,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--caller")
     p.add_argument("--callee")
     p.add_argument("--args", nargs="*", default=["41"],
-                   help="integer arguments for the call (default 41)")
+                   help="integer arguments for the call, each in [0, 2^64) (default 41)")
     add_mem(p)
     p.set_defaults(fn=cmd_trace)
 

@@ -116,6 +116,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                 raise ScenarioError(f"line {line_no}: duplicate fn {toks[1]!r}")
             seen.add(toks[1])
             comp = _attr(toks[2], "comp=", line_no)
+            if not comp:
+                raise ScenarioError(f"line {line_no}: empty compartment name")
             instr = _attr(toks[3], "instr=", line_no)
             try:
                 instr = int(instr, 0)

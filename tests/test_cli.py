@@ -219,6 +219,20 @@ def test_trace_argument_flows_through(capsys):
     assert "r0 = 6" in out
 
 
+@pytest.mark.parametrize("arg", ["18446744073709551616", "99999999999999999999999", "-5"])
+def test_trace_argument_outside_64_bits_is_exit_2(capsys, arg):
+    code, out, err = run_cli(capsys, "trace", "two_comp.cfg", f"--args={arg}")
+    assert code == 2 and out == ""
+    assert err == f"error: trace argument {arg} outside [0, 2^64)\n"
+
+
+def test_trace_argument_at_the_top_of_64_bits_is_accepted(capsys):
+    # the callee's increment wraps round the address space
+    code, out, _ = run_cli(capsys, "trace", "two_comp.cfg", "--args", str((1 << 64) - 1))
+    assert code == 0
+    assert "r0 = 0, 2 switches" in out
+
+
 @pytest.mark.parametrize("config, caller, callee", [
     ("two_comp.cfg", "lib", "app"),
     ("three_comp_shared.cfg", "codec", "store"),
@@ -245,6 +259,14 @@ def test_trace_needs_two_compartments(capsys, tmp_path):
     code, _, err = run_cli(capsys, "trace", str(cfg))
     assert code == 2
     assert "two distinct compartments" in err
+
+
+def test_run_empty_compartment_name_is_exit_2(capsys, tmp_path):
+    scn = tmp_path / "empty_comp.scn"
+    scn.write_text("fn f comp=app instr=1\nfn g comp= instr=2\ncall f g count=1\n")
+    code, out, err = run_cli(capsys, "run", str(scn))
+    assert code == 2 and out == ""
+    assert err == "error: line 2: empty compartment name\n"
 
 
 def test_no_subcommand_is_usage_error():

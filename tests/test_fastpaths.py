@@ -1,28 +1,28 @@
-"""The int-mask permission path, the struct-packed capability slots, the
-slot-descriptor `Fault` constructor, the data-access handler's own slot
-work and the load-pair-branch pair load, checked against reference
-implementations: the IntFlag and `dataclasses.replace` derivations they
-replaced, the byte-string record codec (`serialize` / `deserialize`), a
-`Fault` built field by field the way the generated frozen `__init__` builds
-it, TaggedMemory's own load and store methods, and the one data-access
-factory the four handlers were built from.
+"""The machine's fast paths against references that spell each layer out
+independently.
 
-The handler and TaggedMemory share memory's one slot codec, so where a test
-compares the two it checks the handler's own tests and register traffic,
-not the codec; the codec itself is checked against `serialize` /
-`deserialize` and the `ref_access` factory, which spell the record out
-independently."""
+- The int-mask permission path and the constructor-built derivations,
+  against the IntFlag and `dataclasses.replace` code they replaced.
+- The slot codec behind `store_cap` and `load_cap`, against the byte-string
+  record codec (`serialize` / `deserialize`).
+- The slot-descriptor `Fault` constructor, against a `Fault` built field by
+  field the way the generated frozen `__init__` builds it.
+- The null capability as one object on the slot path, through the handler
+  and through `load_cap`.
+- The four data-access handlers, against the spec (`tests/spec.py`), on
+  seeded single accesses, through `spec_check.assert_matches_spec`.
+- The load-pair-branch pair load, against `deserialize` and the two-tag
+  rule, never against the slot codec the machine runs.
+"""
 
 import dataclasses
 import random
-import struct
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from capcomp.capability import (
-    ADDR_BITS,
     ADDR_MASK,
     NULL_CAP,
     OTYPE_MAX,
@@ -43,9 +43,11 @@ from capcomp.capability import (
     set_address,
     unseal,
 )
-from capcomp.isa import INT_WIDTH, REG_LINK, REG_ZERO, Op, ldc, ldi, lpb, stc, sti
-from capcomp.machine import _HANDLERS, Fault, MachineState, _fault, _int_and, run
-from capcomp.memory import CAP_SLOT, GRANULE, NULL_RECORD, PERM_BITS, SLOT, TaggedMemory
+from capcomp.isa import INT_WIDTH, REG_LINK, REG_ZERO, ldc, ldi, lpb, nop, stc, sti
+from capcomp.machine import Fault, MachineState, run
+from capcomp.memory import CAP_SLOT, GRANULE, TaggedMemory
+
+from spec_check import assert_matches_spec
 
 
 # --------------------------------------------------------------------------
@@ -289,15 +291,14 @@ def test_fault_is_immutable():
 
 
 # --------------------------------------------------------------------------
-# The data-access handler's slot work: a stc, ldc, sti or ldi executed
-# through `run`, with the ddc or the operand register as authority, leaves
-# the memory bytes, the tags and its destination register exactly as
-# TaggedMemory's own store_cap, load_cap, write_bytes and read_bytes do.
+# The data-access handlers' slot work, through `run` and the spec: an int
+# store's tags, an ldc after an int store into a slot, and a capability store
+# of a value that does not fit the slot record.
 
 HANDLER_MEM = 256
-SLOTS = HANDLER_MEM // CAP_SLOT
 SRC, AUTH, DEST = 1, 2, 3
 MODES = ("legacy", "cap")
+TOP_CAP = Capability(0, TOP_MAX, 5, PERM_ALL, 0, True)
 
 
 def handler_machine(mode, program, addr, imm):
@@ -323,106 +324,21 @@ def handler_memory(raw, tags):
     return m
 
 
-def copy_memory(m):
-    return handler_memory(bytes(m.data), bytes(m.tags))
-
-
-def run_one(mode, ins, mem, addr, imm, src=None):
-    """Execute `ins` alone through `run` and check that it retired with one
-    access record; returns the machine."""
-    st = handler_machine(mode, [ins], addr, imm)
+def access_against_spec(mode, ins, mem, addr, src=None):
+    """Execute `ins` alone on `mem`, with `src` (if given) in register SRC,
+    through `run` and the spec, and check that it retired."""
+    st = handler_machine(mode, [ins], addr, 0)
     if src is not None:
         st.regs[SRC] = src
-    regs = list(st.regs)
-    run(st, mem, [ins], max_steps=1)
-    assert (st.fault, st.halted, st.pc, st.instructions_retired) == (None, False, 1, 1)
-    width = CAP_SLOT if ins.op in (Op.LOAD_CAP, Op.STORE_CAP) else INT_WIDTH
-    is_store = ins.op in (Op.STORE_CAP, Op.STORE_INT)
-    assert st.events == [("access", 0, addr, width, is_store), ("step", 0, None, None)]
-    if is_store:
-        assert st.regs == regs
-    else:
-        assert [r for i, r in enumerate(st.regs) if i != ins.a] == \
-            [r for i, r in enumerate(regs) if i != ins.a]
-    return st
-
-
-def check_handler_slots(mode, value, slot, word, int_addr, raw, tags, imm):
-    cap = mode == "cap"
-    addr = slot * CAP_SLOT
-    # stc: the slot, both granule tags and nothing else.
-    mem, ref = handler_memory(raw, tags), handler_memory(raw, tags)
-    run_one(mode, stc(SRC, AUTH, imm, cap=cap), mem, addr, imm, src=value)
-    ref.store_cap(addr, value)
-    assert (bytes(mem.data), bytes(mem.tags)) == (bytes(ref.data), bytes(ref.tags))
-    # ldc of what was stored, then of the untouched raw slot.
-    for m in (mem, handler_memory(raw, tags)):
-        want = m.load_cap(addr)
-        before = copy_memory(m)
-        got = run_one(mode, ldc(DEST, AUTH, imm, cap=cap), m, addr, imm).regs[DEST]
-        assert same(got, want)
-        assert (bytes(m.data), bytes(m.tags)) == (bytes(before.data), bytes(before.tags))
-    # sti clears the tag of every granule the 8 bytes overlap.
-    mem, ref = handler_memory(raw, tags), handler_memory(raw, tags)
-    run_one(mode, sti(SRC, AUTH, imm, cap=cap), mem, int_addr, imm, src=int_cap(word))
-    ref.write_bytes(int_addr, word.to_bytes(INT_WIDTH, "little"))
-    assert (bytes(mem.data), bytes(mem.tags)) == (bytes(ref.data), bytes(ref.tags))
-    # ldi reads the 8 bytes as an untagged integer.
-    mem = handler_memory(raw, tags)
-    got = run_one(mode, ldi(DEST, AUTH, imm, cap=cap), mem, int_addr, imm).regs[DEST]
-    assert same(got, int_cap(int.from_bytes(mem.read_bytes(int_addr, INT_WIDTH), "little")))
-    # A load into the zero register leaves it zero.
-    for ins, at in ((ldc(REG_ZERO, AUTH, imm, cap=cap), addr),
-                    (ldi(REG_ZERO, AUTH, imm, cap=cap), int_addr)):
-        assert run_one(mode, ins, handler_memory(raw, tags), at, imm).regs[REG_ZERO] is NULL_CAP
-
-
-recordable = st.builds(
-    Capability,
-    base=st.integers(0, ADDR_MASK),
-    top=st.one_of(st.integers(0, TOP_MAX), st.just(TOP_MAX), st.integers(0, (1 << 72) - 1)),
-    address=st.integers(0, ADDR_MASK),
-    perms=st.sampled_from(PERMS),
-    otype=st.one_of(st.just(0), st.integers(0, OTYPE_MAX)),
-    tag=st.booleans(),
-)
-TOP_CAP = Capability(0, TOP_MAX, 5, PERM_ALL, 0, True)
-
-
-@settings(max_examples=300, deadline=None)
-@given(mode=st.sampled_from(MODES), value=recordable, slot=st.integers(0, SLOTS - 1),
-       word=st.integers(0, ADDR_MASK), int_addr=st.integers(0, HANDLER_MEM - INT_WIDTH),
-       raw=st.binary(min_size=HANDLER_MEM, max_size=HANDLER_MEM),
-       tags=st.lists(st.integers(0, 1), min_size=HANDLER_MEM // GRANULE,
-                     max_size=HANDLER_MEM // GRANULE),
-       imm=st.integers(-64, 64))
-@example(mode="legacy", value=TOP_CAP, slot=1, word=ADDR_MASK, int_addr=12,
-         raw=bytes(HANDLER_MEM), tags=[1] * (HANDLER_MEM // GRANULE), imm=0)
-@example(mode="cap", value=seal(TOP_CAP, OTYPE_MAX), slot=SLOTS - 1, word=0,
-         int_addr=HANDLER_MEM - INT_WIDTH, raw=b"\xff" * HANDLER_MEM,
-         tags=[1] * (HANDLER_MEM // GRANULE), imm=-32)
-@example(mode="cap", value=dataclasses.replace(TOP_CAP, tag=False), slot=0, word=1,
-         int_addr=28, raw=bytes(HANDLER_MEM), tags=[1] * (HANDLER_MEM // GRANULE), imm=32)
-def test_handler_slot_work_matches_tagged_memory(mode, value, slot, word, int_addr,
-                                                 raw, tags, imm):
-    check_handler_slots(mode, value, slot, word, int_addr, raw, tags, imm)
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_handler_slot_work_for_every_perms_value(mode):
-    raw = bytes((i * 7 + 3) & 0xFF for i in range(HANDLER_MEM))
-    tags = [1, 0] * (HANDLER_MEM // GRANULE // 2)
-    for perms in range(64):
-        for otype, tag in ((0, True), (OTYPE_MAX, True), (0, False)):
-            value = Capability(0x40, TOP_MAX, 0x48, PERMS[perms], otype, tag)
-            check_handler_slots(mode, value, perms % SLOTS, perms, perms + 4, raw, tags, 0)
+    assert_matches_spec(lambda: (st, mem, [ins]), 1)
+    assert (st.fault, st.instructions_retired) == (None, 1)
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_straddling_int_store_clears_both_granule_tags(mode):
     mem = handler_memory(bytes(HANDLER_MEM), [1] * (HANDLER_MEM // GRANULE))
-    run_one(mode, sti(SRC, AUTH, 0, cap=mode == "cap"), mem, 2 * GRANULE - 4, 0,
-            src=int_cap(ADDR_MASK))
+    access_against_spec(mode, sti(SRC, AUTH, 0, cap=mode == "cap"), mem, 2 * GRANULE - 4,
+                        int_cap(ADDR_MASK))
     assert list(mem.tags[:4]) == [1, 0, 0, 1]
 
 
@@ -440,14 +356,9 @@ def test_ldc_after_an_int_store_into_either_granule_is_untagged(mode, granule):
     st_.regs[SRC] = TOP_CAP
     st_.regs[4] = int_cap(0x0102030405060708)
     st_.regs[5] = set_address(st_.regs[AUTH], int_addr) if cap else int_cap(int_addr)
-    run(st_, mem, program, max_steps=3)
+    assert_matches_spec(lambda: (st_, mem, program), 3)
     assert (st_.fault, st_.instructions_retired) == (None, 3)
-    ref = handler_memory(bytes(HANDLER_MEM), [0] * (HANDLER_MEM // GRANULE))
-    ref.store_cap(addr, TOP_CAP)
-    ref.write_bytes(int_addr, (0x0102030405060708).to_bytes(INT_WIDTH, "little"))
-    want = ref.load_cap(addr)
-    assert not want.tag and not st_.regs[DEST].tag
-    assert same(st_.regs[DEST], want)
+    assert not st_.regs[DEST].tag
     assert list(mem.tags[2:4]) == [int(granule == 1), int(granule == 0)]
 
 
@@ -457,21 +368,22 @@ def test_ldc_after_an_int_store_into_either_granule_is_untagged(mode, granule):
     dict(address=1 << 64), dict(otype=1 << 16),
 ])
 def test_stc_of_an_unrecordable_capability_through_run(bad, mode):
-    """The step raises like store_cap and leaves the slot, the pc, the
-    retire count, the registers and the event list as they were."""
-    value = dataclasses.replace(CAPS["unsealed"], **bad)
+    """The step raises like store_cap, as the spec's does, and leaves the
+    slot, the pc, the retire count, the registers and the event list as
+    they were; only the grant is spent."""
     program = [stc(SRC, AUTH, 0, cap=mode == "cap")]
     mem = TaggedMemory(HANDLER_MEM)
     mem.store_cap(CAP_SLOT, CAPS["unsealed"])
     st_ = handler_machine(mode, program, CAP_SLOT, 0)
-    st_.regs[SRC] = value
+    st_.regs[SRC] = dataclasses.replace(CAPS["unsealed"], **bad)
     st_.ddc_grant = 4
     before = (bytes(mem.data), bytes(mem.tags), tuple(st_.regs), st_.code, st_.ddc)
-    with pytest.raises(OverflowError):
-        run(st_, mem, program)
+    assert_matches_spec(lambda: (st_, mem, program), 1)
     assert (bytes(mem.data), bytes(mem.tags), tuple(st_.regs), st_.code, st_.ddc) == before
     assert (st_.pc, st_.instructions_retired, st_.events) == (0, 0, [])
     assert (st_.fault, st_.halted, st_.ddc_grant) == (None, False, None)
+    with pytest.raises(OverflowError):
+        run(st_, mem, program)
 
 
 # --------------------------------------------------------------------------
@@ -522,11 +434,11 @@ def test_null_store_writes_what_store_cap_writes(mode, src):
     mem, ref = handler_memory(raw, tags), handler_memory(raw, tags)
     cap = mode == "cap"
     if src == "r16":
-        run_one(mode, stc(REG_ZERO, AUTH, 0, cap=cap), mem, NULL_AT, 0)
+        access_against_spec(mode, stc(REG_ZERO, AUTH, 0, cap=cap), mem, NULL_AT)
     else:
         value = int_cap(0)
         assert value == NULL_CAP and value is not NULL_CAP
-        run_one(mode, stc(SRC, AUTH, 0, cap=cap), mem, NULL_AT, 0, src=value)
+        access_against_spec(mode, stc(SRC, AUTH, 0, cap=cap), mem, NULL_AT, value)
     ref.store_cap(NULL_AT, NULL_CAP)
     assert (bytes(mem.data), bytes(mem.tags)) == (bytes(ref.data), bytes(ref.tags))
     assert mem.data[NULL_AT:NULL_AT + CAP_SLOT] == bytes(CAP_SLOT)
@@ -550,86 +462,12 @@ def test_a_near_null_slot_loads_as_its_own_capability(mode, name):
 
 
 # --------------------------------------------------------------------------
-# The four data-access handlers against `ref_access`, the one factory they
-# were built from when a single handler served every (need, is_store,
-# is_cap) and copied with slices, `int.to_bytes` and `int.from_bytes`.  Each
-# seeded case is one access, executed by the handler in `_HANDLERS` and by
-# the reference on identical, independent copies of one machine and memory.
+# The four data-access handlers against the spec.  Each seeded case is one
+# access at a random pc, with the ddc or the operand register as authority,
+# random register and memory contents, and now and then a value that does
+# not fit the slot record.
 
-def ref_access(need, is_store, is_cap):
-    """The data-access handler factory as it was: one closure per op that
-    tests `is_cap` and `is_store` on every access."""
-    width, align = (CAP_SLOT, CAP_SLOT) if is_cap else (INT_WIDTH, 1)
-
-    def access(st, mem, ins, pc, grant):
-        regs = st.regs
-        if ins.cap:
-            auth = regs[ins.b]
-            addr = (auth.address + ins.imm) & ADDR_MASK
-            checked = True
-        else:
-            auth = st.ddc
-            addr = (regs[ins.b].address + ins.imm) & ADDR_MASK
-            bounds = st.switcher_bounds
-            checked = not bounds[0] <= pc < bounds[1]
-        if checked and not (auth.tag and not auth.otype
-                            and _int_and(auth.perms, need) == need
-                            and auth.base <= addr and addr + width <= auth.top):
-            return _fault(st, check_access(auth, addr, width, need), addr, pc, width,
-                          ddc_access=not ins.cap)
-        if addr % align != 0:
-            return _fault(st, FaultKind.ALIGNMENT, addr, pc, width)
-        if addr + width > mem.size:
-            return _fault(st, FaultKind.ADDRESS, addr, pc, width)
-        g = addr // GRANULE
-        if is_store and is_cap:
-            c = regs[ins.a]
-            if c is NULL_CAP:
-                record, t = NULL_RECORD, 0
-            else:
-                t = 1 if c.tag else 0
-                top = c.top
-                try:
-                    record = SLOT.pack(t, c.base, top & ADDR_MASK, top >> ADDR_BITS,
-                                       c.address, _int_and(c.perms, 0xFF), c.otype)
-                except struct.error as e:
-                    raise OverflowError(
-                        f"capability field out of range for its record: {e}") from None
-            mem.data[addr:addr + CAP_SLOT] = record
-            tags = mem.tags
-            tags[g] = tags[g + 1] = t
-        elif is_store:
-            mem.data[addr:addr + INT_WIDTH] = (regs[ins.a].address & ADDR_MASK).to_bytes(
-                INT_WIDTH, "little")
-            tags = mem.tags
-            tags[g] = tags[(addr + INT_WIDTH - 1) // GRANULE] = 0
-        elif is_cap:
-            _, base, top, top_high, address, perms, otype = SLOT.unpack_from(mem.data, addr)
-            if top_high & 1:
-                top += TOP_MAX
-            perms &= PERM_BITS
-            tags = mem.tags
-            tag = tags[g] != 0 and tags[g + 1] != 0
-            if ins.a != REG_ZERO:
-                regs[ins.a] = (Capability(base, top, address, PERMS[perms], otype, tag)
-                               if tag or base or top or address or perms or otype
-                               else NULL_CAP)
-        elif ins.a != REG_ZERO:
-            regs[ins.a] = int_cap(int.from_bytes(mem.data[addr:addr + INT_WIDTH], "little"))
-        if st.events is not None:
-            st.events.append(("access", pc, addr, width, is_store))
-        return pc + 1
-
-    return access
-
-
-# (constructor, need, is_store, is_cap) of each data-access op.
-ACCESS_OPS = (
-    (ldi, int(Perm.LOAD), False, False),
-    (sti, int(Perm.STORE), True, False),
-    (ldc, int(Perm.LOAD_CAP), False, True),
-    (stc, int(Perm.STORE_CAP), True, True),
-)
+ACCESS_OPS = (ldi, sti, ldc, stc)
 DIFF_MEM = 512
 DIFF_CASES = 4096          # each (op, perms value) pair 16 times
 DIFF_PC_LIMIT = 16
@@ -660,10 +498,10 @@ def diff_value(rng):
 
 
 def diff_case(seed):
-    """One access: (handler key, reference args, machine, memory, ins, pc,
-    grant).  The same seed builds an identical, independent copy."""
+    """One access: a machine about to execute it, its memory and its
+    program.  The same seed builds an identical, independent copy."""
     rng = random.Random(seed)
-    ctor, need, is_store, is_cap = ACCESS_OPS[seed % 4]
+    ctor = ACCESS_OPS[seed % 4]
     perms = PERMS[(seed // 4) % 64]
     cap = rng.random() < 0.5
     a = rng.choice((SRC, DEST, AUTH, REG_ZERO))
@@ -710,42 +548,21 @@ def diff_case(seed):
                 mem.store_cap(slot, diff_value(rng))
             except OverflowError:
                 pass
-    grant = rng.choice((None, None, AUTH, SRC))
-    return ins.op.value, (need, is_store, is_cap), st_, mem, ins, pc, grant
+    st_.ddc_grant = rng.choice((None, None, AUTH, SRC))
+    program = [nop()] * DIFF_PC_LIMIT
+    program[pc] = ins
+    return st_, mem, program
 
 
-def diff_outcome(handler, st_, mem, ins, pc, grant):
-    """Run one access as `run` would, retiring on success; returns what it
-    left: registers (and which hold NULL_CAP itself), pc, retire count,
-    fault, memory bytes and tags, the event list, and any exception."""
-    raised = None
-    try:
-        nxt = handler(st_, mem, ins, pc, grant)
-    except OverflowError:
-        nxt, raised = None, OverflowError
-    if nxt is not None:
-        st_.instructions_retired += 1
-        st_.pc = nxt
-    return {
-        "regs": tuple(st_.regs), "null": tuple(r is NULL_CAP for r in st_.regs),
-        "perms": tuple(r.perms for r in st_.regs),
-        "pc": st_.pc, "retired": st_.instructions_retired, "fault": st_.fault,
-        "data": bytes(mem.data), "tags": bytes(mem.tags),
-        "events": None if st_.events is None else list(st_.events), "raised": raised,
-    }
-
-
-def test_data_access_handlers_match_the_reference_factory():
+def test_data_access_handlers_match_the_spec():
     outcomes = Counter()
     for seed in range(DIFF_CASES):
-        key, ref_args, st_, mem, ins, pc, grant = diff_case(seed)
-        got = diff_outcome(_HANDLERS[key], st_, mem, ins, pc, grant)
-        *_, rst, rmem, rins, rpc, rgrant = diff_case(seed)
-        want = diff_outcome(ref_access(*ref_args), rst, rmem, rins, rpc, rgrant)
-        assert got == want, (seed, ins)
-        assert [p is q for p, q in zip(got["perms"], want["perms"])] == [True] * len(rst.regs)
-        fault = got["fault"]
-        outcomes[key, "raised" if got["raised"] else fault.kind if fault else "retired"] += 1
+        st_ = assert_matches_spec(lambda: diff_case(seed), 1, label=seed)[0]
+        fault = st_.fault
+        # A step that neither retired nor faulted raised.
+        outcome = (fault.kind if fault else "retired" if st_.instructions_retired
+                   else "raised")
+        outcomes[ACCESS_OPS[seed % 4].__name__, outcome] += 1
     # Every handler retired and met every fault its checks can report; the
     # capability store also met an unrecordable value.
     for key in ("ldi", "sti", "ldc", "stc"):

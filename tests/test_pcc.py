@@ -1,19 +1,17 @@
-"""The program-counter capability as `step` and `run` see it.
+"""The program-counter capability as `run` and `step` see it.
 
-Control transfers are checked against a reference that derives the pcc the
-plain way: every retire moves the cursor of the old pcc with
-`dataclasses.replace`, a branch installs its target whole, and the link
-register is the old pcc moved past the call.  Tags are compared too: a
-derived capability equal in every field but the tag would be a forgery or a
-lost authority.
+Each control transfer runs through the machine and the spec
+(`spec_check.assert_matches_spec`), which compare the whole state after
+every step.  The pins on top say which path each case takes: a retire moves
+the cursor of the old pcc, a branch installs its target whole, and the link
+register is the old pcc moved past the call.  `assert_same` compares tags
+too: a derived capability equal in every field but the tag would be a
+forgery or a lost authority.
 """
-
-import dataclasses
 
 import pytest
 
 from capcomp.capability import (
-    ADDR_MASK,
     Capability,
     FaultKind,
     PERM_ALL,
@@ -21,36 +19,23 @@ from capcomp.capability import (
     int_cap,
     make_root,
     seal,
+    set_address,
 )
 from capcomp.isa import REG_LINK, addi, bcap, calll, halt, ldi, lpb, movi, nop, retl
-from capcomp.machine import MachineState, format_trace, run, step
+from capcomp.machine import MachineState, format_trace
 from capcomp.memory import TaggedMemory
+
+from spec_check import assert_matches_spec
 
 CODE = make_root(0, 64, Perm.EXECUTE)
 PROGRAM = [nop()] * 40 + [halt()] * 24
 
 
-def ref_set_address(c, address):
-    return dataclasses.replace(c, address=address & ADDR_MASK, tag=c.tag and not c.sealed)
-
-
-def ref_fetch_fault(c):
-    """The fetch check on a pcc, with IntFlag arithmetic."""
-    if not c.tag:
-        return FaultKind.TAG
-    if c.sealed:
-        return FaultKind.SEAL
-    if not c.perms & Perm.EXECUTE:
-        return FaultKind.PERMISSION
-    if not c.base <= c.address < c.top:
-        return FaultKind.BOUNDS
-    return None
-
-
 def machine_at(pc):
     st = MachineState()
-    st.pcc = ref_set_address(CODE, pc)
+    st.pcc = set_address(CODE, pc)
     st.ddc = make_root(0, 4096, PERM_ALL)
+    st.events = []
     return st, TaggedMemory(4096)
 
 
@@ -58,58 +43,59 @@ def assert_same(got, want):
     assert got == want and got.tag == want.tag
 
 
+def run_against_spec(st, mem, program, steps):
+    """Run `steps` steps of `program` on `st` and `mem`, and on copies of
+    them through the spec; the two must agree after every step."""
+    assert_matches_spec(lambda: (st, mem, program), steps)
+    return st
+
+
 @pytest.mark.parametrize("pc", [0, 5, 37])
 def test_fall_through_moves_the_cursor(pc):
-    st, mem = machine_at(pc)
-    for _ in range(3):
-        before = st.pcc
-        step(st, mem, PROGRAM)
-        assert st.fault is None
-        assert_same(st.pcc, ref_set_address(before, before.address + 1))
+    st = run_against_spec(*machine_at(pc), PROGRAM, 3)
+    assert st.fault is None
+    assert_same(st.pcc, set_address(CODE, pc + 3))
 
 
 def test_bcap_installs_its_target():
     st, mem = machine_at(7)
-    target = ref_set_address(make_root(8, 48, Perm.EXECUTE | Perm.LOAD), 30)
+    target = set_address(make_root(8, 48, Perm.EXECUTE | Perm.LOAD), 30)
     st.regs[3] = target
-    step(st, mem, [nop()] * 7 + [bcap(3)] + PROGRAM[8:])
-    assert st.fault is None
-    assert_same(st.pcc, target)
-    step(st, mem, PROGRAM)                     # and falls through from there
-    assert_same(st.pcc, ref_set_address(target, 31))
+    program = [nop()] * 7 + [bcap(3)] + PROGRAM[8:]
+    assert_same(run_against_spec(st, mem, program, 1).pcc, target)
+    # and falls through from there
+    assert_same(run_against_spec(st, mem, program, 1).pcc, set_address(target, 31))
 
 
 def test_calll_moves_the_old_pcc_and_links_past_the_call():
     st, mem = machine_at(9)
-    before = st.pcc
     st.regs[4] = int_cap(20)
-    step(st, mem, [nop()] * 9 + [calll(4)] + PROGRAM[10:])
+    st = run_against_spec(st, mem, [nop()] * 9 + [calll(4)] + PROGRAM[10:], 1)
     assert st.fault is None
-    assert_same(st.pcc, ref_set_address(before, 20))
-    assert_same(st.regs[REG_LINK], ref_set_address(before, 10))
+    assert_same(st.pcc, set_address(CODE, 20))
+    assert_same(st.regs[REG_LINK], set_address(CODE, 10))
 
 
 def test_retl_installs_the_link_register():
     st, mem = machine_at(2)
-    link = ref_set_address(make_root(16, 40, Perm.EXECUTE), 33)
+    link = set_address(make_root(16, 40, Perm.EXECUTE), 33)
     st.regs[REG_LINK] = link
-    step(st, mem, [nop()] * 2 + [retl()] + PROGRAM[3:])
-    assert_same(st.pcc, link)
+    assert_same(run_against_spec(st, mem, [nop()] * 2 + [retl()] + PROGRAM[3:], 1).pcc, link)
 
 
 def test_call_return_round_trip():
     st, mem = machine_at(0)
     prog = [movi(1, 4), calll(1), halt(), nop(), addi(2, 2, 1), retl()]
-    run(st, mem, prog)
+    st = run_against_spec(st, mem, prog, 10)
     assert st.halted and st.fault is None
-    assert_same(st.pcc, ref_set_address(CODE, 2))
-    assert_same(st.regs[REG_LINK], ref_set_address(CODE, 2))
+    assert_same(st.pcc, set_address(CODE, 2))
+    assert_same(st.regs[REG_LINK], set_address(CODE, 2))
 
 
 def pair_machine(pc):
     """A (branch target, data view) pair at 512, sealed entry to it in r3."""
     st, mem = machine_at(pc)
-    target = ref_set_address(make_root(30, 60, Perm.EXECUTE), 31)
+    target = set_address(make_root(30, 60, Perm.EXECUTE), 31)
     mem.store_cap(512, target)
     mem.store_cap(544, make_root(1024, 2048, PERM_ALL))
     st.regs[3] = seal(make_root(512, 576, Perm.LOAD_CAP), 7)
@@ -117,31 +103,25 @@ def pair_machine(pc):
     return st, mem, target
 
 
-def test_lpb_branches_to_the_pair_and_links_past_itself():
-    st, mem, target = pair_machine(6)
-    before = st.pcc
-    step(st, mem, [nop()] * 6 + [lpb(3, 9)] + PROGRAM[7:])
+@pytest.mark.parametrize("pc", [6, 12])
+def test_lpb_branches_to_the_pair_and_links_past_itself(pc):
+    st, mem, target = pair_machine(pc)
+    st = run_against_spec(st, mem, [nop()] * pc + [lpb(3, 9)] + PROGRAM[pc + 1:], 1)
     assert st.fault is None
     assert_same(st.pcc, target)
-    assert_same(st.regs[REG_LINK], ref_set_address(before, 7))
-
-
-def test_lpb_links_past_the_current_pc():
-    st, mem, target = pair_machine(12)
-    before = st.pcc
-    step(st, mem, [nop()] * 12 + [lpb(3, 9)] + PROGRAM[13:])
-    assert st.fault is None
-    assert_same(st.pcc, target)
-    assert_same(st.regs[REG_LINK], ref_set_address(before, 13))
+    assert_same(st.regs[REG_LINK], set_address(CODE, pc + 1))
 
 
 WRITTEN = {
-    "sealed": seal(ref_set_address(CODE, 3), 5),
+    "sealed": seal(set_address(CODE, 3), 5),
     "untagged": Capability(0, 64, 3, Perm.EXECUTE, 0, False),
     "not executable": make_root(0, 64, Perm.LOAD | Perm.LOAD_CAP),
-    "out of bounds": ref_set_address(make_root(0, 8, Perm.EXECUTE), 12),
-    "executable": ref_set_address(CODE, 12),
+    "out of bounds": set_address(make_root(0, 8, Perm.EXECUTE), 12),
+    "executable": set_address(CODE, 12),
 }
+WRITTEN_FAULTS = {"sealed": FaultKind.SEAL, "untagged": FaultKind.TAG,
+                  "not executable": FaultKind.PERMISSION, "out of bounds": FaultKind.BOUNDS,
+                  "executable": None}
 
 
 @pytest.mark.parametrize("name", sorted(WRITTEN))
@@ -150,14 +130,13 @@ def test_written_pcc_reads_back_and_is_fetch_checked(name):
     x = WRITTEN[name]
     st.pcc = x
     assert st.pcc is x
-    step(st, mem, PROGRAM)
-    kind = ref_fetch_fault(x)
+    st = run_against_spec(st, mem, PROGRAM, 1)
+    kind = WRITTEN_FAULTS[name]
     if kind is None:
         assert st.fault is None
-        assert_same(st.pcc, ref_set_address(x, x.address + 1))
+        assert_same(st.pcc, set_address(x, x.address + 1))
     else:
         assert st.fault.kind is kind and st.fault.pc == x.address
-        assert st.instructions_retired == 0
         assert st.pcc is x
 
 
@@ -168,8 +147,7 @@ def test_run_trace_lines():
     prog = [movi(1, 4), calll(1), movi(5, 9999), ldi(2, 5, 0),
             addi(2, 2, 1), retl()]
     st.ddc = make_root(0, 64, PERM_ALL)
-    st.events = []
-    run(st, mem, prog)
+    run_against_spec(st, mem, prog, 10)
     lines = format_trace(st.events, prog)
     assert st.fault.kind is FaultKind.BOUNDS
     assert lines == [

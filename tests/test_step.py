@@ -1,10 +1,12 @@
 """How one step checks and retires.
 
-The data-access and fetch checks are compared, case by case, with the fault
-that `check_access` implies: the whole `Fault` record, and no change to any
-register, memory byte or tag when the step faults.  The retire tests pin
-where a step leaves the pc, the retire count and the current compartment,
-and the last tests pin `step` as a one-step `run` behind its two guards.
+The access and fetch grids run every authority and code-capability variant
+that decides a different fault, at the addresses around its bounds and the
+end of memory, through `step` and through the spec
+(`spec_check.assert_matches_spec`), and compare the whole state, memory and
+records.  The retire tests pin where a step leaves the pc, the retire count
+and the current compartment, and the last tests pin `step` as a one-step
+`run` behind its two guards.
 """
 
 import importlib.resources as ir
@@ -16,7 +18,6 @@ from capcomp.capability import (
     Capability,
     FaultKind,
     Perm,
-    check_access,
     int_cap,
     make_root,
     seal,
@@ -27,17 +28,19 @@ from capcomp.layout import boot_init, compute_layout, parse_config
 from capcomp.machine import Fault, MachineError, MachineState, run, step
 from capcomp.memory import CAP_SLOT, TaggedMemory
 
+from spec_check import assert_matches_spec
+
 MEM_SIZE = 1024
 PROGRAM_LEN = 16
 PC = 5
 OTYPE = 9
 
-# (op constructor, needed permission, width, alignment, is_store, is_cap)
+# (op constructor, needed permission, width, is_cap)
 OPS = {
-    "ldi": (ldi, Perm.LOAD, INT_WIDTH, 1, False, False),
-    "sti": (sti, Perm.STORE, INT_WIDTH, 1, True, False),
-    "ldc": (ldc, Perm.LOAD_CAP, CAP_SLOT, CAP_SLOT, False, True),
-    "stc": (stc, Perm.STORE_CAP, CAP_SLOT, CAP_SLOT, True, True),
+    "ldi": (ldi, Perm.LOAD, INT_WIDTH, False),
+    "sti": (sti, Perm.STORE, INT_WIDTH, False),
+    "ldc": (ldc, Perm.LOAD_CAP, CAP_SLOT, True),
+    "stc": (stc, Perm.STORE_CAP, CAP_SLOT, True),
 }
 
 # Authority windows [base, top): one inside memory, one that runs past its end.
@@ -74,20 +77,6 @@ def snapshot(st, mem):
             st.instructions_retired, bytes(mem.data), bytes(mem.tags))
 
 
-def expected_fault(auth, addr, width, align, need, checked, ddc_access, pc):
-    """The fault the reference order implies: `check_access` first (when
-    the access is checked), then alignment, then the end of memory."""
-    if checked:
-        kind = check_access(auth, addr, width, need)
-        if kind is not None:
-            return Fault(kind, addr, pc, width, ddc_access)
-    if addr % align != 0:
-        return Fault(FaultKind.ALIGNMENT, addr, pc, width)
-    if addr + width > MEM_SIZE:
-        return Fault(FaultKind.ADDRESS, addr, pc, width)
-    return None
-
-
 def access_machine(mode, auth, addr, is_cap):
     """A machine about to execute the access at PC, with `auth` as the
     authority: the ddc for a legacy operand, register 2 in capability mode."""
@@ -110,46 +99,28 @@ def access_machine(mode, auth, addr, is_cap):
 
 @pytest.mark.parametrize("mode", ["legacy", "privileged", "cap"])
 @pytest.mark.parametrize("name", sorted(OPS))
-def test_access_faults_match_check_access(name, mode):
-    ctor, need, width, align, is_store, is_cap = OPS[name]
+def test_access_grid_matches_the_spec(name, mode):
+    ctor, need, width, is_cap = OPS[name]
     program = [nop()] * PROGRAM_LEN
     program[PC] = ctor(1, 2, 0, cap=mode == "cap")
-    faults = set()
+    outcomes = set()
     for base, top, perms, otype, tag in authorities(need):
         for addr in addresses(base, top, width):
             auth = Capability(base, top, addr, perms, otype, tag)
-            case = (name, mode, auth, addr)
-            st = access_machine(mode, auth, addr, is_cap)
-            st.ddc_grant = 4
-            mem = seeded_memory()
-            want = expected_fault(auth, addr, width, align, need,
-                                  mode != "privileged", mode != "cap", PC)
-            before = snapshot(st, mem)
-            step(st, mem, program)
-            assert st.fault == want, case
-            assert st.ddc_grant is None, case
-            if want is not None:
-                faults.add(want.kind)
-                assert snapshot(st, mem) == before, case
-                continue
-            assert (st.pc, st.instructions_retired) == (PC + 1, 1), case
-            ref = seeded_memory()
-            if is_store and is_cap:
-                ref.store_cap(addr, st.regs[1])
-            elif is_store:
-                ref.write_bytes(addr, (0x1122334455667788).to_bytes(INT_WIDTH, "little"))
-            elif is_cap:
-                assert st.regs[1] == ref.load_cap(addr), case
-                assert st.regs[1].tag == ref.load_cap(addr).tag, case
-            else:
-                assert st.regs[1] == int_cap(
-                    int.from_bytes(ref.read_bytes(addr, INT_WIDTH), "little")), case
-            assert (bytes(mem.data), bytes(mem.tags)) == (bytes(ref.data), bytes(ref.tags)), case
-    # Every fault kind the table can reach was reached.
-    reachable = {FaultKind.ADDRESS} | ({FaultKind.ALIGNMENT} if is_cap else set())
+
+            def case():
+                st = access_machine(mode, auth, addr, is_cap)
+                st.ddc_grant = 4
+                st.events = []
+                return st, seeded_memory(), program
+
+            st = assert_matches_spec(case, 1, label=(name, mode, auth, addr))[0]
+            outcomes.add(st.fault.kind if st.fault else "retired")
+    # Every outcome the table can reach was reached.
+    reachable = {"retired", FaultKind.ADDRESS} | ({FaultKind.ALIGNMENT} if is_cap else set())
     if mode != "privileged":
         reachable |= {FaultKind.TAG, FaultKind.SEAL, FaultKind.PERMISSION, FaultKind.BOUNDS}
-    assert faults == reachable
+    assert outcomes == reachable
 
 
 def fetch_codes():
@@ -160,29 +131,25 @@ def fetch_codes():
 
 
 @pytest.mark.parametrize("top", [8, PROGRAM_LEN + 1])
-def test_fetch_faults_match_check_access(top):
+def test_fetch_grid_matches_the_spec(top):
     program = [nop()] * PROGRAM_LEN
+    outcomes = set()
     for tag, otype, perms in fetch_codes():
         for pc in (top - 1, top):
-            code = Capability(0, top, pc, perms, otype, tag)
-            st = MachineState()
-            st.code, st.pc = code, pc
-            st.ddc = make_root(0, MEM_SIZE, PERM_ALL)
-            st.current_compartment = 3
-            st.ddc_grant = 4
-            mem = seeded_memory()
-            kind = check_access(code, pc, 1, Perm.EXECUTE)
-            if kind is None and pc >= PROGRAM_LEN:
-                kind = FaultKind.ADDRESS
-            want = Fault(kind, pc, pc) if kind is not None else None
-            before = snapshot(st, mem)
-            step(st, mem, program)
-            assert st.fault == want, (code, pc)
-            assert st.ddc_grant is None
-            if want is None:
-                assert (st.pc, st.instructions_retired) == (pc + 1, 1)
-            else:
-                assert snapshot(st, mem) == before
+            def case():
+                st = MachineState()
+                st.code, st.pc = Capability(0, top, pc, perms, otype, tag), pc
+                st.ddc = make_root(0, MEM_SIZE, PERM_ALL)
+                st.current_compartment = 3
+                st.ddc_grant = 4
+                st.events = []
+                return st, seeded_memory(), program
+
+            st = assert_matches_spec(case, 1, label=(tag, otype, perms, pc))[0]
+            outcomes.add(st.fault.kind if st.fault else "retired")
+    # The last pc in bounds retires, or lies past the program's end.
+    reachable = {FaultKind.TAG, FaultKind.SEAL, FaultKind.PERMISSION, FaultKind.BOUNDS}
+    assert outcomes == reachable | {"retired" if top <= PROGRAM_LEN else FaultKind.ADDRESS}
 
 
 # --------------------------------------------------------------------------

@@ -93,6 +93,7 @@ def test_parse_defaults():
     ("fn f comp=c", "expected fn <name> comp=<c> instr=<n>"),
     ("fn f comp=c instr=1\nfn f comp=d instr=2", "duplicate fn 'f'"),
     ("fn f co=c instr=1", "expected comp=..."),
+    ("fn g comp= instr=2", "line 1: empty compartment name"),
     ("fn f comp=c instr=zz", "bad instruction count"),
     ("fn f comp=c instr=-4", "negative instruction count"),
     ("fn a comp=c instr=1\nfn b comp=d instr=1\ncall a b", "expected call"),
