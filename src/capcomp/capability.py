@@ -97,9 +97,6 @@ class Capability:
     def sealed(self) -> bool:
         return self.otype != OTYPE_UNSEALED
 
-    def length(self) -> int:
-        return self.top - self.base
-
     def __repr__(self) -> str:
         t = "T" if self.tag else "-"
         s = f",otype={self.otype}" if self.sealed else ""

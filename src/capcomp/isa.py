@@ -19,7 +19,6 @@ Register conventions used throughout the runtime:
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass
 
 from .capability import Perm
@@ -111,8 +110,7 @@ def _reg(i: int) -> int:
     return i
 
 
-# Constructor helpers; these are the assembly surface used by the runtime
-# emitters and by tests.
+# Constructor helpers, used by the runtime emitters and by tests.
 
 def nop() -> Ins: return Ins(Op.NOP)
 def halt() -> Ins: return Ins(Op.HALT)
@@ -157,150 +155,6 @@ def movi(rd: int, value: int) -> Ins:
     return addi(rd, REG_ZERO, value)
 
 
-# ---------------------------------------------------------------------------
-# Textual assembly
-
-_ALIASES = {"sp": REG_SP, "fp": REG_FP, "lr": REG_LINK, "rz": REG_ZERO}
-_PERM_NAMES = {
-    "load": Perm.LOAD, "store": Perm.STORE, "exec": Perm.EXECUTE,
-    "execute": Perm.EXECUTE, "loadcap": Perm.LOAD_CAP, "storecap": Perm.STORE_CAP,
-    "invoke": Perm.INVOKE, "none": Perm(0),
-}
-_MEM_RE = re.compile(r"^\[\s*([cr][a-z0-9]+)\s*(?:([+-])\s*(\d+))?\s*\]$")
-
-
-class AsmError(ValueError):
-    """Assembly error, reported with its 1-based source line."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
-def _parse_reg(tok: str, line_no: int) -> tuple[int, bool]:
-    """Return (index, capability-operand flag) for r<N>/c<N>/alias."""
-    t = tok.strip().lower()
-    if t in _ALIASES:
-        return _ALIASES[t], False
-    m = re.fullmatch(r"([rc])(\d+)", t)
-    if not m:
-        raise AsmError(line_no, f"bad register {tok!r}")
-    idx = int(m.group(2))
-    if idx >= NUM_REGS:
-        raise AsmError(line_no, f"register index out of range: {tok!r}")
-    return idx, m.group(1) == "c"
-
-
-def _parse_mem(tok: str, line_no: int) -> tuple[int, int, bool]:
-    m = _MEM_RE.match(tok.strip().lower())
-    if not m:
-        raise AsmError(line_no, f"bad memory operand {tok!r}, expected [rN + off]")
-    reg, cap = _parse_reg(m.group(1), line_no)
-    off = int(m.group(3) or 0)
-    if m.group(2) == "-":
-        off = -off
-    return reg, off, cap
-
-
-def _parse_perms(tok: str, line_no: int) -> Perm:
-    p = Perm(0)
-    for part in tok.lower().split("|"):
-        part = part.strip()
-        if part not in _PERM_NAMES:
-            raise AsmError(line_no, f"unknown permission {part!r}")
-        p |= _PERM_NAMES[part]
-    return p
-
-
-def _parse_int(tok: str, line_no: int) -> int:
-    try:
-        return int(tok.strip(), 0)
-    except ValueError:
-        raise AsmError(line_no, f"bad integer {tok!r}") from None
-
-
-def assemble_line(line: str, line_no: int = 1) -> Ins | None:
-    """Assemble one line; returns None for blanks and comments."""
-    text = line.split(";")[0].strip()
-    if not text:
-        return None
-    parts = text.split(None, 1)
-    mnem = parts[0].lower()
-    ops = [o.strip() for o in (parts[1].split(",") if len(parts) > 1 else [])]
-
-    def need(n: int) -> None:
-        if len(ops) != n:
-            raise AsmError(line_no, f"{mnem} expects {n} operands, got {len(ops)}")
-
-    if mnem == "nop":
-        need(0); return nop()
-    if mnem == "halt":
-        need(0); return halt()
-    if mnem in ("ldi", "sti", "ldc", "stc"):
-        need(2)
-        r, _ = _parse_reg(ops[0], line_no)
-        ra, off, cap = _parse_mem(ops[1], line_no)
-        fn = {"ldi": ldi, "sti": sti, "ldc": ldc, "stc": stc}[mnem]
-        return fn(r, ra, off, cap)
-    if mnem == "setbounds":
-        need(4)
-        rs = [_parse_reg(o, line_no)[0] for o in ops]
-        return setbounds(*rs)
-    if mnem == "setaddr":
-        need(3)
-        rs = [_parse_reg(o, line_no)[0] for o in ops]
-        return setaddr(*rs)
-    if mnem == "restrict":
-        need(3)
-        rd, _ = _parse_reg(ops[0], line_no)
-        rs, _ = _parse_reg(ops[1], line_no)
-        return restrict(rd, rs, _parse_perms(ops[2], line_no))
-    if mnem == "seal":
-        need(3)
-        rd, _ = _parse_reg(ops[0], line_no)
-        rs, _ = _parse_reg(ops[1], line_no)
-        return sealr(rd, rs, _parse_int(ops[2], line_no))
-    if mnem == "mov":
-        need(2)
-        return mov(_parse_reg(ops[0], line_no)[0], _parse_reg(ops[1], line_no)[0])
-    if mnem == "addi":
-        need(3)
-        rd, _ = _parse_reg(ops[0], line_no)
-        rs, _ = _parse_reg(ops[1], line_no)
-        return addi(rd, rs, _parse_int(ops[2], line_no))
-    if mnem == "movi":
-        need(2)
-        return movi(_parse_reg(ops[0], line_no)[0], _parse_int(ops[1], line_no))
-    if mnem == "bcap":
-        need(1); return bcap(_parse_reg(ops[0], line_no)[0])
-    if mnem == "call":
-        need(1); return calll(_parse_reg(ops[0], line_no)[0])
-    if mnem == "ret":
-        need(0); return retl()
-    if mnem == "lpb":
-        need(2)
-        return lpb(_parse_reg(ops[0], line_no)[0], _parse_reg(ops[1], line_no)[0])
-    if mnem == "installddc":
-        need(1); return installddc(_parse_reg(ops[0], line_no)[0])
-    if mnem == "readddc":
-        need(1); return readddc(_parse_reg(ops[0], line_no)[0])
-    if mnem == "cvtd":
-        need(3)
-        rs = [_parse_reg(o, line_no)[0] for o in ops]
-        return cvtd(*rs)
-    raise AsmError(line_no, f"unknown mnemonic {mnem!r}")
-
-
-def assemble(text: str) -> list[Ins]:
-    """Assemble a whole program, one instruction per line."""
-    out = []
-    for i, line in enumerate(text.splitlines(), start=1):
-        ins = assemble_line(line, i)
-        if ins is not None:
-            out.append(ins)
-    return out
-
-
 def format_ins(ins: Ins) -> str:
     """Render an instruction back to its mnemonic form (for traces)."""
     op = ins.op
@@ -332,6 +186,5 @@ def format_ins(ins: Ins) -> str:
         return f"installddc r{ins.a}"
     if op is Op.READ_DDC:
         return f"readddc r{ins.a}"
-    if op is Op.DERIVE_DDC:
-        return f"cvtd r{ins.a}, r{ins.b}, r{ins.c}"
-    return op.value
+    # Op.DERIVE_DDC, the one op left
+    return f"cvtd r{ins.a}, r{ins.b}, r{ins.c}"

@@ -237,7 +237,7 @@ def parse_config(text: str) -> CompartmentConfig:
         for owner in (s.a, s.b):
             if owner not in comp_names:
                 raise ConfigError(f"shared region {s.name!r} names unknown compartment {owner!r}")
-    _exception_regions(shared)
+    _exception_regions(shared)      # the check only; LayoutPlan keeps the map
     for sb in sandboxes:
         if sb.host not in comp_names:
             raise ConfigError(f"sandbox {sb.name!r} names unknown host {sb.host!r}")
@@ -278,8 +278,10 @@ class LayoutPlan:
     size. The rest is derived from those three. On construction:
     `placement_order`, the owner of each `data` region in region order;
     `comp_ids`, the compartments then the sandboxes in declaration order;
-    and `sandboxes`, each sandbox's declaration by name (its bounds are its
-    `<name>.code` and `<name>.scratch` regions). On each read:
+    `sandboxes`, each sandbox's declaration by name (its bounds are its
+    `<name>.code` and `<name>.scratch` regions); and `exception_regions`,
+    the exception-mode region each compartment owns, by compartment name
+    (what entering it puts in r18). On each read:
     `ddc_bounds`, each compartment's span widened over the overlap windows
     it owns that abut it; `code_bounds`, each compartment's own
     `<name>.code` region, the range of its pcc, so a host's excludes its
@@ -293,6 +295,7 @@ class LayoutPlan:
     placement_order: list[str] = field(init=False, repr=False, compare=False)
     comp_ids: dict[str, int] = field(init=False, repr=False, compare=False)
     sandboxes: dict[str, SandboxDecl] = field(init=False, repr=False, compare=False)
+    exception_regions: dict[str, Region] = field(init=False, repr=False, compare=False)
     _by_name: dict[str, Region] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -301,6 +304,9 @@ class LayoutPlan:
         self.placement_order = [r.owners[0] for r in self.regions if r.kind == "data"]
         names = [c.name for c in self.config.compartments] + list(self.sandboxes)
         self.comp_ids = {name: i for i, name in enumerate(names)}
+        self.exception_regions = {
+            comp: self._by_name[region]
+            for comp, region in _exception_regions(self.config.shared).items()}
 
     def region(self, name: str) -> Region:
         return self._by_name[name]
@@ -575,11 +581,9 @@ class BootImage:
         st.ddc = self.mem.load_cap(slot + OFF_DDC)
         st.current_compartment = plan.comp_ids[name]
         st.regs[REG_SP] = st.regs[REG_FP] = int_cap(plan.region(f"{name}.stack").top)
-        st.regs[REG_SHARED] = NULL_CAP
-        for s in plan.config.shared:
-            if s.mode == "exception" and name in (s.a, s.b):
-                exc = plan.region(s.name)
-                st.regs[REG_SHARED] = make_root(exc.base, exc.top, DDC_PERMS)
+        exc = plan.exception_regions.get(name)
+        st.regs[REG_SHARED] = (NULL_CAP if exc is None
+                               else make_root(exc.base, exc.top, DDC_PERMS))
 
 
 def boot_init(plan: LayoutPlan) -> BootImage:

@@ -11,7 +11,11 @@ so once the cursor has moved, `code` is tagged and unsealed and moving its
 cursor keeps the tag.  Every legacy load/store is checked against the
 installed default data capability (ddc); capability-operand accesses are
 checked against the operand itself.  A step either retires completely or
-faults without touching any register, memory byte, or tag.
+faults without touching any register, memory byte, or tag, with one third
+outcome: a capability store of a value whose fields do not fit the slot
+record raises OverflowError before any byte is written; that step changes
+no register, byte, tag, counter or record, and spends only the one-shot ddc
+grant.
 
 `run` is the one per-instruction loop.  Each iteration checks the fetch,
 runs the opcode's handler, and retires in one place: the handler returns the

@@ -182,18 +182,3 @@ class TaggedMemory:
     def granule_tag(self, addr: int) -> bool:
         self._check_range(addr, 1)
         return self.tags[addr // GRANULE] != 0
-
-    def dump_hex(self, addr: int, length: int) -> str:
-        """Render one line per granule: address, 16 hex bytes, tag marker."""
-        self._check_range(addr, length)
-        start = (addr // GRANULE) * GRANULE
-        end = addr + length
-        lines = []
-        g = start
-        while g < end:
-            row = self.data[g:g + GRANULE]
-            hexpart = " ".join(f"{b:02x}" for b in row)
-            t = "T" if self.tags[g // GRANULE] else "-"
-            lines.append(f"{g:08x}: {hexpart}  {t}")
-            g += GRANULE
-        return "\n".join(lines)

@@ -668,11 +668,8 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     # Allowed views, by compartment id.
     names = {cid: name for name, cid in plan.comp_ids.items()}
     allowed = {plan.comp_ids[name]: [ddc] for name, ddc in plan.ddc_bounds.items()}
-    for s in plan.config.shared:
-        if s.mode == "exception":
-            exc = plan.region(s.name)
-            for owner in (s.a, s.b):
-                allowed[plan.comp_ids[owner]].append((exc.base, exc.top))
+    for owner, exc in plan.exception_regions.items():
+        allowed[plan.comp_ids[owner]].append((exc.base, exc.top))
     for sb in plan.sandboxes:
         scratch = plan.region(f"{sb}.scratch")
         allowed[plan.comp_ids[sb]] = [(scratch.base, scratch.top)]

@@ -73,12 +73,6 @@ class Scenario:
     def root(self) -> str:
         return self.fns[0].name
 
-    def fn(self, name: str) -> ScenarioFn:
-        for f in self.fns:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
 
 def _attr(tok: str, prefix: str, line_no: int) -> str:
     """The value of `tok`, which must start with `prefix` ("key=")."""
@@ -370,7 +364,6 @@ class SwitchBreakdown:
     phase_cycles: dict[str, float]
     phase_instructions: dict[str, int]
     total: float                 # switch phases only, callee body excluded
-    callee_cycles: float
     instructions: int            # every retired instruction in the round trip
 
     def largest_phase(self) -> str:
@@ -434,8 +427,7 @@ def switch_breakdown(cold: bool = False) -> SwitchBreakdown:
         cycles[phase], counts[phase] = c, n
 
     total = sum(cycles[p] for p in SWITCH_PHASES)
-    return SwitchBreakdown(cycles, counts, total, cycles["callee_body"],
-                           sum(counts.values()))
+    return SwitchBreakdown(cycles, counts, total, sum(counts.values()))
 
 
 def format_breakdown(bd: SwitchBreakdown, label: str) -> str:

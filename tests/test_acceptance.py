@@ -29,8 +29,8 @@ from capcomp.capability import FaultKind
 from capcomp.capability import int_cap
 from capcomp.isa import (
     REG_SHARED,
+    REG_ZERO,
     addi,
-    assemble,
     halt,
     ldi,
     mov,
@@ -403,15 +403,8 @@ def test_06_swap_counter_matches_hand_traces():
     # fixture A: shared store (swap in), private store (swap back),
     # shared load (swap in again) -> 3
     st, mem = _sharing_machine()
-    run(st, mem, assemble("""
-        movi r1, 4096
-        movi r2, 11
-        sti r2, [r1 + 0]
-        movi r3, 512
-        sti r2, [r3 + 0]
-        ldi r4, [r1 + 0]
-        halt
-    """))
+    run(st, mem, [movi(1, 4096), movi(2, 11), sti(2, 1), movi(3, 512),
+                  sti(2, 3), ldi(4, 1), halt()])
     assert st.fault is None and st.halted
     assert st.ddc_swap_events == 3
     assert st.regs[4].address == 11
@@ -419,21 +412,20 @@ def test_06_swap_counter_matches_hand_traces():
     # fixture B: five consecutive shared stores cost one swap, the final
     # private load swaps back -> 2
     st, mem = _sharing_machine()
-    lines = ["movi r1, 4096", "movi r2, 7"]
-    lines += [f"sti r2, [r1 + {8 * i}]" for i in range(5)]
-    lines += ["ldi r3, [r16 + 64]", "halt"]
-    run(st, mem, assemble("\n".join(lines)))
+    prog = [movi(1, 4096), movi(2, 7)]
+    prog += [sti(2, 1, 8 * i) for i in range(5)]
+    prog += [ldi(3, REG_ZERO, 64), halt()]
+    run(st, mem, prog)
     assert st.fault is None and st.ddc_swap_events == 2
     assert all(mem.read_bytes(4096 + 8 * i, 1) == b"\x07" for i in range(5))
 
     # fixture C: private traffic only -> 0, and a true out-of-view store
     # stays a fault instead of being rescued
     st, mem = _sharing_machine()
-    run(st, mem, assemble("movi r1, 128\nmovi r2, 3\nsti r2, [r1 + 0]\n"
-                          "ldi r3, [r1 + 0]\nhalt"))
+    run(st, mem, [movi(1, 128), movi(2, 3), sti(2, 1), ldi(3, 1), halt()])
     assert st.fault is None and st.ddc_swap_events == 0
     st, mem = _sharing_machine()
-    run(st, mem, assemble("movi r1, 6000\nsti r1, [r1 + 0]\nhalt"))
+    run(st, mem, [movi(1, 6000), sti(1, 1), halt()])
     assert st.fault is not None and st.fault.kind is FaultKind.BOUNDS
     assert st.ddc_swap_events == 0
     print("criterion 6: PASS  swap counter 3/2/0 on the hand-traced fixtures, "

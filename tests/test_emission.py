@@ -419,3 +419,8 @@ def test_ins_str_and_format():
     ]
     for ins, text in cases:
         assert str(ins) == format_ins(ins) == text
+    # every op, whatever its fields, renders with its own mnemonic first
+    for op in Op:
+        ins = Ins(op, 1, 2, 3, 4, imm=8)
+        assert str(ins) == format_ins(ins)
+        assert format_ins(ins).split(" ", 1)[0] == op.value

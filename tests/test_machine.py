@@ -20,7 +20,6 @@ from capcomp.isa import (
     REG_SP,
     REG_ZERO,
     addi,
-    assemble,
     bcap,
     calll,
     cvtd,
@@ -119,13 +118,8 @@ def test_fetch_outside_pcc_faults():
 # Addressing modes
 
 def test_legacy_store_load_through_ddc():
-    st, _ = run_prog(assemble("""
-        movi r1, 256
-        movi r2, 777
-        sti r2, [r1 + 8]
-        ldi r3, [r1 + 8]
-        halt
-    """))
+    st, _ = run_prog([movi(1, 256), movi(2, 777), sti(2, 1, 8), ldi(3, 1, 8),
+                      halt()])
     assert st.regs[3].address == 777
 
 
@@ -277,15 +271,8 @@ def test_installddc_rejects_untagged_and_sealed():
 
 def test_derive_ddc_is_unprivileged_and_monotone():
     st, mem = bare_machine(data_lo=256, data_hi=1024)
-    prog = assemble("""
-        movi r1, 512
-        movi r2, 640
-        cvtd r3, r1, r2
-        movi r4, 0
-        movi r5, 2048
-        cvtd r6, r4, r5
-        halt
-    """)
+    prog = [movi(1, 512), movi(2, 640), cvtd(3, 1, 2),
+            movi(4, 0), movi(5, 2048), cvtd(6, 4, 5), halt()]
     run(st, mem, prog)
     assert st.fault is None
     assert st.regs[3].tag and (st.regs[3].base, st.regs[3].top) == (512, 640)
@@ -381,13 +368,7 @@ def test_step_lpb_arms_the_grant():
 # Local control flow
 
 def test_call_and_return_local():
-    st, _ = run_prog(assemble("""
-        movi r1, 3
-        call r1
-        halt
-        movi r2, 55
-        ret
-    """))
+    st, _ = run_prog([movi(1, 3), calll(1), halt(), movi(2, 55), retl()])
     assert st.halted and st.regs[2].address == 55
     assert st.instructions_retired == 5
 
@@ -462,15 +443,8 @@ def test_swap_handler_rejects_wrong_faults():
 def test_swap_trace_ping_pong():
     # store to shared (swap 1), store private (swap 2), load shared (swap 3)
     st, mem = shared_machine()
-    prog = assemble("""
-        movi r1, 4096
-        movi r2, 11
-        sti r2, [r1 + 0]
-        movi r3, 512
-        sti r2, [r3 + 0]
-        ldi r4, [r1 + 0]
-        halt
-    """)
+    prog = [movi(1, 4096), movi(2, 11), sti(2, 1), movi(3, 512), sti(2, 3),
+            ldi(4, 1), halt()]
     run(st, mem, prog)
     assert st.fault is None and st.halted
     assert st.ddc_swap_events == 3
@@ -481,10 +455,10 @@ def test_swap_trace_burst_then_return():
     # five consecutive shared stores: one swap in, none between, and the
     # final private load swaps back: 2 total
     st, mem = shared_machine()
-    lines = ["movi r1, 4096", "movi r2, 7"]
-    lines += [f"sti r2, [r1 + {8 * i}]" for i in range(5)]
-    lines += ["ldi r3, [r16 + 64]", "halt"]
-    run(st, mem, assemble("\n".join(lines)))
+    prog = [movi(1, 4096), movi(2, 7)]
+    prog += [sti(2, 1, 8 * i) for i in range(5)]
+    prog += [ldi(3, REG_ZERO, 64), halt()]
+    run(st, mem, prog)
     assert st.fault is None and st.ddc_swap_events == 2
     assert all(mem.read_bytes(4096 + 8 * i, 1) == b"\x07" for i in range(5))
 
@@ -492,13 +466,7 @@ def test_swap_trace_burst_then_return():
 def test_swap_trace_no_touch_no_swap():
     # private traffic only: the automaton must stay out of the way
     st, mem = shared_machine()
-    prog = assemble("""
-        movi r1, 128
-        movi r2, 3
-        sti r2, [r1 + 0]
-        ldi r3, [r1 + 0]
-        halt
-    """)
+    prog = [movi(1, 128), movi(2, 3), sti(2, 1), ldi(3, 1), halt()]
     run(st, mem, prog)
     assert st.fault is None and st.ddc_swap_events == 0
 
@@ -506,7 +474,7 @@ def test_swap_trace_no_touch_no_swap():
 def test_swap_does_not_rescue_true_violations():
     # a store beyond both views must remain a fault even with sharing on
     st, mem = shared_machine()
-    run(st, mem, assemble("movi r1, 6000\nsti r1, [r1 + 0]\nhalt"))
+    run(st, mem, [movi(1, 6000), sti(1, 1), halt()])
     assert st.fault is not None and st.fault.kind is FaultKind.BOUNDS
     assert st.ddc_swap_events == 0
 
@@ -516,13 +484,7 @@ def test_privileged_legacy_access_is_physical():
     # switcher return leg can reach the table under the caller's view
     st, mem = bare_machine(data_lo=0, data_hi=64)
     st.switcher_bounds = (0, 16)
-    prog = assemble("""
-        movi r1, 4000
-        movi r2, 9
-        sti r2, [r1 + 0]
-        ldi r3, [r1 + 0]
-        halt
-    """)
+    prog = [movi(1, 4000), movi(2, 9), sti(2, 1), ldi(3, 1), halt()]
     run(st, mem, prog)
     assert st.fault is None and st.regs[3].address == 9
 

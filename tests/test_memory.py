@@ -120,19 +120,6 @@ def test_storing_untagged_cap_clears_a_present_tag():
     assert m.load_cap(64).address == 9
 
 
-def test_dump_hex_shape():
-    m = TaggedMemory(256)
-    m.store_cap(0, make_root(0, 64, PERM_ALL))
-    m.write_bytes(32, b"\xab")
-    out = m.dump_hex(0, 64)
-    lines = out.splitlines()
-    assert len(lines) == 4
-    assert lines[0].startswith("00000000:") and lines[0].rstrip().endswith("T")
-    assert lines[1].rstrip().endswith("T")   # both granules of the slot
-    assert "ab" in lines[2] and lines[2].rstrip().endswith("-")
-    assert lines[3].rstrip().endswith("-")
-
-
 def test_unforgeability_focused():
     """Every single-byte overwrite anywhere in a slot clears its validity."""
     m = TaggedMemory(4096)

@@ -126,10 +126,12 @@ def ref_compute_layout(cfg, memory_size=DEFAULT_SIZE):
                     low_window.get(order[pos + 1], cursor), cursor)
                 cursor += s.size
 
+    exception_regions = {}
     for s in cfg.shared:
         if s.mode == "exception":
             shared_bounds[s.name] = (cursor, cursor + s.size)
             regions.append(Region(s.name, "shared", cursor, cursor + s.size, (s.a, s.b)))
+            exception_regions[s.a] = exception_regions[s.b] = regions[-1]
             cursor += s.size
 
     if cursor > memory_size:
@@ -151,6 +153,7 @@ def ref_compute_layout(cfg, memory_size=DEFAULT_SIZE):
         stack_top=stack_top,
         heap_bounds=heap_bounds,
         shared_bounds=shared_bounds,
+        exception_regions=exception_regions,
         shared_mode={s.name: s.mode for s in cfg.shared},
         shared_owners={s.name: (s.a, s.b) for s in cfg.shared},
         sandboxes={sb.name: sb for sb in cfg.sandboxes},
@@ -179,7 +182,7 @@ def assert_views_match(plan, ref):
         plan.region("ghost")
     assert plan.code_bounds == expected_code_bounds(ref)
     for view in ("placement_order", "comp_ids", "ddc_bounds", "shared_bounds",
-                 "sandboxes", "table_base", "pair_addr", "switcher_code",
+                 "exception_regions", "sandboxes", "table_base", "pair_addr", "switcher_code",
                  "total_code_slots", "data_top"):
         assert getattr(plan, view) == getattr(ref, view), view
 

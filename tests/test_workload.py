@@ -68,9 +68,7 @@ def test_parse_basic_scenario():
     assert sc.iterations == 5
     assert sc.cpi == 1.5
     assert sc.root == "main"
-    assert sc.fn("helper").comp == "lib"
-    with pytest.raises(KeyError):
-        sc.fn("nobody")
+    assert sc.fns[1].comp == "lib"
 
 
 def test_parse_accepts_hex_integers():
@@ -609,7 +607,7 @@ def test_breakdown_hot_cycles():
     assert bd.phase_cycles["trampoline_enter"] == pytest.approx(2.8)
     assert bd.phase_cycles["trampoline_return"] == pytest.approx(47.1)
     assert bd.phase_cycles["gate_epilogue"] == pytest.approx(43.4)
-    assert bd.callee_cycles == pytest.approx(0.7)
+    assert bd.phase_cycles["callee_body"] == pytest.approx(0.7)
     assert bd.total == pytest.approx(362.7)
 
 
@@ -620,7 +618,7 @@ def test_breakdown_cold_cycles():
     assert bd.phase_cycles["trampoline_enter"] == pytest.approx(6.4)
     assert bd.phase_cycles["trampoline_return"] == pytest.approx(124.8)
     assert bd.phase_cycles["gate_epilogue"] == pytest.approx(99.2)
-    assert bd.callee_cycles == pytest.approx(1.6)
+    assert bd.phase_cycles["callee_body"] == pytest.approx(1.6)
     assert bd.total == pytest.approx(937.6)
 
 
@@ -629,7 +627,6 @@ def test_breakdown_total_partitions_switch_phases():
         bd = switch_breakdown(cold=cold)
         assert bd.total == pytest.approx(
             sum(bd.phase_cycles[p] for p in SWITCH_PHASES))
-        assert bd.callee_cycles == bd.phase_cycles["callee_body"]
         assert bd.instructions == sum(bd.phase_instructions.values())
         assert bd.largest_phase() == "switcher"
 
