@@ -410,6 +410,29 @@ def test_boot_exception_region_arms_r18():
     assert st.regs[18].tag and (st.regs[18].base, st.regs[18].top) == (lo, hi)
 
 
+@pytest.mark.parametrize("name", ["two_comp.cfg", "three_comp_shared.cfg",
+                                  "sandbox_host.cfg"])
+def test_enter_puts_each_compartments_exception_region_in_r18(name):
+    """exception_regions names the owners of each exception-mode region and
+    nobody else; entering any compartment arms r18 over its region, or
+    leaves r18 null where it owns none."""
+    from capcomp.capability import NULL_CAP
+
+    cfg = parse_config(fixture(name))
+    plan = compute_layout(cfg)
+    owners = {owner: s.name for s in cfg.shared if s.mode == "exception"
+              for owner in (s.a, s.b)}
+    assert {c: r.name for c, r in plan.exception_regions.items()} == owners
+    img = boot_init(plan)
+    for comp in cfg.compartments:
+        img.enter(comp.name)
+        r18 = img.machine.regs[18]
+        if comp.name in owners:
+            assert r18.tag and (r18.base, r18.top) == plan.shared_bounds[owners[comp.name]]
+        else:
+            assert r18 == NULL_CAP
+
+
 def test_boot_without_exception_region_keeps_bounds_misses_faults():
     """r18 alone decides whether a ddc bounds miss may swap: two_comp.cfg has
     no exception region, so app enters with r18 null and a legacy store
