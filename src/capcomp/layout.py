@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .capability import NULL_CAP, Perm, int_cap, make_root, seal, set_address
 from .isa import REG_FP, REG_SHARED, REG_SP, halt
@@ -552,13 +552,28 @@ class BootImage:
     callee's from it, and so does `enter`. `next_free` maps each region
     that `comp_alloc`, `shared_alloc` and `install_function` take from
     (every compartment heap, every shared region and every entity's code
-    region) to its first free address or slot."""
+    region) to its first free address or slot.
+
+    `snapshot()` freezes the image's whole state into an `ImageSnapshot`,
+    whose `image()` builds a fresh image from it: boot once, run many."""
 
     plan: LayoutPlan
     mem: TaggedMemory
     machine: MachineState
     program: list
     next_free: dict[str, int]
+
+    def snapshot(self) -> ImageSnapshot:
+        """This image's state as it is now, frozen; see `ImageSnapshot`."""
+        st = self.machine
+        machine = []
+        for f in fields(MachineState):
+            value = getattr(st, f.name)
+            is_list = isinstance(value, list)
+            machine.append((f.name, tuple(value) if is_list else value, is_list))
+        return ImageSnapshot(self.plan, bytes(self.mem.data), bytes(self.mem.tags),
+                             tuple(self.program), tuple(self.next_free.items()),
+                             tuple(machine))
 
     def table_slot(self, name: str) -> int:
         return self.plan.table_base + self.plan.comp_ids[name] * TABLE_ENTRY
@@ -584,6 +599,34 @@ class BootImage:
         exc = plan.exception_regions.get(name)
         st.regs[REG_SHARED] = (NULL_CAP if exc is None
                                else make_root(exc.base, exc.top, DDC_PERMS))
+
+
+@dataclass(frozen=True, slots=True)
+class ImageSnapshot:
+    """One image's whole state, immutable: memory `data` and `tags` as
+    bytes, the program as a tuple, `next_free` as its items, and every
+    `MachineState` field as (name, value, was a list), each list held as a
+    tuple. The plan is held as it is; nothing writes a plan after planning.
+
+    `image()` builds a fresh `BootImage` in that state. It shares nothing
+    mutable with the snapshot or with any other image built from it, so a
+    snapshot taken once can start any number of independent runs."""
+
+    plan: LayoutPlan
+    data: bytes
+    tags: bytes
+    program: tuple
+    next_free: tuple[tuple[str, int], ...]
+    machine: tuple[tuple[str, object, bool], ...]
+
+    def image(self) -> BootImage:
+        mem = TaggedMemory(self.plan.memory_size)
+        mem.data[:] = self.data
+        mem.tags[:] = self.tags
+        st = MachineState(**{name: list(value) if is_list else value
+                             for name, value, is_list in self.machine})
+        return BootImage(plan=self.plan, mem=mem, machine=st,
+                         program=list(self.program), next_free=dict(self.next_free))
 
 
 def boot_init(plan: LayoutPlan) -> BootImage:

@@ -11,12 +11,14 @@ the same instruction stream at a given baseline CPI.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 
-from .isa import Op
-from .layout import boot_init, compute_layout, format_table, install_function, parse_config
+from .isa import Op, retl
+from .layout import (ImageSnapshot, boot_init, compute_layout, format_table, install_function,
+                     parse_config)
 from .machine import run
 
 
@@ -382,18 +384,30 @@ _HOT_TABLE = _weight_table(HOT_WEIGHTS, HOT_DEFAULT)
 _COLD_TABLE = _weight_table(COLD_WEIGHTS, COLD_DEFAULT)
 
 
+@functools.cache
+def _breakdown_start() -> tuple[ImageSnapshot, int]:
+    """The canonical two-compartment image with the callee's `retl`
+    installed, snapshotted, and that `retl`'s entry. Parsed, planned and
+    booted at the first call, once per process: it depends on no input."""
+    img = boot_init(compute_layout(parse_config(_BREAKDOWN_CONFIG), memory_size=1 << 16))
+    entry = install_function(img, "target", [retl()])
+    return img.snapshot(), entry
+
+
 def switch_breakdown(cold: bool = False) -> SwitchBreakdown:
     """Execute one round trip on a canonical two-compartment image, phase by
     phase through the runtime's phase helpers, and weigh the step records
-    each phase leaves."""
-    from .isa import retl
+    each phase leaves.
+
+    The image is booted once per process and kept as an `ImageSnapshot`;
+    each call runs on its own fresh image built from it, so no call sees
+    what an earlier one ran or what a caller did with its result."""
     from .runtime import (GateDescriptor, gate_call, switcher_switch,
                           trampoline_enter, trampoline_return)
 
-    plan = compute_layout(parse_config(_BREAKDOWN_CONFIG), memory_size=1 << 16)
-    img = boot_init(plan)
+    snapshot, entry = _breakdown_start()
+    img = snapshot.image()
     st = img.machine
-    entry = install_function(img, "target", [retl()])
     gate = GateDescriptor("origin", "target", entry, dest=0)
     phases = (
         ("gate_prologue", lambda: gate_call(img, gate, [0])),

@@ -578,3 +578,112 @@ def test_enter_rejects_what_is_not_a_compartment(name):
     img = boot_init(compute_layout(parse_config(fixture("sandbox_host.cfg"))))
     with pytest.raises(LayoutError, match=f"'{name}' is not a compartment"):
         img.enter(name)
+
+
+# --------------------------------------------------------------------------
+# Snapshots
+
+BUNDLED_CFGS = ["two_comp.cfg", "three_comp_shared.cfg", "sandbox_host.cfg"]
+
+
+def image_state(img):
+    """Everything an image holds that a run can change, as values: every
+    `MachineState` field by name (lists copied), memory data and tags, the
+    program and the allocation pointers."""
+    from capcomp.machine import MachineState
+
+    st = img.machine
+    machine = {}
+    for f in dataclasses.fields(MachineState):
+        value = getattr(st, f.name)
+        machine[f.name] = list(value) if isinstance(value, list) else value
+    return (machine, bytes(img.mem.data), bytes(img.mem.tags),
+            list(img.program), dict(img.next_free))
+
+
+def round_trip_gate(img):
+    """A gate from the first compartment to the second, into a function
+    that returns its argument plus one."""
+    from capcomp.isa import addi, retl
+    from capcomp.runtime import GateDescriptor
+
+    caller, callee = (c.name for c in img.plan.config.compartments[:2])
+    entry = install_function(img, callee, [addi(0, 0, 1), retl()])
+    return GateDescriptor(caller, callee, entry, dest=0)
+
+
+def lived_in_image(cfg):
+    """A booted image after one gated round trip with the event list on,
+    then with the fault, swap count and ddc grant set by hand: every
+    `MachineState` field is away from its default, so a field that a
+    snapshot drops shows."""
+    from capcomp.capability import FaultKind
+    from capcomp.machine import Fault, MachineState
+    from capcomp.runtime import call_compartment
+
+    img = boot_init(compute_layout(parse_config(fixture(cfg))))
+    st = img.machine
+    st.events = []
+    call_compartment(img, round_trip_gate(img), [41])
+    assert st.halted and st.regs[0].address == 42
+    st.fault = Fault(FaultKind.BOUNDS, 0x40, st.pc, 8)
+    st.ddc_swap_events += 1
+    st.ddc_grant = st.pc
+    bare = MachineState()
+    for f in dataclasses.fields(MachineState):
+        assert getattr(st, f.name) != getattr(bare, f.name), f.name
+    return img
+
+
+@pytest.mark.parametrize("cfg", BUNDLED_CFGS)
+def test_snapshot_image_equals_the_image_it_was_taken_from(cfg):
+    booted = boot_init(compute_layout(parse_config(fixture(cfg))))
+    for img in (booted, lived_in_image(cfg)):
+        snap = img.snapshot()
+        assert image_state(snap.image()) == image_state(img)
+        assert snap.image().plan is img.plan
+
+
+def mutable_parts(img):
+    """Every mutable object an image holds, by where it sits."""
+    st = img.machine
+    parts = {"mem.data": img.mem.data, "mem.tags": img.mem.tags,
+             "program": img.program, "next_free": img.next_free}
+    for f in dataclasses.fields(st):
+        value = getattr(st, f.name)
+        if isinstance(value, (list, dict, bytearray)):
+            parts[f.name] = value
+    return parts
+
+
+@pytest.mark.parametrize("cfg", BUNDLED_CFGS)
+def test_snapshot_images_share_nothing_mutable(cfg):
+    """Running, allocating, installing, storing and recording in one image
+    built from a snapshot, and in the image the snapshot was taken from,
+    leaves the snapshot and a second image from it unchanged."""
+    from capcomp.runtime import call_compartment
+
+    img = boot_init(compute_layout(parse_config(fixture(cfg))))
+    img.machine.events = []
+    gate = round_trip_gate(img)
+    snap = img.snapshot()
+    before = image_state(img)
+    first, second = snap.image(), snap.image()
+
+    images = (img, first, second)
+    for x, y in itertools.combinations(images, 2):
+        shared = [k for k, v in mutable_parts(x).items() if v is mutable_parts(y)[k]]
+        assert shared == []
+
+    for changed in (img, first):
+        st = changed.machine
+        call_compartment(changed, gate, [41])
+        assert st.halted and st.fault is None and st.regs[0].address == 42
+        heap = comp_alloc(changed, gate.caller, 64)
+        install_function(changed, gate.callee, [nop(), halt()])
+        changed.mem.store_cap(heap, st.ddc)
+        st.events.append(("step", 1, 1, None))
+        assert image_state(changed) != before
+
+    assert image_state(snap.image()) == before
+    assert image_state(second) == before

@@ -705,6 +705,69 @@ def test_breakdown_prices_one_round_trip_of_two_transitions():
     assert bd.total / one_call.transitions == pytest.approx(181.35)
 
 
+def reference_breakdown(cold):
+    """The breakdown on a freshly parsed, planned and booted image: the same
+    phase helpers in the same order, each retired step weighed from the
+    op-keyed tables with a per-step `+=`."""
+    from capcomp.isa import Op, retl
+    from capcomp.layout import boot_init, compute_layout, install_function, parse_config
+    from capcomp.machine import run
+    from capcomp.runtime import (GateDescriptor, gate_call, switcher_switch,
+                                 trampoline_enter, trampoline_return)
+    from capcomp.workload import SwitchBreakdown, _BREAKDOWN_CONFIG
+
+    img = boot_init(compute_layout(parse_config(_BREAKDOWN_CONFIG), memory_size=1 << 16))
+    st = img.machine
+    gate = GateDescriptor("origin", "target", install_function(img, "target", [retl()]), dest=0)
+    phases = (
+        ("gate_prologue", lambda: gate_call(img, gate, [0])),
+        ("switcher", lambda: switcher_switch(img)),
+        ("trampoline_enter", lambda: trampoline_enter(img)),
+        ("callee_body", lambda: run(st, img.mem, img.program, max_steps=1)),
+        ("trampoline_return", lambda: trampoline_return(img)),
+        ("switcher", lambda: switcher_switch(img)),
+        ("gate_epilogue", lambda: run(st, img.mem, img.program, max_steps=10_000)),
+    )
+    weights, default = (COLD_WEIGHTS, COLD_DEFAULT) if cold else (HOT_WEIGHTS, HOT_DEFAULT)
+    cycles = dict.fromkeys(PHASES, 0.0)
+    counts = dict.fromkeys(PHASES, 0)
+    for phase, run_phase in phases:
+        st.events = []
+        run_phase()
+        assert st.fault is None
+        for ev in st.events:
+            op = img.program[ev[1]].op
+            if ev[0] == "step" and op is not Op.HALT:
+                cycles[phase] += weights.get(op, default)
+                counts[phase] += 1
+    return SwitchBreakdown(cycles, counts, sum(cycles[p] for p in SWITCH_PHASES),
+                           sum(counts.values()))
+
+
+def test_breakdown_is_history_free(capsys):
+    """Each call gives exactly what a freshly booted image gives, whatever
+    ran before it in the process: the other weight table, `capcomp micro`,
+    or a caller writing into an earlier result's dicts."""
+    from capcomp.cli import main
+
+    hot, cold = reference_breakdown(False), reference_breakdown(True)
+    assert hot.total == pytest.approx(362.7) and cold.total == pytest.approx(937.6)
+    assert switch_breakdown() == hot
+    assert switch_breakdown(cold=True) == cold
+    assert switch_breakdown() == hot
+
+    assert main(["micro", "--cold"]) == 0
+    assert "937.6" in capsys.readouterr().out
+    assert switch_breakdown() == hot
+
+    for bd in (switch_breakdown(), switch_breakdown(cold=True)):
+        bd.phase_cycles["switcher"] += 1.0
+        bd.phase_cycles.pop("callee_body")
+        bd.phase_instructions["switcher"] = 0
+    assert switch_breakdown() == hot
+    assert switch_breakdown(cold=True) == cold
+
+
 def test_format_breakdown_table():
     text = format_breakdown(switch_breakdown(), "steady state")
     assert text.startswith("single-switch latency, steady state:")
