@@ -170,6 +170,16 @@ def test_self_call_is_a_cycle():
     # unknown names are reported before cycles
     ("fn a comp=c instr=1\ncall a a count=1\ncall a z count=1",
      "call references unknown fn 'z'"),
+    # a line that breaks two rules is reported by the first rule checked
+    ("fn f comp=c instr=1\nfn f co=d instr=2", "line 2: duplicate fn 'f'"),
+    ("fn g comp= inst=2", "line 1: empty compartment name"),
+    ("fn a comp=c instr=1\nfn b comp=d instr=1\ncall a b cnt=x pro=1",
+     "line 3: expected count=..., got 'cnt=x'"),
+    # both keys are checked before either value is read as an integer
+    ("fn a comp=c instr=1\nfn b comp=d instr=1\ncall a b count=x pro=1",
+     "line 3: expected promote=..., got 'pro=1'"),
+    ("fn a comp=c instr=1\nfn b comp=d instr=1\ncall a b count=0 promote=-1",
+     "line 3: count must be positive"),
 ])
 def test_parse_rejection_messages(text, message):
     with pytest.raises(ScenarioError) as exc:
