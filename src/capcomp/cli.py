@@ -15,6 +15,7 @@ an unexpected fault), 2 bad input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -176,12 +177,13 @@ def cmd_verify(args) -> int:
 
 def cmd_run(args) -> int:
     sc = parse_scenario(_read_input(args.scenario))
-    if args.cpi is not None:
-        if not 0 < args.cpi < math.inf:
-            raise ScenarioError("cpi must be positive and finite")
-        sc = type(sc)(sc.name, sc.fns, sc.calls, sc.iterations, args.cpi)
+    if args.cpi is not None and not 0 < args.cpi < math.inf:
+        raise ScenarioError("cpi must be positive and finite")
     cm = _parse_cost(args.cost)
     summary = run_scenario(sc)
+    if args.cpi is not None:
+        # The override goes on the totals, so the parsed graph is walked once.
+        summary = dataclasses.replace(summary, cpi=args.cpi)
     est = estimate_overhead(summary, cm)
     if args.format == "records":
         print(emit_report(summary, est, cm))

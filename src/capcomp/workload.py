@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .isa import Op, retl
 from .layout import (ImageSnapshot, boot_init, compute_layout, format_table, install_function,
@@ -62,25 +62,35 @@ class ScenarioCall:
 _set_caller, _set_callee, _set_count, _set_promote = (
     ScenarioCall.__dict__[f].__set__ for f in ("caller", "callee", "count", "promote"))
 
+# Every fn with its outgoing calls, callers before callees.
+_CallOrder = tuple[tuple[ScenarioFn, tuple[ScenarioCall, ...]], ...]
+
 
 @dataclass(frozen=True, slots=True)
 class Scenario:
+    """A parsed call graph.  The first fn is the entry point.
+
+    `_order` holds the call order `_call_order` derives from `fns` and
+    `calls`, filled at its first use and kept for the life of the value, as
+    tuples all the way down, so nothing shared is mutable.  It is not an
+    `__init__` argument and is left out of `==`, `hash` and `repr`; a value
+    built by hand or by `dataclasses.replace` starts without it.
+    """
+
     name: str
     fns: tuple[ScenarioFn, ...]
     calls: tuple[ScenarioCall, ...]
     iterations: int = 1
     cpi: float = 1.0
+    _order: _CallOrder | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def root(self) -> str:
         return self.fns[0].name
 
 
-def _attr(tok: str, prefix: str, line_no: int) -> str:
-    """The value of `tok`, which must start with `prefix` ("key=")."""
-    if not tok.startswith(prefix):
-        raise ScenarioError(f"line {line_no}: expected {prefix}..., got {tok!r}")
-    return tok[len(prefix):]
+# The one write to a frozen Scenario, through its slot descriptor.
+_set_order = Scenario.__dict__["_order"].__set__
 
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
@@ -89,6 +99,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     Lines: `scenario <name>`, `fn <name> comp=<c> instr=<n>`,
     `call <from> <to> count=<k> [promote=<n>]`, `iterations <n>`, `cpi <x>`.
     The first declared fn is the entry point, executed once per iteration.
+    The cycle check derives the call order, which the returned value keeps.
     """
     fns: list[ScenarioFn] = []
     calls: list[ScenarioCall] = []
@@ -101,36 +112,22 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         if not toks:
             continue
         kind = toks[0]
-        if kind == "scenario":
-            if len(toks) != 2:
-                raise ScenarioError(f"line {line_no}: scenario takes one name")
-            name = toks[1]
-        elif kind == "fn":
-            if len(toks) != 4:
-                raise ScenarioError(f"line {line_no}: expected fn <name> comp=<c> instr=<n>")
-            if toks[1] in seen:
-                raise ScenarioError(f"line {line_no}: duplicate fn {toks[1]!r}")
-            seen.add(toks[1])
-            comp = _attr(toks[2], "comp=", line_no)
-            if not comp:
-                raise ScenarioError(f"line {line_no}: empty compartment name")
-            instr = _attr(toks[3], "instr=", line_no)
-            try:
-                instr = int(instr, 0)
-            except ValueError:
-                raise ScenarioError(f"line {line_no}: bad instruction count") from None
-            if instr < 0:
-                raise ScenarioError(f"line {line_no}: negative instruction count")
-            fns.append(ScenarioFn(toks[1], comp, instr))
-        elif kind == "call":
+        # `call` first: most lines of a large graph are calls.
+        if kind == "call":
             if len(toks) not in (4, 5):
                 raise ScenarioError(
                     f"line {line_no}: expected call <from> <to> count=<k> [promote=<n>]")
-            count = _attr(toks[3], "count=", line_no)
-            promote = _attr(toks[4], "promote=", line_no) if len(toks) == 5 else None
+            count = toks[3]
+            if not count.startswith("count="):
+                raise ScenarioError(f"line {line_no}: expected count=..., got {count!r}")
+            promote = None
+            if len(toks) == 5:
+                promote = toks[4]
+                if not promote.startswith("promote="):
+                    raise ScenarioError(f"line {line_no}: expected promote=..., got {promote!r}")
             try:
-                count = int(count, 0)
-                promote = 0 if promote is None else int(promote, 0)
+                count = int(count[6:], 0)
+                promote = 0 if promote is None else int(promote[8:], 0)
             except ValueError:
                 raise ScenarioError(f"line {line_no}: bad integer") from None
             if count < 1:
@@ -138,6 +135,32 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             if promote < 0:
                 raise ScenarioError(f"line {line_no}: promote must be non-negative")
             calls.append(ScenarioCall(toks[1], toks[2], count, promote))
+        elif kind == "fn":
+            if len(toks) != 4:
+                raise ScenarioError(f"line {line_no}: expected fn <name> comp=<c> instr=<n>")
+            if toks[1] in seen:
+                raise ScenarioError(f"line {line_no}: duplicate fn {toks[1]!r}")
+            seen.add(toks[1])
+            comp = toks[2]
+            if not comp.startswith("comp="):
+                raise ScenarioError(f"line {line_no}: expected comp=..., got {comp!r}")
+            comp = comp[5:]
+            if not comp:
+                raise ScenarioError(f"line {line_no}: empty compartment name")
+            instr = toks[3]
+            if not instr.startswith("instr="):
+                raise ScenarioError(f"line {line_no}: expected instr=..., got {instr!r}")
+            try:
+                instr = int(instr[6:], 0)
+            except ValueError:
+                raise ScenarioError(f"line {line_no}: bad instruction count") from None
+            if instr < 0:
+                raise ScenarioError(f"line {line_no}: negative instruction count")
+            fns.append(ScenarioFn(toks[1], comp, instr))
+        elif kind == "scenario":
+            if len(toks) != 2:
+                raise ScenarioError(f"line {line_no}: scenario takes one name")
+            name = toks[1]
         elif kind == "iterations":
             if len(toks) != 2:
                 raise ScenarioError(f"line {line_no}: iterations takes one integer")
@@ -172,12 +195,26 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     return sc
 
 
-def _call_order(sc: Scenario) -> list[tuple[ScenarioFn, list[ScenarioCall]]]:
+def _call_order(sc: Scenario) -> _CallOrder:
     """Every fn of `sc` with its outgoing calls, callers before callees.
 
-    The order is the reversed postorder of a depth-first search that starts
-    from each fn in declaration order and follows calls in call order.  The
-    search keeps its own stack, so call depth is not bounded by Python's
+    Derived by `_search_order` at the first call for a `Scenario` value and
+    kept on it in `sc._order`, so one value's graph is walked once however
+    often it is evaluated.  A cyclic graph stores nothing and raises again
+    on every call.
+    """
+    order = sc._order
+    if order is None:
+        order = _search_order(sc)
+        _set_order(sc, order)
+    return order
+
+
+def _search_order(sc: Scenario) -> _CallOrder:
+    """The reversed postorder of a depth-first search that starts from each
+    fn in declaration order and follows calls in call order.
+
+    The search keeps its own stack, so call depth is not bounded by Python's
     recursion limit.  A cycle raises ScenarioError naming the first one met.
     """
     out: dict[str, list[ScenarioCall]] = {f.name: [] for f in sc.fns}
@@ -185,7 +222,7 @@ def _call_order(sc: Scenario) -> list[tuple[ScenarioFn, list[ScenarioCall]]]:
         out[c.caller].append(c)
     fn_of = {f.name: f for f in sc.fns}
     done: dict[str, bool] = {}   # False while on the current path, then True
-    order: list[tuple[ScenarioFn, list[ScenarioCall]]] = []
+    order: list[tuple[ScenarioFn, tuple[ScenarioCall, ...]]] = []
     for start in out:
         if start in done:
             continue
@@ -208,9 +245,9 @@ def _call_order(sc: Scenario) -> list[tuple[ScenarioFn, list[ScenarioCall]]]:
                 stack.pop()
                 n = trail.pop()
                 done[n] = True
-                order.append((fn_of[n], out[n]))
+                order.append((fn_of[n], tuple(out[n])))
     order.reverse()
-    return order
+    return tuple(order)
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,8 +273,10 @@ def run_scenario(sc: Scenario) -> ScenarioSummary:
     Walks the fns in `_call_order`, callers before callees, counting each
     fn's executions over all iterations: the entry point runs `iterations`
     times, and each call adds its caller's executions times `count` to its
-    callee.  O(fns + calls), iterative, exact ints, nothing cached across
-    calls.  Fns that never execute add nothing and leave no edge.  The
+    callee.  O(fns + calls), iterative, exact ints.  The order is the one
+    `sc` keeps, derived at most once per `Scenario` value (`parse_scenario`
+    has already derived it); the totals are computed afresh on every call.
+    Fns that never execute add nothing and leave no edge.  The
     naive-expansion oracle in the test suite checks the totals.
     """
     comp = {f.name: f.comp for f in sc.fns}
@@ -310,20 +349,33 @@ class OverheadEstimate:
 
 def estimate_overhead(summary: ScenarioSummary, cm: CostModel | None = None) -> OverheadEstimate:
     """Switching overhead relative to the same instruction stream without
-    compartment boundaries, at the scenario's baseline CPI (`summary.cpi`)."""
+    compartment boundaries, at the scenario's baseline CPI (`summary.cpi`).
+
+    Raises ScenarioError when the scenario executes no instructions, when
+    the cpi is not positive and finite, and when the totals are too large
+    for the float results: a total that does not convert to a float, or a
+    rate, cycle count or percentage that comes out infinite or NaN."""
     cm = cm or CostModel()
     if summary.instructions == 0:
         raise ScenarioError("scenario executes no instructions; overhead undefined")
     if not 0 < summary.cpi < math.inf:
         raise ScenarioError("baseline cpi must be positive and finite")
-    extra = summary.transitions * cm.effective_switch() + summary.promotions * cm.promotion
-    baseline = summary.instructions * summary.cpi
+    try:
+        rate = summary.switches_per_1k
+        extra = summary.transitions * cm.effective_switch() + summary.promotions * cm.promotion
+        baseline = summary.instructions * summary.cpi
+    except OverflowError:
+        raise ScenarioError("scenario totals too large for a finite overhead") from None
+    percent = 100.0 * extra / baseline
+    isfinite = math.isfinite
+    if not (isfinite(rate) and isfinite(extra) and isfinite(baseline) and isfinite(percent)):
+        raise ScenarioError("scenario totals too large for a finite overhead")
     return OverheadEstimate(
         switches=summary.transitions,
-        switches_per_1k=summary.switches_per_1k,
+        switches_per_1k=rate,
         extra_cycles=extra,
         baseline_cycles=baseline,
-        percent=100.0 * extra / baseline,
+        percent=percent,
     )
 
 

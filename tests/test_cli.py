@@ -180,6 +180,18 @@ def test_run_cpi_override(capsys):
     assert code == 2 and "cpi must be positive" in err
 
 
+@pytest.mark.parametrize("args", [(), ("--cpi", "2.2")])
+def test_run_walks_the_scenario_graph_once(capsys, monkeypatch, args):
+    from capcomp import workload
+
+    walks = []
+    search = workload._search_order
+    monkeypatch.setattr(workload, "_search_order", lambda sc: walks.append(sc) or search(sc))
+    code, out, _ = run_cli(capsys, "run", "sqlite_fs.scn", "--format", "records", *args)
+    assert code == 0 and "transitions=160 " in out
+    assert len(walks) == 1
+
+
 def test_run_bad_scenario_is_exit_2(capsys, tmp_path):
     bad = tmp_path / "broken.scn"
     bad.write_text("fn a comp=x instr=1\ncall a a count=1\n")
@@ -267,6 +279,20 @@ def test_run_empty_compartment_name_is_exit_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "run", str(scn))
     assert code == 2 and out == ""
     assert err == "error: line 2: empty compartment name\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "records"])
+@pytest.mark.parametrize("count_zeros,instr_zeros", [(306, 0), (330, 0), (0, 400)])
+def test_run_scenario_too_large_for_a_float_is_exit_2(capsys, tmp_path, fmt,
+                                                       count_zeros, instr_zeros):
+    # 306 zeros used to print "overhead inf %" and exit 0; 330 zeros, or
+    # 400 on the instruction count, used to end in an OverflowError traceback
+    scn = tmp_path / "huge.scn"
+    scn.write_text(f"fn a comp=x instr=1{'0' * instr_zeros}\nfn b comp=y instr=1\n"
+                   f"call a b count=1{'0' * count_zeros}\n")
+    code, out, err = run_cli(capsys, "run", str(scn), "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == "error: scenario totals too large for a finite overhead\n"
 
 
 def test_no_subcommand_is_usage_error():

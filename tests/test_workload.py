@@ -440,6 +440,104 @@ def test_run_scenario_rejects_a_hand_built_cycle():
         run_scenario(sc)
 
 
+# ---------------------------------------------------------------------------
+# One walk per Scenario value
+
+
+def count_walks(monkeypatch):
+    """Record the Scenario of every depth-first search from now on."""
+    from capcomp import workload
+
+    walks = []
+    search = workload._search_order
+
+    def counted(sc):
+        walks.append(sc)
+        return search(sc)
+
+    monkeypatch.setattr(workload, "_search_order", counted)
+    return walks
+
+
+def test_parse_then_run_walks_the_graph_once(monkeypatch):
+    walks = count_walks(monkeypatch)
+    sc = parse_scenario(CHAIN)
+    assert len(walks) == 1 and walks[0] is sc
+    first = run_scenario(sc)
+    assert run_scenario(sc) == first
+    assert len(walks) == 1
+    assert (first.instructions, first.transitions, first.promotions) == (168, 16, 8)
+
+
+def test_a_hand_built_scenario_walks_once_inside_run_scenario(monkeypatch):
+    walks = count_walks(monkeypatch)
+    sc = Scenario("hand", (ScenarioFn("a", "x", 1), ScenarioFn("b", "y", 2)),
+                  (ScenarioCall("a", "b", 3),))
+    assert walks == [] and sc._order is None
+    assert run_scenario(sc).instructions == 7
+    assert run_scenario(sc).transitions == 6
+    assert len(walks) == 1 and walks[0] is sc
+
+
+def test_a_hand_built_cycle_stores_nothing_and_raises_every_time(monkeypatch):
+    walks = count_walks(monkeypatch)
+    sc = Scenario("loop", (ScenarioFn("a", "x", 1),), (ScenarioCall("a", "a", 1),))
+    for _ in range(2):
+        with pytest.raises(ScenarioError, match=r"^call graph has a cycle: a -> a$"):
+            run_scenario(sc)
+    assert sc._order is None and len(walks) == 2
+
+
+def test_stored_order_is_tuples_left_out_of_eq_hash_and_repr():
+    sc = parse_scenario(CHAIN)
+    order = sc._order
+    assert type(order) is tuple
+    for item in order:
+        assert type(item) is tuple and len(item) == 2
+        fn, calls = item
+        assert type(fn) is ScenarioFn
+        assert type(calls) is tuple
+        assert all(type(c) is ScenarioCall for c in calls)
+    assert [(f.name, [c.callee for c in calls]) for f, calls in order] == [
+        ("top", ["mid"]), ("mid", ["leaf"]), ("leaf", [])]
+
+    fresh = Scenario(sc.name, sc.fns, sc.calls, sc.iterations, sc.cpi)
+    assert fresh._order is None
+    assert fresh == sc and hash(fresh) == hash(sc) and repr(fresh) == repr(sc)
+    assert "_order" not in repr(sc)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc._order = None
+    with pytest.raises(TypeError):
+        Scenario(sc.name, sc.fns, sc.calls, _order=order)
+
+
+def test_replace_starts_without_the_order_and_walks_again(monkeypatch):
+    sc = parse_scenario(CHAIN)
+    walks = count_walks(monkeypatch)
+    copy = dataclasses.replace(sc, cpi=2.0)
+    assert copy._order is None
+    s = run_scenario(copy)
+    assert len(walks) == 1 and walks[0] is copy
+    assert copy._order == sc._order
+    assert s.cpi == 2.0
+    assert dataclasses.replace(s, cpi=sc.cpi) == run_scenario(sc)
+
+
+@settings(deadline=None, max_examples=100)
+@given(any_direction_scenario_texts())
+def test_stored_order_gives_the_summary_of_a_fresh_copy(text):
+    try:
+        sc = parse_scenario(text)
+    except ScenarioError as e:
+        assert str(e).startswith("call graph has a cycle: ")
+        assume(False)
+    assert sc._order is not None
+    fresh = dataclasses.replace(sc)
+    assert fresh._order is None
+    assert run_scenario(sc) == run_scenario(fresh)
+    assert fresh._order == sc._order
+
+
 def test_root_with_callers_runs_once_per_iteration():
     # the entry point is the first declared fn, even when another fn calls it
     text = ("fn main comp=a instr=10\nfn boot comp=b instr=1000\n"
@@ -542,6 +640,45 @@ def test_cost_model_rejects_hot_fraction_outside_unit_interval(value):
 def test_cost_model_accepts_zero_costs():
     cm = CostModel(hot=0.0, cold=0.0, hot_fraction=0.0, promotion=0.0)
     assert estimate_overhead(summary(1000, 2, promos=4), cm).percent == 0.0
+
+
+TOO_LARGE = "^scenario totals too large for a finite overhead$"
+
+
+def huge_text(count_zeros=0, instr_zeros=0):
+    return (f"fn a comp=x instr=1{'0' * instr_zeros}\nfn b comp=y instr=1\n"
+            f"call a b count=1{'0' * count_zeros}\n")
+
+
+@pytest.mark.parametrize("count_zeros,instr_zeros", [
+    (306, 0),       # every float result overflows to inf
+    (330, 0),       # the transitions do not convert to a float
+    (0, 400),       # the instructions do not convert to a float
+])
+def test_overhead_rejects_scenario_totals_too_large_for_a_float(count_zeros, instr_zeros):
+    s = run_scenario(parse_scenario(huge_text(count_zeros, instr_zeros)))
+    with pytest.raises(ScenarioError, match=TOO_LARGE):
+        estimate_overhead(s)
+
+
+FREE = CostModel(hot=0.0, cold=0.0, promotion=0.0)
+
+
+@pytest.mark.parametrize("s,cm", [
+    (summary(1, 10**306), FREE),                          # switches_per_1k alone
+    (summary(10**300, 0, promos=10**307), CostModel()),   # extra_cycles and percent
+    (summary(10**308, 0, cpi=2.0), CostModel()),          # baseline_cycles alone
+    (summary(1, 10**303, cpi=1e-10), CostModel()),        # percent alone
+], ids=["rate", "extra", "baseline", "percent"])
+def test_overhead_rejects_each_non_finite_result(s, cm):
+    with pytest.raises(ScenarioError, match=TOO_LARGE):
+        estimate_overhead(s, cm)
+
+
+def test_overhead_just_below_the_float_range_is_finite():
+    est = estimate_overhead(run_scenario(parse_scenario(huge_text(count_zeros=300))))
+    assert est.switches == 2 * 10**300
+    assert est.percent == pytest.approx(100.0 * 2e300 * 400.55 / (1 + 1e300))
 
 
 # ---------------------------------------------------------------------------
