@@ -73,7 +73,8 @@ from .layout import (
     install_function,
     shared_alloc,
 )
-from .machine import MachineState, run
+from .machine import MachineState, handle_fault_ddc_swap, run
+from .memory import CAP_SLOT, GRANULE
 
 # Register conventions shared by the emitted sequences.
 R_ARG_MAX = 8                  # r0..r7 carry arguments
@@ -610,19 +611,23 @@ def _run_sequence(st, mem, program, site: int, end: int, max_steps: int, draw) -
     step budget, r18 swaps and step and access records, but one
     step at a time, so that each slot of [site, end) gets `draw(pc)` written
     into it just before its first fetch.  The machine sees a slot only by
-    fetching it, so a slot it never fetches is never drawn.  `st.events` must
-    be a list: every step leaves a step record, so a call that leaves none
-    found the machine halted or a fault pending that no swap clears."""
-    events = st.events
+    fetching it, so a slot it never fetches is never drawn.
+
+    After each one-step `run` the sequence ends if the machine halted, or if
+    a fault is pending and either the budget is spent or
+    `handle_fault_ddc_swap` declines it.  Otherwise the swap is done and the
+    next one-step `run` is the retry, as inside one `run(max_steps)` call,
+    which also leaves a fault pending when its last step faults."""
     drawn = set()
-    for _ in range(max_steps):
+    for steps_left in range(max_steps - 1, -1, -1):
         pc = st.pc
         if site <= pc < end and pc not in drawn:
             drawn.add(pc)
             program[pc] = draw(pc)
-        mark = len(events)
         run(st, mem, program, 1)
-        if len(events) == mark:
+        if st.halted:
+            return
+        if st.fault is not None and (not steps_left or not handle_fault_ddc_swap(st, mem)):
             return
 
 
@@ -646,6 +651,11 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     was there before.  The slots are independent draws from one
     distribution, so what runs is distributed as if every slot had been
     drawn up front.
+
+    r7 starts each sequence as its home's sealed entry slot holds it then,
+    since an earlier sequence may have written that slot.  The slot is
+    decoded again only when its 32 bytes or two granule tags differ from
+    those last decoded in this call; nothing is kept across calls.
 
     At most `report_cap` violations are listed.  At the first one beyond
     that, fuzzing stops and the list is truncated: its last entry becomes
@@ -687,8 +697,7 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     # region it owns in r18) over an otherwise null register file.
     # Interesting addresses are preloaded as plain integers, plus one honest
     # capability to the home data region.  Per sequence, r4 takes a random
-    # address and r7 the sealed entry capability, reloaded because a
-    # sequence can overwrite it in memory.
+    # address and r7 the sealed entry capability as its slot holds it then.
     home_names = [c.name for c in plan.config.compartments]
     for name in home_names:
         site, top = img.user_entry(name), plan.region(f"{name}.code").top
@@ -707,6 +716,13 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
         homes.append((st.pc, list(st.regs), entry_at, st.code, st.ddc,
                       st.current_compartment))
 
+    # r7's value per entry slot, with the slot's 32 bytes and two granule
+    # tags it was decoded from.  `read_slot` reads nothing else, so while
+    # they are unchanged the kept capability is what `load_cap` would give.
+    mem = img.mem
+    data, tags = mem.data, mem.tags
+    r7_last: dict[int, tuple] = {}
+
     events: list = []
     st.events = events
     faults: dict[str, int] = {}
@@ -721,7 +737,12 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
         end = site + 1 + _draw(gb, max_len)
         st.regs[:] = regs
         st.regs[4] = int_cap(_draw(gb, data_top))
-        st.regs[7] = img.mem.load_cap(entry_at)
+        g = entry_at // GRANULE
+        slot = (data[entry_at:entry_at + CAP_SLOT], tags[g:g + 2])
+        last = r7_last.get(entry_at)
+        if last is None or last[0] != slot:
+            last = r7_last[entry_at] = (slot, mem.load_cap(entry_at))
+        st.regs[7] = last[1]
         program[end] = _HALT
         st.code = code
         st.pc = site
@@ -732,7 +753,7 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
         st.ddc_grant = None
 
         n0 = st.instructions_retired
-        _run_sequence(st, img.mem, program, site, end, max_steps, draw)
+        _run_sequence(st, mem, program, site, end, max_steps, draw)
         total_steps += st.instructions_retired - n0
         if st.fault is not None:
             kind = st.fault.kind.value

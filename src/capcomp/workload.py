@@ -26,6 +26,13 @@ class ScenarioError(ValueError):
     """Scenario text rejected; message carries the 1-based line."""
 
 
+# The most characters an integer in a scenario may be written with, sign and
+# prefix included.  4300 is CPython's default limit on converting a decimal
+# string to int; the bound is checked before any conversion, so a scenario
+# is read alike on every version, whatever `sys.get_int_max_str_digits()` is.
+MAX_INT_LEN = 4300
+
+
 @dataclass(frozen=True, slots=True)
 class ScenarioFn:
     name: str
@@ -99,6 +106,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     Lines: `scenario <name>`, `fn <name> comp=<c> instr=<n>`,
     `call <from> <to> count=<k> [promote=<n>]`, `iterations <n>`, `cpi <x>`.
     The first declared fn is the entry point, executed once per iteration.
+    An integer longer than `MAX_INT_LEN` characters is rejected as such.
     The cycle check derives the call order, which the returned value keeps.
     """
     fns: list[ScenarioFn] = []
@@ -120,14 +128,18 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             count = toks[3]
             if not count.startswith("count="):
                 raise ScenarioError(f"line {line_no}: expected count=..., got {count!r}")
+            count = count[6:]
             promote = None
             if len(toks) == 5:
                 promote = toks[4]
                 if not promote.startswith("promote="):
                     raise ScenarioError(f"line {line_no}: expected promote=..., got {promote!r}")
+                promote = promote[8:]
+            if len(count) > MAX_INT_LEN or promote is not None and len(promote) > MAX_INT_LEN:
+                raise ScenarioError(f"line {line_no}: integer longer than {MAX_INT_LEN} characters")
             try:
-                count = int(count[6:], 0)
-                promote = 0 if promote is None else int(promote[8:], 0)
+                count = int(count, 0)
+                promote = 0 if promote is None else int(promote, 0)
             except ValueError:
                 raise ScenarioError(f"line {line_no}: bad integer") from None
             if count < 1:
@@ -150,8 +162,11 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             instr = toks[3]
             if not instr.startswith("instr="):
                 raise ScenarioError(f"line {line_no}: expected instr=..., got {instr!r}")
+            instr = instr[6:]
+            if len(instr) > MAX_INT_LEN:
+                raise ScenarioError(f"line {line_no}: integer longer than {MAX_INT_LEN} characters")
             try:
-                instr = int(instr[6:], 0)
+                instr = int(instr, 0)
             except ValueError:
                 raise ScenarioError(f"line {line_no}: bad instruction count") from None
             if instr < 0:
@@ -164,6 +179,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         elif kind == "iterations":
             if len(toks) != 2:
                 raise ScenarioError(f"line {line_no}: iterations takes one integer")
+            if len(toks[1]) > MAX_INT_LEN:
+                raise ScenarioError(f"line {line_no}: integer longer than {MAX_INT_LEN} characters")
             try:
                 iterations = int(toks[1], 0)
             except ValueError:
@@ -262,9 +279,14 @@ class ScenarioSummary:
 
     @property
     def switches_per_1k(self) -> float:
+        """Transitions per 1000 instructions.  Raises ScenarioError, as
+        `estimate_overhead` does, when a total does not convert to a float."""
         if self.instructions == 0:
             raise ZeroDivisionError("scenario executes no instructions")
-        return 1000.0 * self.transitions / self.instructions
+        try:
+            return 1000.0 * self.transitions / self.instructions
+        except OverflowError:
+            raise ScenarioError("scenario totals too large for a finite overhead") from None
 
 
 def run_scenario(sc: Scenario) -> ScenarioSummary:

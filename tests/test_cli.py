@@ -281,6 +281,14 @@ def test_run_empty_compartment_name_is_exit_2(capsys, tmp_path):
     assert err == "error: line 2: empty compartment name\n"
 
 
+def test_run_integer_over_the_length_bound_is_exit_2(capsys, tmp_path):
+    scn = tmp_path / "long_int.scn"
+    scn.write_text("fn a comp=x instr=1" + "0" * 4300 + "\n")
+    code, out, err = run_cli(capsys, "run", str(scn))
+    assert code == 2 and out == ""
+    assert err == "error: line 1: integer longer than 4300 characters\n"
+
+
 @pytest.mark.parametrize("fmt", ["table", "records"])
 @pytest.mark.parametrize("count_zeros,instr_zeros", [(306, 0), (330, 0), (0, 400)])
 def test_run_scenario_too_large_for_a_float_is_exit_2(capsys, tmp_path, fmt,

@@ -15,7 +15,10 @@ the slots its step records fetch, in first-fetch order; replaying every
 sequence as one `run(max_steps)` call, with a poison instruction in each
 undrawn slot, repeats the `FuzzReport` and every record; and on the r18
 swap path, stepping a sequence leaves the state and records one
-`run(max_steps)` call leaves.
+`run(max_steps)` call leaves.  Two more checks pin the per-sequence work
+around the steps: every one-step `run` call leaves a step record, and
+every sequence starts with r7 as its home's entry slot holds it, although
+the fuzzer decodes that slot only when it changed.
 
 Every draw goes through `runtime._draw`, which calls the generator's
 `getrandbits` exactly as `Random._randbelow` does: `n.bit_length()` bits,
@@ -58,6 +61,7 @@ from capcomp.isa import (
 )
 from capcomp.layout import DDC_PERMS, OFF_DDC, boot_init, compute_layout, parse_config
 from capcomp.machine import run
+from capcomp.memory import CAP_SLOT
 from capcomp.runtime import FUZZ_CONFIG, FuzzReport, _draw, _fuzz_ins, fuzz_isolation
 
 SEQUENCES = 500
@@ -230,6 +234,52 @@ def test_each_fetched_slot_is_drawn_once(monkeypatch, name, seed):
         assert list(rec.drawn) == list(first_fetches), f"sequence {i}"
     # most sequences fault on their first instruction, so most slots stay undrawn
     assert sum(len(r.drawn) for r in seqs) < sum(r.end - r.site for r in seqs) / 2
+
+
+@pytest.mark.parametrize("name", ["two_comp", "three_comp_shared", "sandbox_host"])
+def test_each_sequence_starts_with_r7_as_its_entry_slot_holds_it(monkeypatch, name):
+    # r7 is decoded again only when its home's entry slot changed, so a
+    # sequence that rewrites an entry slot shows in its home's next r7.
+    img = boot(name)
+    plan = img.plan
+    entry = {plan.comp_ids[c.name]: plan.sealed_cap_addr(c.name) for c in plan.config.compartments}
+    seqs = record_sequences(monkeypatch)
+    recording = runtime._run_sequence
+    starts = []
+
+    def checked(st, mem, program, site, end, max_steps, draw):
+        home = st.current_compartment
+        starts.append((home, st.regs[7], mem.load_cap(entry[home])))
+        recording(st, mem, program, site, end, max_steps, draw)
+
+    monkeypatch.setattr(runtime, "_run_sequence", checked)
+    fuzz_isolation(img, sequences=2000, seed=7)
+    assert len(starts) == 2000
+    for i, (_, r7, loaded) in enumerate(starts):
+        assert r7 == loaded, f"sequence {i}"
+    # armed: a sequence wrote an entry slot, and a home started with two
+    # different r7 values
+    assert any(ev[0] == "access" and ev[4] and ev[2] < a + CAP_SLOT and a < ev[2] + ev[3]
+               for rec in seqs for ev in rec.events for a in entry.values())
+    assert any(len({r7 for h, r7, _ in starts if h == home}) > 1 for home in entry)
+
+
+@pytest.mark.parametrize("name, seed", [("three_comp_shared", 7), ("sandbox_host", 41)])
+def test_each_run_call_leaves_one_step_record(monkeypatch, name, seed):
+    # a sequence ends after the step that halts or leaves a fault no swap
+    # clears, with no further `run` call that would return without a record
+    calls = []
+    real = runtime.run
+
+    def counted(st, mem, program, max_steps=100_000):
+        calls.append(max_steps)
+        return real(st, mem, program, max_steps)
+
+    seqs = record_sequences(monkeypatch)
+    monkeypatch.setattr(runtime, "run", counted)
+    fuzz_isolation(boot(name), sequences=2000, seed=seed)
+    assert set(calls) == {1}
+    assert len(calls) == sum(ev[0] == "step" for rec in seqs for ev in rec.events)
 
 
 class Poison:

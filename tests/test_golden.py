@@ -2,8 +2,9 @@
 
 Each case runs one `capcomp` command in-process and compares its exit code,
 stdout and stderr with `golden/<case>.txt`.  After a deliberate change to
-the output, regenerate the files with `python tests/test_golden.py` and
-review the diff.
+the output, regenerate the files, those of `CI_CASES` in `golden/ci/`
+included, with `PYTHONPATH=src python tests/test_golden.py` and review the
+diff.
 """
 
 from __future__ import annotations
@@ -37,6 +38,15 @@ CASES["micro_hot"] = ["micro"]
 CASES["micro_hot_records"] = ["micro", "--format", "records"]
 CASES["micro_cold"] = ["micro", "--cold"]
 CASES["micro_cold_records"] = ["micro", "--cold", "--format", "records"]
+
+# The long verify runs CI checks through the installed console script, in
+# golden/ci/.  They take seconds each, so Tier-1 does not run them; the
+# `__main__` block below writes them with the rest.
+CI_CASES: dict[str, list[str]] = {
+    f"verify_{cfg}_{n}_seed{seed}": ["verify", f"{cfg}.cfg", "--fuzz", str(n), "--seed", str(seed)]
+    for cfg, n, seed in [("two_comp", 200, 7), ("two_comp", 100000, 3),
+                         ("sandbox_host", 100000, 67), ("three_comp_shared", 20000, 7)]
+}
 
 
 def render(argv: list[str]) -> str:
@@ -78,7 +88,7 @@ def test_repeated_calls_print_the_same_output(case):
 
 
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
-    for name, argv in sorted(CASES.items()):
+    (GOLDEN / "ci").mkdir(parents=True, exist_ok=True)
+    for name, argv in sorted(CASES.items()) + sorted((f"ci/{n}", a) for n, a in CI_CASES.items()):
         (GOLDEN / f"{name}.txt").write_text(render(argv), encoding="utf-8")
         print(f"wrote {name}.txt", file=sys.stderr)

@@ -10,6 +10,7 @@ instruction streams and against frozen values derived from that oracle.
 """
 
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +22,7 @@ from capcomp.workload import (
     CostModel,
     HOT_DEFAULT,
     HOT_WEIGHTS,
+    MAX_INT_LEN,
     PHASES,
     SWITCH_PHASES,
     Scenario,
@@ -182,6 +184,60 @@ def test_self_call_is_a_cycle():
      "line 3: count must be positive"),
 ])
 def test_parse_rejection_messages(text, message):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text)
+    assert str(exc.value) == message
+
+
+LONG = "1" + "0" * MAX_INT_LEN         # one character over the bound
+LONG_INT_TEXTS = {
+    "instr": f"fn a comp=x instr={LONG}",
+    "count": f"fn a comp=x instr=1\nfn b comp=y instr=1\ncall a b count={LONG}",
+    "promote": f"fn a comp=x instr=1\nfn b comp=y instr=1\ncall a b count=1 promote={LONG}",
+    "iterations": f"fn a comp=x instr=1\niterations {LONG}",
+}
+
+
+@pytest.fixture(params=["default", "unlimited"])
+def int_str_limit(request):
+    """Run once at the interpreter's own int-string limit, and once with the
+    limit lifted where the interpreter has one."""
+    if request.param == "unlimited":
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no int-string limit")
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        request.addfinalizer(lambda: sys.set_int_max_str_digits(old))
+
+
+@pytest.mark.parametrize("field", sorted(LONG_INT_TEXTS))
+def test_an_integer_over_the_length_bound_is_named_as_such(int_str_limit, field):
+    # the integer is well formed; before the bound, CPython's own limit
+    # reported it as a bad integer, and an interpreter without one took it
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(LONG_INT_TEXTS[field])
+    line = LONG_INT_TEXTS[field].count("\n") + 1
+    assert str(exc.value) == f"line {line}: integer longer than 4300 characters"
+
+
+def test_an_integer_at_the_length_bound_parses():
+    n = "1" + "0" * (MAX_INT_LEN - 1)
+    sc = parse_scenario(f"fn a comp=x instr={n}\nfn b comp=y instr=1\n"
+                        f"call a b count={n} promote={n}\niterations {n}\n")
+    assert sc.fns[0].instr == sc.calls[0].count == sc.calls[0].promote == sc.iterations == int(n)
+
+
+@pytest.mark.parametrize("text,message", [
+    # the bound is a rule of the text: both keys are checked first, and the
+    # length before either value is read as an integer
+    (f"fn a comp=x instr=1\nfn b comp=y instr=1\ncall a b count={LONG} pro=1",
+     "line 3: expected promote=..., got 'pro=1'"),
+    (f"fn a comp=x instr=1\nfn b comp=y instr=1\ncall a b count=x promote={LONG}",
+     "line 3: integer longer than 4300 characters"),
+    (f"fn a comp=x instr=1\nfn a comp=y instr={LONG}", "line 2: duplicate fn 'a'"),
+    (f"fn a comp=x inst={LONG}", f"line 1: expected instr=..., got 'inst={LONG}'"),
+], ids=["promote key", "count value", "duplicate fn", "instr key"])
+def test_the_length_bound_keeps_the_order_of_the_checks(text, message):
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(text)
     assert str(exc.value) == message
@@ -659,6 +715,16 @@ def test_overhead_rejects_scenario_totals_too_large_for_a_float(count_zeros, ins
     s = run_scenario(parse_scenario(huge_text(count_zeros, instr_zeros)))
     with pytest.raises(ScenarioError, match=TOO_LARGE):
         estimate_overhead(s)
+
+
+@pytest.mark.parametrize("count_zeros,instr_zeros", [(330, 0), (0, 400)])
+def test_rate_of_totals_that_do_not_convert_to_a_float_is_a_scenario_error(count_zeros,
+                                                                          instr_zeros):
+    # a library caller reading the property gets the error `estimate_overhead`
+    # raises, not a bare OverflowError
+    s = run_scenario(parse_scenario(huge_text(count_zeros, instr_zeros)))
+    with pytest.raises(ScenarioError, match=TOO_LARGE):
+        s.switches_per_1k
 
 
 FREE = CostModel(hot=0.0, cold=0.0, promotion=0.0)
