@@ -101,7 +101,6 @@ def _parse_cost(spec: str | None) -> CostModel:
             fields[key] = float(val)
         except ValueError:
             raise ValueError(f"bad number for {key!r}: {val!r}") from None
-    import dataclasses
     return dataclasses.replace(cm, **fields)     # CostModel rejects bad values
 
 

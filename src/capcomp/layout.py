@@ -111,12 +111,22 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 # configuration gives it, so no shared region may take one of these.
 _SWITCHER_REGIONS = ("switcher_code", "switcher_data", "cap_table")
 
+# The most characters an integer in a configuration or a scenario may be
+# written with, sign and prefix included.  4300 is CPython's default limit on
+# converting a decimal string to int; the bound is checked before any
+# conversion, so an input is read alike on every version, whatever
+# `sys.get_int_max_str_digits()` is.
+MAX_INT_LEN = 4300
+
 
 def _attr_int(tok: str, key: str, line_no: int) -> int:
     if not tok.startswith(key + "="):
         raise ConfigError(f"line {line_no}: expected {key}=<n>, got {tok!r}")
+    value = tok[len(key) + 1:]
+    if len(value) > MAX_INT_LEN:
+        raise ConfigError(f"line {line_no}: integer longer than {MAX_INT_LEN} characters")
     try:
-        return int(tok[len(key) + 1:], 0)
+        return int(value, 0)
     except ValueError:
         raise ConfigError(f"line {line_no}: bad integer in {tok!r}") from None
 
@@ -154,7 +164,8 @@ def parse_config(text: str) -> CompartmentConfig:
     Lines: `compartment <name> code=<n> data=<n> stack=<n> heap=<n>`,
     `shared <name> size=<n> between <a>,<b> mode=overlap|exception`,
     `sandbox <fn> host=<comp>`.  Blank lines and `#` comments are ignored.
-    The first declared compartment is the boot-default one.
+    The first declared compartment is the boot-default one.  An integer
+    longer than `MAX_INT_LEN` characters is rejected as such.
     """
     comps: list[CompartmentDecl] = []
     shared: list[SharedDecl] = []
@@ -279,11 +290,12 @@ class LayoutPlan:
     `placement_order`, the owner of each `data` region in region order;
     `comp_ids`, the compartments then the sandboxes in declaration order;
     `sandboxes`, each sandbox's declaration by name (its bounds are its
-    `<name>.code` and `<name>.scratch` regions); and `exception_regions`,
+    `<name>.code` and `<name>.scratch` regions); `exception_regions`,
     the exception-mode region each compartment owns, by compartment name
-    (what entering it puts in r18). On each read:
-    `ddc_bounds`, each compartment's span widened over the overlap windows
-    it owns that abut it; `code_bounds`, each compartment's own
+    (what entering it puts in r18); and `ddc_bounds`, every entity's default
+    data view, which boot, the fuzzer and `audit_plan` read: a compartment's
+    span widened over the overlap windows it owns that abut it, or a
+    sandbox's scratch. On each read: `code_bounds`, each compartment's own
     `<name>.code` region, the range of its pcc, so a host's excludes its
     sandboxes' slices; `shared_bounds`; and `table_base`, `pair_addr`,
     `switcher_code`, `total_code_slots` and `data_top`.
@@ -296,6 +308,7 @@ class LayoutPlan:
     comp_ids: dict[str, int] = field(init=False, repr=False, compare=False)
     sandboxes: dict[str, SandboxDecl] = field(init=False, repr=False, compare=False)
     exception_regions: dict[str, Region] = field(init=False, repr=False, compare=False)
+    ddc_bounds: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
     _by_name: dict[str, Region] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -307,6 +320,10 @@ class LayoutPlan:
         self.exception_regions = {
             comp: self._by_name[region]
             for comp, region in _exception_regions(self.config.shared).items()}
+        self.ddc_bounds = {name: self._widened_span(name) for name in self.placement_order}
+        for sb in self.sandboxes:
+            scratch = self._by_name[f"{sb}.scratch"]
+            self.ddc_bounds[sb] = (scratch.base, scratch.top)
 
     def region(self, name: str) -> Region:
         return self._by_name[name]
@@ -322,30 +339,25 @@ class LayoutPlan:
                 + [self._by_name[f"{sb.name}.scratch"]
                    for sb in self.config.sandboxes if sb.host == name])
 
-    @property
-    def ddc_bounds(self) -> dict[str, tuple[int, int]]:
-        """Each compartment's default data view: its span, widened over every
+    def _widened_span(self, name: str) -> tuple[int, int]:
+        """A compartment's default data view: its span, widened over every
         overlap window it owns that abuts it, until nothing changes (several
         windows may chain between one pair)."""
-        windows = [(self._by_name[s.name], (s.a, s.b))
-                   for s in self.config.shared if s.mode == "overlap"]
-        bounds = {}
-        for name in self.placement_order:
-            span = self._span(name)
-            lo, hi = span[0].base, span[-1].top
-            changed = True
-            while changed:
-                changed = False
-                for w, owners in windows:
-                    if name in owners:
-                        if w.top == lo:
-                            lo = w.base
-                            changed = True
-                        if w.base == hi:
-                            hi = w.top
-                            changed = True
-            bounds[name] = (lo, hi)
-        return bounds
+        windows = [self._by_name[s.name] for s in self.config.shared
+                   if s.mode == "overlap" and name in (s.a, s.b)]
+        span = self._span(name)
+        lo, hi = span[0].base, span[-1].top
+        changed = True
+        while changed:
+            changed = False
+            for w in windows:
+                if w.top == lo:
+                    lo = w.base
+                    changed = True
+                if w.base == hi:
+                    hi = w.top
+                    changed = True
+        return lo, hi
 
     @property
     def table_base(self) -> int:
@@ -442,7 +454,7 @@ def compute_layout(cfg: CompartmentConfig, memory_size: int = DEFAULT_SIZE) -> L
     """Plan every region deterministically; identical input, identical plan.
 
     `memory_size` must be one `TaggedMemory` can have: a positive multiple
-    of GRANULE.
+    of GRANULE. It bounds the code slots as well as the data bytes.
     """
     if memory_size <= 0 or memory_size % GRANULE != 0:
         raise LayoutError(f"memory size must be a positive multiple of {GRANULE}")
@@ -473,6 +485,10 @@ def compute_layout(cfg: CompartmentConfig, memory_size: int = DEFAULT_SIZE) -> L
         cursor = place(f"{name}.code", "code", cursor, code - carve, (name,))
         for sb in sbs:
             cursor = place(f"{sb}.code", "code", cursor, SANDBOX_CODE, (sb,))
+    # Boot fills one program slot per code slot, so code space is bounded
+    # like data space.
+    if cursor > memory_size:
+        raise LayoutError(f"code needs {cursor:#x} slots, memory holds {memory_size:#x}")
 
     # Data space.
     cursor = place("switcher_data", "switcher_data", 0, SWITCHER_DATA_SIZE)
@@ -649,18 +665,14 @@ def boot_init(plan: LayoutPlan) -> BootImage:
 
     next_free: dict[str, int] = {}
     code_regions = []
-    ddc_bounds = plan.ddc_bounds
 
     # Capability table: (pcc, ddc, resume sp, trampoline entry) per entity.
     # Each entity's pcc is exactly its own `<name>.code` region, which starts
-    # with its trampoline copy.
+    # with its trampoline copy; a sandbox's stack tops its view, its scratch.
     for name, cid in plan.comp_ids.items():
         code = plan.region(f"{name}.code")
-        if name in plan.sandboxes:
-            scratch = plan.region(f"{name}.scratch")
-            view, sp0 = (scratch.base, scratch.top), scratch.top
-        else:
-            view, sp0 = ddc_bounds[name], plan.region(f"{name}.stack").top
+        view = plan.ddc_bounds[name]
+        sp0 = view[1] if name in plan.sandboxes else plan.region(f"{name}.stack").top
         program[code.base:code.base + len(tramp)] = tramp
         next_free[code.name] = code.base + TRAMP_SLOTS
         code_regions.append((code.base, code.top, cid))
@@ -766,8 +778,9 @@ def audit_plan(plan: LayoutPlan) -> list[str]:
     """Structural audit; returns human-readable violations (empty = clean).
 
     Checks pairwise disjointness per address space, span contiguity, and,
-    on the derived `ddc_bounds`, switcher invisibility and the shared-region
-    coverage rules; then sandbox nesting.
+    on `plan.ddc_bounds`, every compartment's and sandbox's view as boot
+    writes it, switcher invisibility and the shared-region coverage rules;
+    then sandbox nesting.
     """
     problems: list[str] = []
     data_kinds = {"switcher_data", "cap_table", "data", "stack", "heap", "scratch", "shared"}
@@ -793,10 +806,9 @@ def audit_plan(plan: LayoutPlan) -> list[str]:
         if any(a.top != b.base for a, b in zip(span, span[1:])):
             problems.append(f"span of {name} is not contiguous")
 
-    ddc_bounds = plan.ddc_bounds
     sw = plan.region("switcher_data")
     tbl = plan.region("cap_table")
-    for name, (dlo, dhi) in ddc_bounds.items():
+    for name, (dlo, dhi) in plan.ddc_bounds.items():
         for hidden in (sw, tbl):
             if dlo < hidden.top and hidden.base < dhi:
                 problems.append(f"ddc of {name} can see {hidden.name}")
@@ -804,7 +816,7 @@ def audit_plan(plan: LayoutPlan) -> list[str]:
     for s in cfg.shared:
         w = plan.region(s.name)
         b, t = w.base, w.top
-        for name, (dlo, dhi) in ddc_bounds.items():
+        for name, (dlo, dhi) in plan.ddc_bounds.items():
             covers = dlo <= b and t <= dhi
             if s.mode == "overlap":
                 if name in (s.a, s.b) and not covers:

@@ -637,8 +637,8 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     """Throw random instruction sequences at every compartment and check the
     confinement property: each successful data access, attributed to the
     compartment owning the executing pc, must land inside that compartment's
-    legitimate view (its default-capability range, windows included, plus any
-    exception-mode region it owns; a sandbox sees only its scratch).
+    legitimate view (its `plan.ddc_bounds` entry, as boot writes its ddc, plus
+    any exception-mode region it owns; a sandbox's entry is its scratch).
 
     Accesses made while the pc is inside the switcher are trusted-computing
     base activity and exempt.  Faults are the machine working as intended and
@@ -680,9 +680,6 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     allowed = {plan.comp_ids[name]: [ddc] for name, ddc in plan.ddc_bounds.items()}
     for owner, exc in plan.exception_regions.items():
         allowed[plan.comp_ids[owner]].append((exc.base, exc.top))
-    for sb in plan.sandboxes:
-        scratch = plan.region(f"{sb}.scratch")
-        allowed[plan.comp_ids[sb]] = [(scratch.base, scratch.top)]
 
     code_regions = list(st.code_regions)
 

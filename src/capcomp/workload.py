@@ -17,20 +17,13 @@ import re
 from dataclasses import dataclass, field
 
 from .isa import Op, retl
-from .layout import (ImageSnapshot, boot_init, compute_layout, format_table, install_function,
-                     parse_config)
+from .layout import (MAX_INT_LEN, ImageSnapshot, boot_init, compute_layout, format_table,
+                     install_function, parse_config)
 from .machine import run
 
 
 class ScenarioError(ValueError):
     """Scenario text rejected; message carries the 1-based line."""
-
-
-# The most characters an integer in a scenario may be written with, sign and
-# prefix included.  4300 is CPython's default limit on converting a decimal
-# string to int; the bound is checked before any conversion, so a scenario
-# is read alike on every version, whatever `sys.get_int_max_str_digits()` is.
-MAX_INT_LEN = 4300
 
 
 @dataclass(frozen=True, slots=True)

@@ -289,6 +289,17 @@ def test_run_integer_over_the_length_bound_is_exit_2(capsys, tmp_path):
     assert err == "error: line 1: integer longer than 4300 characters\n"
 
 
+@pytest.mark.parametrize("command", ["layout", "boot-dump"])
+def test_code_space_larger_than_memory_is_exit_2(capsys, tmp_path, command):
+    # layout used to pass the audit, and boot-dump to end in an
+    # OverflowError traceback building one program slot per code slot
+    cfg = tmp_path / "huge_code.cfg"
+    cfg.write_text(f"compartment app code={10 ** 30} data=512 stack=512 heap=0\n")
+    code, out, err = run_cli(capsys, command, str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: code needs {10 ** 30 + 64:#x} slots, memory holds 0x100000\n"
+
+
 @pytest.mark.parametrize("fmt", ["table", "records"])
 @pytest.mark.parametrize("count_zeros,instr_zeros", [(306, 0), (330, 0), (0, 400)])
 def test_run_scenario_too_large_for_a_float_is_exit_2(capsys, tmp_path, fmt,

@@ -13,6 +13,7 @@ from capcomp.layout import (
     InfeasibleOverlap,
     LayoutError,
     LayoutPlan,
+    MAX_INT_LEN,
     OFF_DDC,
     OFF_PCC,
     OFF_SP,
@@ -85,6 +86,30 @@ def test_parse_comments_and_blanks():
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ConfigError, match=f"line {line}"):
         parse_config(text)
+
+
+LONG = "1" + "0" * MAX_INT_LEN         # one character over the bound
+
+
+@pytest.mark.parametrize("text", [
+    f"compartment app code={LONG} data=512 stack=512 heap=0",
+    f"compartment app code=512 data=512 stack=512 heap={LONG}",
+    "compartment a code=64 data=32 stack=32 heap=0\n"
+    f"compartment b code=64 data=32 stack=32 heap=0\nshared s size={LONG} between a,b mode=overlap",
+], ids=["code", "heap", "size"])
+def test_config_integer_over_the_length_bound_is_named_as_such(text):
+    # the integer is well formed; CPython's own int-string limit used to
+    # report it as a bad integer, in a message that echoed all of it
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    line = text.count("\n") + 1
+    assert str(exc.value) == f"line {line}: integer longer than 4300 characters"
+
+
+def test_config_integer_at_the_length_bound_parses():
+    n = "1" + "0" * (MAX_INT_LEN - 1)
+    cfg = parse_config(f"compartment app code={n} data=512 stack=512 heap=0")
+    assert cfg.compartment("app").code == int(n)
 
 
 def test_parse_rejects_unknown_references():
@@ -292,6 +317,17 @@ def test_memory_budget_respected():
         compute_layout(cfg, memory_size=4096)
 
 
+def test_code_space_bounded_by_memory_size():
+    # boot fills one program slot per code slot: 64 switcher slots plus
+    # 4032 fill 4096, and 16 more do not fit
+    fits = parse_config("compartment a code=4032 data=32 stack=32 heap=0")
+    assert compute_layout(fits, memory_size=4096).total_code_slots == 4096
+    over = parse_config("compartment a code=4048 data=32 stack=32 heap=0")
+    with pytest.raises(LayoutError) as exc:
+        compute_layout(over, memory_size=4096)
+    assert str(exc.value) == "code needs 0x1010 slots, memory holds 0x1000"
+
+
 def test_format_region_table_and_records():
     plan = compute_layout(parse_config(fixture("two_comp.cfg")))
     table = format_region_table(plan)
@@ -306,21 +342,28 @@ def test_format_region_table_and_records():
 # --------------------------------------------------------------------------
 # Boot image
 
-def test_boot_table_entries_decoded():
-    plan = compute_layout(parse_config(fixture("two_comp.cfg")))
+@pytest.mark.parametrize("cfg", ["two_comp.cfg", "three_comp_shared.cfg", "sandbox_host.cfg"])
+def test_boot_table_entries_decoded(cfg):
+    # Every entity's table ddc is its entry in the plan's one view map; a
+    # sandbox's view is its scratch, whose top is also its resume sp.
+    plan = compute_layout(parse_config(fixture(cfg)))
     img = boot_init(plan)
-    for name in ("app", "lib"):
+    for name in plan.comp_ids:
+        code = plan.region(f"{name}.code")
+        stack = plan.region(f"{name}.scratch" if name in plan.sandboxes else f"{name}.stack")
         slot = img.table_slot(name)
         pcc = img.mem.load_cap(slot + OFF_PCC)
         ddc = img.mem.load_cap(slot + OFF_DDC)
         sp = int.from_bytes(img.mem.read_bytes(slot + OFF_SP, 8), "little")
         tramp = int.from_bytes(img.mem.read_bytes(slot + OFF_TRAMP, 8), "little")
-        assert pcc.tag and (pcc.base, pcc.top) == plan.code_bounds[name]
+        assert pcc.tag and (pcc.base, pcc.top) == (code.base, code.top)
         assert pcc.perms & Perm.EXECUTE
         assert ddc.tag and (ddc.base, ddc.top) == plan.ddc_bounds[name]
+        if name in plan.sandboxes:
+            assert (ddc.base, ddc.top) == (stack.base, stack.top)
         assert not ddc.perms & Perm.EXECUTE
-        assert sp == plan.region(f"{name}.stack").top
-        assert tramp == plan.code_bounds[name][0]
+        assert sp == stack.top
+        assert tramp == code.base
 
 
 @pytest.mark.parametrize("cfg", ["two_comp.cfg", "three_comp_shared.cfg", "sandbox_host.cfg"])
@@ -571,6 +614,19 @@ def test_audit_detects_sandbox_escaping_its_host(sandbox, field, values, finding
         dataclasses.replace(r, base=base, top=top) if r.name == moved else r
         for r in plan.regions])
     assert f"sandbox {sandbox} {finding}" in audit_plan(plan)
+
+
+def test_audit_checks_each_sandbox_view_for_switcher_invisibility():
+    # A sandbox's view is its scratch, which boot writes as its ddc, so a
+    # scratch planted over the switcher's data is seen by the ddc checks.
+    plan = compute_layout(parse_config(fixture("sandbox_host.cfg")))
+    plan = dataclasses.replace(plan, regions=[
+        dataclasses.replace(r, base=0, top=SANDBOX_SCRATCH) if r.name == "parse_header.scratch"
+        else r for r in plan.regions])
+    assert plan.ddc_bounds["parse_header"] == (0, SANDBOX_SCRATCH)
+    seen = [p for p in audit_plan(plan) if p.startswith("ddc of ")]
+    assert seen == ["ddc of parse_header can see switcher_data",
+                    "ddc of parse_header can see cap_table"]
 
 
 @pytest.mark.parametrize("name", ["parse_header", "ghost"])

@@ -174,6 +174,13 @@ def expected_code_bounds(ref):
             for name, bounds in ref.code_bounds.items()}
 
 
+def expected_ddc_bounds(ref):
+    # The second planned change: the view map holds every entity, so beside
+    # each compartment's widened span it has each sandbox's scratch.
+    own = {r.name: (r.base, r.top) for r in ref.regions}
+    return {**ref.ddc_bounds, **{sb: own[f"{sb}.scratch"] for sb in ref.sandboxes}}
+
+
 def assert_views_match(plan, ref):
     assert plan.regions == ref.regions
     for r in ref.regions:
@@ -181,7 +188,8 @@ def assert_views_match(plan, ref):
     with pytest.raises(KeyError):
         plan.region("ghost")
     assert plan.code_bounds == expected_code_bounds(ref)
-    for view in ("placement_order", "comp_ids", "ddc_bounds", "shared_bounds",
+    assert plan.ddc_bounds == expected_ddc_bounds(ref)
+    for view in ("placement_order", "comp_ids", "shared_bounds",
                  "exception_regions", "sandboxes", "table_base", "pair_addr", "switcher_code",
                  "total_code_slots", "data_top"):
         assert getattr(plan, view) == getattr(ref, view), view
