@@ -118,17 +118,27 @@ _SWITCHER_REGIONS = ("switcher_code", "switcher_data", "cap_table")
 # `sys.get_int_max_str_digits()` is.
 MAX_INT_LEN = 4300
 
+# The most characters of an input token that a configuration or scenario
+# parse error echoes.
+ECHO_LEN = 64
+
+
+def clip_token(tok: str) -> str:
+    """`tok` as a parse error echoes it: whole when it has at most
+    `ECHO_LEN` characters, else its first `ECHO_LEN` followed by "..."."""
+    return tok if len(tok) <= ECHO_LEN else tok[:ECHO_LEN] + "..."
+
 
 def _attr_int(tok: str, key: str, line_no: int) -> int:
     if not tok.startswith(key + "="):
-        raise ConfigError(f"line {line_no}: expected {key}=<n>, got {tok!r}")
+        raise ConfigError(f"line {line_no}: expected {key}=<n>, got {clip_token(tok)!r}")
     value = tok[len(key) + 1:]
     if len(value) > MAX_INT_LEN:
         raise ConfigError(f"line {line_no}: integer longer than {MAX_INT_LEN} characters")
     try:
         return int(value, 0)
     except ValueError:
-        raise ConfigError(f"line {line_no}: bad integer in {tok!r}") from None
+        raise ConfigError(f"line {line_no}: bad integer in {clip_token(tok)!r}") from None
 
 
 def _check_size(value: int, what: str, line_no: int, minimum: int = 0,
@@ -152,8 +162,9 @@ def _exception_regions(shared) -> dict[str, str]:
         for owner in (s.a, s.b):
             if owner in region:
                 raise ConfigError(
-                    f"compartment {owner!r} owns two exception regions, "
-                    f"{region[owner]!r} and {s.name!r}; at most one is supported")
+                    f"compartment {clip_token(owner)!r} owns two exception regions, "
+                    f"{clip_token(region[owner])!r} and {clip_token(s.name)!r}; "
+                    f"at most one is supported")
             region[owner] = s.name
     return region
 
@@ -184,9 +195,9 @@ def parse_config(text: str) -> CompartmentConfig:
                 raise ConfigError(f"line {line_no}: compartment takes name and 4 size attributes")
             name = toks[1]
             if not _NAME_RE.match(name):
-                raise ConfigError(f"line {line_no}: bad compartment name {name!r}")
+                raise ConfigError(f"line {line_no}: bad compartment name {clip_token(name)!r}")
             if name in names:
-                raise ConfigError(f"line {line_no}: duplicate name {name!r}")
+                raise ConfigError(f"line {line_no}: duplicate name {clip_token(name)!r}")
             names.add(name)
             # Byte sizes are capability-slot multiples so every span boundary
             # (and with it every stack top and sealed-entry slot) stays
@@ -206,11 +217,11 @@ def parse_config(text: str) -> CompartmentConfig:
                     f"line {line_no}: expected shared <name> size=<n> between <a>,<b> mode=<m>")
             name = toks[1]
             if not _NAME_RE.match(name):
-                raise ConfigError(f"line {line_no}: bad shared region name {name!r}")
+                raise ConfigError(f"line {line_no}: bad shared region name {clip_token(name)!r}")
             if name in _SWITCHER_REGIONS:
                 raise ConfigError(f"line {line_no}: {name!r} names the switcher's own region")
             if name in names:
-                raise ConfigError(f"line {line_no}: duplicate name {name!r}")
+                raise ConfigError(f"line {line_no}: duplicate name {clip_token(name)!r}")
             names.add(name)
             size = _check_size(_attr_int(toks[2], "size", line_no), "shared size", line_no, 32,
                                CAP_SLOT)
@@ -230,16 +241,16 @@ def parse_config(text: str) -> CompartmentConfig:
                 raise ConfigError(f"line {line_no}: expected sandbox <fn> host=<comp>")
             name = toks[1]
             if not _NAME_RE.match(name):
-                raise ConfigError(f"line {line_no}: bad sandbox name {name!r}")
+                raise ConfigError(f"line {line_no}: bad sandbox name {clip_token(name)!r}")
             if name in names:
-                raise ConfigError(f"line {line_no}: duplicate name {name!r}")
+                raise ConfigError(f"line {line_no}: duplicate name {clip_token(name)!r}")
             names.add(name)
             if not toks[2].startswith("host="):
                 raise ConfigError(f"line {line_no}: expected host=<comp>")
             sandboxes.append(SandboxDecl(name, toks[2][5:]))
 
         else:
-            raise ConfigError(f"line {line_no}: unknown directive {kind!r}")
+            raise ConfigError(f"line {line_no}: unknown directive {clip_token(kind)!r}")
 
     if not comps:
         raise ConfigError("line 1: configuration declares no compartments")
@@ -247,11 +258,13 @@ def parse_config(text: str) -> CompartmentConfig:
     for s in shared:
         for owner in (s.a, s.b):
             if owner not in comp_names:
-                raise ConfigError(f"shared region {s.name!r} names unknown compartment {owner!r}")
+                raise ConfigError(f"shared region {clip_token(s.name)!r} names unknown "
+                                  f"compartment {clip_token(owner)!r}")
     _exception_regions(shared)      # the check only; LayoutPlan keeps the map
     for sb in sandboxes:
         if sb.host not in comp_names:
-            raise ConfigError(f"sandbox {sb.name!r} names unknown host {sb.host!r}")
+            raise ConfigError(f"sandbox {clip_token(sb.name)!r} names unknown host "
+                              f"{clip_token(sb.host)!r}")
     return CompartmentConfig(tuple(comps), tuple(shared), tuple(sandboxes))
 
 

@@ -17,25 +17,40 @@ record raises OverflowError before any byte is written; that step changes
 no register, byte, tag, counter or record, and spends only the one-shot ddc
 grant.
 
-`run` is the one per-instruction loop.  Each iteration checks the fetch,
-runs the opcode's handler, and retires in one place: the handler returns the
-next pc, or None when it faulted or halted.  Only a step that does not
-retire can halt or fault the machine, so `run` tests `halted` and `fault` on
-entry and after such a step, never after a retire.  `step` is a one-step
-`run` behind two guards.  The fetch check and the data-access check test the
-allowed case inline and call `check_access` only when that test fails, so
-`check_access` alone decides which fault kind is reported.
+`run` is the interpreter loop.  Each iteration checks the fetch, runs the
+opcode's handler, and retires: the handler returns the next pc, or None
+when it faulted or halted.  Only a step that does not retire can halt or
+fault the machine, so `run` tests `halted` and `fault` on entry and after
+such a step, never after a retire.  `step` is a one-step `run` behind two
+guards.  The fetch check and the data-access check test the allowed case
+inline and call `check_access` only when that test fails, so `check_access`
+alone decides which fault kind is reported.
+
+One pattern leaves the per-step path: a slot run, such as a gate's register
+save, restore and scrub.  When a legacy `stc` or `ldc` retires and the slot
+`run` would fetch next holds the same op on the same address register,
+`_slot_run` retires the whole run of such accesses in one tight loop.  It
+hands back to the per-step path at the first slot that holds another
+instruction, a capability operand or a load into the address register, or
+that fails its bounds, alignment or end-of-memory test.  It never passes the
+step budget, the code capability's top, the end of the program, the current
+compartment's interval or the edge of the switcher window, and it reads a
+slot only where the per-step loop would fetch it next.  Each of its slots
+retires as the handler would retire it, with its access record, then its
+step record.  A lone access keeps the handler path.
 
 Two data-access handlers, one for integer and one for capability loads and
-stores, are the one place that checks an access.  Once the authority,
-alignment (capabilities only) and end-of-memory tests pass, the handler
-moves the data itself: an integer access packs or unpacks `memory.WORD` in
-place and clears the tag of every granule a store overlaps, and a
-capability access calls `memory.write_slot` or `memory.read_slot`, the slot
-codec whose docstrings, with memory.py's, say how a capability maps onto
-its slot.  `TaggedMemory`'s methods keep their own alignment and range
-tests for their other callers (boot, layout, tests); on this path the
-handler has just made the same tests, so it does not call them.
+stores, are the one place that checks an access outside a slot run, which
+repeats the capability handler's tests for each of its slots.  Once the
+authority, alignment (capabilities only) and end-of-memory tests pass, the
+handler moves the data itself: an integer access packs or unpacks
+`memory.WORD` in place and clears the tag of every granule a store
+overlaps, and a capability access calls `memory.write_slot` or
+`memory.read_slot`, the slot codec whose docstrings, with memory.py's, say
+how a capability maps onto its slot.  `TaggedMemory`'s methods keep their
+own alignment and range tests for their other callers (boot, layout,
+tests); on this path the handler has just made the same tests, so it does
+not call them.
 
 The loop re-derives two facts only when they can have changed, and both are
 locals of one `run` call.  The code capability's tag, seal and execute bit
@@ -97,6 +112,7 @@ _LOAD, _STORE, _EXECUTE, _LOAD_CAP, _STORE_CAP = (
 _int_and = int.__and__     # AND of a Perm and an int mask, as a plain int
 _PC_LIMIT = ADDR_MASK + 2  # above every pc a retire can reach
 _pack_word, _unpack_word = WORD.pack_into, WORD.unpack_from
+_STORE_CAP_OP = Op.STORE_CAP
 
 
 class MachineError(Exception):
@@ -345,45 +361,44 @@ def _int_access(need: int, is_store: bool):
     return access
 
 
-def _cap_access(need: int, is_store: bool):
+def _cap_access(st, mem, ins, pc, grant):
     """The handler of a capability load or store: it moves one CAP_SLOT-
     aligned slot and both its granule tags where the authority grants
-    `need`, the authority being chosen as for `_int_access`.
+    STORE_CAP or LOAD_CAP, the authority being chosen as for `_int_access`.
+    Both ops share this one handler, so `run` knows a capability access by
+    a single identity test.
 
     Once the authority, alignment and end-of-memory tests pass, the handler
     moves the slot through memory's codec, `write_slot` or `read_slot`, with
     no call into TaggedMemory."""
-    write, read = write_slot, read_slot
-
-    def access(st, mem, ins, pc, grant):
-        regs = st.regs
-        if ins.cap:
-            auth = regs[ins.b]
-            addr = (auth.address + ins.imm) & ADDR_MASK
-            checked = True
-        else:
-            auth = st.ddc
-            addr = (regs[ins.b].address + ins.imm) & ADDR_MASK
-            bounds = st.switcher_bounds       # `_privileged`, inline
-            checked = not bounds[0] <= pc < bounds[1]
-        if checked and not (auth.tag and not auth.otype
-                            and _int_and(auth.perms, need) == need
-                            and auth.base <= addr and addr + CAP_SLOT <= auth.top):
-            return _fault(st, check_access(auth, addr, CAP_SLOT, need), addr, pc, CAP_SLOT,
-                          ddc_access=not ins.cap)
-        if addr % CAP_SLOT != 0:
-            return _fault(st, FaultKind.ALIGNMENT, addr, pc, CAP_SLOT)
-        if addr + CAP_SLOT > mem.size:
-            return _fault(st, FaultKind.ADDRESS, addr, pc, CAP_SLOT)
-        if is_store:
-            write(mem, addr, regs[ins.a])
-        elif ins.a != REG_ZERO:      # skips the zero register, as `_setreg` does
-            regs[ins.a] = read(mem, addr)
-        if st.events is not None:
-            st.events.append(("access", pc, addr, CAP_SLOT, is_store))
-        return pc + 1
-
-    return access
+    is_store = ins.op is _STORE_CAP_OP
+    need = _STORE_CAP if is_store else _LOAD_CAP
+    regs = st.regs
+    if ins.cap:
+        auth = regs[ins.b]
+        addr = (auth.address + ins.imm) & ADDR_MASK
+        checked = True
+    else:
+        auth = st.ddc
+        addr = (regs[ins.b].address + ins.imm) & ADDR_MASK
+        bounds = st.switcher_bounds       # `_privileged`, inline
+        checked = not bounds[0] <= pc < bounds[1]
+    if checked and not (auth.tag and not auth.otype
+                        and _int_and(auth.perms, need) == need
+                        and auth.base <= addr and addr + CAP_SLOT <= auth.top):
+        return _fault(st, check_access(auth, addr, CAP_SLOT, need), addr, pc, CAP_SLOT,
+                      ddc_access=not ins.cap)
+    if addr % CAP_SLOT != 0:
+        return _fault(st, FaultKind.ALIGNMENT, addr, pc, CAP_SLOT)
+    if addr + CAP_SLOT > mem.size:
+        return _fault(st, FaultKind.ADDRESS, addr, pc, CAP_SLOT)
+    if is_store:
+        write_slot(mem, addr, regs[ins.a])
+    elif ins.a != REG_ZERO:      # skips the zero register, as `_setreg` does
+        regs[ins.a] = read_slot(mem, addr)
+    if st.events is not None:
+        st.events.append(("access", pc, addr, CAP_SLOT, is_store))
+    return pc + 1
 
 
 def _set_bounds(st, mem, ins, pc, grant):
@@ -480,8 +495,8 @@ _HANDLERS = {op.value: handler for op, handler in (
     (Op.HALT, _halt),
     (Op.LOAD_INT, _int_access(_LOAD, is_store=False)),
     (Op.STORE_INT, _int_access(_STORE, is_store=True)),
-    (Op.LOAD_CAP, _cap_access(_LOAD_CAP, is_store=False)),
-    (Op.STORE_CAP, _cap_access(_STORE_CAP, is_store=True)),
+    (Op.LOAD_CAP, _cap_access),
+    (Op.STORE_CAP, _cap_access),
     (Op.SET_BOUNDS, _set_bounds),
     (Op.SET_ADDRESS, _set_address),
     (Op.RESTRICT_PERMS, _restrict),
@@ -538,6 +553,61 @@ def handle_fault_ddc_swap(st: MachineState, mem: TaggedMemory) -> bool:
     return True
 
 
+def _slot_run(st: MachineState, mem: TaggedMemory, program: list[Ins], first: Ins,
+              p: int, stop: int) -> int:
+    """Retire the run of legacy accesses from slot `p` on that repeat
+    `first`'s op on its address register, and return the pc it leaves.
+    `first`, at p - 1, has just retired, and `run` would fetch p next.
+    `stop`, which `run` puts at or below the step budget, the code
+    capability's top, the end of the program and the top of the compartment
+    interval, bounds the run, and so does the switcher window.
+
+    The ddc's tag, seal and permission are those `first` just passed, since
+    no `stc` or `ldc` changes the ddc, and the address register keeps its
+    value: a store changes no register, and a load into it ends the run.
+    Each slot gets its own bounds, alignment and end-of-memory test; the
+    first slot that fails one, or holds another instruction, is left for
+    `run` to step.  An OverflowError from `write_slot` leaves pc at that
+    store, with the slots before it retired.
+    """
+    # Inside the window `first` was not checked against the ddc.
+    window, window_top = st.switcher_bounds
+    if window <= p - 1 < window_top:
+        return p
+    if p <= window:
+        stop = min(stop, window)
+    op, b = first.op, first.b
+    is_store = op is _STORE_CAP_OP
+    regs, events = st.regs, st.events
+    ddc = st.ddc
+    base, last = ddc.base, min(ddc.top, mem.size) - CAP_SLOT   # the last slot address allowed
+    at = regs[b].address
+    comp = st.current_compartment
+    start = p
+    try:
+        while p < stop:
+            ins = program[p]
+            if ins.op is not op or ins.b != b or ins.cap:
+                break
+            addr = (at + ins.imm) & ADDR_MASK
+            if addr % CAP_SLOT or not base <= addr <= last:
+                break
+            if is_store:
+                write_slot(mem, addr, regs[ins.a])
+            elif ins.a == b:
+                break
+            elif ins.a != REG_ZERO:
+                regs[ins.a] = read_slot(mem, addr)
+            if events is not None:
+                events.append(("access", p, addr, CAP_SLOT, is_store))
+                events.append(("step", p, comp, None))
+            p += 1
+    finally:
+        st.instructions_retired += p - start
+        st.pc = p
+    return p
+
+
 def run(st: MachineState, mem: TaggedMemory, program: list[Ins],
         max_steps: int = 100_000) -> MachineState:
     """Run until halt, an unhandled fault, or the step budget is exhausted.
@@ -552,10 +622,11 @@ def run(st: MachineState, mem: TaggedMemory, program: list[Ins],
     handlers = _HANDLERS
     end = len(program)
     checked = None         # the last `code` that passed tag, seal and execute
-    cbase = ctop = 0       # its bounds
+    cbase = ctop = 0       # its bounds, the top clipped to the end of the program
     lo = hi = 0            # retired pcs in [lo, hi) keep the compartment
     steps = 0
     nxt = None             # no step has retired yet
+    handler = None         # the handler of the last step that fetched
     while steps < max_steps:
         # Only a step that did not retire can have halted or faulted.
         if nxt is None:
@@ -574,13 +645,16 @@ def run(st: MachineState, mem: TaggedMemory, program: list[Ins],
         code = st.code
         if code is not checked and code.tag and not code.otype and _int_and(code.perms, _EXECUTE):
             checked, cbase, ctop = code, code.base, code.top
+            if ctop > end:
+                ctop = end
         if code is not checked or not cbase <= pc < ctop:
-            nxt = _fault(st, check_access(code, pc, 1, _EXECUTE), pc, pc)
-        elif pc >= end:
-            nxt = _fault(st, FaultKind.ADDRESS, pc, pc)
+            # `check_access` names the fault; a pc past the end of the program
+            # that `code` allows is an AddressError.
+            nxt = _fault(st, check_access(code, pc, 1, _EXECUTE) or FaultKind.ADDRESS, pc, pc)
         else:
             ins = program[pc]
-            nxt = handlers[ins.op._value_](st, mem, ins, pc, grant)
+            handler = handlers[ins.op._value_]
+            nxt = handler(st, mem, ins, pc, grant)
             if nxt is not None:    # retire
                 st.instructions_retired += 1
                 st.pc = nxt
@@ -588,6 +662,19 @@ def run(st: MachineState, mem: TaggedMemory, program: list[Ins],
                     lo, hi = _enter_region(st, nxt)
         if events is not None:
             events.append(("step", pc, comp, st.fault))
+        # A retired legacy capability access whose successor, the slot the
+        # loop would fetch next, repeats its op on the same address register
+        # starts a slot run.
+        if (handler is _cap_access and nxt is not None and not ins.cap
+                and steps < max_steps and nxt < ctop):
+            following = program[nxt]
+            if following.op is ins.op and following.b == ins.b:
+                run_end = _slot_run(st, mem, program, ins, nxt,
+                                    min(ctop, hi, nxt + max_steps - steps))
+                steps += run_end - nxt
+                nxt = run_end
+                if not lo <= nxt < hi:
+                    lo, hi = _enter_region(st, nxt)
     return st
 
 

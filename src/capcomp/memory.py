@@ -15,8 +15,8 @@ low 8 bytes and its high byte, address, perms, otype) then 3 bytes of zero
 padding, and `write_slot` and `read_slot` are its one codec: the only code
 the program runs that maps a `Capability` onto the record.
 `TaggedMemory.store_cap` and `load_cap`, the machine's capability-access
-handler and its load-pair-branch all call them once they have made their
-own alignment and range tests, so the codec tests neither.
+handler, its slot run and its load-pair-branch all call them once they have
+made their own alignment and range tests, so the codec tests neither.
 `capability.serialize` and `deserialize` spell the record out
 independently, as the reference the tests compare the codec with.
 

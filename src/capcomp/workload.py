@@ -17,8 +17,8 @@ import re
 from dataclasses import dataclass, field
 
 from .isa import Op, retl
-from .layout import (MAX_INT_LEN, ImageSnapshot, boot_init, compute_layout, format_table,
-                     install_function, parse_config)
+from .layout import (MAX_INT_LEN, ImageSnapshot, boot_init, clip_token, compute_layout,
+                     format_table, install_function, parse_config)
 from .machine import run
 
 
@@ -120,13 +120,15 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                     f"line {line_no}: expected call <from> <to> count=<k> [promote=<n>]")
             count = toks[3]
             if not count.startswith("count="):
-                raise ScenarioError(f"line {line_no}: expected count=..., got {count!r}")
+                raise ScenarioError(
+                    f"line {line_no}: expected count=..., got {clip_token(count)!r}")
             count = count[6:]
             promote = None
             if len(toks) == 5:
                 promote = toks[4]
                 if not promote.startswith("promote="):
-                    raise ScenarioError(f"line {line_no}: expected promote=..., got {promote!r}")
+                    raise ScenarioError(
+                        f"line {line_no}: expected promote=..., got {clip_token(promote)!r}")
                 promote = promote[8:]
             if len(count) > MAX_INT_LEN or promote is not None and len(promote) > MAX_INT_LEN:
                 raise ScenarioError(f"line {line_no}: integer longer than {MAX_INT_LEN} characters")
@@ -144,17 +146,18 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             if len(toks) != 4:
                 raise ScenarioError(f"line {line_no}: expected fn <name> comp=<c> instr=<n>")
             if toks[1] in seen:
-                raise ScenarioError(f"line {line_no}: duplicate fn {toks[1]!r}")
+                raise ScenarioError(f"line {line_no}: duplicate fn {clip_token(toks[1])!r}")
             seen.add(toks[1])
             comp = toks[2]
             if not comp.startswith("comp="):
-                raise ScenarioError(f"line {line_no}: expected comp=..., got {comp!r}")
+                raise ScenarioError(f"line {line_no}: expected comp=..., got {clip_token(comp)!r}")
             comp = comp[5:]
             if not comp:
                 raise ScenarioError(f"line {line_no}: empty compartment name")
             instr = toks[3]
             if not instr.startswith("instr="):
-                raise ScenarioError(f"line {line_no}: expected instr=..., got {instr!r}")
+                raise ScenarioError(
+                    f"line {line_no}: expected instr=..., got {clip_token(instr)!r}")
             instr = instr[6:]
             if len(instr) > MAX_INT_LEN:
                 raise ScenarioError(f"line {line_no}: integer longer than {MAX_INT_LEN} characters")
@@ -177,7 +180,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             try:
                 iterations = int(toks[1], 0)
             except ValueError:
-                raise ScenarioError(f"line {line_no}: bad integer {toks[1]!r}") from None
+                raise ScenarioError(
+                    f"line {line_no}: bad integer {clip_token(toks[1])!r}") from None
             if iterations < 1:
                 raise ScenarioError(f"line {line_no}: iterations must be positive")
         elif kind == "cpi":
@@ -186,19 +190,19 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             try:
                 cpi = float(toks[1])
             except ValueError:
-                raise ScenarioError(f"line {line_no}: bad number {toks[1]!r}") from None
+                raise ScenarioError(f"line {line_no}: bad number {clip_token(toks[1])!r}") from None
             if not 0 < cpi < math.inf:
                 raise ScenarioError(f"line {line_no}: cpi must be positive and finite")
         else:
-            raise ScenarioError(f"line {line_no}: unknown directive {kind!r}")
+            raise ScenarioError(f"line {line_no}: unknown directive {clip_token(kind)!r}")
 
     if not fns:
         raise ScenarioError("line 1: scenario declares no functions")
     for c in calls:
         if c.caller not in seen:
-            raise ScenarioError(f"call references unknown fn {c.caller!r}")
+            raise ScenarioError(f"call references unknown fn {clip_token(c.caller)!r}")
         if c.callee not in seen:
-            raise ScenarioError(f"call references unknown fn {c.callee!r}")
+            raise ScenarioError(f"call references unknown fn {clip_token(c.callee)!r}")
 
     sc = Scenario(name, tuple(fns), tuple(calls), iterations, cpi)
     _call_order(sc)
@@ -250,7 +254,8 @@ def _search_order(sc: Scenario) -> _CallOrder:
                     break
                 if not state:
                     cyc = trail[trail.index(m):] + [m]
-                    raise ScenarioError("call graph has a cycle: " + " -> ".join(cyc))
+                    raise ScenarioError(
+                        "call graph has a cycle: " + " -> ".join(map(clip_token, cyc)))
             else:
                 stack.pop()
                 n = trail.pop()

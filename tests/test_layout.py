@@ -112,6 +112,47 @@ def test_config_integer_at_the_length_bound_parses():
     assert cfg.compartment("app").code == int(n)
 
 
+ECHOED = "x" * 64            # the most of a token an error echoes
+CUT = ECHOED + "y" * 4000    # under the integer bound, so a bad integer is echoed
+COMPS = ("compartment a code=64 data=32 stack=32 heap=0\n"
+         "compartment b code=64 data=32 stack=32 heap=0\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    # a misspelt key, which the error echoed whole (4,338 characters here)
+    ("compartment app cod=1" + "0" * 4300 + " data=512 stack=512 heap=0",
+     f"line 1: expected code=<n>, got 'cod={'1' + '0' * 59}...'"),
+    (f"compartment app code=64 data=x{CUT} stack=512 heap=0",
+     f"line 1: bad integer in 'data=x{ECHOED[6:]}...'"),
+    (f"compartment a{CUT}! code=64 data=32 stack=32 heap=0",
+     f"line 1: bad compartment name 'a{ECHOED[1:]}...'"),
+    (f"{COMPS}compartment {CUT} code=64 data=32 stack=32 heap=0\n"
+     f"compartment {CUT} code=64 data=32 stack=32 heap=0",
+     f"line 4: duplicate name '{ECHOED}...'"),
+    (f"{COMPS}shared {CUT}! size=32 between a,b mode=overlap",
+     f"line 3: bad shared region name '{ECHOED}...'"),
+    (f"{COMPS}sandbox {CUT}! host=a", f"line 3: bad sandbox name '{ECHOED}...'"),
+    (f"{CUT} a", f"line 1: unknown directive '{ECHOED}...'"),
+    (f"{COMPS}shared {CUT} size=32 between a,{CUT}y mode=overlap",
+     f"shared region '{ECHOED}...' names unknown compartment '{ECHOED}...'"),
+    (f"{COMPS}sandbox {CUT} host={CUT}y",
+     f"sandbox '{ECHOED}...' names unknown host '{ECHOED}...'"),
+    (f"{COMPS}compartment {CUT} code=64 data=32 stack=32 heap=0\n"
+     f"shared {CUT}m1 size=32 between a,{CUT} mode=exception\n"
+     f"shared {CUT}m2 size=32 between b,{CUT} mode=exception",
+     f"compartment '{ECHOED}...' owns two exception regions, '{ECHOED}...' and '{ECHOED}...'; "
+     "at most one is supported"),
+    # 64 characters are echoed whole
+    (f"{ECHOED} a", f"line 1: unknown directive '{ECHOED}'"),
+], ids=["key", "bad integer", "bad name", "duplicate", "bad shared name", "bad sandbox name",
+        "directive", "unknown compartment", "unknown host", "two exception regions",
+        "at the bound"])
+def test_config_echoed_token_is_cut_to_64_characters(text, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value) == message
+
+
 def test_parse_rejects_unknown_references():
     with pytest.raises(ConfigError, match="unknown compartment"):
         parse_config("compartment a code=64 data=32 stack=32 heap=0\n"

@@ -16,9 +16,16 @@ and tags, the event list and any exception.
   random programs at each compartment's first user instruction, which reach
   the mailbox's r18 swap, the switcher through a sealed entry, and the
   table and other compartments' data.
+- Slot runs: runs of 36 legacy `stc` or `ldc` on one address register,
+  which `run` retires in one pass, each cut at one of its edges (the
+  budget, a bounds, alignment or end-of-memory miss, a capability operand,
+  a load into the address register, a region edge, the switcher window, a
+  store no record holds), with events on and off; and slots holding
+  `POISON` that `run` must not fetch.
 """
 
 import ast
+import dataclasses
 import importlib.resources as ir
 import random
 from collections import Counter
@@ -26,6 +33,7 @@ from pathlib import Path
 
 import pytest
 
+from capcomp import machine
 from capcomp.capability import (
     NULL_CAP,
     PERM_ALL,
@@ -71,6 +79,7 @@ from capcomp.runtime import GateDescriptor, RegionArg, install_call_site
 
 import spec
 from spec_check import assert_matches_spec
+from test_fuzz_stream import POISON
 
 PROGRAM_LEN = 64
 MEM_SIZE = 1024
@@ -437,3 +446,188 @@ def test_booted_random_programs_match_the_spec(cfg):
     if cfg == "three_comp_shared.cfg":
         want.add("swap")
     assert want <= set(seen), seen
+
+
+# --------------------------------------------------------------------------
+# Slot runs: a run of legacy `stc` or `ldc` on one address register, which
+# `run` retires in one pass, against the spec, stopped at each of its edges.
+
+RUN_LEN = 36               # accesses in a run, slot j at pc j
+STOP = 20                  # the slot each case's edge falls on
+RUN_BASE = 0x400           # the address register's value; slot j reaches RUN_BASE + 32 j
+RUN_MEM = 0x1000
+RUN_ADDR = 5               # the address register
+RUN_DATA = (1, 2, 3, 4, REG_ZERO, 6, 7)
+MOVED = 0x200              # where a load into the address register moves the run
+WIDE = dataclasses.replace(make_root(0, 64, Perm.LOAD), otype=1 << 16)   # no record holds it
+
+# Where each case puts slot STOP.  "address register" makes it an access
+# with r5 as its data register: a load run hands it back, a store run
+# keeps going over it.
+RUN_STOPS = ("budget", "ddc top", "misaligned", "end of memory", "capability operand",
+             "address register", "region edge", "window entry", "window exit",
+             "record overflow")
+
+
+def run_value(rng, j):
+    """A register or slot value: tagged and untagged, sealed, null."""
+    return rng.choice((
+        NULL_CAP, int_cap(j * 977), make_root(16 * j, 16 * j + 64, PERM_ALL),
+        seal(make_root(0, 32, Perm.LOAD), OTYPE),
+        set_address(make_root(0, RUN_MEM, Perm.LOAD | Perm.LOAD_CAP), 8 * j)))
+
+
+def slot_run_case(ctor, stop, events):
+    """A machine at pc 0 of a run of RUN_LEN `ctor` accesses through r5,
+    then a halt, with `stop` placed at slot STOP; returns the case and the
+    step budget."""
+    rng = random.Random(f"{ctor.__name__}/{stop}")
+    program = [ctor(RUN_DATA[j % len(RUN_DATA)], RUN_ADDR, 32 * j) for j in range(RUN_LEN)]
+    program.append(halt())
+    mem = TaggedMemory(RUN_BASE + 32 * STOP if stop == "end of memory" else RUN_MEM)
+    mem.data[:] = bytes((i * 7 + 3) & 0xFF for i in range(mem.size))
+    for slot in range(RUN_BASE, mem.size, CAP_SLOT):
+        mem.store_cap(slot, run_value(rng, slot // CAP_SLOT))
+    st = MachineState()
+    for r in RUN_DATA:
+        st.regs[r] = run_value(rng, r)
+    st.regs[REG_ZERO] = NULL_CAP
+    st.regs[RUN_ADDR] = int_cap(RUN_BASE)
+    st.code = make_root(0, len(program), Perm.EXECUTE)
+    st.ddc = make_root(0, RUN_MEM, PERM_ALL)
+    st.code_regions = [(0, len(program), 0)]
+    st.current_compartment = 0
+    st.events = [] if events else None
+    budget = 100
+    if stop == "budget":
+        budget = STOP
+    elif stop == "ddc top":
+        st.ddc = make_root(0, RUN_BASE + 32 * STOP + CAP_SLOT // 2, PERM_ALL)
+    elif stop == "misaligned":
+        program[STOP] = ctor(1, RUN_ADDR, 32 * STOP + 8)
+    elif stop == "end of memory":
+        st.ddc = make_root(0, 1 << 20, PERM_ALL)
+    elif stop == "capability operand":
+        # r5 holds a plain address, so the operand faults where the ddc would not
+        program[STOP] = ctor(1, RUN_ADDR, 32 * STOP, cap=True)
+    elif stop == "address register":
+        program[STOP] = ctor(RUN_ADDR, RUN_ADDR, 32 * STOP)
+        mem.store_cap(RUN_BASE + 32 * STOP, int_cap(RUN_BASE + MOVED))
+    elif stop == "region edge":
+        st.code_regions = [(0, STOP, 0), (STOP, len(program), 1)]
+    elif stop == "window entry":
+        st.switcher_bounds = (STOP, STOP + 6)
+    elif stop == "window exit":
+        # Inside the window the accesses are physical; past it the ddc,
+        # which lacks the capability permissions, checks them.
+        st.switcher_bounds = (0, STOP)
+        st.ddc = make_root(0, RUN_MEM, Perm.LOAD | Perm.STORE)
+    elif stop == "record overflow":
+        program[STOP] = ctor(8, RUN_ADDR, 32 * STOP)
+        st.regs[8] = WIDE
+    return (lambda: (st, mem, program)), budget
+
+
+# What each stop leaves: (pc, retired, fault kind, the slot runs `run`
+# retired as [first, end) pairs).  A load into the address register is
+# stepped, and the run after it reads from the moved base.
+RUN_OUTCOMES = {
+    "budget": (STOP, STOP, None, [(1, STOP)]),
+    "ddc top": (STOP, STOP, FaultKind.BOUNDS, [(1, STOP)]),
+    "misaligned": (STOP, STOP, FaultKind.ALIGNMENT, [(1, STOP)]),
+    "end of memory": (STOP, STOP, FaultKind.ADDRESS, [(1, STOP)]),
+    "capability operand": (STOP, STOP, FaultKind.TAG, [(1, STOP)]),
+    "region edge": (RUN_LEN, RUN_LEN + 1, None, [(1, STOP), (STOP + 1, RUN_LEN)]),
+    "window entry": (RUN_LEN, RUN_LEN + 1, None, [(1, STOP), (STOP + 7, RUN_LEN)]),
+    "window exit": (STOP, STOP, FaultKind.PERMISSION, []),
+    "record overflow": (STOP, STOP, None, [(1, STOP)]),
+}
+
+
+@pytest.fixture
+def slot_runs(monkeypatch):
+    """The [first, end) span of every slot run that retired a slot."""
+    spans = []
+    inner = machine._slot_run
+
+    def recorded(st, mem, program, first, p, stop):
+        try:
+            return inner(st, mem, program, first, p, stop)
+        finally:
+            if st.pc > p:
+                spans.append((p, st.pc))
+
+    monkeypatch.setattr(machine, "_slot_run", recorded)
+    return spans
+
+
+@pytest.mark.parametrize("events", [True, False], ids=["events", "no events"])
+@pytest.mark.parametrize("ctor, stop", [
+    (ctor, stop) for ctor in (stc, ldc) for stop in RUN_STOPS
+    if not (ctor is ldc and stop == "record overflow")],   # a load decodes any slot
+    ids=lambda v: getattr(v, "__name__", v))
+def test_slot_runs_match_the_spec(ctor, stop, events, slot_runs):
+    case, budget = slot_run_case(ctor, stop, events)
+    st = assert_matches_spec(case, budget, label=(ctor.__name__, stop, events))[0]
+    if stop == "address register":
+        moved = ctor is ldc
+        want = (RUN_LEN, RUN_LEN + 1, None,
+                [(1, STOP), (STOP + 1, RUN_LEN)] if moved else [(1, RUN_LEN)])
+        assert st.regs[RUN_ADDR].address == RUN_BASE + MOVED * moved
+    else:
+        want = RUN_OUTCOMES[stop]
+    fault = st.fault and st.fault.kind
+    assert (st.pc, st.instructions_retired, fault, slot_runs) == want
+    assert st.halted == (want[0] == RUN_LEN)
+    if events:
+        accesses = [e for e in st.events if e[0] == "access"]
+        assert len(accesses) == st.instructions_retired - st.halted
+
+
+def poisoned_case(poison_at, **changes):
+    """A 36-slot store run with `POISON` at `poison_at`."""
+    program = [stc(RUN_DATA[j % len(RUN_DATA)], RUN_ADDR, 32 * j) for j in range(RUN_LEN)]
+    program.append(halt())
+    if "misaligned" in changes:
+        program[changes.pop("misaligned")] = stc(1, RUN_ADDR, 8)
+    program[poison_at] = POISON
+    st = MachineState()
+    st.regs[RUN_ADDR] = int_cap(RUN_BASE)
+    st.code = make_root(0, len(program), Perm.EXECUTE)
+    st.ddc = make_root(0, RUN_MEM, PERM_ALL)
+    st.events = []
+    for name, value in changes.items():
+        setattr(st, name, value)
+    return st, TaggedMemory(RUN_MEM), program
+
+
+@pytest.mark.parametrize("where", ["past the budget", "past a one-step budget",
+                                   "past the code top", "past a fault"])
+def test_a_slot_run_never_reads_the_slot_after_its_last(where):
+    # Fetching `POISON` fails the test: `run` reads no slot the per-step
+    # loop would not fetch, whether the run or the access that would start
+    # one ends at the budget, or the run ends at the code capability's top
+    # or at a faulting access.
+    last = 1 if where == "past a one-step budget" else STOP
+    if where in ("past the budget", "past a one-step budget"):
+        st, mem, program = poisoned_case(last)
+        machine.run(st, mem, program, max_steps=last)
+        assert (st.pc, st.instructions_retired, st.fault) == (last, last, None)
+    elif where == "past the code top":
+        st, mem, program = poisoned_case(STOP, code=make_root(0, STOP, Perm.EXECUTE))
+        machine.run(st, mem, program)
+        assert (st.pc, st.instructions_retired, st.fault.kind) == (STOP, STOP, FaultKind.BOUNDS)
+    else:
+        st, mem, program = poisoned_case(STOP + 1, misaligned=STOP)
+        machine.run(st, mem, program)
+        assert (st.pc, st.instructions_retired, st.fault.kind) == (STOP, STOP, FaultKind.ALIGNMENT)
+    assert [e[1] for e in st.events if e[0] == "step"] == list(range(last + bool(st.fault)))
+
+
+def test_a_gate_round_trip_retires_its_save_restore_and_scrub_as_slot_runs(slot_runs):
+    # The save (29 stores), the restore (28 loads: r0 receives the result)
+    # and the scrub (33 stores); each run's first access is stepped.
+    st, mem, program = gate_case("two_comp.cfg", "app", "lib", [41], [addi(0, 0, 1), retl()])
+    machine.run(st, mem, program, 10_000)
+    assert st.halted and st.regs[0].address == 42
+    assert [end - first + 1 for first, end in slot_runs] == [29, 28, 33]

@@ -235,9 +235,39 @@ def test_an_integer_at_the_length_bound_parses():
     (f"fn a comp=x instr=1\nfn b comp=y instr=1\ncall a b count=x promote={LONG}",
      "line 3: integer longer than 4300 characters"),
     (f"fn a comp=x instr=1\nfn a comp=y instr={LONG}", "line 2: duplicate fn 'a'"),
-    (f"fn a comp=x inst={LONG}", f"line 1: expected instr=..., got 'inst={LONG}'"),
+    # the misspelt key's token is echoed cut to its first 64 characters
+    (f"fn a comp=x inst={LONG}", f"line 1: expected instr=..., got 'inst=1{'0' * 58}...'"),
 ], ids=["promote key", "count value", "duplicate fn", "instr key"])
 def test_the_length_bound_keeps_the_order_of_the_checks(text, message):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text)
+    assert str(exc.value) == message
+
+
+ECHOED = "x" * 64            # the most of a token an error echoes
+CUT = ECHOED + "y" * 4000    # under the integer bound, so a bad integer is echoed
+
+
+@pytest.mark.parametrize("text,message", [
+    (f"fn a comp=x instr=1\nfn b comp=y instr=1\ncall a b cnt={CUT}",
+     f"line 3: expected count=..., got 'cnt={ECHOED[4:]}...'"),
+    (f"fn a comp=x instr=1\nfn b comp=y instr=1\ncall a b count=1 p={CUT}",
+     f"line 3: expected promote=..., got 'p={ECHOED[2:]}...'"),
+    (f"fn {CUT} comp=x instr=1\nfn {CUT} comp=y instr=1", f"line 2: duplicate fn '{ECHOED}...'"),
+    (f"fn a c={CUT} instr=1", f"line 1: expected comp=..., got 'c={ECHOED[2:]}...'"),
+    (f"fn a comp=x i={CUT}", f"line 1: expected instr=..., got 'i={ECHOED[2:]}...'"),
+    (f"fn a comp=x instr=1\niterations {CUT}", f"line 2: bad integer '{ECHOED}...'"),
+    (f"fn a comp=x instr=1\ncpi {CUT}", f"line 2: bad number '{ECHOED}...'"),
+    (f"{CUT} a", f"line 1: unknown directive '{ECHOED}...'"),
+    (f"fn a comp=x instr=1\ncall {CUT} a count=1", f"call references unknown fn '{ECHOED}...'"),
+    (f"fn a comp=x instr=1\ncall a {CUT} count=1", f"call references unknown fn '{ECHOED}...'"),
+    (f"fn {CUT} comp=x instr=1\nfn b comp=y instr=1\ncall {CUT} b count=1\ncall b {CUT} count=1",
+     f"call graph has a cycle: {ECHOED}... -> b -> {ECHOED}..."),
+    # 64 characters are echoed whole
+    (f"fn a comp=x instr=1\ncpi {ECHOED}", f"line 2: bad number '{ECHOED}'"),
+], ids=["count key", "promote key", "duplicate fn", "comp key", "instr key", "iterations",
+        "cpi", "directive", "caller", "callee", "cycle", "at the bound"])
+def test_an_echoed_token_is_cut_to_64_characters(text, message):
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(text)
     assert str(exc.value) == message
