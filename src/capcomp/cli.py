@@ -18,11 +18,13 @@ import argparse
 import dataclasses
 import functools
 import math
+import pathlib
 import sys
 from importlib import resources
 
 from .capability import ADDR_MASK
 from .layout import (
+    MAX_INT_LEN,
     ConfigError,
     LayoutError,
     OFF_DDC,
@@ -31,6 +33,7 @@ from .layout import (
     OFF_TRAMP,
     audit_plan,
     boot_init,
+    clip_token,
     compute_layout,
     format_region_records,
     format_region_table,
@@ -69,18 +72,17 @@ def _bundled_names() -> list[str]:
 
 
 def _read_input(path: str) -> str:
-    """Read a file from disk, falling back to the bundled fixtures."""
-    import os
-    if os.path.isfile(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    candidate = resources.files("capcomp") / "fixtures" / path
-    try:
-        return candidate.read_text(encoding="utf-8")
-    except (FileNotFoundError, IsADirectoryError):
-        pass
+    """Read a file from disk, else from the bundled fixtures.  A path that
+    names neither raises FileNotFoundError; one that cannot be read, ValueError."""
+    for source in (pathlib.Path(path), resources.files("capcomp") / "fixtures" / path):
+        try:
+            return source.read_text(encoding="utf-8")
+        except (FileNotFoundError, IsADirectoryError):
+            pass
+        except OSError as e:
+            raise ValueError(f"cannot read {clip_token(path)!r}: {e.strerror or type(e).__name__}") from None
     names = ", ".join(_bundled_names()) or "none"
-    raise FileNotFoundError(f"no file {path!r} on disk or in bundled fixtures ({names})")
+    raise FileNotFoundError(f"no file {clip_token(path)!r} on disk or in bundled fixtures ({names})")
 
 
 def _parse_cost(spec: str | None) -> CostModel:
@@ -94,13 +96,13 @@ def _parse_cost(spec: str | None) -> CostModel:
         if key == "hotfrac":
             key = "hot_fraction"
         if key not in ("hot", "cold", "hot_fraction", "promotion"):
-            raise ValueError(f"unknown cost field {key!r}")
+            raise ValueError(f"unknown cost field {clip_token(key)!r}")
         if key in fields:
-            raise ValueError(f"cost field {key!r} given twice")
+            raise ValueError(f"cost field {clip_token(key)!r} given twice")
         try:
             fields[key] = float(val)
         except ValueError:
-            raise ValueError(f"bad number for {key!r}: {val!r}") from None
+            raise ValueError(f"bad number for {clip_token(key)!r}: {clip_token(val)!r}") from None
     return dataclasses.replace(cm, **fields)     # CostModel rejects bad values
 
 
@@ -206,10 +208,17 @@ def cmd_micro(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    call_args = [int(a) for a in args.args]
-    for a in call_args:
+    call_args = []
+    for tok in args.args:      # the length first, so a token reads alike on every Python
+        if len(tok) > MAX_INT_LEN:
+            raise ValueError(f"trace argument: integer longer than {MAX_INT_LEN} characters")
+        try:
+            a = int(tok)
+        except ValueError:
+            raise ValueError(f"invalid literal for int() with base 10: {clip_token(tok)!r}") from None
         if not 0 <= a <= ADDR_MASK:
-            raise ValueError(f"trace argument {a} outside [0, 2^64)")
+            raise ValueError(f"trace argument {clip_token(str(a))} outside [0, 2^64)")
+        call_args.append(a)
     plan = compute_layout(parse_config(_read_input(args.config)), args.memory_size)
     comps = [c.name for c in plan.config.compartments]
     caller = args.caller or comps[0]

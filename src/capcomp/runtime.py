@@ -73,7 +73,7 @@ from .layout import (
     install_function,
     shared_alloc,
 )
-from .machine import MachineState, handle_fault_ddc_swap, run
+from .machine import MachineState, run
 from .memory import CAP_SLOT, GRANULE
 
 # Register conventions shared by the emitted sequences.
@@ -606,29 +606,20 @@ def _fuzz_ins(gb, addr_regs: tuple[int, ...]) -> Ins:
     return Ins(Op.SET_BOUNDS, rd, a, b, c)      # k == 10
 
 
-def _run_sequence(st, mem, program, site: int, end: int, max_steps: int, draw) -> None:
-    """Run as one `run(st, mem, program, max_steps)` call runs, with the same
-    step budget, r18 swaps and step and access records, but one
-    step at a time, so that each slot of [site, end) gets `draw(pc)` written
-    into it just before its first fetch.  The machine sees a slot only by
-    fetching it, so a slot it never fetches is never drawn.
+class _FuzzProgram(list):
+    """A copy of `img.program` for `run`: the first read of a slot in the
+    live sequence's [site, end), not yet in `drawn`, writes `draw(pc)` into
+    it.  `run` reads a slot only where it fetches it, or where its per-step
+    loop would fetch it next."""
 
-    After each one-step `run` the sequence ends if the machine halted, or if
-    a fault is pending and either the budget is spent or
-    `handle_fault_ddc_swap` declines it.  Otherwise the swap is done and the
-    next one-step `run` is the retry, as inside one `run(max_steps)` call,
-    which also leaves a fault pending when its last step faults."""
-    drawn = set()
-    for steps_left in range(max_steps - 1, -1, -1):
-        pc = st.pc
-        if site <= pc < end and pc not in drawn:
-            drawn.add(pc)
-            program[pc] = draw(pc)
-        run(st, mem, program, 1)
-        if st.halted:
-            return
-        if st.fault is not None and (not steps_left or not handle_fault_ddc_swap(st, mem)):
-            return
+    site = end = 0          # no live sequence: nothing is drawn
+
+    def __getitem__(self, pc):
+        if self.site <= pc < self.end and pc not in self.drawn:
+            self.drawn.add(pc)
+            self[pc] = ins = self.draw(pc)
+            return ins
+        return list.__getitem__(self, pc)
 
 
 def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
@@ -645,12 +636,12 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     are tallied, not flagged.
 
     Each sequence draws, from one `random.Random(seed)`, its length, then
-    the address r4 starts with, and ends in a halt at `site + length`.  Its
-    instructions are drawn one slot at a time, just before the machine first
-    fetches the slot (`_run_sequence`); a slot it never fetches keeps what
-    was there before.  The slots are independent draws from one
-    distribution, so what runs is distributed as if every slot had been
-    drawn up front.
+    the address r4 starts with, and ends in a halt at `site + length`.  It
+    is one `run(max_steps)` call over a `_FuzzProgram`, which draws each
+    slot at its first fetch; a slot never fetched keeps what was there
+    before, and the slots are copied back into `img.program` on return.
+    The slots are independent draws from one distribution, so what runs is
+    distributed as if every slot had been drawn up front.
 
     r7 starts each sequence as its home's sealed entry slot holds it then,
     since an earlier sequence may have written that slot.  The slot is
@@ -671,7 +662,6 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
         raise ValueError(f"max_steps must be at least 1, not {max_steps}")
     plan = img.plan
     st = img.machine
-    program = img.program
     data_top = plan.data_top
     gb = random.Random(seed).getrandbits
 
@@ -724,59 +714,59 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     st.events = events
     faults: dict[str, int] = {}
     violations: list[str] = []
-    total_steps = 0
-    switches0 = st.switches
+    steps0, switches0 = st.instructions_retired, st.switches
     addr_regs = (0, 1, 2, 3, 4, 5, 6, 7, 31)
-    draw = lambda pc: _fuzz_ins(gb, addr_regs)   # slots are independent draws
+    program = _FuzzProgram(img.program)
+    program.draw = lambda pc: _fuzz_ins(gb, addr_regs)   # slots are independent draws
 
-    for i in range(sequences):
-        site, regs, entry_at, code, ddc, home_id = homes[i % len(homes)]
-        end = site + 1 + _draw(gb, max_len)
-        st.regs[:] = regs
-        st.regs[4] = int_cap(_draw(gb, data_top))
-        g = entry_at // GRANULE
-        slot = (data[entry_at:entry_at + CAP_SLOT], tags[g:g + 2])
-        last = r7_last.get(entry_at)
-        if last is None or last[0] != slot:
-            last = r7_last[entry_at] = (slot, mem.load_cap(entry_at))
-        st.regs[7] = last[1]
-        program[end] = _HALT
-        st.code = code
-        st.pc = site
-        st.ddc = ddc
-        st.current_compartment = home_id
-        st.fault = None
-        st.halted = False
-        st.ddc_grant = None
-
-        n0 = st.instructions_retired
-        _run_sequence(st, mem, program, site, end, max_steps, draw)
-        total_steps += st.instructions_retired - n0
-        if st.fault is not None:
-            kind = st.fault.kind.value
-            faults[kind] = faults.get(kind, 0) + 1
+    try:
+        for i in range(sequences):
+            site, regs, entry_at, code, ddc, home_id = homes[i % len(homes)]
+            end = site + 1 + _draw(gb, max_len)
+            st.regs[:] = regs
+            st.regs[4] = int_cap(_draw(gb, data_top))
+            g = entry_at // GRANULE
+            slot = (data[entry_at:entry_at + CAP_SLOT], tags[g:g + 2])
+            last = r7_last.get(entry_at)
+            if last is None or last[0] != slot:
+                last = r7_last[entry_at] = (slot, mem.load_cap(entry_at))
+            st.regs[7] = last[1]
+            program[end] = _HALT
+            program.site, program.end, program.drawn = site, end, set()
+            st.code = code
+            st.pc = site
+            st.ddc = ddc
+            st.current_compartment = home_id
             st.fault = None
+            st.halted = False
+            st.ddc_grant = None
 
-        for ev in events:
-            if ev[0] != "access":
-                continue
-            _, pc, addr, ln, is_write = ev
-            cid = owner_of(pc)
-            if cid is None or any(a <= addr and addr + ln <= b for a, b in allowed[cid]):
-                continue
-            if len(violations) < report_cap:
-                violations.append(
-                    f"sequence {i}: pc {pc} ({names[cid]}) "
-                    f"{'wrote' if is_write else 'read'} "
-                    f"[{addr:#x}, {addr + ln:#x}) outside its view")
-            else:
-                violations[-1] = "..."
-                st.events = None
-                return FuzzReport(i + 1, total_steps, st.switches - switches0,
-                                  faults, violations)
-        events.clear()
+            run(st, mem, program, max_steps)
+            if st.fault is not None:
+                kind = st.fault.kind.value
+                faults[kind] = faults.get(kind, 0) + 1
+                st.fault = None
 
-    st.events = None
-    return FuzzReport(sequences, total_steps,
-                      st.switches - switches0,
-                      faults, violations)
+            for ev in events:
+                if ev[0] != "access":
+                    continue
+                _, pc, addr, ln, is_write = ev
+                cid = owner_of(pc)
+                if cid is None or any(a <= addr and addr + ln <= b for a, b in allowed[cid]):
+                    continue
+                if len(violations) < report_cap:
+                    violations.append(
+                        f"sequence {i}: pc {pc} ({names[cid]}) "
+                        f"{'wrote' if is_write else 'read'} "
+                        f"[{addr:#x}, {addr + ln:#x}) outside its view")
+                else:
+                    violations[-1] = "..."
+                    return FuzzReport(i + 1, st.instructions_retired - steps0,
+                                      st.switches - switches0, faults, violations)
+            events.clear()
+        return FuzzReport(sequences, st.instructions_retired - steps0,
+                          st.switches - switches0, faults, violations)
+    finally:
+        st.events = None
+        program.site = program.end = 0      # so the copy draws nothing
+        img.program[:] = program

@@ -46,6 +46,25 @@ def test_layout_directory_is_exit_2(capsys, tmp_path):
     assert err.startswith("error:") and "bundled fixtures" in err
 
 
+ECHOED = "x" * 64            # the most of a token an error echoes
+CUT = ECHOED + "y" * 4000    # under the integer bound
+
+
+@pytest.mark.parametrize("command", ["layout", "run"])
+def test_unreadable_input_is_exit_2(capsys, command):
+    # a name longer than the file system allows: neither on disk nor a fixture
+    code, out, err = run_cli(capsys, command, CUT)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read '{ECHOED}...': ") and len(err) < 120
+
+
+def test_missing_input_echoes_a_long_path_cut(capsys):
+    path = "d/" * 40 + "x.cfg"
+    code, _, err = run_cli(capsys, "layout", path)
+    assert code == 2
+    assert err.startswith(f"error: no file '{path[:64]}...' on disk or in bundled fixtures (")
+
+
 def test_layout_shared_region_named_cap_table_is_exit_2(capsys, tmp_path):
     cfg = tmp_path / "clash.cfg"
     cfg.write_text("compartment app code=512 data=512 stack=512 heap=0\n"
@@ -158,6 +177,19 @@ def test_run_bad_cost_is_exit_2(capsys, spec, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("spec,message", [
+    (f"hot={CUT}", f"bad number for 'hot': '{ECHOED}...'"),
+    (f"{CUT}=1", f"unknown cost field '{ECHOED}...'"),
+    # 64 characters are echoed whole
+    (f"hot={ECHOED}", f"bad number for 'hot': '{ECHOED}'"),
+    (f"{ECHOED}=1", f"unknown cost field '{ECHOED}'"),
+], ids=["value", "key", "value at the bound", "key at the bound"])
+def test_a_cost_error_echoes_a_token_cut_to_64_characters(capsys, spec, message):
+    code, out, err = run_cli(capsys, "run", "sqlite_fs.scn", "--cost", spec)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("args,fragment", [
     (("--cost", "hot=-400"), "hot must be a finite cost >= 0"),
     (("--cost", "promotion=nan"), "promotion must be a finite cost >= 0"),
@@ -236,6 +268,25 @@ def test_trace_argument_outside_64_bits_is_exit_2(capsys, arg):
     code, out, err = run_cli(capsys, "trace", "two_comp.cfg", f"--args={arg}")
     assert code == 2 and out == ""
     assert err == f"error: trace argument {arg} outside [0, 2^64)\n"
+
+
+LONG_ARG = "1" + "0" * 4000
+
+
+@pytest.mark.parametrize("arg, message", [
+    (LONG_ARG, f"trace argument {LONG_ARG[:64]}... outside [0, 2^64)"),
+    # the length bound is checked before conversion, on every Python version
+    ("1" + "0" * 4300, "trace argument: integer longer than 4300 characters"),
+    ("-" + "1" * 4300, "trace argument: integer longer than 4300 characters"),
+    ("1" * 4300, f"trace argument {'1' * 64}... outside [0, 2^64)"),
+    (CUT, f"invalid literal for int() with base 10: '{ECHOED}...'"),
+    ("abc", "invalid literal for int() with base 10: 'abc'"),
+], ids=["long", "over the bound", "signed over the bound", "at the bound", "long literal",
+        "short literal"])
+def test_a_trace_argument_error_is_bounded(capsys, arg, message):
+    code, out, err = run_cli(capsys, "trace", "two_comp.cfg", f"--args={arg}")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_trace_argument_at_the_top_of_64_bits_is_accepted(capsys):

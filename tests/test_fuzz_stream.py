@@ -4,9 +4,10 @@ Every `FuzzReport` field of `fuzz_isolation`, for three seeds on each bundled
 configuration and on `FUZZ_CONFIG`, and at other sequence widths.  Per
 sequence, the harness draws from one `random.Random(seed)` the sequence
 length, then the r4 address, and writes the halt after the last slot; it
-then draws each slot's instruction just before the machine first fetches
-that slot, so a slot that is never fetched is never drawn and keeps what an
-earlier sequence left there.  Any change to those draws, to their order, or
+then runs the sequence as one `run` call, and draws each slot's instruction
+the first time the machine reads that slot, which is when it first fetches
+it, so a slot that is never fetched is never drawn and keeps what an earlier
+sequence left there.  Any change to those draws, to their order, or
 to the machine's behaviour moves these numbers.  Fault kinds are pinned in
 first-seen order, which `capcomp verify` uses to break ties in its tally.
 
@@ -14,11 +15,13 @@ The lazy drawing is checked three ways below: each sequence draws exactly
 the slots its step records fetch, in first-fetch order; replaying every
 sequence as one `run(max_steps)` call, with a poison instruction in each
 undrawn slot, repeats the `FuzzReport` and every record; and on the r18
-swap path, stepping a sequence leaves the state and records one
-`run(max_steps)` call leaves.  Two more checks pin the per-sequence work
-around the steps: every one-step `run` call leaves a step record, and
-every sequence starts with r7 as its home's entry slot holds it, although
-the fuzzer decodes that slot only when it changed.
+swap path, drawing on first read leaves the state and records one
+`run(max_steps)` call over the drawn program leaves.  Four more checks pin
+the per-sequence work around the steps: each sequence is one `run` call
+with the whole step budget, a sequence can start a slot run, every
+sequence starts with r7 as its home's entry slot holds it, although the
+fuzzer decodes that slot only when it changed, and on either return path
+the image's program ends holding every halt and drawn slot.
 
 Every draw goes through `runtime._draw`, which calls the generator's
 `getrandbits` exactly as `Random._randbelow` does: `n.bit_length()` bits,
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from capcomp import runtime
+from capcomp import machine, runtime
 from capcomp.capability import FaultKind, Perm, make_root
 from capcomp.isa import (
     REG_SP,
@@ -179,7 +182,8 @@ def test_draw_matches_randrange(n):
 
 
 # --------------------------------------------------------------------------
-# Lazy drawing: a slot is drawn just before its first fetch, and only then.
+# Lazy drawing: a slot is drawn when it is first read, which is just before
+# its first fetch, and only then.
 
 @dataclass
 class Recorded:
@@ -196,14 +200,16 @@ def start_of(st):
 
 
 def record_sequences(monkeypatch):
-    """Record every sequence `fuzz_isolation` runs, through `_run_sequence`,
-    checking that no slot is drawn after it was fetched or drawn twice."""
+    """Record every sequence `fuzz_isolation` runs, through its `run` call
+    and its program's `draw`, checking that no slot is drawn after it was
+    fetched or drawn twice."""
     seqs = []
-    real = runtime._run_sequence
+    real = runtime.run
 
-    def recording(st, mem, program, site, end, max_steps, draw):
-        rec = Recorded(site, end, start_of(st), {}, [])
+    def recording(st, mem, program, max_steps=100_000):
+        rec = Recorded(program.site, program.end, start_of(st), {}, [])
         mark = len(st.events)
+        draw = program.draw
 
         def logged(pc):
             assert pc not in rec.drawn, f"slot {pc} drawn twice"
@@ -211,11 +217,16 @@ def record_sequences(monkeypatch):
             rec.drawn[pc] = ins = draw(pc)
             return ins
 
-        real(st, mem, program, site, end, max_steps, logged)
+        program.draw = logged
+        try:
+            real(st, mem, program, max_steps)
+        finally:
+            program.draw = draw
         rec.events = st.events[mark:]
         seqs.append(rec)
+        return st
 
-    monkeypatch.setattr(runtime, "_run_sequence", recording)
+    monkeypatch.setattr(runtime, "run", recording)
     return seqs
 
 
@@ -244,15 +255,15 @@ def test_each_sequence_starts_with_r7_as_its_entry_slot_holds_it(monkeypatch, na
     plan = img.plan
     entry = {plan.comp_ids[c.name]: plan.sealed_cap_addr(c.name) for c in plan.config.compartments}
     seqs = record_sequences(monkeypatch)
-    recording = runtime._run_sequence
+    recording = runtime.run
     starts = []
 
-    def checked(st, mem, program, site, end, max_steps, draw):
+    def checked(st, mem, program, max_steps=100_000):
         home = st.current_compartment
         starts.append((home, st.regs[7], mem.load_cap(entry[home])))
-        recording(st, mem, program, site, end, max_steps, draw)
+        return recording(st, mem, program, max_steps)
 
-    monkeypatch.setattr(runtime, "_run_sequence", checked)
+    monkeypatch.setattr(runtime, "run", checked)
     fuzz_isolation(img, sequences=2000, seed=7)
     assert len(starts) == 2000
     for i, (_, r7, loaded) in enumerate(starts):
@@ -265,21 +276,38 @@ def test_each_sequence_starts_with_r7_as_its_entry_slot_holds_it(monkeypatch, na
 
 
 @pytest.mark.parametrize("name, seed", [("three_comp_shared", 7), ("sandbox_host", 41)])
-def test_each_run_call_leaves_one_step_record(monkeypatch, name, seed):
-    # a sequence ends after the step that halts or leaves a fault no swap
-    # clears, with no further `run` call that would return without a record
+def test_each_sequence_is_one_run_call(monkeypatch, name, seed):
+    # `run` keeps the step budget, the r18 swap retry and the stop rule for
+    # the fuzzer as for every other caller: one call per sequence, with the
+    # whole budget
     calls = []
+    seqs = record_sequences(monkeypatch)
     real = runtime.run
 
     def counted(st, mem, program, max_steps=100_000):
         calls.append(max_steps)
         return real(st, mem, program, max_steps)
 
-    seqs = record_sequences(monkeypatch)
     monkeypatch.setattr(runtime, "run", counted)
     fuzz_isolation(boot(name), sequences=2000, seed=seed)
-    assert set(calls) == {1}
-    assert len(calls) == sum(ev[0] == "step" for rec in seqs for ev in rec.events)
+    assert calls == [32] * 2000
+    assert len(seqs) == 2000
+
+
+def test_the_fuzzer_starts_slot_runs(monkeypatch):
+    # armed: with one `run` call per sequence, a retired legacy `stc`/`ldc`
+    # followed by the same op on the same address register starts a slot
+    # run, so the fuzzer reaches `_slot_run` as well as the per-step path
+    entries = []
+    real = machine._slot_run
+
+    def counted(st, mem, program, first, p, stop):
+        entries.append(p)
+        return real(st, mem, program, first, p, stop)
+
+    monkeypatch.setattr(machine, "_slot_run", counted)
+    fuzz_isolation(boot("three_comp_shared"), sequences=2000, seed=7)
+    assert entries
 
 
 class Poison:
@@ -351,19 +379,40 @@ def replay(img, seqs, max_steps=32):
 def test_undrawn_slots_are_never_seen(monkeypatch, name, seed, breach):
     # The breach widens app's ddc to all of data memory, so the replay must
     # also repeat every violation.
-    def image():
-        img = boot(name)
-        if breach:
-            img.mem.store_cap(img.table_slot("app") + OFF_DDC,
-                              make_root(0, img.plan.data_top, DDC_PERMS))
-        return img
-
     seqs = record_sequences(monkeypatch)
-    rep = fuzz_isolation(image(), sequences=2000, seed=seed, report_cap=10**6)
+    rep = fuzz_isolation(image(name, breach), sequences=2000, seed=seed, report_cap=10**6)
     assert (rep.violations != []) == breach
-    got = replay(image(), seqs)
+    got = replay(image(name, breach), seqs)
     assert got == rep
     assert list(got.faults.items()) == list(rep.faults.items())
+
+
+def image(name, breach):
+    """A booted `name`; with `breach`, app's ddc covers all of data memory."""
+    img = boot(name)
+    if breach:
+        img.mem.store_cap(img.table_slot("app") + OFF_DDC,
+                          make_root(0, img.plan.data_top, DDC_PERMS))
+    return img
+
+
+@pytest.mark.parametrize("report_cap", [10**6, 1], ids=["all sequences", "stopped at a breach"])
+def test_the_drawn_slots_are_left_in_the_image(monkeypatch, report_cap):
+    # On either return path the fuzzer's program is copied back into the
+    # image's own list, which then holds every halt and drawn slot, each
+    # as the last sequence to write it left it.
+    img = image("two_comp", True)
+    program = img.program
+    want = list(program)
+    seqs = record_sequences(monkeypatch)
+    rep = fuzz_isolation(img, sequences=2000, seed=3, report_cap=report_cap)
+    assert (rep.violations[-1] == "...") == (report_cap == 1)
+    assert len(seqs) == rep.sequences
+    for rec in seqs:
+        want[rec.end] = halt()
+        for pc, ins in rec.drawn.items():
+            want[pc] = ins
+    assert img.program is program and program == want
 
 
 def observe(st, mem):
@@ -391,7 +440,7 @@ SWAP_SCRIPTS = {
 
 
 @pytest.mark.parametrize("script", sorted(SWAP_SCRIPTS))
-def test_stepping_matches_one_run_on_the_swap_path(script):
+def test_lazy_drawing_matches_one_run_on_the_swap_path(script):
     # app owns the mailbox, an exception-mode region: its accesses there
     # swap ddc and r18, and the faulting instruction runs again.
     def enter():
@@ -421,12 +470,14 @@ def test_stepping_matches_one_run_on_the_swap_path(script):
             drawn.append(pc)
             return code[pc - site]
 
-        runtime._run_sequence(st, img.mem, img.program, site, end, max_steps, draw)
+        program = runtime._FuzzProgram(img.program)
+        program.site, program.end, program.drawn, program.draw = site, end, set(), draw
+        run(st, img.mem, program, max_steps)
         fetched = [ev[1] for ev in st.events if ev[0] == "step"]
         assert drawn == list(dict.fromkeys(pc for pc in fetched if pc < end)), max_steps
         assert observe(st, img.mem) == want, max_steps
-        assert img.program[site:end] == [code[j] if site + j in drawn else POISON
-                                         for j in range(len(code))]
+        assert list(program)[site:end] == [code[j] if site + j in drawn else POISON
+                                           for j in range(len(code))]
         swaps.add(st.ddc_swap_events)
     # the budget ran out before, between and after the swaps, also with a
     # fault pending that a swap would clear
