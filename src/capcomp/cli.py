@@ -244,6 +244,24 @@ def cmd_trace(args) -> int:
     return 0
 
 
+def _int_option(tok: str, base: int = 10) -> int:
+    """An integer option's value.  The length is checked first, so a long
+    token reads alike on every Python, and an error echoes `clip_token(tok)`."""
+    if len(tok) > MAX_INT_LEN:
+        raise argparse.ArgumentTypeError(f"integer longer than {MAX_INT_LEN} characters")
+    try:
+        return int(tok, base)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {clip_token(tok)!r}") from None
+
+
+def _float_option(tok: str) -> float:
+    try:
+        return float(tok)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {clip_token(tok)!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="capcomp",
@@ -251,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_mem(p):
-        p.add_argument("--memory-size", type=lambda s: int(s, 0), default=DEFAULT_SIZE,
+        p.add_argument("--memory-size", type=functools.partial(_int_option, base=0),
+                       default=DEFAULT_SIZE,
                        help=f"simulated data memory bytes (default {DEFAULT_SIZE >> 20} MiB)")
 
     p = sub.add_parser("layout", help="plan a configuration, print the region map")
@@ -268,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="audit the layout and fuzz isolation")
     p.add_argument("config")
-    p.add_argument("--fuzz", type=int, default=10_000, metavar="N",
+    p.add_argument("--fuzz", type=_int_option, default=10_000, metavar="N",
                    help="random sequences to run (default 10000)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_option, default=0)
     add_mem(p)
     p.set_defaults(fn=cmd_verify)
 
@@ -278,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--cost", metavar="K=V,...",
                    help="override hot,cold,hotfrac,promotion")
-    p.add_argument("--cpi", type=float, help="override the scenario baseline cpi")
+    p.add_argument("--cpi", type=_float_option, help="override the scenario baseline cpi")
     p.add_argument("--format", choices=("table", "records"), default="table")
     p.set_defaults(fn=cmd_run)
 

@@ -76,6 +76,7 @@ cannot place itself inside that window.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .capability import (
@@ -513,7 +514,7 @@ _HANDLERS = {op.value: handler for op, handler in (
 )}
 
 
-def step(st: MachineState, mem: TaggedMemory, program: list[Ins]) -> MachineState:
+def step(st: MachineState, mem: TaggedMemory, program: Sequence[Ins]) -> MachineState:
     """Execute exactly one instruction (or record exactly one fault): a
     one-step `run`, so it appends one step record while `st.events` is a
     list."""
@@ -553,7 +554,7 @@ def handle_fault_ddc_swap(st: MachineState, mem: TaggedMemory) -> bool:
     return True
 
 
-def _slot_run(st: MachineState, mem: TaggedMemory, program: list[Ins], first: Ins,
+def _slot_run(st: MachineState, mem: TaggedMemory, program: Sequence[Ins], first: Ins,
               p: int, stop: int) -> int:
     """Retire the run of legacy accesses from slot `p` on that repeat
     `first`'s op on its address register, and return the pc it leaves.
@@ -608,7 +609,7 @@ def _slot_run(st: MachineState, mem: TaggedMemory, program: list[Ins], first: In
     return p
 
 
-def run(st: MachineState, mem: TaggedMemory, program: list[Ins],
+def run(st: MachineState, mem: TaggedMemory, program: Sequence[Ins],
         max_steps: int = 100_000) -> MachineState:
     """Run until halt, an unhandled fault, or the step budget is exhausted.
 

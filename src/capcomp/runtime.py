@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .capability import NULL_CAP, Perm, int_cap, make_root, set_address
@@ -606,20 +607,27 @@ def _fuzz_ins(gb, addr_regs: tuple[int, ...]) -> Ins:
     return Ins(Op.SET_BOUNDS, rd, a, b, c)      # k == 10
 
 
-class _FuzzProgram(list):
-    """A copy of `img.program` for `run`: the first read of a slot in the
-    live sequence's [site, end), not yet in `drawn`, writes `draw(pc)` into
-    it.  `run` reads a slot only where it fetches it, or where its per-step
-    loop would fetch it next."""
+class _FuzzProgram:
+    """`img.program` as `run` reads it while fuzzing: the first read of a
+    slot in the live sequence's [site, end), not yet in `drawn`, writes
+    `draw(pc)` into the image's program and returns it.  `run` needs only
+    `len` and indexing, and reads a slot only where it fetches it, or where
+    its per-step loop would fetch it next."""
 
     site = end = 0          # no live sequence: nothing is drawn
 
-    def __getitem__(self, pc):
+    def __init__(self, program: list[Ins], draw: Callable[[int], Ins]):
+        self.program, self.draw = program, draw
+
+    def __len__(self) -> int:
+        return len(self.program)
+
+    def __getitem__(self, pc: int) -> Ins:
         if self.site <= pc < self.end and pc not in self.drawn:
             self.drawn.add(pc)
-            self[pc] = ins = self.draw(pc)
+            self.program[pc] = ins = self.draw(pc)
             return ins
-        return list.__getitem__(self, pc)
+        return self.program[pc]
 
 
 def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
@@ -637,9 +645,9 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
 
     Each sequence draws, from one `random.Random(seed)`, its length, then
     the address r4 starts with, and ends in a halt at `site + length`.  It
-    is one `run(max_steps)` call over a `_FuzzProgram`, which draws each
-    slot at its first fetch; a slot never fetched keeps what was there
-    before, and the slots are copied back into `img.program` on return.
+    is one `run(max_steps)` call over a `_FuzzProgram` view of `img.program`,
+    which draws each slot into the image's program at its first fetch; a
+    slot never fetched keeps what was there before.
     The slots are independent draws from one distribution, so what runs is
     distributed as if every slot had been drawn up front.
 
@@ -716,8 +724,7 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     violations: list[str] = []
     steps0, switches0 = st.instructions_retired, st.switches
     addr_regs = (0, 1, 2, 3, 4, 5, 6, 7, 31)
-    program = _FuzzProgram(img.program)
-    program.draw = lambda pc: _fuzz_ins(gb, addr_regs)   # slots are independent draws
+    program = _FuzzProgram(img.program, lambda pc: _fuzz_ins(gb, addr_regs))  # independent draws
 
     try:
         for i in range(sequences):
@@ -731,7 +738,7 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
             if last is None or last[0] != slot:
                 last = r7_last[entry_at] = (slot, mem.load_cap(entry_at))
             st.regs[7] = last[1]
-            program[end] = _HALT
+            img.program[end] = _HALT
             program.site, program.end, program.drawn = site, end, set()
             st.code = code
             st.pc = site
@@ -768,5 +775,3 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
                           st.switches - switches0, faults, violations)
     finally:
         st.events = None
-        program.site = program.end = 0      # so the copy draws nothing
-        img.program[:] = program

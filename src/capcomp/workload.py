@@ -438,7 +438,11 @@ class SwitchBreakdown:
     phase_cycles: dict[str, float]
     phase_instructions: dict[str, int]
     total: float                 # switch phases only, callee body excluded
-    instructions: int            # every retired instruction in the round trip
+
+    @property
+    def instructions(self) -> int:
+        """Every retired instruction in the round trip."""
+        return sum(self.phase_instructions.values())
 
     def largest_phase(self) -> str:
         return max(SWITCH_PHASES, key=lambda p: self.phase_cycles[p])
@@ -513,7 +517,7 @@ def switch_breakdown(cold: bool = False) -> SwitchBreakdown:
         cycles[phase], counts[phase] = c, n
 
     total = sum(cycles[p] for p in SWITCH_PHASES)
-    return SwitchBreakdown(cycles, counts, total, sum(counts.values()))
+    return SwitchBreakdown(cycles, counts, total)
 
 
 def format_breakdown(bd: SwitchBreakdown, label: str) -> str:

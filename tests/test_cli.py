@@ -2,6 +2,7 @@
 load-bearing lines of each subcommand's output."""
 
 import importlib.resources as ir
+import sys
 
 import pytest
 
@@ -377,3 +378,51 @@ def test_memory_size_not_a_granule_multiple_is_exit_2(capsys, command, size):
     code, out, err = run_cli(capsys, command, "two_comp.cfg", f"--memory-size={size}")
     assert code == 2 and out == ""
     assert err == "error: memory size must be a positive multiple of 16\n"
+
+
+@pytest.fixture(params=["default int-string limit", "no int-string limit"])
+def int_str_limit(request):
+    """CPython's default int-string limit (3.11+), then none, as on 3.10."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if request.param == "default int-string limit" or set_limit is None:
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(old)
+
+
+OVER_THE_BOUND = "1" + "0" * 5000
+# negative, so that where it was converted it failed at once
+NEGATIVE_OVER_THE_BOUND = "-" + "1" * 5000
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "two_comp.cfg", "--fuzz", "0", "--seed", OVER_THE_BOUND),
+     "argument --seed: integer longer than 4300 characters"),
+    (("verify", "two_comp.cfg", "--fuzz", NEGATIVE_OVER_THE_BOUND),
+     "argument --fuzz: integer longer than 4300 characters"),
+    (("layout", "two_comp.cfg", "--memory-size", NEGATIVE_OVER_THE_BOUND),
+     "argument --memory-size: integer longer than 4300 characters"),
+    (("verify", "two_comp.cfg", "--seed", CUT), f"argument --seed: invalid int value: '{ECHOED}...'"),
+    (("boot-dump", "two_comp.cfg", "--memory-size", "zz"),
+     "argument --memory-size: invalid int value: 'zz'"),
+    (("run", "sqlite_fs.scn", "--cpi", CUT), f"argument --cpi: invalid float value: '{ECHOED}...'"),
+], ids=["seed", "fuzz", "memory size", "long literal", "short literal", "cpi"])
+def test_an_option_error_is_short_on_every_python(capsys, int_str_limit, argv, message):
+    # the length bound is checked before conversion, and a bad value is
+    # echoed cut by `clip_token`
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.splitlines()[-1] == f"capcomp {argv[0]}: error: {message}"
+    assert len(err.splitlines()[-1]) <= 200 and len(err) <= 400
+
+
+def test_an_integer_option_at_the_bound_is_accepted(capsys, int_str_limit):
+    code, out, _ = run_cli(capsys, "verify", "two_comp.cfg", "--fuzz", "0", "--seed", "1" * 4300)
+    assert code == 0 and out.startswith("fuzzed 0 sequences")

@@ -16,12 +16,14 @@ the slots its step records fetch, in first-fetch order; replaying every
 sequence as one `run(max_steps)` call, with a poison instruction in each
 undrawn slot, repeats the `FuzzReport` and every record; and on the r18
 swap path, drawing on first read leaves the state and records one
-`run(max_steps)` call over the drawn program leaves.  Four more checks pin
+`run(max_steps)` call over the drawn program leaves.  Five more checks pin
 the per-sequence work around the steps: each sequence is one `run` call
 with the whole step budget, a sequence can start a slot run, every
 sequence starts with r7 as its home's entry slot holds it, although the
-fuzzer decodes that slot only when it changed, and on either return path
-the image's program ends holding every halt and drawn slot.
+fuzzer decodes that slot only when it changed, each sequence's halt and
+drawn slots are in the image's program when its `run` call returns, and
+on either return path the image's program ends holding every halt and
+drawn slot.
 
 Every draw goes through `runtime._draw`, which calls the generator's
 `getrandbits` exactly as `Random._randbelow` does: `n.bit_length()` bits,
@@ -398,9 +400,9 @@ def image(name, breach):
 
 @pytest.mark.parametrize("report_cap", [10**6, 1], ids=["all sequences", "stopped at a breach"])
 def test_the_drawn_slots_are_left_in_the_image(monkeypatch, report_cap):
-    # On either return path the fuzzer's program is copied back into the
-    # image's own list, which then holds every halt and drawn slot, each
-    # as the last sequence to write it left it.
+    # On either return path the image's own list holds every halt and
+    # drawn slot, each as the last sequence to write it left it: the
+    # fuzzer draws into that list, and keeps no copy of it.
     img = image("two_comp", True)
     program = img.program
     want = list(program)
@@ -413,6 +415,27 @@ def test_the_drawn_slots_are_left_in_the_image(monkeypatch, report_cap):
         for pc, ins in rec.drawn.items():
             want[pc] = ins
     assert img.program is program and program == want
+
+
+@pytest.mark.parametrize("name, seed", [("two_comp", 3), ("three_comp_shared", 7)])
+def test_each_sequence_draws_into_the_image_program(monkeypatch, name, seed):
+    # the fuzzer's program is a view of the image's: when a sequence's `run`
+    # call returns, its halt and every slot it drew are already there
+    img = boot(name)
+    seqs = record_sequences(monkeypatch)
+    recording = runtime.run
+
+    def checked(st, mem, program, max_steps=100_000):
+        recording(st, mem, program, max_steps)
+        rec = seqs[-1]
+        assert img.program[rec.end] == halt(), f"sequence {len(seqs) - 1}"
+        for pc, ins in rec.drawn.items():
+            assert img.program[pc] is ins, f"sequence {len(seqs) - 1}, slot {pc}"
+        return st
+
+    monkeypatch.setattr(runtime, "run", checked)
+    fuzz_isolation(img, sequences=2000, seed=seed)
+    assert len(seqs) == 2000 and sum(len(rec.drawn) for rec in seqs) > 1000
 
 
 def observe(st, mem):
@@ -470,14 +493,14 @@ def test_lazy_drawing_matches_one_run_on_the_swap_path(script):
             drawn.append(pc)
             return code[pc - site]
 
-        program = runtime._FuzzProgram(img.program)
-        program.site, program.end, program.drawn, program.draw = site, end, set(), draw
+        program = runtime._FuzzProgram(img.program, draw)
+        program.site, program.end, program.drawn = site, end, set()
         run(st, img.mem, program, max_steps)
         fetched = [ev[1] for ev in st.events if ev[0] == "step"]
         assert drawn == list(dict.fromkeys(pc for pc in fetched if pc < end)), max_steps
         assert observe(st, img.mem) == want, max_steps
-        assert list(program)[site:end] == [code[j] if site + j in drawn else POISON
-                                           for j in range(len(code))]
+        assert img.program[site:end] == [code[j] if site + j in drawn else POISON
+                                         for j in range(len(code))]
         swaps.add(st.ddc_swap_events)
     # the budget ran out before, between and after the swaps, also with a
     # fault pending that a swap would clear

@@ -838,7 +838,7 @@ EXPECT_COUNTS = {
 def test_breakdown_phase_instruction_counts():
     bd = switch_breakdown()
     assert bd.phase_instructions == EXPECT_COUNTS
-    assert bd.instructions == sum(EXPECT_COUNTS.values()) == 169
+    assert sum(bd.phase_instructions.values()) == sum(EXPECT_COUNTS.values()) == 169
     # cold run retires the identical instruction stream
     assert switch_breakdown(cold=True).phase_instructions == EXPECT_COUNTS
 
@@ -983,8 +983,7 @@ def reference_breakdown(cold):
             if ev[0] == "step" and op is not Op.HALT:
                 cycles[phase] += weights.get(op, default)
                 counts[phase] += 1
-    return SwitchBreakdown(cycles, counts, sum(cycles[p] for p in SWITCH_PHASES),
-                           sum(counts.values()))
+    return SwitchBreakdown(cycles, counts, sum(cycles[p] for p in SWITCH_PHASES))
 
 
 def test_breakdown_is_history_free(capsys):
