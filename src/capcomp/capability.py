@@ -81,18 +81,6 @@ class Capability:
     otype: int = OTYPE_UNSEALED
     tag: bool = False
 
-    def __init__(self, base: int, top: int, address: int, perms: Perm,
-                 otype: int = OTYPE_UNSEALED, tag: bool = False):
-        # The interpreter builds a capability on nearly every step.  Setting
-        # the fields through their slot descriptors costs about half of the
-        # object.__setattr__ calls the generated frozen __init__ makes.
-        _set_base(self, base)
-        _set_top(self, top)
-        _set_address(self, address)
-        _set_perms(self, perms)
-        _set_otype(self, otype)
-        _set_tag(self, tag)
-
     @property
     def sealed(self) -> bool:
         return self.otype != OTYPE_UNSEALED
@@ -103,13 +91,24 @@ class Capability:
         return f"Cap[{self.base:#x},{self.top:#x})@{self.address:#x} {self.perms!r} {t}{s}"
 
 
-_set_base, _set_top, _set_address, _set_perms, _set_otype, _set_tag = (
-    Capability.__dict__[f].__set__ for f in ("base", "top", "address", "perms", "otype", "tag"))
+class _CapBuilder:
+    """Builds a `Capability` with plain slot stores, then relabels it as one:
+    the same slots make the `__class__` store legal (README, design notes)."""
+    __slots__ = Capability.__slots__
+
+    def __init__(self, base, top, address, perms, otype, tag):
+        self.base = base
+        self.top = top
+        self.address = address
+        self.perms = perms
+        self.otype = otype
+        self.tag = tag
+        self.__class__ = Capability
 
 
 def int_cap(value: int) -> Capability:
     """Wrap a plain integer as an untagged capability (the register model)."""
-    return Capability(0, 0, value & ADDR_MASK, PERM_NONE, OTYPE_UNSEALED, False)
+    return _CapBuilder(0, 0, value & ADDR_MASK, PERM_NONE, OTYPE_UNSEALED, False)
 
 
 NULL_CAP = int_cap(0)
@@ -122,7 +121,7 @@ def make_root(base: int, top: int, perms: Perm) -> Capability:
     """
     if not (0 <= base <= top <= TOP_MAX):
         raise ValueError(f"invalid root bounds [{base:#x}, {top:#x})")
-    return Capability(base, top, base, Perm(perms), OTYPE_UNSEALED, True)
+    return _CapBuilder(base, top, base, Perm(perms), OTYPE_UNSEALED, True)
 
 
 def set_bounds(c: Capability, new_base: int, new_top: int) -> Capability:
@@ -140,24 +139,24 @@ def set_bounds(c: Capability, new_base: int, new_top: int) -> Capability:
     )
     base = min(max(new_base, 0), ADDR_MASK)
     top = min(max(new_top, 0), TOP_MAX)
-    return Capability(base, max(top, base), base, c.perms, OTYPE_UNSEALED, ok)
+    return _CapBuilder(base, max(top, base), base, c.perms, OTYPE_UNSEALED, ok)
 
 
 def set_address(c: Capability, address: int) -> Capability:
     """Move the cursor. The tag survives even if the cursor leaves the bounds
     (the violation is caught at use); moving a sealed capability's cursor
     clears the tag instead."""
-    return Capability(c.base, c.top, address & ADDR_MASK, c.perms, c.otype,
-                      c.tag and c.otype == OTYPE_UNSEALED)
+    return _CapBuilder(c.base, c.top, address & ADDR_MASK, c.perms, c.otype,
+                       c.tag and c.otype == OTYPE_UNSEALED)
 
 
 def restrict_perms(c: Capability, keep: Perm) -> Capability:
     """Intersect the permission set with `keep` (a Perm or an int mask);
     sealed sources lose the tag."""
     perms = _int_and(c.perms, keep)
-    return Capability(c.base, c.top, c.address,
-                      PERMS[perms] if perms < len(PERMS) else Perm(perms),
-                      c.otype, c.tag and c.otype == OTYPE_UNSEALED)
+    return _CapBuilder(c.base, c.top, c.address,
+                       PERMS[perms] if perms < len(PERMS) else Perm(perms),
+                       c.otype, c.tag and c.otype == OTYPE_UNSEALED)
 
 
 def seal(c: Capability, otype: int) -> Capability:
@@ -166,8 +165,8 @@ def seal(c: Capability, otype: int) -> Capability:
     capability yields an untagged result."""
     if not (OTYPE_UNSEALED < otype <= OTYPE_MAX):
         raise ValueError(f"otype must be in [1, {OTYPE_MAX}], got {otype}")
-    return Capability(c.base, c.top, c.address, c.perms, otype,
-                      c.tag and c.otype == OTYPE_UNSEALED)
+    return _CapBuilder(c.base, c.top, c.address, c.perms, otype,
+                       c.tag and c.otype == OTYPE_UNSEALED)
 
 
 def unseal(c: Capability) -> Capability:
@@ -178,7 +177,7 @@ def unseal(c: Capability) -> Capability:
     """
     if not c.sealed:
         raise ValueError("cannot unseal an unsealed capability")
-    return Capability(c.base, c.top, c.address, c.perms, OTYPE_UNSEALED, c.tag)
+    return _CapBuilder(c.base, c.top, c.address, c.perms, OTYPE_UNSEALED, c.tag)
 
 
 def check_access(c: Capability, addr: int, length: int, need: Perm) -> FaultKind | None:

@@ -25,6 +25,7 @@ from importlib import resources
 from .capability import ADDR_MASK
 from .layout import (
     MAX_INT_LEN,
+    MAX_MEMORY_SIZE,
     ConfigError,
     LayoutError,
     OFF_DDC,
@@ -271,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_mem(p):
         p.add_argument("--memory-size", type=functools.partial(_int_option, base=0),
                        default=DEFAULT_SIZE,
-                       help=f"simulated data memory bytes (default {DEFAULT_SIZE >> 20} MiB)")
+                       help=f"simulated data memory bytes (default {DEFAULT_SIZE >> 20} MiB, "
+                            f"at most {MAX_MEMORY_SIZE >> 30} GiB)")
 
     p = sub.add_parser("layout", help="plan a configuration, print the region map")
     p.add_argument("config")

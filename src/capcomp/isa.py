@@ -83,25 +83,23 @@ class Ins:
     imm: int = 0
     cap: bool = False
 
-    def __init__(self, op: Op, a: int = 0, b: int = 0, c: int = 0, d: int = 0,
-                 imm: int = 0, cap: bool = False):
-        # Same slot-descriptor stores as Capability.__init__: about half the
-        # cost of the object.__setattr__ calls the generated frozen __init__
-        # makes, on the path every emitter and the fuzzer take.
-        _set_op(self, op)
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_c(self, c)
-        _set_d(self, d)
-        _set_imm(self, imm)
-        _set_cap(self, cap)
-
     def __str__(self) -> str:
         return format_ins(self)
 
 
-_set_op, _set_a, _set_b, _set_c, _set_d, _set_imm, _set_cap = (
-    Ins.__dict__[f].__set__ for f in ("op", "a", "b", "c", "d", "imm", "cap"))
+class _InsBuilder:
+    """Builds an `Ins` as `capability._CapBuilder` builds a `Capability`."""
+    __slots__ = Ins.__slots__
+
+    def __init__(self, op, a=0, b=0, c=0, d=0, imm=0, cap=False):
+        self.op = op
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
+        self.imm = imm
+        self.cap = cap
+        self.__class__ = Ins
 
 
 def _reg(i: int) -> int:
@@ -112,42 +110,42 @@ def _reg(i: int) -> int:
 
 # Constructor helpers, used by the runtime emitters and by tests.
 
-def nop() -> Ins: return Ins(Op.NOP)
-def halt() -> Ins: return Ins(Op.HALT)
+def nop() -> Ins: return _InsBuilder(Op.NOP)
+def halt() -> Ins: return _InsBuilder(Op.HALT)
 def ldi(rd: int, ra: int, off: int = 0, cap: bool = False) -> Ins:
-    return Ins(Op.LOAD_INT, _reg(rd), _reg(ra), imm=off, cap=cap)
+    return _InsBuilder(Op.LOAD_INT, _reg(rd), _reg(ra), imm=off, cap=cap)
 def sti(rs: int, ra: int, off: int = 0, cap: bool = False) -> Ins:
-    return Ins(Op.STORE_INT, _reg(rs), _reg(ra), imm=off, cap=cap)
+    return _InsBuilder(Op.STORE_INT, _reg(rs), _reg(ra), imm=off, cap=cap)
 def ldc(rd: int, ra: int, off: int = 0, cap: bool = False) -> Ins:
-    return Ins(Op.LOAD_CAP, _reg(rd), _reg(ra), imm=off, cap=cap)
+    return _InsBuilder(Op.LOAD_CAP, _reg(rd), _reg(ra), imm=off, cap=cap)
 def stc(rs: int, ra: int, off: int = 0, cap: bool = False) -> Ins:
-    return Ins(Op.STORE_CAP, _reg(rs), _reg(ra), imm=off, cap=cap)
+    return _InsBuilder(Op.STORE_CAP, _reg(rs), _reg(ra), imm=off, cap=cap)
 def setbounds(rd: int, rs: int, rbase: int, rtop: int) -> Ins:
-    return Ins(Op.SET_BOUNDS, _reg(rd), _reg(rs), _reg(rbase), _reg(rtop))
+    return _InsBuilder(Op.SET_BOUNDS, _reg(rd), _reg(rs), _reg(rbase), _reg(rtop))
 def setaddr(rd: int, rs: int, raddr: int) -> Ins:
-    return Ins(Op.SET_ADDRESS, _reg(rd), _reg(rs), _reg(raddr))
+    return _InsBuilder(Op.SET_ADDRESS, _reg(rd), _reg(rs), _reg(raddr))
 def restrict(rd: int, rs: int, perms: Perm) -> Ins:
-    return Ins(Op.RESTRICT_PERMS, _reg(rd), _reg(rs), imm=int(perms))
+    return _InsBuilder(Op.RESTRICT_PERMS, _reg(rd), _reg(rs), imm=int(perms))
 def sealr(rd: int, rs: int, otype: int) -> Ins:
-    return Ins(Op.SEAL, _reg(rd), _reg(rs), imm=otype)
+    return _InsBuilder(Op.SEAL, _reg(rd), _reg(rs), imm=otype)
 def mov(rd: int, rs: int) -> Ins:
-    return Ins(Op.MOVE, _reg(rd), _reg(rs))
+    return _InsBuilder(Op.MOVE, _reg(rd), _reg(rs))
 def addi(rd: int, rs: int, imm: int) -> Ins:
-    return Ins(Op.ADD_IMM, _reg(rd), _reg(rs), imm=imm)
+    return _InsBuilder(Op.ADD_IMM, _reg(rd), _reg(rs), imm=imm)
 def bcap(rs: int) -> Ins:
-    return Ins(Op.BRANCH_CAP, _reg(rs))
+    return _InsBuilder(Op.BRANCH_CAP, _reg(rs))
 def calll(rs: int) -> Ins:
-    return Ins(Op.CALL_LOCAL, _reg(rs))
+    return _InsBuilder(Op.CALL_LOCAL, _reg(rs))
 def retl() -> Ins:
-    return Ins(Op.RETURN_LOCAL)
+    return _InsBuilder(Op.RETURN_LOCAL)
 def lpb(rs: int, rd_second: int) -> Ins:
-    return Ins(Op.LOAD_PAIR_BRANCH, _reg(rs), _reg(rd_second))
+    return _InsBuilder(Op.LOAD_PAIR_BRANCH, _reg(rs), _reg(rd_second))
 def installddc(rs: int) -> Ins:
-    return Ins(Op.INSTALL_DDC, _reg(rs))
+    return _InsBuilder(Op.INSTALL_DDC, _reg(rs))
 def readddc(rd: int) -> Ins:
-    return Ins(Op.READ_DDC, _reg(rd))
+    return _InsBuilder(Op.READ_DDC, _reg(rd))
 def cvtd(rd: int, rbase: int, rtop: int) -> Ins:
-    return Ins(Op.DERIVE_DDC, _reg(rd), _reg(rbase), _reg(rtop))
+    return _InsBuilder(Op.DERIVE_DDC, _reg(rd), _reg(rbase), _reg(rtop))
 
 
 def movi(rd: int, value: int) -> Ins:

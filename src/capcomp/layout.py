@@ -118,6 +118,10 @@ _SWITCHER_REGIONS = ("switcher_code", "switcher_data", "cap_table")
 # `sys.get_int_max_str_digits()` is.
 MAX_INT_LEN = 4300
 
+# The largest memory size a plan may have; the tests, demos and bench use 1 MiB
+# at most.
+MAX_MEMORY_SIZE = 1 << 30
+
 # The most characters of an input token that a configuration or scenario
 # parse error echoes.
 ECHO_LEN = 64
@@ -466,11 +470,13 @@ def _order_for_adjacency(cfg: CompartmentConfig) -> list[str]:
 def compute_layout(cfg: CompartmentConfig, memory_size: int = DEFAULT_SIZE) -> LayoutPlan:
     """Plan every region deterministically; identical input, identical plan.
 
-    `memory_size` must be one `TaggedMemory` can have: a positive multiple
-    of GRANULE. It bounds the code slots as well as the data bytes.
+    `memory_size` must be a positive multiple of GRANULE, at most
+    MAX_MEMORY_SIZE. It bounds the code slots as well as the data bytes.
     """
     if memory_size <= 0 or memory_size % GRANULE != 0:
         raise LayoutError(f"memory size must be a positive multiple of {GRANULE}")
+    if memory_size > MAX_MEMORY_SIZE:
+        raise LayoutError(f"memory size must be at most {MAX_MEMORY_SIZE:#x}")
     order = _order_for_adjacency(cfg)
     by_host: dict[str, list[str]] = {}
     for sb in cfg.sandboxes:

@@ -130,23 +130,21 @@ class Fault:
     length: int = 1
     ddc_access: bool = False   # true only for legacy data accesses checked against ddc
 
-    def __init__(self, kind: FaultKind, addr: int, pc: int, length: int = 1,
-                 ddc_access: bool = False):
-        # Same slot-descriptor stores as Capability.__init__: nearly every
-        # fuzz sequence ends in a fault, and the generated frozen __init__
-        # costs about 1.7 times as much.
-        _set_kind(self, kind)
-        _set_addr(self, addr)
-        _set_pc(self, pc)
-        _set_length(self, length)
-        _set_ddc_access(self, ddc_access)
-
     def __str__(self) -> str:
         return f"{self.kind}@{self.addr:#x} pc={self.pc}"
 
 
-_set_kind, _set_addr, _set_pc, _set_length, _set_ddc_access = (
-    Fault.__dict__[f].__set__ for f in ("kind", "addr", "pc", "length", "ddc_access"))
+class _FaultBuilder:
+    """Builds a `Fault` as `capability._CapBuilder` builds a `Capability`."""
+    __slots__ = Fault.__slots__
+
+    def __init__(self, kind, addr, pc, length, ddc_access):
+        self.kind = kind
+        self.addr = addr
+        self.pc = pc
+        self.length = length
+        self.ddc_access = ddc_access
+        self.__class__ = Fault
 
 
 @dataclass(slots=True)
@@ -222,7 +220,7 @@ def _blocked_entry(st: MachineState, target: int, pc: int) -> bool:
 
 def _fault(st: MachineState, kind: FaultKind, addr: int, pc: int,
            length: int = 1, ddc_access: bool = False) -> None:
-    st.fault = Fault(kind, addr, pc, length, ddc_access)
+    st.fault = _FaultBuilder(kind, addr, pc, length, ddc_access)
 
 
 def _setreg(st: MachineState, idx: int, value: Capability) -> None:

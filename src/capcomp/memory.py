@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import struct
 
-from .capability import ADDR_BITS, ADDR_MASK, NULL_CAP, PERMS, PERM_ALL, TOP_MAX, Capability
+from .capability import ADDR_BITS, ADDR_MASK, NULL_CAP, PERMS, PERM_ALL, TOP_MAX, Capability, _CapBuilder
 from .isa import INT_WIDTH
 
 GRANULE = 16
@@ -100,7 +100,7 @@ def read_slot(mem: TaggedMemory, addr: int) -> Capability:
     g = addr // GRANULE
     tag = tags[g] != 0 and tags[g + 1] != 0
     if tag or base or top or address or perms or otype:
-        return Capability(base, top, address, PERMS[perms], otype, tag)
+        return _CapBuilder(base, top, address, PERMS[perms], otype, tag)
     return NULL_CAP
 
 

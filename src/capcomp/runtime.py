@@ -45,6 +45,7 @@ from .isa import (
     REG_LINK,
     REG_SP,
     REG_ZERO,
+    _InsBuilder,
     addi,
     bcap,
     calll,
@@ -535,8 +536,8 @@ def _fuzz_ins(gb, addr_regs: tuple[int, ...]) -> Ins:
     bits, drawn again while it is `>= n`.  Every instruction first draws k
     (its kind, 0..19), rd, ra (from `addr_regs` or any register, on a coin),
     an offset and the operand mode, and then, in order, the operands its
-    kind needs; it is built as `Ins`, as the `isa` helper of its op builds
-    it."""
+    kind needs; it is built by `isa._InsBuilder`, as the `isa` helper of
+    its op builds it."""
     k = gb(5)
     while k >= 20: k = gb(5)
     rd = gb(5)
@@ -556,7 +557,7 @@ def _fuzz_ins(gb, addr_regs: tuple[int, ...]) -> Ins:
     capm = gb(2)
     while capm >= 2: capm = gb(2)
     if k < 10:                      # sti, ldi, stc, ldc
-        return Ins(_FUZZ_MEM_OPS[k], rd, ra, 0, 0, off - 64, capm == 1)
+        return _InsBuilder(_FUZZ_MEM_OPS[k], rd, ra, 0, 0, off - 64, capm == 1)
     if k == 15:
         # lpb: r7 is seeded with the sealed entry capability, so half of
         # these genuinely reach the switcher with junk in the parameter
@@ -570,41 +571,41 @@ def _fuzz_ins(gb, addr_regs: tuple[int, ...]) -> Ins:
             while a >= 32: a = gb(6)
         b = gb(4)
         while b >= 15: b = gb(4)
-        return Ins(Op.LOAD_PAIR_BRANCH, a, 1 + b)
+        return _InsBuilder(Op.LOAD_PAIR_BRANCH, a, 1 + b)
     if k >= 18:                     # bcap or call, ret or setaddr: a coin first
         coin = gb(2)
         while coin >= 2: coin = gb(2)
         if k == 19 and coin:
-            return Ins(Op.RETURN_LOCAL)
+            return _InsBuilder(Op.RETURN_LOCAL)
     a = gb(6)
     while a >= 32: a = gb(6)
     if k == 14:
-        return Ins(Op.INSTALL_DDC, a)
+        return _InsBuilder(Op.INSTALL_DDC, a)
     if k == 17:
-        return Ins(Op.MOVE, rd, a)
+        return _InsBuilder(Op.MOVE, rd, a)
     if k == 18:
-        return Ins(Op.BRANCH_CAP if coin else Op.CALL_LOCAL, a)
+        return _InsBuilder(Op.BRANCH_CAP if coin else Op.CALL_LOCAL, a)
     if k == 16:
         imm = gb(13)
         while imm >= 4352: imm = gb(13)
-        return Ins(Op.ADD_IMM, rd, a, 0, 0, imm - 256)
+        return _InsBuilder(Op.ADD_IMM, rd, a, 0, 0, imm - 256)
     if k == 13:
         otype = gb(3)
         while otype >= 7: otype = gb(3)
-        return Ins(Op.SEAL, rd, a, 0, 0, 1 + otype)
+        return _InsBuilder(Op.SEAL, rd, a, 0, 0, 1 + otype)
     if k == 12:
         perms = gb(7)
         while perms >= 64: perms = gb(7)
-        return Ins(Op.RESTRICT_PERMS, rd, a, 0, 0, perms)
+        return _InsBuilder(Op.RESTRICT_PERMS, rd, a, 0, 0, perms)
     b = gb(6)
     while b >= 32: b = gb(6)
     if k == 11:
-        return Ins(Op.DERIVE_DDC, rd, a, b)
+        return _InsBuilder(Op.DERIVE_DDC, rd, a, b)
     if k == 19:
-        return Ins(Op.SET_ADDRESS, rd, a, b)
+        return _InsBuilder(Op.SET_ADDRESS, rd, a, b)
     c = gb(6)
     while c >= 32: c = gb(6)
-    return Ins(Op.SET_BOUNDS, rd, a, b, c)      # k == 10
+    return _InsBuilder(Op.SET_BOUNDS, rd, a, b, c)      # k == 10
 
 
 class _FuzzProgram:

@@ -32,17 +32,16 @@ class ScenarioFn:
     comp: str
     instr: int          # body instructions per execution, callees excluded
 
-    def __init__(self, name: str, comp: str, instr: int):
-        # Same slot-descriptor stores as Capability.__init__: parsing builds
-        # one of these per line, and the generated frozen __init__ costs
-        # about twice as much.
-        _set_fn_name(self, name)
-        _set_fn_comp(self, comp)
-        _set_fn_instr(self, instr)
 
+class _FnBuilder:
+    """Builds a `ScenarioFn` as `capability._CapBuilder` builds a `Capability`."""
+    __slots__ = ScenarioFn.__slots__
 
-_set_fn_name, _set_fn_comp, _set_fn_instr = (
-    ScenarioFn.__dict__[f].__set__ for f in ("name", "comp", "instr"))
+    def __init__(self, name, comp, instr):
+        self.name = name
+        self.comp = comp
+        self.instr = instr
+        self.__class__ = ScenarioFn
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,15 +51,18 @@ class ScenarioCall:
     count: int          # calls per single caller execution
     promote: int = 0    # allocations promoted per individual call
 
-    def __init__(self, caller: str, callee: str, count: int, promote: int = 0):
-        _set_caller(self, caller)
-        _set_callee(self, callee)
-        _set_count(self, count)
-        _set_promote(self, promote)
 
+class _CallBuilder:
+    """Builds a `ScenarioCall` as `capability._CapBuilder` builds a `Capability`."""
+    __slots__ = ScenarioCall.__slots__
 
-_set_caller, _set_callee, _set_count, _set_promote = (
-    ScenarioCall.__dict__[f].__set__ for f in ("caller", "callee", "count", "promote"))
+    def __init__(self, caller, callee, count, promote):
+        self.caller = caller
+        self.callee = callee
+        self.count = count
+        self.promote = promote
+        self.__class__ = ScenarioCall
+
 
 # Every fn with its outgoing calls, callers before callees.
 _CallOrder = tuple[tuple[ScenarioFn, tuple[ScenarioCall, ...]], ...]
@@ -141,7 +143,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                 raise ScenarioError(f"line {line_no}: count must be positive")
             if promote < 0:
                 raise ScenarioError(f"line {line_no}: promote must be non-negative")
-            calls.append(ScenarioCall(toks[1], toks[2], count, promote))
+            calls.append(_CallBuilder(toks[1], toks[2], count, promote))
         elif kind == "fn":
             if len(toks) != 4:
                 raise ScenarioError(f"line {line_no}: expected fn <name> comp=<c> instr=<n>")
@@ -167,7 +169,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                 raise ScenarioError(f"line {line_no}: bad instruction count") from None
             if instr < 0:
                 raise ScenarioError(f"line {line_no}: negative instruction count")
-            fns.append(ScenarioFn(toks[1], comp, instr))
+            fns.append(_FnBuilder(toks[1], comp, instr))
         elif kind == "scenario":
             if len(toks) != 2:
                 raise ScenarioError(f"line {line_no}: scenario takes one name")

@@ -380,6 +380,26 @@ def test_memory_size_not_a_granule_multiple_is_exit_2(capsys, command, size):
     assert err == "error: memory size must be a positive multiple of 16\n"
 
 
+# a granule multiple too large for an index: the plan rejects it, so boot
+# never asks for the bytes
+OVER_THE_MAXIMUM = "0x1" + "0" * 20
+
+
+@pytest.mark.parametrize("command", ["layout", "boot-dump", "verify"])
+def test_memory_size_over_the_maximum_is_exit_2(capsys, command):
+    code, out, err = run_cli(capsys, command, "two_comp.cfg", f"--memory-size={OVER_THE_MAXIMUM}")
+    assert code == 2 and out == ""
+    assert err == "error: memory size must be at most 0x40000000\n"
+
+
+def test_memory_size_help_names_the_maximum(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["boot-dump", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert exc.value.code == 0
+    assert "(default 1 MiB, at most 1 GiB)" in out
+
+
 @pytest.fixture(params=["default int-string limit", "no int-string limit"])
 def int_str_limit(request):
     """CPython's default int-string limit (3.11+), then none, as on 3.10."""

@@ -1,5 +1,5 @@
-"""Gate, switcher and trampoline emission from shared blocks and the
-slot-descriptor `Ins` constructor, checked against references: the per-call
+"""Gate, switcher and trampoline emission from shared blocks and the `Ins`
+builder (`isa._InsBuilder`), checked against references: the per-call
 builders that emitted every instruction afresh, and an `Ins` built field by
 field the way the generated frozen-dataclass `__init__` builds it."""
 
@@ -17,6 +17,7 @@ from capcomp.isa import (
     REG_LINK,
     REG_SP,
     REG_ZERO,
+    _InsBuilder,
     addi,
     bcap,
     calll,
@@ -346,7 +347,7 @@ def test_emitted_lists_and_booted_programs_are_not_shared():
 
 
 # --------------------------------------------------------------------------
-# Ins: the slot-descriptor constructor behaves like the generated one.
+# Ins: the builder and the generated constructor give the reference value.
 
 FIELDS = ("op", "a", "b", "c", "d", "imm", "cap")
 DEFAULTS = {f.name: f.default for f in dataclasses.fields(Ins) if f.name != "op"}
@@ -365,6 +366,8 @@ def test_ins_defaults():
     ins = Ins(Op.NOP)
     assert tuple(getattr(ins, f) for f in FIELDS) == (Op.NOP, 0, 0, 0, 0, 0, False)
     assert ins == ref_ins(op=Op.NOP)
+    built = _InsBuilder(Op.NOP)
+    assert type(built) is Ins and built == ins
 
 
 ins_fields = st.fixed_dictionaries({
@@ -393,16 +396,22 @@ def test_ins_construction_matches_the_reference(fields):
         assert str(ins) == format_ins(ins) == format_ins(want)
     other = dataclasses.replace(want, imm=fields["imm"] + 1)
     assert other != keyword
+    built = _InsBuilder(*(fields[f] for f in FIELDS))
+    assert type(built) is Ins
+    assert built == want and hash(built) == hash(want) and repr(built) == repr(want)
+    assert str(built) == str(want)
 
 
 def test_ins_is_immutable():
-    ins = addi(1, 2, 3)
-    for name in FIELDS:
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(ins, name, 0)
-    with pytest.raises((AttributeError, TypeError)):
-        ins.extra = 1                        # slots: no instance dict
-    assert ins == Ins(Op.ADD_IMM, 1, 2, imm=3)
+    # a helper's value comes from the builder, the other from the generated
+    # __init__
+    for ins in (addi(1, 2, 3), Ins(Op.ADD_IMM, 1, 2, imm=3)):
+        assert type(ins) is Ins
+        for name in FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ins, name, 0)
+        assert not hasattr(ins, "__dict__")  # slots: no instance dict
+    assert addi(1, 2, 3) == Ins(Op.ADD_IMM, 1, 2, imm=3)
 
 
 def test_ins_str_and_format():

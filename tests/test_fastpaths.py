@@ -5,8 +5,10 @@ independently.
   against the IntFlag and `dataclasses.replace` code they replaced.
 - The slot codec behind `store_cap` and `load_cap`, against the byte-string
   record codec (`serialize` / `deserialize`).
-- The slot-descriptor `Fault` constructor, against a `Fault` built field by
-  field the way the generated frozen `__init__` builds it.
+- The builders (`capability._CapBuilder`, `machine._FaultBuilder`), against
+  values built field by field the way the generated frozen `__init__`
+  builds them, and one end-to-end check that no builder lets its mutable
+  twin out of a round trip, a fuzz run or a scenario parse.
 - The null capability as one object on the slot path, through the handler
   and through `load_cap`.
 - The four data-access handlers, against the spec (`tests/spec.py`), on
@@ -16,6 +18,7 @@ independently.
 """
 
 import dataclasses
+import importlib.resources as ir
 import random
 from collections import Counter
 
@@ -33,6 +36,7 @@ from capcomp.capability import (
     Capability,
     FaultKind,
     Perm,
+    _CapBuilder,
     check_access,
     deserialize,
     int_cap,
@@ -41,11 +45,16 @@ from capcomp.capability import (
     seal,
     serialize,
     set_address,
+    set_bounds,
     unseal,
 )
-from capcomp.isa import INT_WIDTH, REG_LINK, REG_ZERO, ldc, ldi, lpb, nop, stc, sti
-from capcomp.machine import Fault, MachineState, run
+from capcomp import runtime
+from capcomp.isa import INT_WIDTH, REG_LINK, REG_ZERO, Ins, addi, ldc, ldi, lpb, nop, retl, stc, sti
+from capcomp.layout import boot_init, compute_layout, install_function, parse_config
+from capcomp.machine import Fault, MachineState, _FaultBuilder, run
 from capcomp.memory import CAP_SLOT, GRANULE, TaggedMemory
+from capcomp.runtime import GateDescriptor, call_compartment, fuzz_isolation
+from capcomp.workload import ScenarioCall, ScenarioFn, parse_scenario
 
 from spec_check import assert_matches_spec
 
@@ -177,6 +186,70 @@ def test_constructor_keeps_defaults_and_immutability():
 
 
 # --------------------------------------------------------------------------
+# The capability builder: plain slot stores and then the relabel give the
+# very value the generated frozen __init__ gives.
+
+CAP_FIELDS = tuple(f.name for f in dataclasses.fields(Capability))
+
+
+def ref_cap(*values):
+    """A Capability built as the generated frozen __init__ builds it."""
+    c = object.__new__(Capability)
+    for name, value in zip(CAP_FIELDS, values, strict=True):
+        object.__setattr__(c, name, value)
+    return c
+
+
+def assert_frozen_record(value, want):
+    """`value` is exactly `want`'s record type and equal to it, hashes and
+    prints like it, refuses a store to each field and has no instance dict."""
+    assert type(value) is type(want)
+    assert value == want and hash(value) == hash(want) and repr(value) == repr(want)
+    for f in dataclasses.fields(want):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, f.name, getattr(want, f.name))
+    assert not hasattr(value, "__dict__")
+
+
+def test_a_builder_with_other_slots_cannot_relabel():
+    # what keeps a builder honest: CPython refuses the __class__ store
+    # between layouts that differ, at the first build
+    class Short:
+        __slots__ = CAP_FIELDS[:-1]
+
+        def __init__(self):
+            self.__class__ = Capability
+
+    with pytest.raises(TypeError):
+        Short()
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=caps)
+def test_cap_builder_matches_the_reference(c):
+    values = tuple(getattr(c, n) for n in CAP_FIELDS)
+    built = _CapBuilder(*values)
+    assert_frozen_record(built, ref_cap(*values))
+    assert same(built, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=caps, address=st.integers(0, ADDR_MASK), otype=st.integers(1, OTYPE_MAX),
+       keep=st.integers(0, 63))
+def test_every_derivation_builds_a_frozen_capability(c, address, otype, keep):
+    mem = TaggedMemory(CAP_SLOT)
+    mem.store_cap(0, c)
+    built = [int_cap(address), make_root(0, address, PERMS[keep]), set_address(c, address),
+             set_bounds(c, c.base, address), restrict_perms(c, keep), seal(c, otype),
+             mem.load_cap(0)]
+    if c.sealed:
+        built.append(unseal(c))
+    for v in built:
+        if v is not NULL_CAP:
+            assert_frozen_record(v, ref_cap(*(getattr(v, n) for n in CAP_FIELDS)))
+
+
+# --------------------------------------------------------------------------
 # Slots: store_cap writes the reference record, load_cap reads like it.
 
 @settings(max_examples=500, deadline=None)
@@ -230,7 +303,7 @@ def test_load_cap_matches_deserialize(raw, tag_bits, high):
 
 
 # --------------------------------------------------------------------------
-# Fault: the slot-descriptor constructor behaves like the generated one.
+# Fault: the builder and the generated constructor give the reference value.
 
 FAULT_FIELDS = ("kind", "addr", "pc", "length", "ddc_access")
 FAULT_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Fault)
@@ -277,6 +350,9 @@ def test_fault_construction_matches_the_reference(fields):
         assert repr(f) == repr(want)
         assert str(f) == str(want)
     assert dataclasses.replace(want, pc=fields["pc"] + 1) != keyword
+    built = _FaultBuilder(*(fields[n] for n in FAULT_FIELDS))
+    assert_frozen_record(built, want)
+    assert str(built) == str(want)
 
 
 def test_fault_is_immutable():
@@ -688,3 +764,49 @@ def test_lpb_loads_the_pair_like_deserialize(name):
         "an all-zero untagged slot": {"first untagged", "second untagged"},
     }.get(name, {"retired", FaultKind.SEAL, FaultKind.PERMISSION, FaultKind.BOUNDS})
     assert expect <= set(outcomes), outcomes
+
+
+# --------------------------------------------------------------------------
+# No builder lets its mutable twin out: after a round trip, a fuzz run and a
+# scenario parse, every value the machine and the parser hold is exactly its
+# record type.
+
+def fixture(name):
+    return ir.files("capcomp").joinpath("fixtures", name).read_text()
+
+
+def test_no_builder_lets_its_mutable_twin_out(monkeypatch):
+    img = boot_init(compute_layout(parse_config(fixture("three_comp_shared.cfg"))))
+    machine = img.machine
+
+    def assert_all_records():
+        assert all(type(c) is Capability for c in machine.regs)
+        assert type(machine.ddc) is Capability and type(machine.code) is Capability
+        assert all(type(ins) is Ins for ins in img.program)
+
+    machine.events = []
+    entry = install_function(img, "codec", [addi(0, 0, 1), retl()])
+    call_compartment(img, GateDescriptor("app", "codec", entry, dest=0), [41])
+    assert machine.fault is None and machine.regs[0].address == 42
+    assert_all_records()
+    faults = [ev[3] for ev in machine.events if ev[0] == "step" and ev[3] is not None]
+    machine.events = None
+
+    real = runtime.run
+
+    def recording(st, mem, program, max_steps=100_000):
+        real(st, mem, program, max_steps)
+        if st.fault is not None:
+            faults.append(st.fault)
+        return st
+
+    monkeypatch.setattr(runtime, "run", recording)
+    assert fuzz_isolation(img, sequences=200, seed=7).sequences == 200
+    assert len(faults) > 100                 # armed: most sequences fault
+    assert all(type(f) is Fault for f in faults)
+    assert_all_records()
+
+    sc = parse_scenario(fixture("libsodium_hex.scn"))
+    assert len(sc.fns) == 3 and len(sc.calls) == 2
+    assert all(type(fn) is ScenarioFn for fn in sc.fns)
+    assert all(type(c) is ScenarioCall for c in sc.calls)

@@ -14,6 +14,7 @@ from capcomp.layout import (
     LayoutError,
     LayoutPlan,
     MAX_INT_LEN,
+    MAX_MEMORY_SIZE,
     OFF_DDC,
     OFF_PCC,
     OFF_SP,
@@ -35,6 +36,7 @@ from capcomp.layout import (
     shared_alloc,
 )
 from capcomp.isa import halt, nop
+from capcomp.memory import GRANULE
 
 
 def fixture(name):
@@ -367,6 +369,16 @@ def test_code_space_bounded_by_memory_size():
     with pytest.raises(LayoutError) as exc:
         compute_layout(over, memory_size=4096)
     assert str(exc.value) == "code needs 0x1010 slots, memory holds 0x1000"
+
+
+def test_memory_size_bounded_by_the_maximum():
+    # planning allocates nothing, so the maximum itself is cheap to accept
+    cfg = parse_config("compartment a code=64 data=32 stack=32 heap=0")
+    assert MAX_MEMORY_SIZE == 1 << 30
+    assert compute_layout(cfg, memory_size=MAX_MEMORY_SIZE).memory_size == MAX_MEMORY_SIZE
+    with pytest.raises(LayoutError) as exc:
+        compute_layout(cfg, memory_size=MAX_MEMORY_SIZE + GRANULE)
+    assert str(exc.value) == "memory size must be at most 0x40000000"
 
 
 def test_format_region_table_and_records():

@@ -30,6 +30,8 @@ from capcomp.workload import (
     ScenarioError,
     ScenarioFn,
     ScenarioSummary,
+    _CallBuilder,
+    _FnBuilder,
     emit_report,
     estimate_overhead,
     format_breakdown,
@@ -331,11 +333,26 @@ def test_bundled_scenarios_parse_to_reference(name):
     assert sc == BUNDLED[name]
     assert hash(sc) == hash(BUNDLED[name])
     assert sc.fns[0] == ScenarioFn(*dataclasses.astuple(BUNDLED[name].fns[0]))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        sc.fns[0].instr = 1
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        sc.calls[0].count = 1
-    assert not hasattr(sc.calls[0], "__dict__")
+    # the parsed records come from the builders, the reference's from the
+    # generated __init__
+    for got, want in zip(sc.fns + sc.calls, BUNDLED[name].fns + BUNDLED[name].calls, strict=True):
+        assert_frozen_record(got, want)
+
+
+def assert_frozen_record(value, want):
+    """`value` is exactly `want`'s record type and equal to it, hashes and
+    prints like it, refuses a store to each field and has no instance dict."""
+    assert type(value) is type(want)
+    assert value == want and hash(value) == hash(want) and repr(value) == repr(want)
+    for f in dataclasses.fields(want):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, f.name, getattr(want, f.name))
+    assert not hasattr(value, "__dict__")
+
+
+def test_scenario_builders_match_the_generated_constructors():
+    assert_frozen_record(_FnBuilder("f", "app", 7), ScenarioFn("f", "app", 7))
+    assert_frozen_record(_CallBuilder("f", "g", 3, 0), ScenarioCall("f", "g", 3))
 
 
 # ---------------------------------------------------------------------------
