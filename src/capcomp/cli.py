@@ -24,7 +24,6 @@ from importlib import resources
 
 from .capability import ADDR_MASK
 from .layout import (
-    MAX_INT_LEN,
     MAX_MEMORY_SIZE,
     ConfigError,
     LayoutError,
@@ -40,6 +39,7 @@ from .layout import (
     format_region_table,
     install_function,
     parse_config,
+    read_int,
 )
 from .isa import addi, retl
 from .machine import format_trace
@@ -210,13 +210,10 @@ def cmd_micro(args) -> int:
 
 def cmd_trace(args) -> int:
     call_args = []
-    for tok in args.args:      # the length first, so a token reads alike on every Python
-        if len(tok) > MAX_INT_LEN:
-            raise ValueError(f"trace argument: integer longer than {MAX_INT_LEN} characters")
-        try:
-            a = int(tok)
-        except ValueError:
-            raise ValueError(f"invalid literal for int() with base 10: {clip_token(tok)!r}") from None
+    for tok in args.args:
+        a = read_int(tok, 10, ValueError, "trace argument: ")
+        if a is None:
+            raise ValueError(f"invalid literal for int() with base 10: {clip_token(tok)!r}")
         if not 0 <= a <= ADDR_MASK:
             raise ValueError(f"trace argument {clip_token(str(a))} outside [0, 2^64)")
         call_args.append(a)
@@ -246,14 +243,12 @@ def cmd_trace(args) -> int:
 
 
 def _int_option(tok: str, base: int = 10) -> int:
-    """An integer option's value.  The length is checked first, so a long
-    token reads alike on every Python, and an error echoes `clip_token(tok)`."""
-    if len(tok) > MAX_INT_LEN:
-        raise argparse.ArgumentTypeError(f"integer longer than {MAX_INT_LEN} characters")
-    try:
-        return int(tok, base)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {clip_token(tok)!r}") from None
+    """An integer option's value, read by `read_int`; a bad one echoes
+    `clip_token(tok)`."""
+    value = read_int(tok, base, argparse.ArgumentTypeError)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {clip_token(tok)!r}")
+    return value
 
 
 def _float_option(tok: str) -> float:

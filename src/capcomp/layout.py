@@ -133,23 +133,32 @@ def clip_token(tok: str) -> str:
     return tok if len(tok) <= ECHO_LEN else tok[:ECHO_LEN] + "..."
 
 
-def _attr_int(tok: str, key: str, line_no: int) -> int:
-    if not tok.startswith(key + "="):
-        raise ConfigError(f"line {line_no}: expected {key}=<n>, got {clip_token(tok)!r}")
-    value = tok[len(key) + 1:]
-    if len(value) > MAX_INT_LEN:
-        raise ConfigError(f"line {line_no}: integer longer than {MAX_INT_LEN} characters")
+def read_int(tok: str, base: int, error: type[Exception], what: str = "") -> int | None:
+    """`tok` read as an integer in `base`, or None when it is not one, so the
+    caller words that error with its own echo.  The length is checked first:
+    a token over `MAX_INT_LEN` characters raises `error`, prefixed by `what`,
+    so a long token reads alike on every Python."""
+    if len(tok) > MAX_INT_LEN:
+        raise error(f"{what}integer longer than {MAX_INT_LEN} characters")
     try:
-        return int(value, 0)
+        return int(tok, base)
     except ValueError:
-        raise ConfigError(f"line {line_no}: bad integer in {clip_token(tok)!r}") from None
+        return None
 
 
-def _check_size(value: int, what: str, line_no: int, minimum: int = 0,
-                granularity: int = GRANULE) -> int:
+def _attr_int(tok: str, key: str) -> int:
+    if not tok.startswith(key + "="):
+        raise ConfigError(f"expected {key}=<n>, got {clip_token(tok)!r}")
+    value = read_int(tok[len(key) + 1:], 0, ConfigError)
+    if value is None:
+        raise ConfigError(f"bad integer in {clip_token(tok)!r}")
+    return value
+
+
+def _check_size(value: int, what: str, minimum: int = 0, granularity: int = GRANULE) -> int:
     if value < minimum or value % granularity != 0:
         raise ConfigError(
-            f"line {line_no}: {what} must be a multiple of {granularity} and >= {minimum}, got {value}")
+            f"{what} must be a multiple of {granularity} and >= {minimum}, got {value}")
     return value
 
 
@@ -180,7 +189,9 @@ def parse_config(text: str) -> CompartmentConfig:
     `shared <name> size=<n> between <a>,<b> mode=overlap|exception`,
     `sandbox <fn> host=<comp>`.  Blank lines and `#` comments are ignored.
     The first declared compartment is the boot-default one.  An integer
-    longer than `MAX_INT_LEN` characters is rejected as such.
+    longer than `MAX_INT_LEN` characters is rejected as such.  A line's
+    checks raise without a position; the loop's one `except` adds the
+    `line N: ` prefix.
     """
     comps: list[CompartmentDecl] = []
     shared: list[SharedDecl] = []
@@ -193,68 +204,65 @@ def parse_config(text: str) -> CompartmentConfig:
             continue
         toks = line.split()
         kind = toks[0]
+        try:
+            if kind == "compartment":
+                if len(toks) != 6:
+                    raise ConfigError("compartment takes name and 4 size attributes")
+                name = toks[1]
+                if not _NAME_RE.match(name):
+                    raise ConfigError(f"bad compartment name {clip_token(name)!r}")
+                if name in names:
+                    raise ConfigError(f"duplicate name {clip_token(name)!r}")
+                names.add(name)
+                # Byte sizes are capability-slot multiples so every span boundary
+                # (and with it every stack top and sealed-entry slot) stays
+                # naturally aligned for capability storage.
+                code = _check_size(_attr_int(toks[2], "code"), "code size", 32)
+                data = _check_size(_attr_int(toks[3], "data"), "data size", 32, CAP_SLOT)
+                stack = _check_size(_attr_int(toks[4], "stack"), "stack size", 32, CAP_SLOT)
+                heap = _check_size(_attr_int(toks[5], "heap"), "heap size", 0, CAP_SLOT)
+                comps.append(CompartmentDecl(name, code, data, stack, heap))
 
-        if kind == "compartment":
-            if len(toks) != 6:
-                raise ConfigError(f"line {line_no}: compartment takes name and 4 size attributes")
-            name = toks[1]
-            if not _NAME_RE.match(name):
-                raise ConfigError(f"line {line_no}: bad compartment name {clip_token(name)!r}")
-            if name in names:
-                raise ConfigError(f"line {line_no}: duplicate name {clip_token(name)!r}")
-            names.add(name)
-            # Byte sizes are capability-slot multiples so every span boundary
-            # (and with it every stack top and sealed-entry slot) stays
-            # naturally aligned for capability storage.
-            code = _check_size(_attr_int(toks[2], "code", line_no), "code size", line_no, 32)
-            data = _check_size(_attr_int(toks[3], "data", line_no), "data size", line_no, 32,
-                               CAP_SLOT)
-            stack = _check_size(_attr_int(toks[4], "stack", line_no), "stack size", line_no, 32,
-                                CAP_SLOT)
-            heap = _check_size(_attr_int(toks[5], "heap", line_no), "heap size", line_no, 0,
-                               CAP_SLOT)
-            comps.append(CompartmentDecl(name, code, data, stack, heap))
+            elif kind == "shared":
+                if len(toks) != 6 or toks[3] != "between":
+                    raise ConfigError("expected shared <name> size=<n> between <a>,<b> mode=<m>")
+                name = toks[1]
+                if not _NAME_RE.match(name):
+                    raise ConfigError(f"bad shared region name {clip_token(name)!r}")
+                if name in _SWITCHER_REGIONS:
+                    raise ConfigError(f"{name!r} names the switcher's own region")
+                if name in names:
+                    raise ConfigError(f"duplicate name {clip_token(name)!r}")
+                names.add(name)
+                size = _check_size(_attr_int(toks[2], "size"), "shared size", 32, CAP_SLOT)
+                pair = toks[4].split(",")
+                if len(pair) != 2 or not all(pair):
+                    raise ConfigError("between takes exactly two compartments")
+                a, b = pair
+                if a == b:
+                    raise ConfigError("a region cannot be shared with itself")
+                mode = toks[5]
+                if not mode.startswith("mode=") or mode[5:] not in ("overlap", "exception"):
+                    raise ConfigError("mode must be overlap or exception")
+                shared.append(SharedDecl(name, size, a, b, mode[5:]))
 
-        elif kind == "shared":
-            if len(toks) != 6 or toks[3] != "between":
-                raise ConfigError(
-                    f"line {line_no}: expected shared <name> size=<n> between <a>,<b> mode=<m>")
-            name = toks[1]
-            if not _NAME_RE.match(name):
-                raise ConfigError(f"line {line_no}: bad shared region name {clip_token(name)!r}")
-            if name in _SWITCHER_REGIONS:
-                raise ConfigError(f"line {line_no}: {name!r} names the switcher's own region")
-            if name in names:
-                raise ConfigError(f"line {line_no}: duplicate name {clip_token(name)!r}")
-            names.add(name)
-            size = _check_size(_attr_int(toks[2], "size", line_no), "shared size", line_no, 32,
-                               CAP_SLOT)
-            pair = toks[4].split(",")
-            if len(pair) != 2 or not all(pair):
-                raise ConfigError(f"line {line_no}: between takes exactly two compartments")
-            a, b = pair
-            if a == b:
-                raise ConfigError(f"line {line_no}: a region cannot be shared with itself")
-            mode = toks[5]
-            if not mode.startswith("mode=") or mode[5:] not in ("overlap", "exception"):
-                raise ConfigError(f"line {line_no}: mode must be overlap or exception")
-            shared.append(SharedDecl(name, size, a, b, mode[5:]))
+            elif kind == "sandbox":
+                if len(toks) != 3:
+                    raise ConfigError("expected sandbox <fn> host=<comp>")
+                name = toks[1]
+                if not _NAME_RE.match(name):
+                    raise ConfigError(f"bad sandbox name {clip_token(name)!r}")
+                if name in names:
+                    raise ConfigError(f"duplicate name {clip_token(name)!r}")
+                names.add(name)
+                if not toks[2].startswith("host="):
+                    raise ConfigError("expected host=<comp>")
+                sandboxes.append(SandboxDecl(name, toks[2][5:]))
 
-        elif kind == "sandbox":
-            if len(toks) != 3:
-                raise ConfigError(f"line {line_no}: expected sandbox <fn> host=<comp>")
-            name = toks[1]
-            if not _NAME_RE.match(name):
-                raise ConfigError(f"line {line_no}: bad sandbox name {clip_token(name)!r}")
-            if name in names:
-                raise ConfigError(f"line {line_no}: duplicate name {clip_token(name)!r}")
-            names.add(name)
-            if not toks[2].startswith("host="):
-                raise ConfigError(f"line {line_no}: expected host=<comp>")
-            sandboxes.append(SandboxDecl(name, toks[2][5:]))
-
-        else:
-            raise ConfigError(f"line {line_no}: unknown directive {clip_token(kind)!r}")
+            else:
+                raise ConfigError(f"unknown directive {clip_token(kind)!r}")
+        except ConfigError as e:
+            raise ConfigError(f"line {line_no}: {e}") from None
 
     if not comps:
         raise ConfigError("line 1: configuration declares no compartments")
@@ -624,7 +632,7 @@ class BootImage:
         none)."""
         plan = self.plan
         if name not in plan.comp_ids or name in plan.sandboxes:
-            raise LayoutError(f"{name!r} is not a compartment")
+            raise LayoutError(f"{clip_token(name)!r} is not a compartment")
         st = self.machine
         slot = self.table_slot(name)
         st.pcc = set_address(self.mem.load_cap(slot + OFF_PCC), self.user_entry(name))
@@ -779,7 +787,7 @@ def install_function(img: BootImage, owner: str, instructions: Sequence,
     """
     region = f"{owner}.code"
     if region not in img.next_free:
-        raise LayoutError(f"unknown code owner {owner!r}")
+        raise LayoutError(f"unknown code owner {clip_token(owner)!r}")
     if at is not None:
         code = img.plan.region(region)
         if not code.base + TRAMP_SLOTS <= at or at + len(instructions) > code.top:

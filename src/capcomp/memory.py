@@ -178,7 +178,3 @@ class TaggedMemory:
         if addr < 0 or addr + CAP_SLOT > self.size:
             self._check_range(addr, CAP_SLOT)
         return read_slot(self, addr)
-
-    def granule_tag(self, addr: int) -> bool:
-        self._check_range(addr, 1)
-        return self.tags[addr // GRANULE] != 0

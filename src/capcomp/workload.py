@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .isa import Op, retl
 from .layout import (MAX_INT_LEN, ImageSnapshot, boot_init, clip_token, compute_layout,
-                     format_table, install_function, parse_config)
+                     format_table, install_function, parse_config, read_int)
 from .machine import run
 
 
@@ -102,7 +102,9 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     `call <from> <to> count=<k> [promote=<n>]`, `iterations <n>`, `cpi <x>`.
     The first declared fn is the entry point, executed once per iteration.
     An integer longer than `MAX_INT_LEN` characters is rejected as such.
-    The cycle check derives the call order, which the returned value keeps.
+    A line's checks raise without a position; the loop's one `except` adds
+    the `line N: ` prefix.  The cycle check derives the call order, which
+    the returned value keeps.
     """
     fns: list[ScenarioFn] = []
     calls: list[ScenarioCall] = []
@@ -115,88 +117,75 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         if not toks:
             continue
         kind = toks[0]
-        # `call` first: most lines of a large graph are calls.
-        if kind == "call":
-            if len(toks) not in (4, 5):
-                raise ScenarioError(
-                    f"line {line_no}: expected call <from> <to> count=<k> [promote=<n>]")
-            count = toks[3]
-            if not count.startswith("count="):
-                raise ScenarioError(
-                    f"line {line_no}: expected count=..., got {clip_token(count)!r}")
-            count = count[6:]
-            promote = None
-            if len(toks) == 5:
-                promote = toks[4]
-                if not promote.startswith("promote="):
-                    raise ScenarioError(
-                        f"line {line_no}: expected promote=..., got {clip_token(promote)!r}")
-                promote = promote[8:]
-            if len(count) > MAX_INT_LEN or promote is not None and len(promote) > MAX_INT_LEN:
-                raise ScenarioError(f"line {line_no}: integer longer than {MAX_INT_LEN} characters")
-            try:
-                count = int(count, 0)
-                promote = 0 if promote is None else int(promote, 0)
-            except ValueError:
-                raise ScenarioError(f"line {line_no}: bad integer") from None
-            if count < 1:
-                raise ScenarioError(f"line {line_no}: count must be positive")
-            if promote < 0:
-                raise ScenarioError(f"line {line_no}: promote must be non-negative")
-            calls.append(_CallBuilder(toks[1], toks[2], count, promote))
-        elif kind == "fn":
-            if len(toks) != 4:
-                raise ScenarioError(f"line {line_no}: expected fn <name> comp=<c> instr=<n>")
-            if toks[1] in seen:
-                raise ScenarioError(f"line {line_no}: duplicate fn {clip_token(toks[1])!r}")
-            seen.add(toks[1])
-            comp = toks[2]
-            if not comp.startswith("comp="):
-                raise ScenarioError(f"line {line_no}: expected comp=..., got {clip_token(comp)!r}")
-            comp = comp[5:]
-            if not comp:
-                raise ScenarioError(f"line {line_no}: empty compartment name")
-            instr = toks[3]
-            if not instr.startswith("instr="):
-                raise ScenarioError(
-                    f"line {line_no}: expected instr=..., got {clip_token(instr)!r}")
-            instr = instr[6:]
-            if len(instr) > MAX_INT_LEN:
-                raise ScenarioError(f"line {line_no}: integer longer than {MAX_INT_LEN} characters")
-            try:
-                instr = int(instr, 0)
-            except ValueError:
-                raise ScenarioError(f"line {line_no}: bad instruction count") from None
-            if instr < 0:
-                raise ScenarioError(f"line {line_no}: negative instruction count")
-            fns.append(_FnBuilder(toks[1], comp, instr))
-        elif kind == "scenario":
-            if len(toks) != 2:
-                raise ScenarioError(f"line {line_no}: scenario takes one name")
-            name = toks[1]
-        elif kind == "iterations":
-            if len(toks) != 2:
-                raise ScenarioError(f"line {line_no}: iterations takes one integer")
-            if len(toks[1]) > MAX_INT_LEN:
-                raise ScenarioError(f"line {line_no}: integer longer than {MAX_INT_LEN} characters")
-            try:
-                iterations = int(toks[1], 0)
-            except ValueError:
-                raise ScenarioError(
-                    f"line {line_no}: bad integer {clip_token(toks[1])!r}") from None
-            if iterations < 1:
-                raise ScenarioError(f"line {line_no}: iterations must be positive")
-        elif kind == "cpi":
-            if len(toks) != 2:
-                raise ScenarioError(f"line {line_no}: cpi takes one number")
-            try:
-                cpi = float(toks[1])
-            except ValueError:
-                raise ScenarioError(f"line {line_no}: bad number {clip_token(toks[1])!r}") from None
-            if not 0 < cpi < math.inf:
-                raise ScenarioError(f"line {line_no}: cpi must be positive and finite")
-        else:
-            raise ScenarioError(f"line {line_no}: unknown directive {clip_token(kind)!r}")
+        try:
+            # `call` first: most lines of a large graph are calls.
+            if kind == "call":
+                if len(toks) not in (4, 5):
+                    raise ScenarioError("expected call <from> <to> count=<k> [promote=<n>]")
+                count = toks[3]
+                if not count.startswith("count="):
+                    raise ScenarioError(f"expected count=..., got {clip_token(count)!r}")
+                promote = None
+                if len(toks) == 5:
+                    promote = toks[4]
+                    if not promote.startswith("promote="):
+                        raise ScenarioError(f"expected promote=..., got {clip_token(promote)!r}")
+                # both lengths are checked before either bad integer is named
+                count = read_int(count[6:], 0, ScenarioError)
+                promote = 0 if promote is None else read_int(promote[8:], 0, ScenarioError)
+                if count is None or promote is None:
+                    raise ScenarioError("bad integer")
+                if count < 1:
+                    raise ScenarioError("count must be positive")
+                if promote < 0:
+                    raise ScenarioError("promote must be non-negative")
+                calls.append(_CallBuilder(toks[1], toks[2], count, promote))
+            elif kind == "fn":
+                if len(toks) != 4:
+                    raise ScenarioError("expected fn <name> comp=<c> instr=<n>")
+                if toks[1] in seen:
+                    raise ScenarioError(f"duplicate fn {clip_token(toks[1])!r}")
+                seen.add(toks[1])
+                comp = toks[2]
+                if not comp.startswith("comp="):
+                    raise ScenarioError(f"expected comp=..., got {clip_token(comp)!r}")
+                comp = comp[5:]
+                if not comp:
+                    raise ScenarioError("empty compartment name")
+                instr = toks[3]
+                if not instr.startswith("instr="):
+                    raise ScenarioError(f"expected instr=..., got {clip_token(instr)!r}")
+                instr = read_int(instr[6:], 0, ScenarioError)
+                if instr is None:
+                    raise ScenarioError("bad instruction count")
+                if instr < 0:
+                    raise ScenarioError("negative instruction count")
+                fns.append(_FnBuilder(toks[1], comp, instr))
+            elif kind == "scenario":
+                if len(toks) != 2:
+                    raise ScenarioError("scenario takes one name")
+                name = toks[1]
+            elif kind == "iterations":
+                if len(toks) != 2:
+                    raise ScenarioError("iterations takes one integer")
+                iterations = read_int(toks[1], 0, ScenarioError)
+                if iterations is None:
+                    raise ScenarioError(f"bad integer {clip_token(toks[1])!r}")
+                if iterations < 1:
+                    raise ScenarioError("iterations must be positive")
+            elif kind == "cpi":
+                if len(toks) != 2:
+                    raise ScenarioError("cpi takes one number")
+                try:
+                    cpi = float(toks[1])
+                except ValueError:
+                    raise ScenarioError(f"bad number {clip_token(toks[1])!r}") from None
+                if not 0 < cpi < math.inf:
+                    raise ScenarioError("cpi must be positive and finite")
+            else:
+                raise ScenarioError(f"unknown directive {clip_token(kind)!r}")
+        except ScenarioError as e:
+            raise ScenarioError(f"line {line_no}: {e}") from None
 
     if not fns:
         raise ScenarioError("line 1: scenario declares no functions")

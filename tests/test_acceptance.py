@@ -48,7 +48,7 @@ from capcomp.layout import (
     parse_config,
 )
 from capcomp.machine import MachineState, run
-from capcomp.memory import CAP_SLOT, TaggedMemory
+from capcomp.memory import CAP_SLOT, GRANULE, TaggedMemory
 from capcomp.runtime import (
     GateDescriptor,
     RegionArg,
@@ -124,9 +124,9 @@ def test_02_byte_writes_always_untag():
     for slot in range(0, 4096, CAP_SLOT):
         for b in range(CAP_SLOT):
             mem.store_cap(slot, make_root(0, 4096, PERM_ALL))
-            assert mem.granule_tag(slot + b)     # precondition: granule tagged
+            assert mem.tags[(slot + b) // GRANULE]     # precondition: granule tagged
             mem.write_bytes(slot + b, bytes([(slot + b) & 0xFF]))
-            if mem.granule_tag(slot + b):
+            if mem.tags[(slot + b) // GRANULE]:
                 violations += 1
             if mem.load_cap(slot).tag:
                 violations += 1

@@ -317,6 +317,16 @@ def test_trace_unknown_caller_is_exit_2(capsys):
     assert err.startswith("error: ") and "'nope'" in err
 
 
+@pytest.mark.parametrize("option, message", [
+    ("--caller", f"error: '{'x' * 64}...' is not a compartment\n"),
+    ("--callee", f"error: unknown code owner '{'x' * 64}...'\n"),
+], ids=["caller", "callee"])
+def test_trace_echoes_a_long_compartment_name_cut(capsys, option, message):
+    code, out, err = run_cli(capsys, "trace", "two_comp.cfg", option, "x" * 200)
+    assert code == 2 and out == ""
+    assert err == message
+
+
 def test_trace_needs_two_compartments(capsys, tmp_path):
     cfg = tmp_path / "solo.cfg"
     cfg.write_text("compartment only code=64 data=64 stack=4096 heap=0\n")

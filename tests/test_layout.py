@@ -108,6 +108,19 @@ def test_config_integer_over_the_length_bound_is_named_as_such(text):
     assert str(exc.value) == f"line {line}: integer longer than 4300 characters"
 
 
+@pytest.mark.parametrize("text,message", [
+    # each attribute's key, length and value are checked before the next one's
+    (f"compartment app code={LONG} dta=512 stack=512 heap=0",
+     "line 1: integer longer than 4300 characters"),
+    (f"compartment app cod=512 data=512 stack=512 heap={LONG}",
+     "line 1: expected code=<n>, got 'cod=512'"),
+], ids=["long value first", "misnamed key first"])
+def test_config_misnamed_key_and_long_value_on_one_line(text, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value) == message
+
+
 def test_config_integer_at_the_length_bound_parses():
     n = "1" + "0" * (MAX_INT_LEN - 1)
     cfg = parse_config(f"compartment app code={n} data=512 stack=512 heap=0")

@@ -37,7 +37,7 @@ def test_zero_length_write_is_noop():
     c = make_root(0, 64, PERM_ALL)
     m.store_cap(0, c)
     m.write_bytes(0, b"")
-    assert m.granule_tag(0)          # an empty write clears nothing
+    assert m.tags[0 // GRANULE]          # an empty write clears nothing
 
 
 def test_out_of_range_access():
@@ -75,10 +75,10 @@ def test_tag_lives_in_the_granule_not_the_bytes():
     m = TaggedMemory(1024)
     c = make_root(0x40, 0x140, PERM_ALL)
     m.store_cap(64, c)
-    assert m.granule_tag(64)
+    assert m.tags[64 // GRANULE]
     # writing the identical record bytes by hand must not set the tag
     m.write_bytes(96, serialize(c))
-    assert not m.granule_tag(96)
+    assert not m.tags[96 // GRANULE]
     got = m.load_cap(96)
     assert not got.tag
     assert (got.base, got.top, got.address) == (c.base, c.top, c.address)
@@ -96,7 +96,7 @@ def test_byte_write_clears_overlapping_tags():
     # a write spanning a granule boundary clears both sides
     m.store_cap(64, c)
     m.write_bytes(95, b"\x00\x00")   # bytes 95 and 96
-    assert not m.granule_tag(80)     # granule [80, 96) of the slot at 64
+    assert not m.tags[80 // GRANULE]     # granule [80, 96) of the slot at 64
     assert not m.load_cap(64).tag
     assert not m.load_cap(96).tag
 
@@ -106,7 +106,7 @@ def test_cap_tag_covers_both_granules():
     # the second granule; a byte write there must kill the slot too
     m = TaggedMemory(1024)
     m.store_cap(64, make_root(0, 512, PERM_ALL))
-    assert m.granule_tag(64) and m.granule_tag(64 + GRANULE)
+    assert m.tags[64 // GRANULE] and m.tags[(64 + GRANULE) // GRANULE]
     m.write_bytes(64 + GRANULE + 3, b"\xff")
     assert not m.load_cap(64).tag
 

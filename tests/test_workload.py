@@ -239,7 +239,10 @@ def test_an_integer_at_the_length_bound_parses():
     (f"fn a comp=x instr=1\nfn a comp=y instr={LONG}", "line 2: duplicate fn 'a'"),
     # the misspelt key's token is echoed cut to its first 64 characters
     (f"fn a comp=x inst={LONG}", f"line 1: expected instr=..., got 'inst=1{'0' * 58}...'"),
-], ids=["promote key", "count value", "duplicate fn", "instr key"])
+    # the count's length is checked before the promote value is read
+    (f"fn a comp=x instr=1\nfn b comp=y instr=1\ncall a b count={LONG} promote=x",
+     "line 3: integer longer than 4300 characters"),
+], ids=["promote key", "count value", "duplicate fn", "instr key", "promote value"])
 def test_the_length_bound_keeps_the_order_of_the_checks(text, message):
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(text)
