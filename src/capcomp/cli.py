@@ -286,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--fuzz", type=_int_option, default=10_000, metavar="N",
                    help="random sequences to run (default 10000)")
-    p.add_argument("--seed", type=_int_option, default=0)
+    p.add_argument("--seed", type=_int_option, default=0,
+                   help="seed of the random sequences, at least 0 (default 0)")
     add_mem(p)
     p.set_defaults(fn=cmd_verify)
 

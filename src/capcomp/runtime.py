@@ -37,7 +37,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .capability import NULL_CAP, Perm, int_cap, make_root, set_address
+from .capability import NULL_CAP, Capability, Perm, int_cap, make_root, set_address
 from .isa import (
     Ins,
     Op,
@@ -76,7 +76,7 @@ from .layout import (
     shared_alloc,
 )
 from .machine import MachineState, run
-from .memory import CAP_SLOT, GRANULE
+from .memory import CAP_SLOT
 
 # Register conventions shared by the emitted sequences.
 R_ARG_MAX = 8                  # r0..r7 carry arguments
@@ -516,7 +516,10 @@ def _draw(getrandbits, n: int) -> int:
     So `a + _draw(gb, b - a)` (an int in [a, b)) and `seq[_draw(gb,
     len(seq))]` (an element of seq) make the same `getrandbits` calls, and
     leave the generator in the same state, as the `Random` methods that draw
-    them.  n must be at least 1: with n == 0 the loop never ends."""
+    them.  n must be at least 1: with n == 0 the loop never ends.
+
+    `_fuzz_ins` and `fuzz_isolation` write this loop out inline for each of
+    their draws; this is the form the tests check against `randrange`."""
     k = n.bit_length()
     r = getrandbits(k)
     while r >= n:
@@ -619,6 +622,7 @@ class _FuzzProgram:
 
     def __init__(self, program: list[Ins], draw: Callable[[int], Ins]):
         self.program, self.draw = program, draw
+        self.drawn: set[int] = set()     # cleared before each sequence
 
     def __len__(self) -> int:
         return len(self.program)
@@ -654,8 +658,13 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
 
     r7 starts each sequence as its home's sealed entry slot holds it then,
     since an earlier sequence may have written that slot.  The slot is
-    decoded again only when its 32 bytes or two granule tags differ from
-    those last decoded in this call; nothing is kept across calls.
+    decoded at its home's first sequence, and again only after an access
+    record of this call names a write that overlaps it: every machine write
+    leaves one, as the confinement check relies on.  Nothing is kept across
+    calls.
+
+    `seed` must be at least 0: `random.Random` seeds a negative int as its
+    absolute value, so a negative seed would silently repeat another run.
 
     At most `report_cap` violations are listed.  At the first one beyond
     that, fuzzing stops and the list is truncated: its last entry becomes
@@ -665,6 +674,8 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
         raise ValueError("report_cap must be at least 1, or a breach would go unreported")
     if sequences < 0:
         raise ValueError(f"sequences must be at least 0, not {sequences}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, not {seed}")
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, not {max_len}")
     if max_steps < 1:
@@ -712,12 +723,13 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
         homes.append((st.pc, list(st.regs), entry_at, st.code, st.ddc,
                       st.current_compartment))
 
-    # r7's value per entry slot, with the slot's 32 bytes and two granule
-    # tags it was decoded from.  `read_slot` reads nothing else, so while
-    # they are unchanged the kept capability is what `load_cap` would give.
+    # r7's value per entry slot, kept until a write overlaps the slot.  Every
+    # write the machine makes leaves an access record, which the loop below
+    # scans, and a write is at most CAP_SLOT bytes, so the slots holding its
+    # first and last bytes are all it can touch.  While no record names a
+    # write into the slot, the kept capability is what `load_cap` would give.
     mem = img.mem
-    data, tags = mem.data, mem.tags
-    r7_last: dict[int, tuple] = {}
+    r7_last: dict[int, Capability] = {}
 
     events: list = []
     st.events = events
@@ -726,21 +738,29 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     steps0, switches0 = st.instructions_retired, st.switches
     addr_regs = (0, 1, 2, 3, 4, 5, 6, 7, 31)
     program = _FuzzProgram(img.program, lambda pc: _fuzz_ins(gb, addr_regs))  # independent draws
+    drawn = program.drawn
+    st_regs, image_program = st.regs, img.program
+    n_homes = len(homes)
+    # The sequence length and the r4 address are `_draw`s, written out.
+    len_bits, r4_bits = max_len.bit_length(), data_top.bit_length()
 
     try:
         for i in range(sequences):
-            site, regs, entry_at, code, ddc, home_id = homes[i % len(homes)]
-            end = site + 1 + _draw(gb, max_len)
-            st.regs[:] = regs
-            st.regs[4] = int_cap(_draw(gb, data_top))
-            g = entry_at // GRANULE
-            slot = (data[entry_at:entry_at + CAP_SLOT], tags[g:g + 2])
-            last = r7_last.get(entry_at)
-            if last is None or last[0] != slot:
-                last = r7_last[entry_at] = (slot, mem.load_cap(entry_at))
-            st.regs[7] = last[1]
-            img.program[end] = _HALT
-            program.site, program.end, program.drawn = site, end, set()
+            site, regs, entry_at, code, ddc, home_id = homes[i % n_homes]
+            n = gb(len_bits)
+            while n >= max_len: n = gb(len_bits)
+            end = site + 1 + n
+            st_regs[:] = regs
+            r4 = gb(r4_bits)
+            while r4 >= data_top: r4 = gb(r4_bits)
+            st_regs[4] = int_cap(r4)
+            r7 = r7_last.get(entry_at)
+            if r7 is None:
+                r7 = r7_last[entry_at] = mem.load_cap(entry_at)
+            st_regs[7] = r7
+            image_program[end] = _HALT
+            program.site, program.end = site, end
+            drawn.clear()
             st.code = code
             st.pc = site
             st.ddc = ddc
@@ -751,7 +771,7 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
 
             run(st, mem, program, max_steps)
             if st.fault is not None:
-                kind = st.fault.kind.value
+                kind = st.fault.kind._value_
                 faults[kind] = faults.get(kind, 0) + 1
                 st.fault = None
 
@@ -759,6 +779,9 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
                 if ev[0] != "access":
                     continue
                 _, pc, addr, ln, is_write = ev
+                if is_write:
+                    r7_last.pop(addr & -CAP_SLOT, None)
+                    r7_last.pop((addr + ln - 1) & -CAP_SLOT, None)
                 cid = owner_of(pc)
                 if cid is None or any(a <= addr and addr + ln <= b for a, b in allowed[cid]):
                     continue

@@ -17,8 +17,8 @@ import re
 from dataclasses import dataclass, field
 
 from .isa import Op, retl
-from .layout import (MAX_INT_LEN, ImageSnapshot, boot_init, clip_token, compute_layout,
-                     format_table, install_function, parse_config, read_int)
+from .layout import (ImageSnapshot, boot_init, clip_token, compute_layout, format_table,
+                     install_function, parse_config, read_int)
 from .machine import run
 
 
@@ -101,7 +101,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     Lines: `scenario <name>`, `fn <name> comp=<c> instr=<n>`,
     `call <from> <to> count=<k> [promote=<n>]`, `iterations <n>`, `cpi <x>`.
     The first declared fn is the entry point, executed once per iteration.
-    An integer longer than `MAX_INT_LEN` characters is rejected as such.
+    An integer longer than `layout.MAX_INT_LEN` characters is rejected as such.
     A line's checks raise without a position; the loop's one `except` adds
     the `line N: ` prefix.  The cycle check derives the call order, which
     the returned value keeps.

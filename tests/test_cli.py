@@ -115,6 +115,22 @@ def test_verify_negative_fuzz_count_is_exit_2(capsys):
     assert err.startswith("error: ") and "-5" in err
 
 
+def test_verify_negative_seed_is_exit_2(capsys):
+    # it would otherwise fuzz exactly as --seed 7 does, and exit 0
+    code, out, err = run_cli(capsys, "verify", "two_comp.cfg", "--fuzz", "2000", "--seed", "-7")
+    assert code == 2 and out == ""
+    assert err == "error: seed must be at least 0, not -7\n"
+    code, out, err = run_cli(capsys, "verify", "two_comp.cfg", "--fuzz", "0", "--seed", "0")
+    assert code == 0 and err == ""
+
+
+def test_verify_seed_help_names_its_default_and_range(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--seed SEED seed of the random sequences, at least 0 (default 0)" in help_text
+
+
 def test_verify_without_fuzzing_is_valid(capsys):
     code, out, err = run_cli(capsys, "verify", "two_comp.cfg", "--fuzz", "0")
     assert code == 0 and err == ""

@@ -20,19 +20,23 @@ swap path, drawing on first read leaves the state and records one
 the per-sequence work around the steps: each sequence is one `run` call
 with the whole step budget, a sequence can start a slot run, every
 sequence starts with r7 as its home's entry slot holds it, although the
-fuzzer decodes that slot only when it changed, each sequence's halt and
+fuzzer decodes that slot again only after a write that overlaps it (a
+scripted store across the slot's base, into its upper granule, or just
+below it, shows which writes count), each sequence's halt and
 drawn slots are in the image's program when its `run` call returns, and
 on either return path the image's program ends holding every halt and
 drawn slot.
 
-Every draw goes through `runtime._draw`, which calls the generator's
-`getrandbits` exactly as `Random._randbelow` does: `n.bit_length()` bits,
-drawn again while the result is `>= n`.  An int in [a, b) is
-`a + _draw(gb, b - a)` and an element of a sequence is
+Every draw, the sequence length and r4 address in `fuzz_isolation` and the
+operands in `_fuzz_ins`, is `runtime._draw` written out: it calls the
+generator's `getrandbits` exactly as `Random._randbelow` does,
+`n.bit_length()` bits, drawn again while the result is `>= n`.  An int in
+[a, b) is `a + _draw(gb, b - a)` and an element of a sequence is
 `seq[_draw(gb, len(seq))]`, so the stream is the one `randrange` and
 `choice` gave, draw for draw.  The reference generator below keeps the
-`randrange`/`choice` form, and the tests check the two against each other,
-generator state included.
+`randrange`/`choice` form, and the tests check it against `_fuzz_ins`, and
+`_draw` against `randrange`, generator state included; the pinned reports
+check the per-sequence draws.
 """
 
 import importlib.resources as ir
@@ -66,7 +70,7 @@ from capcomp.isa import (
 )
 from capcomp.layout import DDC_PERMS, OFF_DDC, boot_init, compute_layout, parse_config
 from capcomp.machine import run
-from capcomp.memory import CAP_SLOT
+from capcomp.memory import CAP_SLOT, TaggedMemory
 from capcomp.runtime import FUZZ_CONFIG, FuzzReport, _draw, _fuzz_ins, fuzz_isolation
 
 SEQUENCES = 500
@@ -251,8 +255,8 @@ def test_each_fetched_slot_is_drawn_once(monkeypatch, name, seed):
 
 @pytest.mark.parametrize("name", ["two_comp", "three_comp_shared", "sandbox_host"])
 def test_each_sequence_starts_with_r7_as_its_entry_slot_holds_it(monkeypatch, name):
-    # r7 is decoded again only when its home's entry slot changed, so a
-    # sequence that rewrites an entry slot shows in its home's next r7.
+    # r7 is decoded again only after a write into its home's entry slot, so
+    # a sequence that rewrites an entry slot shows in its home's next r7.
     img = boot(name)
     plan = img.plan
     entry = {plan.comp_ids[c.name]: plan.sealed_cap_addr(c.name) for c in plan.config.compartments}
@@ -275,6 +279,57 @@ def test_each_sequence_starts_with_r7_as_its_entry_slot_holds_it(monkeypatch, na
     assert any(ev[0] == "access" and ev[4] and ev[2] < a + CAP_SLOT and a < ev[2] + ev[3]
                for rec in seqs for ev in rec.events for a in entry.values())
     assert any(len({r7 for h, r7, _ in starts if h == home}) > 1 for home in entry)
+
+
+@pytest.mark.parametrize("off, overlaps", [
+    (-4, True),     # 8 bytes across the slot's base: the first byte is in the slot below
+    (20, True),     # inside the slot's upper granule: fewer than CAP_SLOT bytes
+    (-8, False),    # ends exactly at the slot's base
+], ids=["across_the_base", "upper_granule", "ends_at_the_base"])
+def test_r7_is_decoded_again_after_a_write_into_its_slot(monkeypatch, off, overlaps):
+    # codec's view reaches below its entry slot, over the window it shares
+    # with app, so a legacy `sti` through r5 (which holds the slot's address)
+    # can write across the slot's base, into it, or end just below it.
+    # Every sequence is one scripted slot and the halt: codec's first runs
+    # the store, every other one a `mov`.
+    img = boot("three_comp_shared")
+    plan = img.plan
+    homes = [c.name for c in plan.config.compartments]
+    entry = {plan.comp_ids[name]: plan.sealed_cap_addr(name) for name in homes}
+    codec, entry_at = homes.index("codec"), plan.sealed_cap_addr("codec")
+    store = sti(0, 5, off)
+    starts = []             # per sequence: (home, r7, the home's entry slot as it loads)
+
+    real_load_cap = TaggedMemory.load_cap
+    decoded = []
+
+    def counted(mem, addr):
+        decoded.append(addr)
+        return real_load_cap(mem, addr)
+
+    real_run = runtime.run
+
+    def checked(st, mem, program, max_steps=100_000):
+        home = st.current_compartment
+        starts.append((home, st.regs[7], real_load_cap(mem, entry[home])))
+        real_run(st, mem, program, max_steps)
+        assert (st.halted, st.fault) == (True, None), f"sequence {len(starts) - 1}"
+        return st
+
+    monkeypatch.setattr(TaggedMemory, "load_cap", counted)
+    monkeypatch.setattr(runtime, "run", checked)
+    # the slot is drawn inside the sequence's `run` call, after its start is recorded
+    monkeypatch.setattr(runtime, "_fuzz_ins",
+                        lambda gb, addr_regs: store if len(starts) == codec + 1 else mov(8, 8))
+    rep = fuzz_isolation(img, sequences=2 * len(homes), seed=7, max_len=1)
+    assert (rep.faults, rep.violations) == ({}, [])
+    assert len(starts) == 2 * len(homes)
+    for i, (_, r7, loaded) in enumerate(starts):
+        assert r7 == loaded, f"sequence {i}"
+    # armed: the store changed codec's entry slot exactly when it overlaps it
+    assert (starts[codec + len(homes)][2] != starts[codec][2]) == overlaps
+    # a write beside the slot costs no second decode
+    assert decoded.count(entry_at) == (2 if overlaps else 1)
 
 
 @pytest.mark.parametrize("name, seed", [("three_comp_shared", 7), ("sandbox_host", 41)])

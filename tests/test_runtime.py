@@ -711,6 +711,15 @@ def test_fuzz_rejects_bad_widths(name, value):
         fuzz_isolation(img_two(), **{"sequences": 1, name: value})
 
 
+def test_fuzz_rejects_a_negative_seed():
+    # `random.Random(-7)` is seeded as `Random(7)`, so a negative seed would
+    # silently repeat the run of its absolute value.
+    for seed in (-1, -7):
+        with pytest.raises(ValueError, match=f"seed must be at least 0, not {seed}"):
+            fuzz_isolation(img_two(), sequences=0, seed=seed)
+    assert fuzz_isolation(img_two(), sequences=0, seed=0).sequences == 0
+
+
 def test_fuzz_rejects_a_sequence_past_its_code_region():
     # app's fuzz site is slot 72 and its code region ends at slot 576, where
     # lib's trampoline starts.  A 600-slot sequence overwrote that trampoline

@@ -22,7 +22,6 @@ from capcomp.workload import (
     CostModel,
     HOT_DEFAULT,
     HOT_WEIGHTS,
-    MAX_INT_LEN,
     PHASES,
     SWITCH_PHASES,
     Scenario,
@@ -41,6 +40,7 @@ from capcomp.workload import (
     run_scenario,
     switch_breakdown,
 )
+from capcomp.layout import MAX_INT_LEN
 
 
 def fixture(name):
