@@ -8,6 +8,7 @@ Run from the repository root after an editable install:
 from capcomp.capability import (
     PERM_ALL,
     Perm,
+    format_perms,
     make_root,
     restrict_perms,
     seal,
@@ -22,7 +23,7 @@ from capcomp.memory import CAP_SLOT, TaggedMemory
 def show(label, c):
     state = "sealed" if c.sealed else "unsealed"
     print(f"  {label:<28} tag={int(c.tag)} [{c.base:#x}, {c.top:#x}) "
-          f"addr={c.address:#x} perms={c.perms!r} {state}")
+          f"addr={c.address:#x} perms={format_perms(c.perms)} {state}")
 
 
 def main():

@@ -35,13 +35,16 @@ class Perm(enum.IntFlag):
 
 
 PERM_ALL = Perm(63)
-PERM_NONE = Perm(0)
 
-# Every permission set as its canonical member: PERMS[i] is Perm(i).  The
-# hot paths compute permission sets as plain ints and look the result up
-# here, so no IntFlag arithmetic runs per access.
-PERMS = tuple(Perm(i) for i in range(int(PERM_ALL) + 1))
-_int_and = int.__and__     # AND of two ints, Perm operands included, as a plain int
+
+def format_perms(mask: int) -> str:
+    """Print a mask >= 0 as `repr(Perm(mask))` does on CPython 3.11+: set bit
+    names in ascending bit order, then the bits `Perm` does not name as one
+    number.  Every mask printer calls this, so no output depends on `enum`."""
+    names = [p.name for p in Perm if mask & p]
+    if names and mask & ~int(PERM_ALL):       # ~PERM_ALL itself is Perm(0)
+        names.append(str(mask & ~int(PERM_ALL)))
+    return f"<Perm.{'|'.join(names)}: {mask}>" if names else f"<Perm: {mask}>"
 
 
 class FaultKind(enum.Enum):
@@ -69,6 +72,7 @@ class Capability:
 
     base/top delimit the authorized range [base, top); address is the cursor
     and may sit outside the bounds (it is checked at use, not at move).
+    perms is a plain int mask whose bits `Perm` names (`format_perms` prints it).
     otype 0 means unsealed; any other value marks the capability sealed.
     tag distinguishes a live capability from plain bytes: untagged values
     carry integers around but never authorize an access.
@@ -77,7 +81,7 @@ class Capability:
     base: int
     top: int
     address: int
-    perms: Perm
+    perms: int
     otype: int = OTYPE_UNSEALED
     tag: bool = False
 
@@ -88,7 +92,7 @@ class Capability:
     def __repr__(self) -> str:
         t = "T" if self.tag else "-"
         s = f",otype={self.otype}" if self.sealed else ""
-        return f"Cap[{self.base:#x},{self.top:#x})@{self.address:#x} {self.perms!r} {t}{s}"
+        return f"Cap[{self.base:#x},{self.top:#x})@{self.address:#x} {format_perms(self.perms)} {t}{s}"
 
 
 class _CapBuilder:
@@ -108,7 +112,7 @@ class _CapBuilder:
 
 def int_cap(value: int) -> Capability:
     """Wrap a plain integer as an untagged capability (the register model)."""
-    return _CapBuilder(0, 0, value & ADDR_MASK, PERM_NONE, OTYPE_UNSEALED, False)
+    return _CapBuilder(0, 0, value & ADDR_MASK, 0, OTYPE_UNSEALED, False)
 
 
 NULL_CAP = int_cap(0)
@@ -121,7 +125,7 @@ def make_root(base: int, top: int, perms: Perm) -> Capability:
     """
     if not (0 <= base <= top <= TOP_MAX):
         raise ValueError(f"invalid root bounds [{base:#x}, {top:#x})")
-    return _CapBuilder(base, top, base, Perm(perms), OTYPE_UNSEALED, True)
+    return _CapBuilder(base, top, base, int(perms), OTYPE_UNSEALED, True)
 
 
 def set_bounds(c: Capability, new_base: int, new_top: int) -> Capability:
@@ -153,10 +157,8 @@ def set_address(c: Capability, address: int) -> Capability:
 def restrict_perms(c: Capability, keep: Perm) -> Capability:
     """Intersect the permission set with `keep` (a Perm or an int mask);
     sealed sources lose the tag."""
-    perms = _int_and(c.perms, keep)
-    return _CapBuilder(c.base, c.top, c.address,
-                       PERMS[perms] if perms < len(PERMS) else Perm(perms),
-                       c.otype, c.tag and c.otype == OTYPE_UNSEALED)
+    return _CapBuilder(c.base, c.top, c.address, c.perms & int(keep), c.otype,
+                       c.tag and c.otype == OTYPE_UNSEALED)
 
 
 def seal(c: Capability, otype: int) -> Capability:
@@ -193,7 +195,7 @@ def check_access(c: Capability, addr: int, length: int, need: Perm) -> FaultKind
         return FaultKind.TAG
     if c.otype != OTYPE_UNSEALED:
         return FaultKind.SEAL
-    if _int_and(c.perms, need) != need:
+    if (c.perms & need) != need:
         return FaultKind.PERMISSION
     if addr < c.base or addr + length > c.top:
         return FaultKind.BOUNDS
@@ -228,6 +230,6 @@ def deserialize(record: bytes) -> Capability:
     base = int.from_bytes(record[1:9], "little")
     top = int.from_bytes(record[9:18], "little") & (TOP_MAX * 2 - 1)
     address = int.from_bytes(record[18:26], "little")
-    perms = Perm(record[26] & int(PERM_ALL))
+    perms = record[26] & int(PERM_ALL)
     otype = int.from_bytes(record[27:29], "little")
     return Capability(base, top, address, perms, otype, tag)

@@ -22,7 +22,7 @@ import pathlib
 import sys
 from importlib import resources
 
-from .capability import ADDR_MASK
+from .capability import ADDR_MASK, format_perms
 from .layout import (
     MAX_MEMORY_SIZE,
     ConfigError,
@@ -138,8 +138,8 @@ def cmd_boot_dump(args) -> int:
         tr = int.from_bytes(img.mem.read_bytes(slot + OFF_TRAMP, 8), "little")
         kind = "sandbox" if name in plan.sandboxes else "compartment"
         print(f"  {name} ({kind}, id {plan.comp_ids[name]}) at {slot:#x}:")
-        print(f"    pcc  [{pcc.base:#x}, {pcc.top:#x}) perms={pcc.perms!r} tag={pcc.tag}")
-        print(f"    ddc  [{ddc.base:#x}, {ddc.top:#x}) perms={ddc.perms!r} tag={ddc.tag}")
+        print(f"    pcc  [{pcc.base:#x}, {pcc.top:#x}) perms={format_perms(pcc.perms)} tag={pcc.tag}")
+        print(f"    ddc  [{ddc.base:#x}, {ddc.top:#x}) perms={format_perms(ddc.perms)} tag={ddc.tag}")
         print(f"    resume sp {sp:#x}, trampoline entry {tr}")
     print()
     print("switcher pair:")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .capability import Perm
+from .capability import Perm, format_perms
 
 NUM_REGS = 32
 REG_ZERO = 16
@@ -167,7 +167,7 @@ def format_ins(ins: Ins) -> str:
     if op is Op.SET_ADDRESS:
         return f"setaddr r{ins.a}, r{ins.b}, r{ins.c}"
     if op is Op.RESTRICT_PERMS:
-        return f"restrict r{ins.a}, r{ins.b}, {Perm(ins.imm)!r}"
+        return f"restrict r{ins.a}, r{ins.b}, {format_perms(ins.imm)}"
     if op is Op.SEAL:
         return f"seal r{ins.a}, r{ins.b}, {ins.imm}"
     if op is Op.MOVE:

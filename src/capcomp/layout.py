@@ -41,6 +41,7 @@ OFF_TRAMP = 72             # trampoline entry, instruction index
 SWITCHER_DATA_SIZE = 64    # the (pcc, locator) pair of the switcher itself
 SWITCHER_CODE_SLOTS = 64   # reserved instruction slots for the switcher
 TRAMP_SLOTS = 8            # reserved slots for each compartment's trampoline
+MIN_OWN_CODE = TRAMP_SLOTS + 9  # fewest own code slots: trampoline, 8-slot fuzz site, halt
 
 SANDBOX_SCRATCH = 4096     # private scratch bytes carved per sandbox
 SANDBOX_CODE = 64          # instruction slots carved per sandbox
@@ -505,7 +506,7 @@ def compute_layout(cfg: CompartmentConfig, memory_size: int = DEFAULT_SIZE) -> L
     for name in order:
         code, sbs = cfg.compartment(name).code, by_host.get(name, ())
         carve = len(sbs) * SANDBOX_CODE
-        if code < TRAMP_SLOTS + 8 + carve:
+        if code < MIN_OWN_CODE + carve:
             raise LayoutError(
                 f"compartment {name!r} code region too small for its trampoline"
                 + (" and sandboxes" if carve else ""))

@@ -110,7 +110,6 @@ PAIR_BYTES = 2 * CAP_SLOT      # a (pcc, ddc) capability pair in memory
 # Permission masks as plain ints, so the checks below do no IntFlag arithmetic.
 _LOAD, _STORE, _EXECUTE, _LOAD_CAP, _STORE_CAP = (
     int(p) for p in (Perm.LOAD, Perm.STORE, Perm.EXECUTE, Perm.LOAD_CAP, Perm.STORE_CAP))
-_int_and = int.__and__     # AND of a Perm and an int mask, as a plain int
 _PC_LIMIT = ADDR_MASK + 2  # above every pc a retire can reach
 _pack_word, _unpack_word = WORD.pack_into, WORD.unpack_from
 _STORE_CAP_OP = Op.STORE_CAP
@@ -339,7 +338,7 @@ def _int_access(need: int, is_store: bool):
         # The allowed case of `check_access`, inline; it runs only to name
         # the fault.
         if checked and not (auth.tag and not auth.otype
-                            and _int_and(auth.perms, need) == need
+                            and (auth.perms & need) == need
                             and auth.base <= addr and addr + INT_WIDTH <= auth.top):
             return _fault(st, check_access(auth, addr, INT_WIDTH, need), addr, pc, INT_WIDTH,
                           ddc_access=not ins.cap)
@@ -383,7 +382,7 @@ def _cap_access(st, mem, ins, pc, grant):
         bounds = st.switcher_bounds       # `_privileged`, inline
         checked = not bounds[0] <= pc < bounds[1]
     if checked and not (auth.tag and not auth.otype
-                        and _int_and(auth.perms, need) == need
+                        and (auth.perms & need) == need
                         and auth.base <= addr and addr + CAP_SLOT <= auth.top):
         return _fault(st, check_access(auth, addr, CAP_SLOT, need), addr, pc, CAP_SLOT,
                       ddc_access=not ins.cap)
@@ -642,7 +641,7 @@ def run(st: MachineState, mem: TaggedMemory, program: Sequence[Ins],
         # The fetch check: the allowed case inline, `check_access` names the
         # fault.  Only a new `code` needs its tag, seal and execute bit tested.
         code = st.code
-        if code is not checked and code.tag and not code.otype and _int_and(code.perms, _EXECUTE):
+        if code is not checked and code.tag and not code.otype and code.perms & _EXECUTE:
             checked, cbase, ctop = code, code.base, code.top
             if ctop > end:
                 ctop = end

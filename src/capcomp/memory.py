@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import struct
 
-from .capability import ADDR_BITS, ADDR_MASK, NULL_CAP, PERMS, PERM_ALL, TOP_MAX, Capability, _CapBuilder
+from .capability import ADDR_BITS, ADDR_MASK, NULL_CAP, PERM_ALL, TOP_MAX, Capability, _CapBuilder
 from .isa import INT_WIDTH
 
 GRANULE = 16
@@ -49,7 +49,6 @@ copy_slot = struct.Struct(f"{CAP_SLOT}s").pack_into
 PERM_BITS = int(PERM_ALL)       # the perms bits a loaded slot keeps
 NULL_RECORD = SLOT.pack(0, 0, 0, 0, 0, 0, 0)
 _pack_slot, _unpack_slot = SLOT.pack, SLOT.unpack_from
-_int_and = int.__and__
 
 
 def write_slot(mem: TaggedMemory, addr: int, c: Capability) -> None:
@@ -75,7 +74,7 @@ def write_slot(mem: TaggedMemory, addr: int, c: Capability) -> None:
     top = c.top
     try:
         record = _pack_slot(t, c.base, top & ADDR_MASK, top >> ADDR_BITS, c.address,
-                            _int_and(c.perms, 0xFF), c.otype)
+                            c.perms & 0xFF, c.otype)
     except struct.error as e:
         raise OverflowError(f"capability field out of range for its record: {e}") from None
     copy_slot(mem.data, addr, record)
@@ -100,7 +99,7 @@ def read_slot(mem: TaggedMemory, addr: int) -> Capability:
     g = addr // GRANULE
     tag = tags[g] != 0 and tags[g + 1] != 0
     if tag or base or top or address or perms or otype:
-        return _CapBuilder(base, top, address, PERMS[perms], otype, tag)
+        return _CapBuilder(base, top, address, perms, otype, tag)
     return NULL_CAP
 
 

@@ -351,7 +351,6 @@ class CostModel:
 
 @dataclass(frozen=True, slots=True)
 class OverheadEstimate:
-    switches: int
     switches_per_1k: float
     extra_cycles: float
     baseline_cycles: float
@@ -382,7 +381,6 @@ def estimate_overhead(summary: ScenarioSummary, cm: CostModel | None = None) -> 
     if not (isfinite(rate) and isfinite(extra) and isfinite(baseline) and isfinite(percent)):
         raise ScenarioError("scenario totals too large for a finite overhead")
     return OverheadEstimate(
-        switches=summary.transitions,
         switches_per_1k=rate,
         extra_cycles=extra,
         baseline_cycles=baseline,

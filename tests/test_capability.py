@@ -3,6 +3,7 @@ checks, and the flat serialization record."""
 
 import random
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from capcomp.capability import (
     TOP_MAX,
     check_access,
     deserialize,
+    format_perms,
     int_cap,
     make_root,
     restrict_perms,
@@ -247,7 +249,7 @@ def test_derivation_monotonicity(ops):
             assert root.base <= c.base and c.top <= root.top
             assert (c.perms & ~root.perms) == Perm(0)
     # a tagged survivor still checks correctly against its own bounds
-    if c.tag and not c.sealed and Perm.LOAD in c.perms and c.base < c.top:
+    if c.tag and not c.sealed and c.perms & Perm.LOAD and c.base < c.top:
         assert check_access(c, c.base, 1, Perm.LOAD) is None
 
 
@@ -262,3 +264,34 @@ def test_sealed_values_are_opaque(otype, addr):
     assert not seal(s, otype).tag
     # and dereference is refused before any other consideration but the tag
     assert check_access(s, s.base, 1, Perm.LOAD) is FaultKind.SEAL
+
+
+# --------------------------------------------------------------------------
+# The one printer of a permission mask.
+
+BIT_NAMES = ("LOAD", "STORE", "EXECUTE", "LOAD_CAP", "STORE_CAP", "INVOKE")
+
+
+def test_format_perms_names_each_bit_in_ascending_order():
+    for m in range(64):
+        names = [name for bit, name in enumerate(BIT_NAMES) if m >> bit & 1]
+        want = f"<Perm.{'|'.join(names)}: {m}>" if names else f"<Perm: {m}>"
+        assert format_perms(m) == want
+        assert format_perms(Perm(m)) == want
+
+
+def test_format_perms_prints_unnamed_bits_as_one_number():
+    assert format_perms(64) == "<Perm: 64>"
+    assert format_perms(65) == "<Perm.LOAD|64: 65>"
+    assert format_perms(0xC1) == "<Perm.LOAD|192: 193>"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="repr of a composite flag differs")
+def test_format_perms_is_the_311_repr():
+    for m in [*range(64), 64, 65, 127, 0xC1, 256]:
+        assert format_perms(m) == repr(Perm(m))
+
+
+def test_capability_repr_prints_perms_through_format_perms():
+    c = make_root(0x10, 0x20, Perm.LOAD | Perm.STORE_CAP)
+    assert repr(c) == "Cap[0x10,0x20)@0x10 <Perm.LOAD|STORE_CAP: 17> T"

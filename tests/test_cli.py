@@ -76,6 +76,20 @@ def test_layout_shared_region_named_cap_table_is_exit_2(capsys, tmp_path):
     assert err == "error: line 3: 'cap_table' names the switcher's own region\n"
 
 
+def test_layout_and_verify_agree_on_a_host_at_the_code_floor(capsys, tmp_path):
+    # host's own code region is 80 - 64 = 16 slots: the trampoline's 8 and
+    # a fuzz site of 8 with no slot left for its halt
+    cfg = tmp_path / "floor.cfg"
+    cfg.write_text("compartment host code=80 data=512 stack=512 heap=4160\n"
+                   "compartment peer code=512 data=512 stack=512 heap=0\n"
+                   "sandbox sb host=host\n")
+    layout_code, _, layout_err = run_cli(capsys, "layout", str(cfg))
+    verify_code, _, verify_err = run_cli(capsys, "verify", str(cfg), "--fuzz", "10")
+    assert layout_code == verify_code == 2
+    assert layout_err == verify_err == (
+        "error: compartment 'host' code region too small for its trampoline and sandboxes\n")
+
+
 def test_layout_memory_size_accepts_hex(capsys):
     code, out, _ = run_cli(capsys, "layout", "two_comp.cfg",
                            "--memory-size", "0x10000")

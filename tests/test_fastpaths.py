@@ -29,7 +29,6 @@ from capcomp.capability import (
     ADDR_MASK,
     NULL_CAP,
     OTYPE_MAX,
-    PERMS,
     PERM_ALL,
     RECORD_LEN,
     TOP_MAX,
@@ -100,8 +99,8 @@ def ref_load_cap(raw, tags, addr):
 
 
 def same(a, b):
-    """Equal fields, and the very same canonical Perm member."""
-    return a == b and a.perms is b.perms and type(a.tag) is type(b.tag)
+    """Equal fields, and `a`'s perms a plain int mask."""
+    return a == b and type(a.perms) is int and type(a.tag) is type(b.tag)
 
 
 CAPS = {
@@ -111,16 +110,10 @@ CAPS = {
 }
 
 
-def test_perm_table_holds_the_canonical_members():
-    assert len(PERMS) == 64
-    for i, p in enumerate(PERMS):
-        assert p is Perm(i)
-
-
 @pytest.mark.parametrize("kind", sorted(CAPS))
 def test_check_access_matches_intflag_for_every_perm_pair(kind):
     for perms in range(64):
-        c = dataclasses.replace(CAPS[kind], perms=Perm(perms))
+        c = dataclasses.replace(CAPS[kind], perms=perms)
         for need in range(64):
             for addr, length in ((0x1800, 8), (0x1FF9, 8), (0x0FFF, 1)):
                 want = ref_check_access(c, addr, length, need)
@@ -131,7 +124,7 @@ def test_check_access_matches_intflag_for_every_perm_pair(kind):
 @pytest.mark.parametrize("kind", sorted(CAPS))
 def test_restrict_perms_matches_intflag(kind):
     for perms in range(64):
-        c = dataclasses.replace(CAPS[kind], perms=Perm(perms))
+        c = dataclasses.replace(CAPS[kind], perms=perms)
         for keep in range(-64, 256):
             assert same(restrict_perms(c, keep), ref_restrict_perms(c, keep))
         for keep in range(64):
@@ -139,9 +132,9 @@ def test_restrict_perms_matches_intflag(kind):
 
 
 def test_restrict_perms_keeps_bits_outside_the_table():
-    c = Capability(0, 64, 0, Perm(127), 0, True)
+    c = Capability(0, 64, 0, 127, 0, True)
     assert same(restrict_perms(c, 0xC1), ref_restrict_perms(c, 0xC1))
-    assert restrict_perms(c, 0xC1).perms == Perm(65)
+    assert restrict_perms(c, 0xC1).perms == 65
 
 
 @pytest.mark.parametrize("length", [0, -1, -8])
@@ -159,7 +152,7 @@ caps = st.builds(
     base=st.integers(0, ADDR_MASK),
     top=st.integers(0, TOP_MAX),
     address=st.integers(0, ADDR_MASK),
-    perms=st.sampled_from(PERMS),
+    perms=st.sampled_from(range(64)),
     otype=st.integers(0, OTYPE_MAX),
     tag=st.booleans(),
 )
@@ -239,12 +232,14 @@ def test_cap_builder_matches_the_reference(c):
 def test_every_derivation_builds_a_frozen_capability(c, address, otype, keep):
     mem = TaggedMemory(CAP_SLOT)
     mem.store_cap(0, c)
-    built = [int_cap(address), make_root(0, address, PERMS[keep]), set_address(c, address),
-             set_bounds(c, c.base, address), restrict_perms(c, keep), seal(c, otype),
-             mem.load_cap(0)]
+    built = [int_cap(address), make_root(0, address, Perm(keep)), set_address(c, address),
+             set_bounds(c, c.base, address), restrict_perms(c, keep),
+             restrict_perms(c, Perm(keep)), seal(c, otype), mem.load_cap(0),
+             deserialize(serialize(c))]
     if c.sealed:
         built.append(unseal(c))
     for v in built:
+        assert type(v.perms) is int, v      # a plain mask, never a Perm
         if v is not NULL_CAP:
             assert_frozen_record(v, ref_cap(*(getattr(v, n) for n in CAP_FIELDS)))
 
@@ -566,7 +561,7 @@ def diff_value(rng):
         return int_cap(rng.choice((0, rng.randrange(DIFF_MEM), rng.getrandbits(64))))
     top = rng.choice((TOP_MAX, rng.randrange(TOP_MAX + 1), rng.randrange(DIFF_MEM)))
     c = Capability(rng.choice((0, rng.getrandbits(64))), top, rng.getrandbits(64),
-                   PERMS[rng.randrange(64)], rng.choice((0, 0, rng.randrange(OTYPE_MAX + 1))),
+                   rng.randrange(64), rng.choice((0, 0, rng.randrange(OTYPE_MAX + 1))),
                    rng.random() < 0.7)
     if kind in (3, 4):
         c = dataclasses.replace(c, **rng.choice(UNRECORDABLE))
@@ -578,7 +573,7 @@ def diff_case(seed):
     program.  The same seed builds an identical, independent copy."""
     rng = random.Random(seed)
     ctor = ACCESS_OPS[seed % 4]
-    perms = PERMS[(seed // 4) % 64]
+    perms = (seed // 4) % 64
     cap = rng.random() < 0.5
     a = rng.choice((SRC, DEST, AUTH, REG_ZERO))
     ins = ctor(a, AUTH, rng.randrange(-64, 65), cap=cap)
@@ -671,7 +666,7 @@ def pair_slot(rng):
     base = rng.choice((0, rng.randrange(PAIR_MEM), rng.getrandbits(64)))
     top = rng.choice((TOP_MAX, base + rng.randrange(1, 64), rng.randrange(TOP_MAX + 1)))
     address = rng.choice((base, base + rng.randrange(64), rng.getrandbits(64))) & ADDR_MASK
-    perms = rng.choice((PERM_ALL, Perm.EXECUTE, PERMS[rng.randrange(64)]))
+    perms = rng.choice((PERM_ALL, Perm.EXECUTE, rng.randrange(64)))
     otype = rng.choice((0, 0, 0, rng.randrange(1, OTYPE_MAX + 1)))
     c = Capability(base, top, address, perms, otype, rng.random() < 0.8)
     return bytearray(serialize(c) + rng.randbytes(CAP_SLOT - RECORD_LEN))

@@ -57,7 +57,7 @@ def ref_compute_layout(cfg, memory_size=DEFAULT_SIZE):
     for name in order:
         decl = cfg.compartment(name)
         carve = len(by_host.get(name, ())) * SANDBOX_CODE
-        if decl.code < TRAMP_SLOTS + 8 + carve:
+        if decl.code < TRAMP_SLOTS + 9 + carve:
             raise LayoutError(
                 f"compartment {name!r} code region too small for its trampoline"
                 + (" and sandboxes" if carve else ""))
@@ -236,6 +236,27 @@ def test_host_with_two_sandboxes_and_two_windows_matches_the_reference():
     assert len(ref.sandboxes) == 2
     assert ref.shared_bounds["w0"][1] == ref.shared_bounds["w1"][0]
     assert_views_match(plan, ref)
+
+
+@pytest.mark.parametrize("sandboxes", [1, 2])
+def test_code_floor_boundary_matches_the_reference(sandboxes):
+    # code sizes are multiples of 16: a host's own region of 16 slots is
+    # refused, one of 32 accepted
+    carve = sandboxes * SANDBOX_CODE
+    heap = sandboxes * SANDBOX_SCRATCH + CAP_SLOT
+    for code, fits in ((16 + carve, False), (32 + carve, True)):
+        cfg = parse_config(
+            f"compartment host code={code} data=64 stack=64 heap={heap}\n"
+            + "".join(f"sandbox s{i} host=host\n" for i in range(sandboxes)))
+        try:
+            ref = ref_compute_layout(cfg)
+        except LayoutError as e:
+            assert not fits
+            with pytest.raises(LayoutError, match=re.escape(str(e))):
+                compute_layout(cfg)
+        else:
+            assert fits
+            assert_views_match(compute_layout(cfg), ref)
 
 
 def test_enumerated_configs_match_the_reference():

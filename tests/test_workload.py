@@ -792,8 +792,9 @@ def test_overhead_rejects_each_non_finite_result(s, cm):
 
 
 def test_overhead_just_below_the_float_range_is_finite():
-    est = estimate_overhead(run_scenario(parse_scenario(huge_text(count_zeros=300))))
-    assert est.switches == 2 * 10**300
+    summary = run_scenario(parse_scenario(huge_text(count_zeros=300)))
+    est = estimate_overhead(summary)
+    assert summary.transitions == 2 * 10**300
     assert est.percent == pytest.approx(100.0 * 2e300 * 400.55 / (1 + 1e300))
 
 
