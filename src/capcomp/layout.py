@@ -508,8 +508,8 @@ def compute_layout(cfg: CompartmentConfig, memory_size: int = DEFAULT_SIZE) -> L
         carve = len(sbs) * SANDBOX_CODE
         if code < MIN_OWN_CODE + carve:
             raise LayoutError(
-                f"compartment {name!r} code region too small for its trampoline"
-                + (" and sandboxes" if carve else ""))
+                f"compartment {name!r} code region too small for its trampoline and fuzz site"
+                + (" plus its sandboxes" if carve else ""))
         cursor = place(f"{name}.code", "code", cursor, code - carve, (name,))
         for sb in sbs:
             cursor = place(f"{sb}.code", "code", cursor, SANDBOX_CODE, (sb,))

@@ -103,8 +103,9 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     The first declared fn is the entry point, executed once per iteration.
     An integer longer than `layout.MAX_INT_LEN` characters is rejected as such.
     A line's checks raise without a position; the loop's one `except` adds
-    the `line N: ` prefix.  The cycle check derives the call order, which
-    the returned value keeps.
+    the `line N: ` prefix.  The search that derives the call order, which
+    the returned value keeps, then rejects a call naming an unknown fn and
+    a cycle.
     """
     fns: list[ScenarioFn] = []
     calls: list[ScenarioCall] = []
@@ -113,7 +114,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     seen: set[str] = set()
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.partition("#")[0].split()
+        toks = (raw.partition("#")[0] if "#" in raw else raw).split()
         if not toks:
             continue
         kind = toks[0]
@@ -189,11 +190,6 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
 
     if not fns:
         raise ScenarioError("line 1: scenario declares no functions")
-    for c in calls:
-        if c.caller not in seen:
-            raise ScenarioError(f"call references unknown fn {clip_token(c.caller)!r}")
-        if c.callee not in seen:
-            raise ScenarioError(f"call references unknown fn {clip_token(c.callee)!r}")
 
     sc = Scenario(name, tuple(fns), tuple(calls), iterations, cpi)
     _call_order(sc)
@@ -205,8 +201,8 @@ def _call_order(sc: Scenario) -> _CallOrder:
 
     Derived by `_search_order` at the first call for a `Scenario` value and
     kept on it in `sc._order`, so one value's graph is walked once however
-    often it is evaluated.  A cyclic graph stores nothing and raises again
-    on every call.
+    often it is evaluated.  A graph the search rejects stores nothing and
+    raises again on every call.
     """
     order = sc._order
     if order is None:
@@ -220,11 +216,19 @@ def _search_order(sc: Scenario) -> _CallOrder:
     fn in declaration order and follows calls in call order.
 
     The search keeps its own stack, so call depth is not bounded by Python's
-    recursion limit.  A cycle raises ScenarioError naming the first one met.
+    recursion limit.  While it builds the adjacency lists, a call naming a
+    fn that `sc.fns` lacks raises ScenarioError, calls in order and each
+    caller before its callee; then a cycle raises ScenarioError naming the
+    first one met.
     """
     out: dict[str, list[ScenarioCall]] = {f.name: [] for f in sc.fns}
     for c in sc.calls:
-        out[c.caller].append(c)
+        calls_of = out.get(c.caller)
+        if calls_of is None:
+            raise ScenarioError(f"call references unknown fn {clip_token(c.caller)!r}")
+        if c.callee not in out:
+            raise ScenarioError(f"call references unknown fn {clip_token(c.callee)!r}")
+        calls_of.append(c)
     fn_of = {f.name: f for f in sc.fns}
     done: dict[str, bool] = {}   # False while on the current path, then True
     order: list[tuple[ScenarioFn, tuple[ScenarioCall, ...]]] = []
@@ -542,12 +546,29 @@ def emit_report(summary: ScenarioSummary, est: OverheadEstimate,
 
 
 _KV_RE = re.compile(r"(\w+)=(\S+)")
+_EDGE_RE = re.compile(r"edge from=(\w+) to=(\w+) crossings=(\d+)")
 
 
 def parse_report(text: str) -> dict:
-    """Parse an emitted report back into nested dictionaries."""
+    """Parse an emitted report back into nested dictionaries.
+
+    `_KV_RE` defines the result.  Each line is stripped; the text before
+    its first space is its kind, and the `_KV_RE` pairs of the rest are its
+    facts, a repeated key's last value winning.  An `edge` line appends
+    `(from, to, int(crossings))` to `edges`; a line of any other kind
+    replaces that kind's dict.  A line that is exactly
+    `edge from=F to=G crossings=N`, the shape `emit_report` gives every
+    edge, is read by one whole-line match, `_EDGE_RE`, instead: on such a
+    line the two readings agree.
+    """
     out: dict = {"edges": []}
+    edge = _EDGE_RE.fullmatch
     for raw in text.splitlines():
+        m = edge(raw)
+        if m is not None:
+            f, g, n = m.groups()
+            out["edges"].append((f, g, int(n)))
+            continue
         line = raw.strip()
         if not line:
             continue

@@ -87,7 +87,8 @@ def test_layout_and_verify_agree_on_a_host_at_the_code_floor(capsys, tmp_path):
     verify_code, _, verify_err = run_cli(capsys, "verify", str(cfg), "--fuzz", "10")
     assert layout_code == verify_code == 2
     assert layout_err == verify_err == (
-        "error: compartment 'host' code region too small for its trampoline and sandboxes\n")
+        "error: compartment 'host' code region too small for its trampoline and fuzz site"
+        " plus its sandboxes\n")
 
 
 def test_layout_memory_size_accepts_hex(capsys):

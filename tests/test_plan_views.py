@@ -59,8 +59,8 @@ def ref_compute_layout(cfg, memory_size=DEFAULT_SIZE):
         carve = len(by_host.get(name, ())) * SANDBOX_CODE
         if decl.code < TRAMP_SLOTS + 9 + carve:
             raise LayoutError(
-                f"compartment {name!r} code region too small for its trampoline"
-                + (" and sandboxes" if carve else ""))
+                f"compartment {name!r} code region too small for its trampoline and fuzz site"
+                + (" plus its sandboxes" if carve else ""))
         base, top = code_cursor, code_cursor + decl.code
         code_bounds[name] = (base, top)
         own_top = top - carve

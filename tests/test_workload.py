@@ -10,10 +10,11 @@ instruction streams and against frozen values derived from that oracle.
 """
 
 import dataclasses
+import re
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from capcomp.workload import (
@@ -544,6 +545,18 @@ def test_run_scenario_rejects_a_hand_built_cycle():
                   (ScenarioCall("a", "b", 1), ScenarioCall("b", "a", 1)))
     with pytest.raises(ScenarioError, match=r"^call graph has a cycle: a -> b -> a$"):
         run_scenario(sc)
+
+
+@pytest.mark.parametrize("call, name", [
+    (ScenarioCall("a", "b", 1), "b"),     # unknown callee
+    (ScenarioCall("z", "a", 1), "z"),     # unknown caller
+])
+def test_run_scenario_rejects_a_hand_built_call_to_an_unknown_fn(call, name):
+    sc = Scenario("h", (ScenarioFn("a", "x", 1),), (call,))
+    with pytest.raises(ScenarioError) as exc:
+        run_scenario(sc)
+    assert str(exc.value) == f"call references unknown fn {name!r}"
+    assert sc._order is None
 
 
 # ---------------------------------------------------------------------------
@@ -1082,6 +1095,88 @@ def test_parse_report_odd_input():
         "lonely": {},
     }
     assert parse_report("") == {"edges": []}
+
+
+def reference_parse_report(text):
+    """`parse_report` without its edge-line match: the general path, which
+    defines what every line means."""
+    out = {"edges": []}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        kind, _, rest = line.partition(" ")
+        kv = dict(re.findall(r"(\w+)=(\S+)", rest))
+        if kind == "edge":
+            out["edges"].append((kv["from"], kv["to"], int(kv["crossings"])))
+        else:
+            out[kind] = kv
+    return out
+
+
+def report_outcome(parse, text):
+    """What `parse` returns for `text`, or the type of what it raises."""
+    try:
+        return parse(text)
+    except (AttributeError, KeyError, ValueError) as e:
+        return type(e)
+
+
+REPORT_PIECES = ("a", "Z", "_", "0", "7", "\u00e9", "\u0663", "-", "=", " ", "\t", "\x1c",
+                 " from=", " to=", " crossings=")
+
+
+def report_text(max_size):
+    return st.lists(st.sampled_from(REPORT_PIECES), max_size=max_size).map("".join)
+
+
+report_word = st.sampled_from(("a", "Z_7", "\u00e9"))
+report_sep = st.sampled_from(("\t", "  ", "\x1c", ""))
+# The parts of an `edge` line as `emit_report` writes one: what each part
+# is, and what it may be drawn as instead.
+EDGE_PARTS = (
+    (st.just("edge"), st.sampled_from((" edge", "edges", "edge="))),
+    (st.just(" "), report_sep),
+    (st.just("from="), st.sampled_from(("to=", "from", "xfrom="))),
+    (report_word, report_text(3)),
+    (st.just(" "), report_sep),
+    (st.just("to="), st.sampled_from(("from=", "t=", "to=="))),
+    (report_word, report_text(3)),
+    (st.just(" "), report_sep),
+    (st.just("crossings="), st.sampled_from(("to=", "crossings", "crossing="))),
+    (st.sampled_from(("7", "30", "\u0663")), report_text(3)),
+    (st.just(""), report_text(4)),
+)
+
+
+@st.composite
+def edge_like_lines(draw):
+    """An `edge` line with up to two of its parts drawn wrong."""
+    wrong = set(draw(st.lists(st.integers(0, len(EDGE_PARTS) - 1), max_size=2)))
+    return "".join(draw(bad if i in wrong else good) for i, (good, bad) in enumerate(EDGE_PARTS))
+
+
+report_lines = st.one_of(edge_like_lines(), report_text(12))
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.lists(report_lines, max_size=6).map("\n".join))
+@example("edge from=a to=b crossings=3 crossings=4")     # a repeated key: the last wins
+@example("edge from=a to=b crossings=3x")                # not an integer
+@example("edge\tfrom=a to=b crossings=3")                # kind 'edge\tfrom=a'
+@example("edge from=\u00e9 to=b crossings=\u0663")       # non-ASCII word and digit
+@example("  edge from=a to=b crossings=3\t")             # stripped first
+@example("edges k=v\nedge from=a to=b crossings=3")      # 'edges' replaced the list
+def test_parse_report_matches_its_general_path(text):
+    assert report_outcome(parse_report, text) == report_outcome(reference_parse_report, text)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_parse_report_matches_its_general_path_on_bundled_reports(name):
+    s = run_scenario(parse_scenario(fixture(name)))
+    cm = CostModel()
+    text = emit_report(s, estimate_overhead(s, cm), cm)
+    assert parse_report(text) == reference_parse_report(text)
 
 
 def test_report_table_facts():
