@@ -31,6 +31,7 @@ from .layout import (
     OFF_PCC,
     OFF_SP,
     OFF_TRAMP,
+    PAIR_ADDR,
     audit_plan,
     boot_init,
     clip_token,
@@ -143,8 +144,8 @@ def cmd_boot_dump(args) -> int:
         print(f"    resume sp {sp:#x}, trampoline entry {tr}")
     print()
     print("switcher pair:")
-    first = img.mem.load_cap(plan.pair_addr)
-    second = img.mem.load_cap(plan.pair_addr + CAP_SLOT)
+    first = img.mem.load_cap(PAIR_ADDR)
+    second = img.mem.load_cap(PAIR_ADDR + CAP_SLOT)
     print(f"  branch target [{first.base}, {first.top}) addr={first.address} tag={first.tag}")
     print(f"  locator [{second.base:#x}, {second.top:#x}) tag={second.tag}")
     print()

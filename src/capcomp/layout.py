@@ -41,7 +41,17 @@ OFF_TRAMP = 72             # trampoline entry, instruction index
 SWITCHER_DATA_SIZE = 64    # the (pcc, locator) pair of the switcher itself
 SWITCHER_CODE_SLOTS = 64   # reserved instruction slots for the switcher
 TRAMP_SLOTS = 8            # reserved slots for each compartment's trampoline
-MIN_OWN_CODE = TRAMP_SLOTS + 9  # fewest own code slots: trampoline, 8-slot fuzz site, halt
+FUZZ_SITE_SLOTS = 8        # the most slots one fuzz sequence draws; its halt follows
+# fewest own code slots: trampoline, fuzz site, halt
+MIN_OWN_CODE = TRAMP_SLOTS + FUZZ_SITE_SLOTS + 1
+
+# Every plan puts the switcher at the same places: its code at slots
+# SWITCHER_CODE, its own (pcc, locator) pair at byte PAIR_ADDR, and the
+# capability table right after the pair, at byte TABLE_BASE.  The switcher's
+# instructions name TABLE_BASE, so they are one constant for every plan.
+SWITCHER_CODE = (0, SWITCHER_CODE_SLOTS)
+PAIR_ADDR = 0
+TABLE_BASE = PAIR_ADDR + SWITCHER_DATA_SIZE
 
 SANDBOX_SCRATCH = 4096     # private scratch bytes carved per sandbox
 SANDBOX_CODE = 64          # instruction slots carved per sandbox
@@ -323,8 +333,9 @@ class LayoutPlan:
     span widened over the overlap windows it owns that abut it, or a
     sandbox's scratch. On each read: `code_bounds`, each compartment's own
     `<name>.code` region, the range of its pcc, so a host's excludes its
-    sandboxes' slices; `shared_bounds`; and `table_base`, `pair_addr`,
-    `switcher_code`, `total_code_slots` and `data_top`.
+    sandboxes' slices; `shared_bounds`; `total_code_slots` and `data_top`.
+    The switcher's regions lie where every plan puts them: `SWITCHER_CODE`,
+    `PAIR_ADDR` and `TABLE_BASE`.
     """
 
     config: CompartmentConfig
@@ -384,20 +395,6 @@ class LayoutPlan:
                     hi = w.top
                     changed = True
         return lo, hi
-
-    @property
-    def table_base(self) -> int:
-        return self._by_name["cap_table"].base
-
-    @property
-    def pair_addr(self) -> int:
-        """The switcher's own (pcc, locator) pair, at the base of its data."""
-        return self._by_name["switcher_data"].base
-
-    @property
-    def switcher_code(self) -> tuple[int, int]:
-        r = self._by_name["switcher_code"]
-        return r.base, r.top
 
     @property
     def total_code_slots(self) -> int:
@@ -502,7 +499,7 @@ def compute_layout(cfg: CompartmentConfig, memory_size: int = DEFAULT_SIZE) -> L
         return base + size
 
     # Code space: each compartment's own region, then its sandboxes' slices.
-    cursor = place("switcher_code", "switcher_code", 0, SWITCHER_CODE_SLOTS)
+    cursor = place("switcher_code", "switcher_code", *SWITCHER_CODE)
     for name in order:
         code, sbs = cfg.compartment(name).code, by_host.get(name, ())
         carve = len(sbs) * SANDBOX_CODE
@@ -519,9 +516,9 @@ def compute_layout(cfg: CompartmentConfig, memory_size: int = DEFAULT_SIZE) -> L
         raise LayoutError(f"code needs {cursor:#x} slots, memory holds {memory_size:#x}")
 
     # Data space.
-    cursor = place("switcher_data", "switcher_data", 0, SWITCHER_DATA_SIZE)
+    place("switcher_data", "switcher_data", PAIR_ADDR, SWITCHER_DATA_SIZE)
     entities = len(cfg.compartments) + len(cfg.sandboxes)
-    cursor = place("cap_table", "cap_table", cursor, entities * TABLE_ENTRY)
+    cursor = place("cap_table", "cap_table", TABLE_BASE, entities * TABLE_ENTRY)
 
     overlap_between: dict[frozenset[str], list[SharedDecl]] = {}
     for s in cfg.shared:
@@ -620,7 +617,7 @@ class BootImage:
                              tuple(machine))
 
     def table_slot(self, name: str) -> int:
-        return self.plan.table_base + self.plan.comp_ids[name] * TABLE_ENTRY
+        return TABLE_BASE + self.plan.comp_ids[name] * TABLE_ENTRY
 
     def user_entry(self, name: str) -> int:
         """First instruction slot after the trampoline."""
@@ -677,19 +674,12 @@ def boot_init(plan: LayoutPlan) -> BootImage:
     """Build the boot image: tagged capability table, switcher pair, sealed
     entry capabilities, trampolines, and the initial machine state sitting at
     the default compartment's first user instruction."""
-    from . import runtime as _rt     # emitters live there; import is one-way at runtime
+    from . import runtime as _rt     # the switcher and trampoline live there
 
     mem = TaggedMemory(plan.memory_size)
     cfg = plan.config
     program = [_HALT] * plan.total_code_slots
-
-    switcher_ins = _rt.emit_switcher(plan)
-    if len(switcher_ins) > SWITCHER_CODE_SLOTS:
-        raise LayoutError("switcher does not fit its reserved slots")
-    program[:len(switcher_ins)] = switcher_ins
-    tramp = _rt.emit_trampoline()
-    if len(tramp) > TRAMP_SLOTS:
-        raise LayoutError("trampoline does not fit its reserved slots")
+    program[:len(_rt.SWITCHER)] = _rt.SWITCHER
 
     next_free: dict[str, int] = {}
     code_regions = []
@@ -701,10 +691,10 @@ def boot_init(plan: LayoutPlan) -> BootImage:
         code = plan.region(f"{name}.code")
         view = plan.ddc_bounds[name]
         sp0 = view[1] if name in plan.sandboxes else plan.region(f"{name}.stack").top
-        program[code.base:code.base + len(tramp)] = tramp
+        program[code.base:code.base + TRAMP_SLOTS] = _rt.TRAMPOLINE
         next_free[code.name] = code.base + TRAMP_SLOTS
         code_regions.append((code.base, code.top, cid))
-        slot = plan.table_base + cid * TABLE_ENTRY
+        slot = TABLE_BASE + cid * TABLE_ENTRY
         mem.store_cap(slot + OFF_PCC, make_root(code.base, code.top, PCC_PERMS))
         mem.store_cap(slot + OFF_DDC, make_root(*view, DDC_PERMS))
         mem.write_bytes(slot + OFF_SP, sp0.to_bytes(8, "little"))
@@ -715,10 +705,10 @@ def boot_init(plan: LayoutPlan) -> BootImage:
 
     # The switcher's own pair: branch target plus the locator capability that
     # becomes its ddc (covers switcher data and the table, nothing else).
-    sw_pcc = make_root(0, SWITCHER_CODE_SLOTS, PCC_PERMS)
-    locator = make_root(0, plan.table_base + len(plan.comp_ids) * TABLE_ENTRY, DDC_PERMS)
-    mem.store_cap(plan.pair_addr, sw_pcc)
-    mem.store_cap(plan.pair_addr + CAP_SLOT, locator)
+    sw_pcc = make_root(*SWITCHER_CODE, PCC_PERMS)
+    locator = make_root(PAIR_ADDR, TABLE_BASE + len(plan.comp_ids) * TABLE_ENTRY, DDC_PERMS)
+    mem.store_cap(PAIR_ADDR, sw_pcc)
+    mem.store_cap(PAIR_ADDR + CAP_SLOT, locator)
 
     # One sealed entry capability per compartment, at its data-region base.
     otypes = {FRAME_OTYPE}
@@ -726,11 +716,11 @@ def boot_init(plan: LayoutPlan) -> BootImage:
         cid = plan.comp_ids[c.name]
         otype = ENTRY_OTYPE_BASE + cid
         otypes.add(otype)
-        entry = make_root(plan.pair_addr, plan.pair_addr + 64, ENTRY_PERMS)
+        entry = make_root(PAIR_ADDR, PAIR_ADDR + SWITCHER_DATA_SIZE, ENTRY_PERMS)
         mem.store_cap(plan.sealed_cap_addr(c.name), seal(entry, otype))
 
     st = MachineState()
-    st.switcher_bounds = plan.switcher_code
+    st.switcher_bounds = SWITCHER_CODE
     st.lpb_otypes = frozenset(otypes)
     st.code_regions = code_regions
 

@@ -69,9 +69,14 @@ from .layout import (
     BootImage,
     DDC_PERMS,
     FRAME_OTYPE,
+    FUZZ_SITE_SLOTS,
     OFF_SP,
     OFF_TRAMP,
+    SWITCHER_CODE,
+    SWITCHER_CODE_SLOTS,
+    TABLE_BASE,
     TABLE_ENTRY,
+    TRAMP_SLOTS,
     install_function,
     shared_alloc,
 )
@@ -186,10 +191,15 @@ class GateCode:
 # Emitters
 
 
-# The switcher's instructions that do not depend on the plan, built once and
-# split around the three that carry the table base.  Ins values are frozen,
-# so every boot image's program shares these objects.
-_SWITCHER_FRAME = (
+# The privileged switch sequence, the same for every plan: boot copies it to
+# slots SWITCHER_CODE, and it reaches the table at TABLE_BASE, where every
+# plan puts it.  Ins values are frozen, so every boot image's program shares
+# these objects.
+#
+# Table slots are addressed through bounded sub-capabilities derived from
+# the locator, so a garbled compartment offset dies with a tag fault instead
+# of scribbling over the table.
+SWITCHER = (
     # Frame construction under the caller's ddc.
     addi(R_FRAME, REG_SP, -FRAME_SIZE),
     readddc(21),
@@ -201,15 +211,13 @@ _SWITCHER_FRAME = (
     setbounds(23, 21, R_FRAME, 22),
     # Switch to the switcher's own data view.
     installddc(R_PAIR2),
-)
-# Record where the caller resumes (just below its live frame).
-_SWITCHER_CALLER_SLOT = (
+    # Record where the caller resumes (just below its live frame).
+    addi(24, R_CALLER_OFF, TABLE_BASE),
     addi(25, 24, TABLE_ENTRY),
     setbounds(24, R_PAIR2, 24, 25),
     sti(R_FRAME, 24, OFF_SP, cap=True),
-)
-_SWITCHER_CALLEE_LOAD = (
     # Load the callee's pair, resume stack, and trampoline entry.
+    addi(25, R_CALLEE_OFF, TABLE_BASE),
     addi(26, 25, TABLE_ENTRY),
     setbounds(25, R_PAIR2, 25, 26),
     ldc(26, 25, 0, cap=True),
@@ -223,8 +231,7 @@ _SWITCHER_CALLEE_LOAD = (
     movi(17, SWITCHER_RET_ENTRY),
     setaddr(28, 28, 17),
     stc(28, 23, FRAME_OFF_RETLEG, cap=True),
-)
-_SWITCHER_CALL_EXIT = (
+    addi(17, R_CALLEE_OFF, TABLE_BASE + OFF_SP),
     sti(17, 23, FRAME_OFF_CALLEE_SLOT, cap=True),
     sti(22, 23, FRAME_OFF_CALLEE_SP, cap=True),
     sealr(R_FRAME_OUT, 23, FRAME_OTYPE),
@@ -232,11 +239,11 @@ _SWITCHER_CALL_EXIT = (
     mov(REG_SP, 22),
     mov(REG_FP, REG_SP),
     setaddr(26, 26, R_STASH),
-) + tuple(mov(r, REG_ZERO) for r in SWITCHER_SCRUB) + (bcap(26),)
-# Return leg, entered by invoking a sealed frame.  r20 holds the unsealed
-# frame capability, r19 the caller's ddc.  The resume-slot store runs on
-# switcher privilege (the installed ddc is already the caller's again).
-_SWITCHER_RETURN_LEG = (
+    *(mov(r, REG_ZERO) for r in SWITCHER_SCRUB),
+    bcap(26),
+    # Return leg, entered by invoking a sealed frame.  r20 holds the unsealed
+    # frame capability, r19 the caller's ddc.  The resume-slot store runs on
+    # switcher privilege (the installed ddc is already the caller's again).
     installddc(R_PAIR2),
     ldi(24, R_FRAME, FRAME_OFF_CALLEE_SLOT, cap=True),
     ldi(25, R_FRAME, FRAME_OFF_CALLEE_SP, cap=True),
@@ -248,31 +255,16 @@ _SWITCHER_RETURN_LEG = (
     mov(REG_FP, 23),
     bcap(26),
 )
-assert len(_SWITCHER_FRAME + _SWITCHER_CALLER_SLOT + _SWITCHER_CALLEE_LOAD
-           + _SWITCHER_CALL_EXIT) + 3 == SWITCHER_RET_ENTRY
-assert SWITCHER_RET_ENTRY + len(_SWITCHER_RETURN_LEG) == SWITCHER_END
+assert SWITCHER[SWITCHER_RET_ENTRY - 1:SWITCHER_RET_ENTRY + 1] == (bcap(26), installddc(R_PAIR2))
+assert len(SWITCHER) == SWITCHER_END <= SWITCHER_CODE_SLOTS
 
 
-def emit_switcher(plan) -> list[Ins]:
-    """The privileged switch sequence, with plan constants baked in.
-
-    Only three instructions depend on the plan, the `addi`s that add the
-    table base to an entity's table offset: the caller's table entry (slot
-    9), the callee's table entry (slot 13) and the callee's resume-sp field
-    (slot 24).  The rest is built once at import.
-
-    Table slots are addressed through bounded sub-capabilities derived from
-    the locator, so a garbled compartment offset dies with a tag fault
-    instead of scribbling over the table.
-    """
-    tb = plan.table_base
-    return [*_SWITCHER_FRAME, addi(24, R_CALLER_OFF, tb),
-            *_SWITCHER_CALLER_SLOT, addi(25, R_CALLEE_OFF, tb),
-            *_SWITCHER_CALLEE_LOAD, addi(17, R_CALLEE_OFF, tb + OFF_SP),
-            *_SWITCHER_CALL_EXIT, *_SWITCHER_RETURN_LEG]
-
-
-_TRAMPOLINE = (
+# The callee-side stub at the base of every code region: stash the sealed
+# frame capability, call the target, then pop, scrub, and invoke it to
+# return.  The scrub keeps the callee stack inductively zero; a replayed
+# stale frame capability would fault on the scrubbed frame anyway, so this
+# is hygiene, not the security boundary.
+TRAMPOLINE = (
     addi(REG_SP, REG_SP, -32),
     stc(R_FRAME_OUT, REG_SP, 0),
     mov(R_FRAME_OUT, REG_ZERO),
@@ -282,14 +274,7 @@ _TRAMPOLINE = (
     addi(REG_SP, REG_SP, 32),
     lpb(R_FRAME, R_PAIR2),
 )
-
-
-def emit_trampoline() -> list[Ins]:
-    """Callee-side stub: stash the sealed frame capability, call the target,
-    then pop, scrub, and invoke it to return.  The scrub keeps the callee
-    stack inductively zero; a replayed stale frame capability would fault on
-    the scrubbed frame anyway, so this is hygiene, not the security boundary."""
-    return list(_TRAMPOLINE)
+assert len(TRAMPOLINE) == TRAMP_SLOTS
 
 
 TRAMP_ENTER_SLOTS = 4      # instructions before control enters the callee
@@ -416,7 +401,7 @@ def gate_call(img: BootImage, gate: GateDescriptor, args: list, *,
 def switcher_switch(img: BootImage) -> MachineState:
     """Run the privileged switch sequence to the exit branch of the leg the
     pcc is in: the call leg, or the return leg a sealed frame invokes."""
-    off = img.machine.pc - img.plan.switcher_code[0]
+    off = img.machine.pc - SWITCHER_CODE[0]
     if not 0 <= off < SWITCHER_END:
         raise GateError("switcher_switch: pcc is not inside the switcher")
     end = SWITCHER_RET_ENTRY if off < SWITCHER_RET_ENTRY else SWITCHER_END
@@ -500,6 +485,12 @@ shared mailbox size=256 between west,east mode=exception
 sandbox lens host=west
 """
 
+# The one fuzz configuration: each sequence is at most FUZZ_SITE_SLOTS drawn
+# slots and its halt, runs at most FUZZ_MAX_STEPS steps, and a report lists
+# at most FUZZ_REPORT_CAP violations.
+FUZZ_MAX_STEPS = 32
+FUZZ_REPORT_CAP = 20
+
 
 @dataclass(frozen=True, slots=True)
 class FuzzReport:
@@ -507,7 +498,7 @@ class FuzzReport:
     steps: int
     switches: int
     faults: dict[str, int]           # fault kind -> occurrences
-    violations: list[str]            # confinement breaches (empty = isolated), see report_cap
+    violations: list[str]            # confinement breaches (empty = isolated), see FUZZ_REPORT_CAP
 
 
 def _draw(getrandbits, n: int) -> int:
@@ -635,9 +626,7 @@ class _FuzzProgram:
         return self.program[pc]
 
 
-def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
-                   max_len: int = 8, max_steps: int = 32,
-                   report_cap: int = 20) -> FuzzReport:
+def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0) -> FuzzReport:
     """Throw random instruction sequences at every compartment and check the
     confinement property: each successful data access, attributed to the
     compartment owning the executing pc, must land inside that compartment's
@@ -648,9 +637,11 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     base activity and exempt.  Faults are the machine working as intended and
     are tallied, not flagged.
 
-    Each sequence draws, from one `random.Random(seed)`, its length, then
-    the address r4 starts with, and ends in a halt at `site + length`.  It
-    is one `run(max_steps)` call over a `_FuzzProgram` view of `img.program`,
+    Each sequence draws, from one `random.Random(seed)`, its length (1 to
+    `FUZZ_SITE_SLOTS`), then the address r4 starts with, and ends in a halt
+    at `site + length`.  The planner keeps room for that in every
+    compartment's code region (`layout.MIN_OWN_CODE`).  A sequence is one
+    `run(FUZZ_MAX_STEPS)` call over a `_FuzzProgram` view of `img.program`,
     which draws each slot into the image's program at its first fetch; a
     slot never fetched keeps what was there before.
     The slots are independent draws from one distribution, so what runs is
@@ -666,20 +657,14 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     `seed` must be at least 0: `random.Random` seeds a negative int as its
     absolute value, so a negative seed would silently repeat another run.
 
-    At most `report_cap` violations are listed.  At the first one beyond
+    At most `FUZZ_REPORT_CAP` violations are listed.  At the first one beyond
     that, fuzzing stops and the list is truncated: its last entry becomes
     "...", and `sequences` counts the sequences run up to that point.
     """
-    if report_cap < 1:
-        raise ValueError("report_cap must be at least 1, or a breach would go unreported")
     if sequences < 0:
         raise ValueError(f"sequences must be at least 0, not {sequences}")
     if seed < 0:
         raise ValueError(f"seed must be at least 0, not {seed}")
-    if max_len < 1:
-        raise ValueError(f"max_len must be at least 1, not {max_len}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be at least 1, not {max_steps}")
     plan = img.plan
     st = img.machine
     data_top = plan.data_top
@@ -705,19 +690,13 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     # Interesting addresses are preloaded as plain integers, plus one honest
     # capability to the home data region.  Per sequence, r4 takes a random
     # address and r7 the sealed entry capability as its slot holds it then.
-    home_names = [c.name for c in plan.config.compartments]
-    for name in home_names:
-        site, top = img.user_entry(name), plan.region(f"{name}.code").top
-        if site + max_len >= top:
-            raise ValueError(f"max_len {max_len} plus the halt does not fit in the code region "
-                             f"of {name!r}: its fuzz site is slot {site}, the region ends at {top}")
     homes = []
-    for name in home_names:
+    for name in (c.name for c in plan.config.compartments):
         st.regs[:] = [NULL_CAP] * len(st.regs)
         img.enter(name)
         base = entry_at = plan.sealed_cap_addr(name)
         st.regs[0:4] = [int_cap(base), int_cap(plan.region(f"{name}.stack").top - 128),
-                        int_cap(plan.table_base), int_cap(0)]
+                        int_cap(TABLE_BASE), int_cap(0)]
         st.regs[5] = int_cap(entry_at)
         st.regs[6] = make_root(base, base + 64, DDC_PERMS)
         homes.append((st.pc, list(st.regs), entry_at, st.code, st.ddc,
@@ -742,13 +721,13 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
     st_regs, image_program = st.regs, img.program
     n_homes = len(homes)
     # The sequence length and the r4 address are `_draw`s, written out.
-    len_bits, r4_bits = max_len.bit_length(), data_top.bit_length()
+    len_bits, r4_bits = FUZZ_SITE_SLOTS.bit_length(), data_top.bit_length()
 
     try:
         for i in range(sequences):
             site, regs, entry_at, code, ddc, home_id = homes[i % n_homes]
             n = gb(len_bits)
-            while n >= max_len: n = gb(len_bits)
+            while n >= FUZZ_SITE_SLOTS: n = gb(len_bits)
             end = site + 1 + n
             st_regs[:] = regs
             r4 = gb(r4_bits)
@@ -769,7 +748,7 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
             st.halted = False
             st.ddc_grant = None
 
-            run(st, mem, program, max_steps)
+            run(st, mem, program, FUZZ_MAX_STEPS)
             if st.fault is not None:
                 kind = st.fault.kind._value_
                 faults[kind] = faults.get(kind, 0) + 1
@@ -785,7 +764,7 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0,
                 cid = owner_of(pc)
                 if cid is None or any(a <= addr and addr + ln <= b for a, b in allowed[cid]):
                     continue
-                if len(violations) < report_cap:
+                if len(violations) < FUZZ_REPORT_CAP:
                     violations.append(
                         f"sequence {i}: pc {pc} ({names[cid]}) "
                         f"{'wrote' if is_write else 'read'} "

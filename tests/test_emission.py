@@ -1,7 +1,7 @@
-"""Gate, switcher and trampoline emission from shared blocks and the `Ins`
-builder (`isa._InsBuilder`), checked against references: the per-call
-builders that emitted every instruction afresh, and an `Ins` built field by
-field the way the generated frozen-dataclass `__init__` builds it."""
+"""Gate emission from shared blocks, the switcher and trampoline constants,
+and the `Ins` builder (`isa._InsBuilder`), checked against references: the
+per-call builders that emitted every instruction afresh, and an `Ins` built
+field by field the way the generated frozen-dataclass `__init__` builds it."""
 
 import dataclasses
 import importlib.resources as ir
@@ -71,15 +71,15 @@ from capcomp.runtime import (
     SAVE_BYTES,
     SAVE_SET,
     SCRUB_BYTES,
+    SWITCHER,
     SWITCHER_RET_ENTRY,
     SWITCHER_SCRUB,
+    TRAMPOLINE,
     GateCode,
     GateDescriptor,
     GateError,
     RegionArg,
     emit_gate_sequence,
-    emit_switcher,
-    emit_trampoline,
     install_call_site,
 )
 
@@ -222,10 +222,10 @@ def test_install_call_site_places_code_and_halt(three):
 
 # --------------------------------------------------------------------------
 # Reference: the per-call switcher and trampoline builders, every instruction
-# constructed on each call.
+# constructed on each call, the switcher's table base read off the plan.
 
 def ref_emit_switcher(plan):
-    tb = plan.table_base
+    tb = plan.region("cap_table").base
     seq = [
         addi(R_FRAME, REG_SP, -FRAME_SIZE),
         readddc(21),
@@ -292,7 +292,6 @@ def ref_emit_trampoline():
 
 
 def assert_same_sequence(got, want):
-    assert type(got) is list
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
         assert g == w, f"slot {i}: {g} != {w}"
@@ -301,44 +300,21 @@ def assert_same_sequence(got, want):
 @pytest.mark.parametrize("memory_size", [1 << 16, 1 << 20])
 @pytest.mark.parametrize("name", BUNDLED_CONFIGS)
 def test_switcher_equals_the_per_call_builder(name, memory_size):
+    # every plan puts the table where the one switcher reads it, and boot
+    # copies that switcher to the first slots
     plan = compute_layout(parse_config(fixture(name)), memory_size)
-    assert_same_sequence(emit_switcher(plan), ref_emit_switcher(plan))
+    assert type(SWITCHER) is tuple
+    assert_same_sequence(SWITCHER, ref_emit_switcher(plan))
+    assert_same_sequence(boot_init(plan).program[:len(SWITCHER)], ref_emit_switcher(plan))
 
 
 def test_trampoline_equals_the_per_call_builder():
-    assert_same_sequence(emit_trampoline(), ref_emit_trampoline())
+    assert type(TRAMPOLINE) is tuple
+    assert_same_sequence(TRAMPOLINE, ref_emit_trampoline())
 
 
-def with_table_at(plan, base):
-    return dataclasses.replace(plan, regions=[
-        dataclasses.replace(r, base=base, top=base + r.top - r.base) if r.name == "cap_table"
-        else r for r in plan.regions])
-
-
-def test_switchers_differ_only_in_the_table_base_immediates():
-    plan = compute_layout(parse_config(fixture("three_comp_shared.cfg")))
-    moved = with_table_at(plan, plan.table_base + 0x1000)
-    assert moved.table_base == plan.table_base + 0x1000
-    here, there = emit_switcher(plan), emit_switcher(moved)
-    assert there == ref_emit_switcher(moved)
-    differ = [i for i, (a, b) in enumerate(zip(here, there)) if a != b]
-    assert len(here) == len(there) and differ == [9, 13, 24]
-    for i in differ:
-        assert here[i].op is Op.ADD_IMM
-        assert dataclasses.replace(here[i], imm=there[i].imm) == there[i]
-        assert there[i].imm - here[i].imm == 0x1000
-
-
-def test_emitted_lists_and_booted_programs_are_not_shared():
+def test_booted_programs_are_not_shared():
     plan = compute_layout(parse_config(fixture("two_comp.cfg")))
-    first, second = emit_switcher(plan), emit_switcher(plan)
-    assert first == second and first is not second
-    first[0] = halt()
-    assert emit_switcher(plan) == second
-    tramp = emit_trampoline()
-    tramp.clear()
-    assert len(emit_trampoline()) == 8
-
     a, b = boot_init(plan), boot_init(plan)
     assert a.program is not b.program and a.program == b.program
     a.program[0] = halt()

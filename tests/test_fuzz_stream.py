@@ -1,7 +1,7 @@
 """The isolation fuzzer's random stream, pinned.
 
 Every `FuzzReport` field of `fuzz_isolation`, for three seeds on each bundled
-configuration and on `FUZZ_CONFIG`, and at other sequence widths.  Per
+configuration and on `FUZZ_CONFIG`.  Per
 sequence, the harness draws from one `random.Random(seed)` the sequence
 length, then the r4 address, and writes the halt after the last slot; it
 then runs the sequence as one `run` call, and draws each slot's instruction
@@ -41,7 +41,7 @@ check the per-sequence draws.
 
 import importlib.resources as ir
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -71,7 +71,7 @@ from capcomp.isa import (
 from capcomp.layout import DDC_PERMS, OFF_DDC, boot_init, compute_layout, parse_config
 from capcomp.machine import run
 from capcomp.memory import CAP_SLOT, TaggedMemory
-from capcomp.runtime import FUZZ_CONFIG, FuzzReport, _draw, _fuzz_ins, fuzz_isolation
+from capcomp.runtime import FUZZ_CONFIG, FUZZ_REPORT_CAP, FuzzReport, _draw, _fuzz_ins, fuzz_isolation
 
 SEQUENCES = 500
 
@@ -104,24 +104,6 @@ def test_fuzz_report_is_pinned(name, seed):
     rep = fuzz_isolation(img, sequences=SEQUENCES, seed=seed)
     got = (rep.sequences, rep.steps, rep.switches, list(rep.faults.items()), rep.violations)
     assert got == PINNED[name, seed]
-
-
-# Widths the default-argument pins above do not exercise, on FUZZ_CONFIG
-# seed 41.  max_len=1 still spends one draw on the sequence length.
-# (keyword arguments): (sequences, steps, switches, faults in first-seen order, violations)
-PINNED_WIDTHS = {
-    (("max_len", 1),): (500, 390, 6, [("TagFault", 156), ("BoundsFault", 99), ("AlignmentFault", 13), ("PermissionFault", 61), ("SealFault", 3)], []),
-    (("max_len", 16),): (500, 381, 15, [("TagFault", 226), ("BoundsFault", 150), ("AlignmentFault", 24), ("PermissionFault", 76), ("SealFault", 7)], []),
-    (("max_steps", 4),): (500, 299, 12, [("TagFault", 194), ("BoundsFault", 148), ("AlignmentFault", 20), ("PermissionFault", 80), ("SealFault", 8)], []),
-}
-
-
-@pytest.mark.parametrize("kwargs", sorted(PINNED_WIDTHS), ids=lambda kw: "-".join(f"{k}{v}" for k, v in kw))
-def test_fuzz_report_is_pinned_at_other_widths(kwargs):
-    img = boot_init(compute_layout(parse_config(FUZZ_CONFIG), memory_size=1 << 20))
-    rep = fuzz_isolation(img, sequences=SEQUENCES, seed=41, **dict(kwargs))
-    got = (rep.sequences, rep.steps, rep.switches, list(rep.faults.items()), rep.violations)
-    assert got == PINNED_WIDTHS[kwargs]
 
 
 # The instruction generator as it was written with `randrange` and `choice`.
@@ -290,8 +272,8 @@ def test_r7_is_decoded_again_after_a_write_into_its_slot(monkeypatch, off, overl
     # codec's view reaches below its entry slot, over the window it shares
     # with app, so a legacy `sti` through r5 (which holds the slot's address)
     # can write across the slot's base, into it, or end just below it.
-    # Every sequence is one scripted slot and the halt: codec's first runs
-    # the store, every other one a `mov`.
+    # Every drawn slot is scripted: those of codec's first sequence run the
+    # store, every other one a `mov`.
     img = boot("three_comp_shared")
     plan = img.plan
     homes = [c.name for c in plan.config.compartments]
@@ -321,7 +303,7 @@ def test_r7_is_decoded_again_after_a_write_into_its_slot(monkeypatch, off, overl
     # the slot is drawn inside the sequence's `run` call, after its start is recorded
     monkeypatch.setattr(runtime, "_fuzz_ins",
                         lambda gb, addr_regs: store if len(starts) == codec + 1 else mov(8, 8))
-    rep = fuzz_isolation(img, sequences=2 * len(homes), seed=7, max_len=1)
+    rep = fuzz_isolation(img, sequences=2 * len(homes), seed=7)
     assert (rep.faults, rep.violations) == ({}, [])
     assert len(starts) == 2 * len(homes)
     for i, (_, r7, loaded) in enumerate(starts):
@@ -437,9 +419,15 @@ def test_undrawn_slots_are_never_seen(monkeypatch, name, seed, breach):
     # The breach widens app's ddc to all of data memory, so the replay must
     # also repeat every violation.
     seqs = record_sequences(monkeypatch)
-    rep = fuzz_isolation(image(name, breach), sequences=2000, seed=seed, report_cap=10**6)
+    rep = fuzz_isolation(image(name, breach), sequences=2000, seed=seed)
     assert (rep.violations != []) == breach
     got = replay(image(name, breach), seqs)
+    if breach:
+        # the report stops at the first violation past its cap, and lists
+        # the ones before it
+        assert rep.violations[-1] == "..." and len(got.violations) > FUZZ_REPORT_CAP
+        assert got.violations[:FUZZ_REPORT_CAP - 1] == rep.violations[:-1]
+        got = replace(got, violations=rep.violations)
     assert got == rep
     assert list(got.faults.items()) == list(rep.faults.items())
 
@@ -453,17 +441,17 @@ def image(name, breach):
     return img
 
 
-@pytest.mark.parametrize("report_cap", [10**6, 1], ids=["all sequences", "stopped at a breach"])
-def test_the_drawn_slots_are_left_in_the_image(monkeypatch, report_cap):
+@pytest.mark.parametrize("breach", [False, True], ids=["all sequences", "stopped at a breach"])
+def test_the_drawn_slots_are_left_in_the_image(monkeypatch, breach):
     # On either return path the image's own list holds every halt and
     # drawn slot, each as the last sequence to write it left it: the
     # fuzzer draws into that list, and keeps no copy of it.
-    img = image("two_comp", True)
+    img = image("two_comp", breach)
     program = img.program
     want = list(program)
     seqs = record_sequences(monkeypatch)
-    rep = fuzz_isolation(img, sequences=2000, seed=3, report_cap=report_cap)
-    assert (rep.violations[-1] == "...") == (report_cap == 1)
+    rep = fuzz_isolation(img, sequences=2000, seed=3)
+    assert (rep.sequences < 2000) == (rep.violations[-1:] == ["..."]) == breach
     assert len(seqs) == rep.sequences
     for rec in seqs:
         want[rec.end] = halt()

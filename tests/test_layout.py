@@ -19,9 +19,11 @@ from capcomp.layout import (
     OFF_PCC,
     OFF_SP,
     OFF_TRAMP,
+    PAIR_ADDR,
     SANDBOX_CODE,
     SANDBOX_SCRATCH,
     SWITCHER_CODE_SLOTS,
+    TABLE_BASE,
     TABLE_ENTRY,
     TRAMP_SLOTS,
     audit_plan,
@@ -484,17 +486,17 @@ def test_code_capability_cannot_read_data():
 def test_boot_switcher_pair_and_sealed_entries():
     plan = compute_layout(parse_config(fixture("two_comp.cfg")))
     img = boot_init(plan)
-    sw_pcc = img.mem.load_cap(plan.pair_addr)
-    locator = img.mem.load_cap(plan.pair_addr + 32)
+    sw_pcc = img.mem.load_cap(PAIR_ADDR)
+    locator = img.mem.load_cap(PAIR_ADDR + 32)
     assert sw_pcc.tag and (sw_pcc.base, sw_pcc.top) == (0, SWITCHER_CODE_SLOTS)
     # the locator covers switcher data plus the whole table, nothing more
     assert locator.tag and locator.base == 0
-    assert locator.top == plan.table_base + len(plan.comp_ids) * TABLE_ENTRY
+    assert locator.top == TABLE_BASE + len(plan.comp_ids) * TABLE_ENTRY
     for name in ("app", "lib"):
         sealed = img.mem.load_cap(plan.sealed_cap_addr(name))
         assert sealed.tag and sealed.sealed
         assert sealed.otype == 2 + plan.comp_ids[name]
-        assert (sealed.base, sealed.top) == (plan.pair_addr, plan.pair_addr + 64)
+        assert (sealed.base, sealed.top) == (PAIR_ADDR, PAIR_ADDR + 64)
 
 
 def test_boot_machine_initial_state():

@@ -10,10 +10,13 @@ from types import SimpleNamespace
 import pytest
 
 from capcomp.layout import (
+    PAIR_ADDR,
     SANDBOX_CODE,
     SANDBOX_SCRATCH,
+    SWITCHER_CODE,
     SWITCHER_CODE_SLOTS,
     SWITCHER_DATA_SIZE,
+    TABLE_BASE,
     TABLE_ENTRY,
     TRAMP_SLOTS,
     InfeasibleOverlap,
@@ -190,9 +193,11 @@ def assert_views_match(plan, ref):
     assert plan.code_bounds == expected_code_bounds(ref)
     assert plan.ddc_bounds == expected_ddc_bounds(ref)
     for view in ("placement_order", "comp_ids", "shared_bounds",
-                 "exception_regions", "sandboxes", "table_base", "pair_addr", "switcher_code",
-                 "total_code_slots", "data_top"):
+                 "exception_regions", "sandboxes", "total_code_slots", "data_top"):
         assert getattr(plan, view) == getattr(ref, view), view
+    # The switcher's places, the same in every plan.
+    assert (TABLE_BASE, PAIR_ADDR, SWITCHER_CODE) == (ref.table_base, ref.pair_addr,
+                                                      ref.switcher_code)
 
     # The per-name views the plan no longer keeps, read off its regions.
     for name in ref.placement_order:

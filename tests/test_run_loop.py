@@ -72,7 +72,7 @@ from capcomp.isa import (
     stc,
     sti,
 )
-from capcomp.layout import boot_init, compute_layout, install_function, parse_config
+from capcomp.layout import SWITCHER_CODE, boot_init, compute_layout, install_function, parse_config
 from capcomp.machine import Fault, MachineState
 from capcomp.memory import CAP_SLOT, TaggedMemory
 from capcomp.runtime import GateDescriptor, RegionArg, install_call_site
@@ -397,7 +397,7 @@ def program_case(cfg, name, seed):
     edges = [a for r in plan.regions if r.kind != "code" for a in (r.base, r.top - 4, r.top)]
     pools = [range(lo, hi, 8)] * 3 + [edges] + [range(shared.base, shared.top, 4)] * shared.tag
     addr = lambda: rng.choice(rng.choice(pools))
-    calls = [img.user_entry(name) + 3] * 4 + [plan.switcher_code[0] + 9] + [
+    calls = [img.user_entry(name) + 3] * 4 + [SWITCHER_CODE[0] + 9] + [
         plan.region(f"{c}.code").base for c in compartments(plan)]
     reg = lambda: rng.choice(BOOT_REGS)
     body = []

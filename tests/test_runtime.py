@@ -2,6 +2,8 @@
 properties, fail-stop behaviour on corrupted inputs, and the emitted-sequence
 length arithmetic."""
 
+import dataclasses
+
 import pytest
 
 from capcomp.capability import FaultKind, NULL_CAP, Perm, make_root
@@ -9,10 +11,12 @@ from capcomp.isa import REG_FP, REG_SP, REG_ZERO, addi, calll, halt, ldi, mov, m
 from capcomp.layout import (
     DDC_PERMS,
     FRAME_OTYPE,
+    MIN_OWN_CODE,
     OFF_DDC,
     OFF_PCC,
     OFF_SP,
     PCC_PERMS,
+    SWITCHER_CODE,
     TABLE_ENTRY,
     TRAMP_SLOTS,
     boot_init,
@@ -31,21 +35,22 @@ from capcomp.runtime import (
     FRAME_OFF_SP,
     FRAME_SIZE,
     FUZZ_CONFIG,
+    FUZZ_REPORT_CAP,
     GateDescriptor,
     GateError,
     RegionArg,
     SAVE_BYTES,
     SAVE_SET,
     SCRUB_BYTES,
+    SWITCHER,
     SWITCHER_END,
     SandboxParam,
     SandboxSignature,
     ShareError,
     TRAMP_ENTER_SLOTS,
+    TRAMPOLINE,
     call_compartment,
     emit_gate_sequence,
-    emit_switcher,
-    emit_trampoline,
     fuzz_isolation,
     gate_call,
     promote_shared,
@@ -100,11 +105,9 @@ def test_constants():
 
 def test_switcher_and_trampoline_lengths():
     from capcomp.runtime import SWITCHER_RET_ENTRY
-    plan = compute_layout(parse_config(fixture("two_comp.cfg")))
-    sw = emit_switcher(plan)
-    assert len(sw) == 61 <= 64
+    assert len(SWITCHER) == 61 <= 64
     assert SWITCHER_RET_ENTRY == 51          # call leg length = return leg entry
-    assert len(emit_trampoline()) == TRAMP_SLOTS == 8
+    assert len(TRAMPOLINE) == TRAMP_SLOTS == 8
 
 
 @pytest.mark.parametrize("args,arg_ops", [
@@ -236,7 +239,7 @@ def test_phase_composition_matches_full_call():
     site = None
 
     st = gate_call(img, gate, [10])
-    lo, hi = img.plan.switcher_code
+    lo, hi = SWITCHER_CODE
     assert lo <= st.pcc.address < hi
     site = st.regs[30].address - 37        # link = site + prologue_len
 
@@ -334,12 +337,12 @@ def test_call_budget_counts_the_prologue():
     prologue = emit_gate_sequence(img.plan, gate, [41]).prologue_len
     st = call_compartment(img, gate, [41], max_steps=prologue)
     assert st.fault is None and not st.halted
-    assert st.pc == img.plan.switcher_code[0]         # stopped at the switcher entry
+    assert st.pc == SWITCHER_CODE[0]         # stopped at the switcher entry
 
 
 def test_switcher_switch_rejects_the_slots_past_the_switcher():
     img = img_two()
-    img.machine.pc = img.plan.switcher_code[0] + SWITCHER_END
+    img.machine.pc = SWITCHER_CODE[0] + SWITCHER_END
     with pytest.raises(GateError, match="not inside the switcher"):
         switcher_switch(img)
 
@@ -530,7 +533,7 @@ def test_junk_caller_offset_fail_stops():
     st = rogue_invoke(img, "app", r10=57 * TABLE_ENTRY, r11=1 * TABLE_ENTRY,
                       r12=img.user_entry("lib"))
     assert st.fault is not None and st.fault.kind is FaultKind.TAG
-    lo, hi = img.plan.switcher_code
+    lo, hi = SWITCHER_CODE
     assert lo <= st.fault.pc < hi                   # died inside the switcher
     assert img.mem.read_bytes(table.base, table.top - table.base) == before
 
@@ -540,7 +543,7 @@ def test_junk_callee_offset_fail_stops():
     st = rogue_invoke(img, "app", r10=0, r11=-3 * TABLE_ENTRY,
                       r12=img.user_entry("lib"))
     assert st.fault is not None and st.fault.kind is FaultKind.TAG
-    lo, hi = img.plan.switcher_code
+    lo, hi = SWITCHER_CODE
     assert lo <= st.fault.pc < hi
 
 
@@ -686,29 +689,21 @@ def test_fuzz_sandbox_host_guard_is_armed():
         "sequence 17476: pc 513 (decode_frame) wrote [0x2420, 0x2440) outside its view"]
 
 
-@pytest.mark.parametrize("report_cap", [1, 4, 20])
-def test_fuzz_violations_are_capped(report_cap):
+def test_fuzz_violations_are_capped():
     # A planted breach: app's ddc widened to all of data memory.
     img = img_two()
     plant(img, "app", OFF_DDC, make_root(0, img.plan.data_top, DDC_PERMS))
-    report = fuzz_isolation(img, sequences=20_000, seed=3, report_cap=report_cap)
+    report = fuzz_isolation(img, sequences=20_000, seed=3)
     assert report.sequences < 20_000                # stopped at the breach beyond the cap
-    assert len(report.violations) == report_cap
+    assert len(report.violations) == FUZZ_REPORT_CAP == 20
     assert report.violations[-1] == "..."
     assert all("outside its view" in v for v in report.violations[:-1])
 
 
-def test_fuzz_report_cap_must_be_positive():
-    with pytest.raises(ValueError, match="report_cap"):
-        fuzz_isolation(img_two(), sequences=1, report_cap=0)
-
-
-@pytest.mark.parametrize("name, value", [("sequences", -1), ("max_len", 0), ("max_steps", 0)])
-def test_fuzz_rejects_bad_widths(name, value):
-    # A negative count would report a vacuous pass, max_steps=0 runs
-    # nothing, and max_len=0 leaves no length to draw.
-    with pytest.raises(ValueError, match=name):
-        fuzz_isolation(img_two(), **{"sequences": 1, name: value})
+def test_fuzz_rejects_a_negative_sequence_count():
+    # A negative count would report a vacuous pass.
+    with pytest.raises(ValueError, match="sequences must be at least 0, not -1"):
+        fuzz_isolation(img_two(), sequences=-1)
 
 
 def test_fuzz_rejects_a_negative_seed():
@@ -720,23 +715,22 @@ def test_fuzz_rejects_a_negative_seed():
     assert fuzz_isolation(img_two(), sequences=0, seed=0).sequences == 0
 
 
-def test_fuzz_rejects_a_sequence_past_its_code_region():
-    # app's fuzz site is slot 72 and its code region ends at slot 576, where
-    # lib's trampoline starts.  A 600-slot sequence overwrote that trampoline
-    # (seed 6) or ran off the end of the program with an IndexError (seed 1).
-    for sequences, seed in ((1, 6), (50, 1)):
-        img = img_two()
-        before = list(img.program)
-        with pytest.raises(ValueError, match="max_len 600 plus the halt does not fit"):
-            fuzz_isolation(img, sequences, seed=seed, max_len=600)
-        assert img.program == before
-    img = img_two()
-    site, top = img.user_entry("app"), img.plan.region("app.code").top
-    with pytest.raises(ValueError, match="'app'"):
-        fuzz_isolation(img, 1, max_len=top - site)       # the halt would land on `top`
-    tramp = img.program[top:top + 8]
-    fuzz_isolation(img, 50, seed=6, max_len=top - site - 1)
-    assert img.program[top:top + 8] == tramp
+def test_fuzz_sequences_fit_a_code_region_at_the_floor():
+    # The planner's floor, MIN_OWN_CODE, is the trampoline, the longest
+    # sequence and its halt: on a plan whose app code region is exactly that
+    # long, no drawn slot or halt lands past it.
+    plan = compute_layout(parse_config(fixture("two_comp.cfg")))
+    app = plan.region("app.code")
+    plan = dataclasses.replace(plan, regions=[
+        dataclasses.replace(r, top=r.base + MIN_OWN_CODE) if r is app else r
+        for r in plan.regions])
+    img = boot_init(plan)
+    # from app's new top to lib's fuzz site: nothing, then lib's trampoline
+    top, lib_site = app.base + MIN_OWN_CODE, img.user_entry("lib")
+    before = img.program[top:lib_site]
+    rep = fuzz_isolation(img, sequences=2000, seed=6)
+    assert rep.sequences == 2000 and rep.steps > 0
+    assert img.program[top:lib_site] == before
 
 
 def test_fuzz_leaves_the_event_list_off():
@@ -750,12 +744,28 @@ def test_fuzz_breach_report_is_pinned():
     # capped early return leaves the event list off too.
     img = img_two()
     plant(img, "app", OFF_DDC, make_root(0, img.plan.data_top, DDC_PERMS))
-    report = fuzz_isolation(img, sequences=20_000, seed=3, report_cap=4)
-    assert (report.sequences, report.steps, report.switches) == (123, 115, 4)
+    report = fuzz_isolation(img, sequences=20_000, seed=3)
+    assert (report.sequences, report.steps, report.switches) == (369, 276, 4)
     assert report.violations == [
         "sequence 4: pc 72 (app) wrote [0xd5, 0xdd) outside its view",
         "sequence 16: pc 73 (app) wrote [0xe7, 0xef) outside its view",
         "sequence 26: pc 73 (app) read [0x120, 0x140) outside its view",
+        "sequence 62: pc 72 (app) wrote [0xe, 0x16) outside its view",
+        "sequence 122: pc 72 (app) wrote [0x11, 0x19) outside its view",
+        "sequence 138: pc 74 (app) wrote [0xe1, 0xe9) outside its view",
+        "sequence 176: pc 73 (app) read [0x94, 0x9c) outside its view",
+        "sequence 190: pc 72 (app) read [0x13, 0x1b) outside its view",
+        "sequence 192: pc 73 (app) read [0x7f, 0x87) outside its view",
+        "sequence 194: pc 73 (app) read [0xdf, 0xe7) outside its view",
+        "sequence 196: pc 73 (app) wrote [0x33, 0x3b) outside its view",
+        "sequence 210: pc 72 (app) read [0x10e, 0x116) outside its view",
+        "sequence 224: pc 72 (app) read [0x42, 0x4a) outside its view",
+        "sequence 224: pc 75 (app) read [0xef, 0xf7) outside its view",
+        "sequence 226: pc 72 (app) wrote [0x80, 0xa0) outside its view",
+        "sequence 266: pc 72 (app) wrote [0x7f, 0x87) outside its view",
+        "sequence 336: pc 73 (app) wrote [0xc7, 0xcf) outside its view",
+        "sequence 348: pc 72 (app) wrote [0x78, 0x80) outside its view",
+        "sequence 362: pc 73 (app) wrote [0xa3, 0xab) outside its view",
         "...",
     ]
     assert img.machine.events is None

@@ -920,10 +920,10 @@ def test_breakdown_matches_static_op_composition():
     from capcomp.layout import compute_layout, parse_config
     from capcomp.runtime import (
         GateDescriptor,
+        SWITCHER,
         TRAMP_ENTER_SLOTS,
+        TRAMPOLINE,
         emit_gate_sequence,
-        emit_switcher,
-        emit_trampoline,
     )
 
     plan = compute_layout(parse_config(
@@ -933,10 +933,10 @@ def test_breakdown_matches_static_op_composition():
     code = emit_gate_sequence(
         plan, GateDescriptor("origin", "target", plan.code_bounds["target"][0],
                              dest=0), [0])
-    tramp = emit_trampoline()
+    tramp = TRAMPOLINE
     phase_ops = {
         "gate_prologue": [i.op for i in code.instructions[:code.prologue_len]],
-        "switcher": [i.op for i in emit_switcher(plan)],
+        "switcher": [i.op for i in SWITCHER],
         "trampoline_enter": [i.op for i in tramp[:TRAMP_ENTER_SLOTS]],
         "callee_body": [retl().op],
         "trampoline_return": [i.op for i in tramp[TRAMP_ENTER_SLOTS:]],
