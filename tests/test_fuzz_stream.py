@@ -334,19 +334,24 @@ def test_each_sequence_is_one_run_call(monkeypatch, name, seed):
 
 
 def test_the_fuzzer_starts_slot_runs(monkeypatch):
-    # armed: with one `run` call per sequence, a retired legacy `stc`/`ldc`
-    # followed by the same op on the same address register starts a slot
-    # run, so the fuzzer reaches `_slot_run` as well as the per-step path
-    entries = []
+    # With one `run` call per sequence, a retired legacy `stc` followed by
+    # the same op on the same address register starts a slot run.  Every
+    # draw here is a legacy `stc` through r1, which each home starts with
+    # pointing into its own stack: each sequence retires its first store
+    # through the handler, every later one in `_slot_run`, and its halt.
+    retired = []
     real = machine._slot_run
 
     def counted(st, mem, program, first, p, stop):
-        entries.append(p)
-        return real(st, mem, program, first, p, stop)
+        end = real(st, mem, program, first, p, stop)
+        retired.append(end - p)
+        return end
 
     monkeypatch.setattr(machine, "_slot_run", counted)
-    fuzz_isolation(boot("three_comp_shared"), sequences=2000, seed=7)
-    assert entries
+    monkeypatch.setattr(runtime, "_fuzz_ins", lambda gb, addr_regs: stc(8, 1, 0))
+    rep = fuzz_isolation(boot("three_comp_shared"), sequences=2000, seed=7)
+    assert (rep.faults, rep.violations) == ({}, [])
+    assert sum(retired) == rep.steps - 2 * 2000 > 0
 
 
 class Poison:
