@@ -200,15 +200,17 @@ class GateCode:
 # the locator, so a garbled compartment offset dies with a tag fault instead
 # of scribbling over the table.
 SWITCHER = (
-    # Frame construction under the caller's ddc.
+    # Frame construction through a capability to the frame, bounded from the
+    # caller's ddc: sp is the caller's to set, so a frame its ddc does not
+    # cover yields an untagged capability and the first store faults.
     addi(R_FRAME, REG_SP, -FRAME_SIZE),
     readddc(21),
-    stc(REG_LINK, R_FRAME, FRAME_OFF_RET),
-    stc(21, R_FRAME, FRAME_OFF_DDC),
-    sti(REG_SP, R_FRAME, FRAME_OFF_SP),
-    sti(REG_FP, R_FRAME, FRAME_OFF_FP),
     addi(22, R_FRAME, FRAME_SIZE),
     setbounds(23, 21, R_FRAME, 22),
+    stc(REG_LINK, 23, FRAME_OFF_RET, cap=True),
+    stc(21, 23, FRAME_OFF_DDC, cap=True),
+    sti(REG_SP, 23, FRAME_OFF_SP, cap=True),
+    sti(REG_FP, 23, FRAME_OFF_FP, cap=True),
     # Switch to the switcher's own data view.
     installddc(R_PAIR2),
     # Record where the caller resumes (just below its live frame).

@@ -229,12 +229,12 @@ def ref_emit_switcher(plan):
     seq = [
         addi(R_FRAME, REG_SP, -FRAME_SIZE),
         readddc(21),
-        stc(REG_LINK, R_FRAME, FRAME_OFF_RET),
-        stc(21, R_FRAME, FRAME_OFF_DDC),
-        sti(REG_SP, R_FRAME, FRAME_OFF_SP),
-        sti(REG_FP, R_FRAME, FRAME_OFF_FP),
         addi(22, R_FRAME, FRAME_SIZE),
         setbounds(23, 21, R_FRAME, 22),
+        stc(REG_LINK, 23, FRAME_OFF_RET, cap=True),
+        stc(21, 23, FRAME_OFF_DDC, cap=True),
+        sti(REG_SP, 23, FRAME_OFF_SP, cap=True),
+        sti(REG_FP, 23, FRAME_OFF_FP, cap=True),
         installddc(R_PAIR2),
         addi(24, R_CALLER_OFF, tb),
         addi(25, 24, TABLE_ENTRY),

@@ -7,7 +7,21 @@ import dataclasses
 import pytest
 
 from capcomp.capability import FaultKind, NULL_CAP, Perm, make_root
-from capcomp.isa import REG_FP, REG_SP, REG_ZERO, addi, calll, halt, ldi, mov, movi, retl, sti
+from capcomp.isa import (
+    REG_FP,
+    REG_SP,
+    REG_ZERO,
+    addi,
+    calll,
+    halt,
+    ldc,
+    ldi,
+    lpb,
+    mov,
+    movi,
+    retl,
+    sti,
+)
 from capcomp.layout import (
     DDC_PERMS,
     FRAME_OTYPE,
@@ -552,6 +566,24 @@ def test_junk_branch_target_fail_stops():
     st = rogue_invoke(img, "app", r10=0, r11=1 * TABLE_ENTRY, r12=999_999)
     assert st.fault is not None and st.fault.kind is FaultKind.BOUNDS
     assert st.fault.pc == tramp_entry(img, "lib") + 3   # the trampoline call
+
+
+def test_a_forged_stack_pointer_cannot_aim_the_frame_stores():
+    # The call leg builds the switch frame at sp - FRAME_SIZE.  A caller that
+    # sets sp into lib's heap must fault before any of the frame stores, which
+    # would put its fp word at A, and its ddc and return capability below A.
+    img = img_two()
+    target = img.plan.region("lib.heap").base + 8          # A
+    mem = img.mem
+    data, tags = bytes(mem.data), bytes(mem.tags)
+    seq = [movi(15, img.plan.sealed_cap_addr("app")), ldc(14, 15, 0),
+           movi(REG_FP, 0xDEADBEEF), movi(REG_SP, target + 24), lpb(14, 19), halt()]
+    st = img.machine
+    st.pc = install_function(img, "app", seq)
+    run(st, mem, img.program)
+    assert st.fault is not None
+    assert (st.fault.kind, st.fault.pc) == (FaultKind.TAG, SWITCHER_CODE[0] + 4)
+    assert (bytes(mem.data), bytes(mem.tags)) == (data, tags)
 
 
 # --------------------------------------------------------------------------
