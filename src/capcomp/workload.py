@@ -17,8 +17,8 @@ import re
 from dataclasses import dataclass, field
 
 from .isa import Op, retl
-from .layout import (ImageSnapshot, boot_init, clip_token, compute_layout, format_table,
-                     install_function, parse_config, read_int)
+from .layout import (MAX_INT_LEN, ImageSnapshot, boot_init, clip_token, compute_layout,
+                     format_table, install_function, parse_config, read_int)
 from .machine import run
 
 
@@ -546,7 +546,17 @@ def emit_report(summary: ScenarioSummary, est: OverheadEstimate,
 
 
 _KV_RE = re.compile(r"(\w+)=(\S+)")
-_EDGE_RE = re.compile(r"edge from=(\w+) to=(\w+) crossings=(\d+)")
+# A count of at most MAX_INT_LEN digits, which `int` reads on every Python.
+_EDGE_RE = re.compile(rf"edge from=(\w+) to=(\w+) crossings=(\d{{1,{MAX_INT_LEN}}})")
+
+
+def _crossings(tok: str) -> int:
+    """An edge line's crossing count, read as `int` reads it; anything else
+    is a bad report."""
+    n = read_int(tok, 10, ScenarioError)
+    if n is None:
+        raise ScenarioError(f"bad crossings count {clip_token(tok)!r}")
+    return n
 
 
 def parse_report(text: str) -> dict:
@@ -555,29 +565,42 @@ def parse_report(text: str) -> dict:
     `_KV_RE` defines the result.  Each line is stripped; the text before
     its first space is its kind, and the `_KV_RE` pairs of the rest are its
     facts, a repeated key's last value winning.  An `edge` line appends
-    `(from, to, int(crossings))` to `edges`; a line of any other kind
-    replaces that kind's dict.  A line that is exactly
-    `edge from=F to=G crossings=N`, the shape `emit_report` gives every
-    edge, is read by one whole-line match, `_EDGE_RE`, instead: on such a
-    line the two readings agree.
+    `(from, to, crossings)` to `edges`; a line of any other kind replaces
+    that kind's dict.  A line that is exactly `edge from=F to=G crossings=N`,
+    the shape `emit_report` gives every edge, is read by one whole-line
+    match, `_EDGE_RE`, instead: on such a line the two readings agree.
+
+    A malformed report raises ScenarioError, prefixed `line N: `: an `edge`
+    line missing `from`, `to` or `crossings`, a count `int` cannot read (or
+    longer than `MAX_INT_LEN` characters), and a line of kind `edges`, which
+    would replace the edge list.
     """
     out: dict = {"edges": []}
+    edges = out["edges"]
     edge = _EDGE_RE.fullmatch
-    for raw in text.splitlines():
-        m = edge(raw)
-        if m is not None:
-            f, g, n = m.groups()
-            out["edges"].append((f, g, int(n)))
-            continue
-        line = raw.strip()
-        if not line:
-            continue
-        kind, _, rest = line.partition(" ")
-        kv = dict(_KV_RE.findall(rest))
-        if kind == "edge":
-            out["edges"].append((kv["from"], kv["to"], int(kv["crossings"])))
-        else:
-            out[kind] = kv
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        try:
+            m = edge(raw)
+            if m is not None:
+                f, g, n = m.groups()
+                edges.append((f, g, int(n)))
+                continue
+            line = raw.strip()
+            if not line:
+                continue
+            kind, _, rest = line.partition(" ")
+            kv = dict(_KV_RE.findall(rest))
+            if kind == "edge":
+                for key in ("from", "to", "crossings"):
+                    if key not in kv:
+                        raise ScenarioError(f"edge line without {key}=")
+                edges.append((kv["from"], kv["to"], _crossings(kv["crossings"])))
+            elif kind == "edges":
+                raise ScenarioError("'edges' names the edge list, not a line kind")
+            else:
+                out[kind] = kv
+        except ScenarioError as e:
+            raise ScenarioError(f"line {line_no}: {e}") from None
     return out
 
 

@@ -1099,7 +1099,7 @@ def test_parse_report_odd_input():
 
 def reference_parse_report(text):
     """`parse_report` without its edge-line match: the general path, which
-    defines what every line means."""
+    defines what every line means and which reports are malformed."""
     out = {"edges": []}
     for raw in text.splitlines():
         line = raw.strip()
@@ -1107,8 +1107,15 @@ def reference_parse_report(text):
             continue
         kind, _, rest = line.partition(" ")
         kv = dict(re.findall(r"(\w+)=(\S+)", rest))
+        if kind == "edges":
+            raise ScenarioError("an 'edges' line")
         if kind == "edge":
-            out["edges"].append((kv["from"], kv["to"], int(kv["crossings"])))
+            try:
+                if len(kv["crossings"]) > 4300:
+                    raise ValueError("too long")
+                out["edges"].append((kv["from"], kv["to"], int(kv["crossings"])))
+            except (KeyError, ValueError):
+                raise ScenarioError("a bad edge line") from None
         else:
             out[kind] = kv
     return out
@@ -1118,7 +1125,7 @@ def report_outcome(parse, text):
     """What `parse` returns for `text`, or the type of what it raises."""
     try:
         return parse(text)
-    except (AttributeError, KeyError, ValueError) as e:
+    except Exception as e:
         return type(e)
 
 
@@ -1166,9 +1173,24 @@ report_lines = st.one_of(edge_like_lines(), report_text(12))
 @example("edge\tfrom=a to=b crossings=3")                # kind 'edge\tfrom=a'
 @example("edge from=\u00e9 to=b crossings=\u0663")       # non-ASCII word and digit
 @example("  edge from=a to=b crossings=3\t")             # stripped first
-@example("edges k=v\nedge from=a to=b crossings=3")      # 'edges' replaced the list
+@example("edges k=v\nedge from=a to=b crossings=3")      # 'edges' would replace the list
 def test_parse_report_matches_its_general_path(text):
-    assert report_outcome(parse_report, text) == report_outcome(reference_parse_report, text)
+    got = report_outcome(parse_report, text)
+    assert got == report_outcome(reference_parse_report, text)
+    assert isinstance(got, dict) or got is ScenarioError
+
+
+@pytest.mark.parametrize("text, error", [
+    ("edges k=v\nedge from=a to=b crossings=3",
+     "line 1: 'edges' names the edge list, not a line kind"),
+    ("scenario name=x\nedge from=a to=b", "line 2: edge line without crossings="),
+    ("edge from=a to=b crossings=3x", "line 1: bad crossings count '3x'"),
+    ("edge from=a to=b crossings=" + "1" * 4301, "line 1: integer longer than 4300 characters"),
+], ids=["edges_line", "no_crossings", "not_an_integer", "too_long"])
+def test_parse_report_rejects_a_malformed_report(text, error):
+    with pytest.raises(ScenarioError) as exc:
+        parse_report(text)
+    assert str(exc.value) == error
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
