@@ -6,13 +6,14 @@ A cross-compartment call is a fixed choreography:
                                 stack, loads the arguments, loads the caller's
                                 sealed entry capability and invokes it;
   switcher (privileged code)    builds the on-stack switch frame (return
-                                capability, caller ddc, sp, fp), seals a
-                                capability to it, installs its own ddc, saves
-                                the caller's resume stack pointer, loads the
-                                callee's capability pair and resume stack,
-                                installs the callee ddc, scrubs every
-                                non-argument register, and branches to the
-                                callee trampoline;
+                                capability, caller ddc, sp, fp) through a
+                                capability bounded by the caller's ddc,
+                                seals a capability to it, installs its own
+                                ddc, saves the caller's resume stack
+                                pointer, loads the callee's capability pair
+                                and resume stack, installs the callee ddc,
+                                scrubs every non-argument register, and
+                                branches to the callee trampoline;
   trampoline enter (callee)     stashes the sealed frame capability on the
                                 callee stack and calls the target function;
   trampoline return (callee)    pops the sealed frame capability and invokes
@@ -637,7 +638,9 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0) -> Fuzz
 
     Accesses made while the pc is inside the switcher are trusted-computing
     base activity and exempt.  Faults are the machine working as intended and
-    are tallied, not flagged.
+    are tallied, not flagged.  So the fuzzer cannot see what the switcher
+    writes: besides that exemption, every drawn destination register is
+    below r16, so no sequence sets fp or sp, which place the switch frame.
 
     Each sequence draws, from one `random.Random(seed)`, its length (1 to
     `FUZZ_SITE_SLOTS`), then the address r4 starts with, and ends in a halt
