@@ -499,7 +499,7 @@ def compute_layout(cfg: CompartmentConfig, memory_size: int = DEFAULT_SIZE) -> L
         return base + size
 
     # Code space: each compartment's own region, then its sandboxes' slices.
-    cursor = place("switcher_code", "switcher_code", *SWITCHER_CODE)
+    cursor = place("switcher_code", "switcher_code", SWITCHER_CODE[0], SWITCHER_CODE_SLOTS)
     for name in order:
         code, sbs = cfg.compartment(name).code, by_host.get(name, ())
         carve = len(sbs) * SANDBOX_CODE

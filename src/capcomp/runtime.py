@@ -639,8 +639,10 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0) -> Fuzz
     Accesses made while the pc is inside the switcher are trusted-computing
     base activity and exempt.  Faults are the machine working as intended and
     are tallied, not flagged.  So the fuzzer cannot see what the switcher
-    writes: besides that exemption, every drawn destination register is
-    below r16, so no sequence sets fp or sp, which place the switch frame.
+    writes: besides that exemption, no draw sets fp or sp, which place the
+    switch frame.  Every drawn destination register is below r16; only
+    `lpb` also writes the link register and the register that held the
+    sealed capability it invokes.
 
     Each sequence draws, from one `random.Random(seed)`, its length (1 to
     `FUZZ_SITE_SLOTS`), then the address r4 starts with, and ends in a halt

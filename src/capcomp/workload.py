@@ -550,15 +550,6 @@ _KV_RE = re.compile(r"(\w+)=(\S+)")
 _EDGE_RE = re.compile(rf"edge from=(\w+) to=(\w+) crossings=(\d{{1,{MAX_INT_LEN}}})")
 
 
-def _crossings(tok: str) -> int:
-    """An edge line's crossing count, read as `int` reads it; anything else
-    is a bad report."""
-    n = read_int(tok, 10, ScenarioError)
-    if n is None:
-        raise ScenarioError(f"bad crossings count {clip_token(tok)!r}")
-    return n
-
-
 def parse_report(text: str) -> dict:
     """Parse an emitted report back into nested dictionaries.
 
@@ -594,7 +585,10 @@ def parse_report(text: str) -> dict:
                 for key in ("from", "to", "crossings"):
                     if key not in kv:
                         raise ScenarioError(f"edge line without {key}=")
-                edges.append((kv["from"], kv["to"], _crossings(kv["crossings"])))
+                n = read_int(kv["crossings"], 10, ScenarioError)
+                if n is None:
+                    raise ScenarioError(f"bad crossings count {clip_token(kv['crossings'])!r}")
+                edges.append((kv["from"], kv["to"], n))
             elif kind == "edges":
                 raise ScenarioError("'edges' names the edge list, not a line kind")
             else:

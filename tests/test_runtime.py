@@ -529,7 +529,6 @@ def rogue_invoke(img, caller, r10, r11, r12):
         movi(12, r12),
         movi(15, img.plan.sealed_cap_addr(caller)),
     ]
-    from capcomp.isa import ldc, lpb
     seq += [ldc(14, 15, 0), lpb(14, 19), halt()]
     entry = install_function(img, caller, seq)
     st = img.machine
