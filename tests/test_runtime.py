@@ -46,6 +46,7 @@ from capcomp.runtime import (
     FRAME_OFF_DDC,
     FRAME_OFF_RET,
     FRAME_OFF_RETLEG,
+    FRAME_OFF_FP,
     FRAME_OFF_SP,
     FRAME_SIZE,
     FUZZ_CONFIG,
@@ -567,22 +568,73 @@ def test_junk_branch_target_fail_stops():
     assert st.fault.pc == tramp_entry(img, "lib") + 3   # the trampoline call
 
 
+def call_with_sp(img, sp):
+    """app sets fp and sp, then calls its own sealed entry."""
+    seq = [movi(15, img.plan.sealed_cap_addr("app")), ldc(14, 15, 0),
+           movi(REG_FP, 0xDEADBEEF), movi(REG_SP, sp), lpb(14, 19), halt()]
+    st = img.machine
+    st.pc = install_function(img, "app", seq)
+    run(st, img.mem, img.program)
+    return st
+
+
+def assert_frame_stores_refused(img, sp):
+    """The call leg must fault at its first frame store, with memory and
+    tags as they were."""
+    mem = img.mem
+    data, tags = bytes(mem.data), bytes(mem.tags)
+    st = call_with_sp(img, sp)
+    assert st.fault is not None
+    assert (st.fault.kind, st.fault.pc) == (FaultKind.TAG, SWITCHER_CODE[0] + 4)
+    assert (bytes(mem.data), bytes(mem.tags)) == (data, tags)
+
+
 def test_a_forged_stack_pointer_cannot_aim_the_frame_stores():
     # The call leg builds the switch frame at sp - FRAME_SIZE.  A caller that
     # sets sp into lib's heap must fault before any of the frame stores, which
     # would put its fp word at A, and its ddc and return capability below A.
     img = img_two()
     target = img.plan.region("lib.heap").base + 8          # A
-    mem = img.mem
-    data, tags = bytes(mem.data), bytes(mem.tags)
-    seq = [movi(15, img.plan.sealed_cap_addr("app")), ldc(14, 15, 0),
-           movi(REG_FP, 0xDEADBEEF), movi(REG_SP, target + 24), lpb(14, 19), halt()]
-    st = img.machine
-    st.pc = install_function(img, "app", seq)
-    run(st, mem, img.program)
-    assert st.fault is not None
-    assert (st.fault.kind, st.fault.pc) == (FaultKind.TAG, SWITCHER_CODE[0] + 4)
-    assert (bytes(mem.data), bytes(mem.tags)) == (data, tags)
+    assert_frame_stores_refused(img, target + 24)
+
+
+# Frames that app's ddc, [app.data.base, app.heap.top), does not cover, by
+# the sp that app forges.
+FORGED_FRAMES = {
+    "switcher pair": lambda plan: plan.region("switcher_data").base + FRAME_SIZE,
+    "capability table": lambda plan: plan.region("cap_table").base + FRAME_SIZE,
+    "lib stack": lambda plan: plan.region("lib.stack").top,
+    "across the view's base": lambda plan: plan.region("app.data").base + FRAME_SIZE // 2,
+    "across the view's top": lambda plan: plan.region("app.heap").top + FRAME_SIZE // 2,
+}
+
+
+@pytest.mark.parametrize("case", FORGED_FRAMES)
+def test_no_frame_outside_the_callers_view_is_written(case):
+    # A frame that lies in, or only reaches into, memory outside the caller's
+    # ddc is refused as a whole: no store of it lands, not even the ones
+    # that fall inside the view.
+    img = img_two()
+    sp = FORGED_FRAMES[case](img.plan)
+    ddc = img.mem.load_cap(img.table_slot("app") + OFF_DDC)
+    assert not ddc.base <= sp - FRAME_SIZE < sp <= ddc.top
+    assert_frame_stores_refused(img, sp)
+
+
+@pytest.mark.parametrize("edge", ["base", "top"])
+def test_a_frame_at_either_edge_of_the_callers_view_is_written(edge):
+    # The control for the cases above: a frame that just fits inside the
+    # caller's ddc, at its base or its top, passes the call leg's stores.
+    img = img_two()
+    ddc = img.mem.load_cap(img.table_slot("app") + OFF_DDC)
+    sp = ddc.base + FRAME_SIZE if edge == "base" else ddc.top
+    st = call_with_sp(img, sp)
+    assert st.fault is None or not SWITCHER_CODE[0] <= st.fault.pc < SWITCHER_CODE[1]
+
+    def frame_word(off):
+        return int.from_bytes(img.mem.read_bytes(sp - FRAME_SIZE + off, 8), "little")
+
+    assert (frame_word(FRAME_OFF_FP), frame_word(FRAME_OFF_SP)) == (0xDEADBEEF, sp)
 
 
 # --------------------------------------------------------------------------
