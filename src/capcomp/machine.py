@@ -14,8 +14,7 @@ checked against the operand itself.  A step either retires completely or
 faults without touching any register, memory byte, or tag, with one third
 outcome: a capability store of a value whose fields do not fit the slot
 record raises OverflowError before any byte is written; that step changes
-no register, byte, tag, counter or record, and spends only the one-shot ddc
-grant.
+no register, byte, tag, counter or record.
 
 `run` is the interpreter loop.  Each iteration checks the fetch, runs the
 opcode's handler, and retires: the handler returns the next pc, or None
@@ -67,11 +66,7 @@ interval changes nothing.
 
 Privileged operations (seal, install-ddc, read-ddc) only execute while the
 pc lies inside the switcher's code window, `MachineState.switcher_bounds`,
-which is empty on a bare machine.  The one exception is the
-gate-return path: a successful load-pair-branch arms a one-shot grant that
-lets exactly the next instruction install the ddc from the pair's second
-register.  Since load-pair-branch always transfers control, untrusted code
-cannot place itself inside that window.
+which is empty on a bare machine.
 """
 
 from __future__ import annotations
@@ -183,9 +178,6 @@ class MachineState:
     # hand-built regions overlap, the first one that holds the pc wins.
     code_regions: list[tuple[int, int, int]] = field(default_factory=list)
 
-    # One-shot install-ddc window armed by load-pair-branch.
-    ddc_grant: int | None = None
-
     # The event list.  While it is a list, `run` appends
     # ("step", pc, compartment, fault) after every attempted step, with the
     # compartment from before the step and the fault or None, and every
@@ -245,21 +237,19 @@ def _enter_region(st: MachineState, pc: int) -> tuple[int, int]:
     return lo, hi
 
 
-# One handler per opcode: handler(st, mem, ins, pc, grant) executes `ins`,
-# fetched from `pc` and past the fetch checks; `grant` is the install-ddc
-# grant armed for this instruction.  The handler returns the next pc, or
+# One handler per opcode: handler(st, mem, ins, pc) executes `ins`, fetched
+# from `pc` and past the fetch checks.  The handler returns the next pc, or
 # None when it faulted or halted; `run` retires.  Only `_halt` counts its
 # own retire.
 
 
-def _load_pair_branch(st, mem, ins, pc, grant):
+def _load_pair_branch(st, mem, ins, pc):
     """Load-pair-branch, on sealed register `ins.a` into register `ins.b`.
 
     Unseals the operand, loads the (branch target, data) capability pair at
     its cursor, branches to the first element, leaves the second in
     `ins.b`, the unsealed operand back in `ins.a`, and a return capability
-    (old pcc advanced past this instruction) in the link register.  Arms the
-    one-shot install-ddc window for `ins.b`.
+    (old pcc advanced past this instruction) in the link register.
     """
     sc = st.regs[ins.a]
     if not sc.tag:
@@ -291,7 +281,6 @@ def _load_pair_branch(st, mem, ins, pc, grant):
     _setreg(st, ins.b, second)
     _setreg(st, ins.a, u)
     _setreg(st, REG_LINK, ret_cap)
-    st.ddc_grant = ins.b
     # The pair read is architectural, like a fetch: it is not an explicit
     # data access by the running compartment, so it records no access event.
     st.switches += 1
@@ -299,11 +288,11 @@ def _load_pair_branch(st, mem, ins, pc, grant):
     return first.address
 
 
-def _nop(st, mem, ins, pc, grant):
+def _nop(st, mem, ins, pc):
     return pc + 1
 
 
-def _halt(st, mem, ins, pc, grant):
+def _halt(st, mem, ins, pc):
     st.halted = True
     st.instructions_retired += 1
     return None
@@ -320,7 +309,7 @@ def _int_access(need: int, is_store: bool):
     TaggedMemory (whose methods re-test the range for their other
     callers)."""
 
-    def access(st, mem, ins, pc, grant):
+    def access(st, mem, ins, pc):
         regs = st.regs
         if ins.cap:
             auth = regs[ins.b]
@@ -359,7 +348,7 @@ def _int_access(need: int, is_store: bool):
     return access
 
 
-def _cap_access(st, mem, ins, pc, grant):
+def _cap_access(st, mem, ins, pc):
     """The handler of a capability load or store: it moves one CAP_SLOT-
     aligned slot and both its granule tags where the authority grants
     STORE_CAP or LOAD_CAP, the authority being chosen as for `_int_access`.
@@ -399,36 +388,36 @@ def _cap_access(st, mem, ins, pc, grant):
     return pc + 1
 
 
-def _set_bounds(st, mem, ins, pc, grant):
+def _set_bounds(st, mem, ins, pc):
     regs = st.regs
     _setreg(st, ins.a, set_bounds(regs[ins.b], regs[ins.c].address, regs[ins.d].address))
     return pc + 1
 
 
-def _set_address(st, mem, ins, pc, grant):
+def _set_address(st, mem, ins, pc):
     regs = st.regs
     _setreg(st, ins.a, set_address(regs[ins.b], regs[ins.c].address))
     return pc + 1
 
 
-def _restrict(st, mem, ins, pc, grant):
+def _restrict(st, mem, ins, pc):
     _setreg(st, ins.a, restrict_perms(st.regs[ins.b], ins.imm))
     return pc + 1
 
 
-def _seal(st, mem, ins, pc, grant):
+def _seal(st, mem, ins, pc):
     if not _privileged(st, pc) or not 0 < ins.imm <= 0xFFFF:
         return _fault(st, FaultKind.PERMISSION, pc, pc)
     _setreg(st, ins.a, seal_cap(st.regs[ins.b], ins.imm))
     return pc + 1
 
 
-def _move(st, mem, ins, pc, grant):
+def _move(st, mem, ins, pc):
     _setreg(st, ins.a, st.regs[ins.b])
     return pc + 1
 
 
-def _add_imm(st, mem, ins, pc, grant):
+def _add_imm(st, mem, ins, pc):
     src = st.regs[ins.b]
     _setreg(st, ins.a, set_address(src, src.address + ins.imm))
     return pc + 1
@@ -446,11 +435,11 @@ def _jump(st: MachineState, target: Capability, pc: int) -> int | None:
     return target.address
 
 
-def _branch_cap(st, mem, ins, pc, grant):
+def _branch_cap(st, mem, ins, pc):
     return _jump(st, st.regs[ins.a], pc)
 
 
-def _call_local(st, mem, ins, pc, grant):
+def _call_local(st, mem, ins, pc):
     code = st.code
     target = _jump(st, set_address(code, st.regs[ins.a].address), pc)
     if target is not None:
@@ -458,12 +447,12 @@ def _call_local(st, mem, ins, pc, grant):
     return target
 
 
-def _return_local(st, mem, ins, pc, grant):
+def _return_local(st, mem, ins, pc):
     return _jump(st, st.regs[REG_LINK], pc)
 
 
-def _install_ddc(st, mem, ins, pc, grant):
-    if not (_privileged(st, pc) or grant == ins.a):
+def _install_ddc(st, mem, ins, pc):
+    if not _privileged(st, pc):
         return _fault(st, FaultKind.PERMISSION, pc, pc)
     cap = st.regs[ins.a]
     if not cap.tag:
@@ -474,14 +463,14 @@ def _install_ddc(st, mem, ins, pc, grant):
     return pc + 1
 
 
-def _read_ddc(st, mem, ins, pc, grant):
+def _read_ddc(st, mem, ins, pc):
     if not _privileged(st, pc):
         return _fault(st, FaultKind.PERMISSION, pc, pc)
     _setreg(st, ins.a, st.ddc)
     return pc + 1
 
 
-def _derive_ddc(st, mem, ins, pc, grant):
+def _derive_ddc(st, mem, ins, pc):
     regs = st.regs
     _setreg(st, ins.a, set_bounds(st.ddc, regs[ins.b].address, regs[ins.c].address))
     return pc + 1
@@ -635,9 +624,6 @@ def run(st: MachineState, mem: TaggedMemory, program: Sequence[Ins],
         steps += 1
         pc = st.pc
         comp = st.current_compartment
-        grant = st.ddc_grant
-        if grant is not None:
-            st.ddc_grant = None    # the window is exactly one instruction wide
         # The fetch check: the allowed case inline, `check_access` names the
         # fault.  Only a new `code` needs its tag, seal and execute bit tested.
         code = st.code
@@ -652,7 +638,7 @@ def run(st: MachineState, mem: TaggedMemory, program: Sequence[Ins],
         else:
             ins = program[pc]
             handler = handlers[ins.op._value_]
-            nxt = handler(st, mem, ins, pc, grant)
+            nxt = handler(st, mem, ins, pc)
             if nxt is not None:    # retire
                 st.instructions_retired += 1
                 st.pc = nxt

@@ -753,7 +753,6 @@ def fuzz_isolation(img: BootImage, sequences: int = 1000, seed: int = 0) -> Fuzz
             st.current_compartment = home_id
             st.fault = None
             st.halted = False
-            st.ddc_grant = None
 
             run(st, mem, program, FUZZ_MAX_STEPS)
             if st.fault is not None:

@@ -61,16 +61,13 @@ def step(st: MachineState, mem: TaggedMemory, program: list) -> MachineState:
 
 
 def attempt(st: MachineState, mem: TaggedMemory, program: list) -> None:
-    """One step.  It spends the one-shot install-ddc grant first, so the
-    grant covers exactly the next attempted step, whether that faults or
-    not.  The fetch check comes next, then the instruction, which faults,
+    """One step: the fetch check, then the instruction, which faults,
     halts or retires; a fault changes nothing but `fault`.  While `events`
     is a list, the step then appends ("step", pc, compartment, fault), with
     the compartment from before the step.  An instruction that raises
     (`store_cap` below) leaves no record."""
     pc, comp = st.pc, st.current_compartment
-    grant, st.ddc_grant = st.ddc_grant, None
-    outcome = fetch_fault(st, program, pc) or execute(st, mem, program[pc], pc, grant)
+    outcome = fetch_fault(st, program, pc) or execute(st, mem, program[pc], pc)
     if isinstance(outcome, Fault):
         st.fault = outcome
     elif outcome is HALT:           # counts its own retire; pc and compartment stay
@@ -141,10 +138,10 @@ def setreg(st: MachineState, idx: int, value) -> None:
         st.regs[idx] = value
 
 
-def execute(st: MachineState, mem: TaggedMemory, ins, pc: int, grant):
-    """Execute `ins`, fetched from `pc`, with the install-ddc grant armed
-    for this step; returns a Fault, HALT or the next pc.  Every check comes
-    before the first write, so a fault leaves the state as it was."""
+def execute(st: MachineState, mem: TaggedMemory, ins, pc: int):
+    """Execute `ins`, fetched from `pc`; returns a Fault, HALT or the next
+    pc.  Every check comes before the first write, so a fault leaves the
+    state as it was."""
     op, regs = ins.op, st.regs
     if op is Op.NOP:
         return pc + 1
@@ -160,8 +157,8 @@ def execute(st: MachineState, mem: TaggedMemory, ins, pc: int, grant):
         return branch(st, regs[REG_LINK], pc)
     if op is Op.LOAD_PAIR_BRANCH:
         return load_pair_branch(st, mem, ins, pc)
-    if op is Op.INSTALL_DDC:        # privileged, or the register the grant names
-        if not (privileged(st, pc) or grant == ins.a):
+    if op is Op.INSTALL_DDC:
+        if not privileged(st, pc):
             return Fault(FaultKind.PERMISSION, pc, pc)
         cap = regs[ins.a]
         if not cap.tag:
@@ -250,8 +247,8 @@ def branch(st, target, pc, link=False):
 
 def load_pair_branch(st, mem, ins, pc):
     """Invoke the sealed capability in `a`: load the (target, data) pair at
-    its cursor, branch to the target, and arm the install-ddc grant for `b`.
-    The faults, in order: the operand's tag, its seal and otype, the pair's
+    its cursor, branch to the target and leave the data in `b`.  The
+    faults, in order: the operand's tag, its seal and otype, the pair's
     authority, alignment and memory end, the two slots' tags, and the
     target's fetch check; the way into the privileged window is this one.
     Where registers coincide, the link wins over the unsealed operand,
@@ -281,7 +278,6 @@ def load_pair_branch(st, mem, ins, pc):
     setreg(st, ins.b, data)
     setreg(st, ins.a, pair)
     setreg(st, REG_LINK, set_address(st.code, pc + 1))
-    st.ddc_grant = ins.b
     st.switches += 1
     st.code = target
     return target.address

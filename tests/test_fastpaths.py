@@ -441,18 +441,17 @@ def test_ldc_after_an_int_store_into_either_granule_is_untagged(mode, granule):
 def test_stc_of_an_unrecordable_capability_through_run(bad, mode):
     """The step raises like store_cap, as the spec's does, and leaves the
     slot, the pc, the retire count, the registers and the event list as
-    they were; only the grant is spent."""
+    they were."""
     program = [stc(SRC, AUTH, 0, cap=mode == "cap")]
     mem = TaggedMemory(HANDLER_MEM)
     mem.store_cap(CAP_SLOT, CAPS["unsealed"])
     st_ = handler_machine(mode, program, CAP_SLOT, 0)
     st_.regs[SRC] = dataclasses.replace(CAPS["unsealed"], **bad)
-    st_.ddc_grant = 4
     before = (bytes(mem.data), bytes(mem.tags), tuple(st_.regs), st_.code, st_.ddc)
     assert_matches_spec(lambda: (st_, mem, program), 1)
     assert (bytes(mem.data), bytes(mem.tags), tuple(st_.regs), st_.code, st_.ddc) == before
     assert (st_.pc, st_.instructions_retired, st_.events) == (0, 0, [])
-    assert (st_.fault, st_.halted, st_.ddc_grant) == (None, False, None)
+    assert (st_.fault, st_.halted) == (None, False)
     with pytest.raises(OverflowError):
         run(st_, mem, program)
 
@@ -619,7 +618,6 @@ def diff_case(seed):
                 mem.store_cap(slot, diff_value(rng))
             except OverflowError:
                 pass
-    st_.ddc_grant = rng.choice((None, None, AUTH, SRC))
     program = [nop()] * DIFF_PC_LIMIT
     program[pc] = ins
     return st_, mem, program
@@ -749,7 +747,7 @@ def test_lpb_loads_the_pair_like_deserialize(name):
             assert same(st_.regs[DEST], second), (name, seed)
             assert st_.regs[REG_LINK] == set_address(code, 1)
             assert st_.regs[SRC] == unseal(regs[SRC])
-            assert (st_.switches, st_.ddc_grant) == (1, DEST)
+            assert st_.switches == 1
         else:
             assert (st_.code, st_.pc, st_.regs, st_.switches) == (code, 0, regs, 0)
     # Each case reaches the outcomes it is there for.

@@ -183,7 +183,7 @@ class Recorded:
 
 
 def start_of(st):
-    assert (st.fault, st.halted, st.ddc_grant) == (None, False, None)
+    assert (st.fault, st.halted) == (None, False)
     return (list(st.regs), st.code, st.pc, st.ddc, st.current_compartment)
 
 
@@ -395,7 +395,7 @@ def replay(img, seqs, max_steps=32):
         program[rec.end] = halt()
         regs, st.code, st.pc, st.ddc, st.current_compartment = rec.start
         st.regs[:] = regs
-        st.fault, st.halted, st.ddc_grant, st.events = None, False, None, []
+        st.fault, st.halted, st.events = None, False, []
         n0 = st.instructions_retired
         run(st, mem, program, max_steps)
         steps += st.instructions_retired - n0
@@ -492,7 +492,7 @@ def observe(st, mem):
         "current_compartment": st.current_compartment, "fault": st.fault,
         "halted": st.halted, "instructions_retired": st.instructions_retired,
         "switches": st.switches, "ddc_swap_events": st.ddc_swap_events,
-        "ddc_grant": st.ddc_grant, "events": list(st.events),
+        "events": list(st.events),
         "data": bytes(mem.data), "tags": bytes(mem.tags),
     }
 

@@ -738,7 +738,7 @@ def round_trip_gate(img):
 
 def lived_in_image(cfg):
     """A booted image after one gated round trip with the event list on,
-    then with the fault, swap count and ddc grant set by hand: every
+    then with the fault and swap count set by hand: every
     `MachineState` field is away from its default, so a field that a
     snapshot drops shows."""
     from capcomp.capability import FaultKind
@@ -752,7 +752,6 @@ def lived_in_image(cfg):
     assert st.halted and st.regs[0].address == 42
     st.fault = Fault(FaultKind.BOUNDS, 0x40, st.pc, 8)
     st.ddc_swap_events += 1
-    st.ddc_grant = st.pc
     bare = MachineState()
     for f in dataclasses.fields(MachineState):
         assert getattr(st, f.name) != getattr(bare, f.name), f.name

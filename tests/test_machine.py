@@ -1,6 +1,6 @@
 """Machine stepping: addressing modes, fault priority and atomicity,
-privileged operations, the install-ddc grant window, and the exception-based
-sharing automaton."""
+privileged operations, load-pair-branch, and the exception-based sharing
+automaton."""
 
 import pytest
 
@@ -214,7 +214,7 @@ def test_fault_atomicity(name, setup, tail):
 
 
 # --------------------------------------------------------------------------
-# Privileged operations and the grant window
+# Privileged operations
 
 def make_privileged(st):
     st.switcher_bounds = (0, 1 << 20)          # the whole pcc is switcher code
@@ -250,7 +250,7 @@ def test_readddc_requires_privilege():
     assert st2.fault is None and st2.regs[1] == st2.ddc
 
 
-def test_installddc_requires_privilege_or_grant():
+def test_installddc_requires_privilege():
     st, mem = bare_machine()
     st.regs[1] = make_root(0, 64, PERM_ALL)
     run(st, mem, [installddc(1)])
@@ -280,7 +280,7 @@ def test_derive_ddc_is_unprivileged_and_monotone():
 
 
 # --------------------------------------------------------------------------
-# Load-pair-branch and the one-shot grant
+# Load-pair-branch
 
 def pair_image(otype=7, lpb_otypes=frozenset({7})):
     """Memory with a (branch target, data view) pair at 512 and a sealed
@@ -309,27 +309,17 @@ def test_lpb_success_effects():
     assert st.switches == 1
 
 
-def test_lpb_grant_is_one_shot():
+def test_installddc_right_after_lpb_outside_the_window_faults():
+    # an lpb confers no privilege: landing outside the switcher window, an
+    # installddc of the pair's data capability is refused like any other
     st, mem = pair_image()
+    ddc = st.ddc
     prog = [lpb(3, 9)] + [nop()] * 99
     prog += [installddc(9), halt()]            # pc 100: immediately after lpb
     run(st, mem, prog)
-    assert st.fault is None and st.halted
-    assert st.ddc.base == 1024                 # grant honored exactly once
-
-    st2, mem2 = pair_image()
-    prog2 = [lpb(3, 9)] + [nop()] * 99
-    prog2 += [nop(), installddc(9), halt()]    # one instruction too late
-    run(st2, mem2, prog2)
-    assert st2.fault is not None and st2.fault.kind is FaultKind.PERMISSION
-
-
-def test_lpb_grant_register_must_match():
-    st, mem = pair_image()
-    st.regs[10] = make_root(0, 4096, PERM_ALL)
-    prog = [lpb(3, 9)] + [nop()] * 99 + [installddc(10), halt()]
-    run(st, mem, prog)
-    assert st.fault.kind is FaultKind.PERMISSION
+    assert st.fault == Fault(FaultKind.PERMISSION, 100, 100)
+    assert st.ddc is ddc and st.regs[9].base == 1024
+    assert st.instructions_retired == 1
 
 
 def test_lpb_rejects_untagged_unsealed_and_foreign_otype():
@@ -355,12 +345,12 @@ def test_lpb_rejects_untagged_pair_elements():
     assert st.fault.kind is FaultKind.TAG
 
 
-def test_step_lpb_arms_the_grant():
-    # one step of an lpb is the whole invoke: branch, pair, grant, one retire
+def test_step_lpb_is_the_whole_invoke():
+    # one step of an lpb is the whole invoke: branch, pair, one retire
     st, mem = pair_image()
     step(st, mem, [lpb(3, 9)] + [nop()] * 99 + [halt()])
     assert st.fault is None and st.pcc.address == 100
-    assert st.regs[9].base == 1024 and st.ddc_grant == 9
+    assert st.regs[9].base == 1024
     assert st.instructions_retired == 1 and st.switches == 1
 
 

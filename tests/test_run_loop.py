@@ -231,7 +231,6 @@ def build_case(seed):
     # r18: the shared region, sealed now and then (no swap), or null.
     shared = make_root(*SHARED, Perm.LOAD | Perm.STORE | Perm.LOAD_CAP | Perm.STORE_CAP)
     st.regs[REG_SHARED] = rng.choice((shared, shared, seal(shared, OTYPE), NULL_CAP, NULL_CAP))
-    st.ddc_grant = rng.choice((None, None, rng.choice(REGS)))
     st.events = [] if rng.random() < 0.5 else None
     if rng.random() < 0.05:
         st.halted = True

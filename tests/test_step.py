@@ -110,7 +110,6 @@ def test_access_grid_matches_the_spec(name, mode):
 
             def case():
                 st = access_machine(mode, auth, addr, is_cap)
-                st.ddc_grant = 4
                 st.events = []
                 return st, seeded_memory(), program
 
@@ -141,7 +140,6 @@ def test_fetch_grid_matches_the_spec(top):
                 st.code, st.pc = Capability(0, top, pc, perms, otype, tag), pc
                 st.ddc = make_root(0, MEM_SIZE, PERM_ALL)
                 st.current_compartment = 3
-                st.ddc_grant = 4
                 st.events = []
                 return st, seeded_memory(), program
 
@@ -227,17 +225,15 @@ def test_halt_retires_once_in_place():
     assert (st.pc, st.instructions_retired, st.current_compartment) == (12, 1, 0)
 
 
-def test_faulting_step_retires_nothing_and_clears_the_grant():
+def test_faulting_step_retires_nothing():
     st, mem = region_machine(11, [(0, 10, 0), (10, 20, 1)], 0)
     st.ddc = make_root(0, 64, PERM_ALL)
     st.switcher_bounds = (40, 40)
-    st.ddc_grant = 6
     program = [nop()] * 40
     program[11] = sti(1, 2, 0)
     st.regs[2] = int_cap(512)
     step(st, mem, program)
     assert st.fault == Fault(FaultKind.BOUNDS, 512, 11, INT_WIDTH, True)
-    assert st.ddc_grant is None
     assert (st.pc, st.instructions_retired, st.current_compartment) == (11, 0, 0)
 
 
@@ -257,7 +253,7 @@ def test_lpb_retires_into_the_target_region():
     step(st, mem, lpb_program())
     assert st.fault is None
     assert (st.pc, st.current_compartment, st.instructions_retired) == (100, 4, 1)
-    assert st.regs[9].base == 0 and st.ddc_grant == 9
+    assert st.regs[9].base == 0
 
 
 def test_lpb_step_after_halt_raises():
