@@ -86,6 +86,16 @@ def test_parse_comments_and_blanks():
      "shared s size=32 between a,b mode=telepathy", 2),
     ("compartment a code=64 data=32 stack=32 heap=0\n"
      "sandbox f", 2),
+    ("compartment a code=64 data=32 stack=32 heap=0\n"
+     "compartment b code=64 data=32 stack=32 heap=0\n"
+     "shared s size=32 between a,b mode=overlap\n"
+     "shared s size=32 between a,b mode=overlap", 4),         # duplicate shared name
+    ("compartment a code=64 data=32 stack=32 heap=0\n"
+     "sandbox f host=a\nsandbox f host=a", 3),                  # duplicate sandbox name
+    ("compartment a code=64 data=32 stack=32 heap=0\n"
+     "shared s size=32 between a mode=overlap", 2),             # one compartment
+    ("compartment a code=64 data=32 stack=32 heap=0\n"
+     "sandbox f hst=a", 2),
 ])
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ConfigError, match=f"line {line}"):
@@ -455,7 +465,7 @@ def test_code_capability_cannot_read_data():
     code capability that could load would read whatever data sits at the
     addresses of its slots.  Three instructions in codec reach app's data at
     those addresses through the link register: the load must fault."""
-    from capcomp.capability import FaultKind, set_address
+    from capcomp.capability import FaultKind
     from capcomp.isa import REG_LINK, calll, ldi, movi
     from capcomp.machine import run
 
@@ -632,6 +642,30 @@ def test_audit_detects_planted_corruption():
     problems = audit_plan(plan)
     assert "regions cap_table and app.data overlap" in problems
     assert "ddc of app can see cap_table" in problems
+
+
+def plant(plan, name, **fields):
+    """`plan` with region `name`'s fields replaced."""
+    return dataclasses.replace(plan, regions=[
+        dataclasses.replace(r, **fields) if r.name == name else r for r in plan.regions])
+
+
+@pytest.mark.parametrize("region,into_heap,finding", [
+    ("app.stack", False, "region app.stack is empty or inverted"),
+    ("mailbox", True, "exception region mailbox visible to ddc of app"),
+    ("outbuf", True, "non-owner app ddc touches shared region outbuf"),
+])
+def test_audit_detects_planted_view_breaks(region, into_heap, finding):
+    # an emptied stack, or a shared region moved to the start of app's heap
+    plan = compute_layout(parse_config(fixture("three_comp_shared.cfg")))
+    assert audit_plan(plan) == []
+    r = plan.region(region)
+    if into_heap:
+        base = plan.region("app.heap").base
+        plan = plant(plan, region, base=base, top=base + r.top - r.base)
+    else:
+        plan = plant(plan, region, top=r.base)
+    assert finding in audit_plan(plan)
 
 
 def test_plan_stores_only_its_config_memory_size_and_regions():

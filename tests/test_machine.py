@@ -17,7 +17,6 @@ from capcomp.capability import (
 from capcomp.isa import (
     REG_LINK,
     REG_SHARED,
-    REG_SP,
     REG_ZERO,
     addi,
     bcap,
@@ -32,10 +31,8 @@ from capcomp.isa import (
     movi,
     nop,
     readddc,
-    restrict,
     retl,
     sealr,
-    setbounds,
     sti,
     stc,
 )
@@ -336,6 +333,19 @@ def test_lpb_rejects_untagged_unsealed_and_foreign_otype():
     st, mem = pair_image(otype=7, lpb_otypes=frozenset({1, 2}))
     run(st, mem, [lpb(3, 9)])
     assert st.fault.kind is FaultKind.SEAL
+
+
+def test_lpb_pair_past_the_end_of_memory_faults():
+    # the sealed root allows [4064, 4128), but memory ends at 4096: the
+    # pair's second slot does not exist
+    st, mem = pair_image()
+    st.regs[3] = seal(make_root(4064, 4128, Perm.LOAD_CAP), 7)
+    before = snapshot(st, mem)
+    run(st, mem, [lpb(3, 9)] + [nop()] * 99 + [halt()])
+    assert st.fault == Fault(FaultKind.ADDRESS, 4064, 0, 64)
+    assert str(st.fault) == "AddressError@0xfe0 pc=0"
+    assert snapshot(st, mem) == before
+    assert (st.instructions_retired, st.switches) == (0, 0)
 
 
 def test_lpb_rejects_untagged_pair_elements():

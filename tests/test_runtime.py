@@ -39,7 +39,7 @@ from capcomp.layout import (
     install_function,
     parse_config,
 )
-from capcomp.machine import run, step
+from capcomp.machine import Fault, run, step
 from capcomp.runtime import (
     FRAME_OFF_CALLEE_SLOT,
     FRAME_OFF_CALLEE_SP,
@@ -176,6 +176,10 @@ def test_gate_call_preconditions():
         gate_call(img, wrong, [])
     img.machine.halted = True
     with pytest.raises(GateError, match="halted"):
+        gate_call(img, gate, [])
+    img = img_two()
+    img.machine.fault = Fault(FaultKind.BOUNDS, 0, img.machine.pc)
+    with pytest.raises(GateError, match="pending fault"):
         gate_call(img, gate, [])
 
 
@@ -360,6 +364,20 @@ def test_switcher_switch_rejects_the_slots_past_the_switcher():
     img.machine.pc = SWITCHER_CODE[0] + SWITCHER_END
     with pytest.raises(GateError, match="not inside the switcher"):
         switcher_switch(img)
+
+
+def test_trampoline_phases_refuse_a_pc_away_from_their_point():
+    # each phase refuses the other's starting point, and runs no step
+    img = img_two()
+    st = img.machine
+    tramp = img.plan.region("lib.code").base
+    st.pc = tramp + TRAMP_ENTER_SLOTS            # the return point
+    with pytest.raises(GateError, match="not at a trampoline entry"):
+        trampoline_enter(img)
+    st.pc = tramp                                # the entry
+    with pytest.raises(GateError, match="not at a trampoline return point"):
+        trampoline_return(img)
+    assert (st.pc, st.instructions_retired, st.fault) == (tramp, 0, None)
 
 
 def test_repeat_call_is_bit_exact():
