@@ -157,9 +157,12 @@ def execute(st: MachineState, mem: TaggedMemory, ins, pc: int):
         return branch(st, regs[REG_LINK], pc)
     if op is Op.LOAD_PAIR_BRANCH:
         return load_pair_branch(st, mem, ins, pc)
+    # Sealing, installing the ddc and reading it run only at a privileged
+    # pc, and a seal's otype must lie in [1, OTYPE_MAX].
+    if (op in (Op.SEAL, Op.INSTALL_DDC, Op.READ_DDC) and not privileged(st, pc)
+            or op is Op.SEAL and not 0 < ins.imm <= OTYPE_MAX):
+        return Fault(FaultKind.PERMISSION, pc, pc)
     if op is Op.INSTALL_DDC:
-        if not privileged(st, pc):
-            return Fault(FaultKind.PERMISSION, pc, pc)
         cap = regs[ins.a]
         if not cap.tag:
             return Fault(FaultKind.TAG, cap.address, pc)
@@ -167,12 +170,7 @@ def execute(st: MachineState, mem: TaggedMemory, ins, pc: int):
             return Fault(FaultKind.SEAL, cap.address, pc)
         st.ddc = cap
         return pc + 1
-    # The rest write register `a` and retire.  Reading the ddc and sealing
-    # are privileged, and a seal's otype must lie in [1, OTYPE_MAX].
-    if op is Op.READ_DDC and not privileged(st, pc):
-        return Fault(FaultKind.PERMISSION, pc, pc)
-    if op is Op.SEAL and not (privileged(st, pc) and 0 < ins.imm <= OTYPE_MAX):
-        return Fault(FaultKind.PERMISSION, pc, pc)
+    # The rest write register `a` and retire.
     src, c, d = regs[ins.b], regs[ins.c].address, regs[ins.d].address
     setreg(st, ins.a, {
         Op.READ_DDC: lambda: st.ddc,
