@@ -91,11 +91,11 @@ def test_parse_comments_and_blanks():
      "shared s size=32 between a,b mode=overlap\n"
      "shared s size=32 between a,b mode=overlap", 4),         # duplicate shared name
     ("compartment a code=64 data=32 stack=32 heap=0\n"
-     "sandbox f host=a\nsandbox f host=a", 3),                  # duplicate sandbox name
+     "sandbox f host=a\nsandbox f host=a", 3),               # duplicate sandbox name
     ("compartment a code=64 data=32 stack=32 heap=0\n"
-     "shared s size=32 between a mode=overlap", 2),             # one compartment
+     "shared s size=32 between a mode=overlap", 2),           # one compartment
     ("compartment a code=64 data=32 stack=32 heap=0\n"
-     "sandbox f hst=a", 2),
+     "sandbox f hst=a", 2),                                   # host= misspelt
 ])
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ConfigError, match=f"line {line}"):
@@ -772,9 +772,9 @@ def round_trip_gate(img):
 
 def lived_in_image(cfg):
     """A booted image after one gated round trip with the event list on,
-    then with the fault and swap count set by hand: every
-    `MachineState` field is away from its default, so a field that a
-    snapshot drops shows."""
+    then with the fault and swap count set by hand: every `MachineState`
+    field is away from its default, so a field that a snapshot drops
+    shows."""
     from capcomp.capability import FaultKind
     from capcomp.machine import Fault, MachineState
     from capcomp.runtime import call_compartment
