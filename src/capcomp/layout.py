@@ -596,7 +596,8 @@ class BootImage:
     region) to its first free address or slot.
 
     `snapshot()` freezes the image's whole state into an `ImageSnapshot`,
-    whose `image()` builds a fresh image from it: boot once, run many."""
+    whose `image()` builds a fresh image from it and whose `restore()`
+    puts an existing image back in that state: boot once, run many."""
 
     plan: LayoutPlan
     mem: TaggedMemory
@@ -649,9 +650,15 @@ class ImageSnapshot:
     `MachineState` field as (name, value, was a list), each list held as a
     tuple. The plan is held as it is; nothing writes a plan after planning.
 
-    `image()` builds a fresh `BootImage` in that state. It shares nothing
-    mutable with the snapshot or with any other image built from it, so a
-    snapshot taken once can start any number of independent runs."""
+    `restore(img)` writes that whole state into an existing image of the
+    same plan, in place: memory, program and `next_free` are overwritten,
+    and every `MachineState` field is set, each list as a new list. A run
+    that restores one kept image reuses its memory, whose pages are
+    already resident, instead of faulting in a fresh mapping. `image()`
+    builds an empty `BootImage` and restores into it, so `restore` is the
+    one path that sets an image's state. Neither shares anything mutable
+    with the snapshot, so a snapshot taken once can start any number of
+    independent runs."""
 
     plan: LayoutPlan
     data: bytes
@@ -660,14 +667,25 @@ class ImageSnapshot:
     next_free: tuple[tuple[str, int], ...]
     machine: tuple[tuple[str, object, bool], ...]
 
+    def restore(self, img: BootImage) -> None:
+        """Put `img` in this snapshot's state. `img` must hold this
+        snapshot's plan itself; any other raises ValueError."""
+        if img.plan is not self.plan:
+            raise ValueError("restore into an image of another plan")
+        img.mem.data[:] = self.data
+        img.mem.tags[:] = self.tags
+        img.program[:] = self.program
+        img.next_free.clear()
+        img.next_free.update(self.next_free)
+        st = img.machine
+        for name, value, is_list in self.machine:
+            setattr(st, name, list(value) if is_list else value)
+
     def image(self) -> BootImage:
-        mem = TaggedMemory(self.plan.memory_size)
-        mem.data[:] = self.data
-        mem.tags[:] = self.tags
-        st = MachineState(**{name: list(value) if is_list else value
-                             for name, value, is_list in self.machine})
-        return BootImage(plan=self.plan, mem=mem, machine=st,
-                         program=list(self.program), next_free=dict(self.next_free))
+        img = BootImage(plan=self.plan, mem=TaggedMemory(self.plan.memory_size),
+                        machine=MachineState(), program=[], next_free={})
+        self.restore(img)
+        return img
 
 
 def boot_init(plan: LayoutPlan) -> BootImage:

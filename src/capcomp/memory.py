@@ -28,10 +28,20 @@ stores, and its restores of those spills such loads, so a restored register
 is `NULL_CAP` and the next crossing's spill of it takes the shortcut again.
 The rule reads only the slot's bytes and tags, so every value, byte and tag
 is what packing and unpacking would give.
+
+A memory's `data` is a private anonymous mapping, not a `bytearray`: the
+kernel hands out its zero pages on first touch, so a page that nothing
+writes or reads costs no memory and no zero-fill: the data of a booted
+1 GiB image holds only the few pages boot wrote.  An mmap is not a bytearray,
+though: its slices are `bytes`, iterating it yields 1-byte `bytes`, and
+`==` compares identity, so read it whole with `bytes(mem.data)`.  `tags`
+stays a `bytearray`, whose item stores are the faster on the hot path and
+whose items iterate as ints.
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
 
 from .capability import ADDR_BITS, ADDR_MASK, NULL_CAP, PERM_ALL, TOP_MAX, Capability, _CapBuilder
@@ -112,7 +122,15 @@ class AlignmentError(Exception):
 
 
 class TaggedMemory:
-    """A flat byte array plus one tag bit per 16-byte granule."""
+    """A flat byte array plus one tag bit per 16-byte granule.
+
+    `data` is a private anonymous mapping (`mmap.ACCESS_COPY`, so
+    MAP_PRIVATE; a plain anonymous mmap is MAP_SHARED on Unix, and reading
+    all of a shared map makes all of it resident).  Untouched pages cost no
+    memory.  Read it as the module docstring says: `bytes(mem.data)` for
+    its contents, never `==` on the mapping itself.  `tags` is a
+    `bytearray` of 0/1, one per granule.
+    """
 
     __slots__ = ("size", "data", "tags")
 
@@ -120,7 +138,7 @@ class TaggedMemory:
         if size <= 0 or size % GRANULE != 0:
             raise ValueError(f"memory size must be a positive multiple of {GRANULE}")
         self.size = size
-        self.data = bytearray(size)
+        self.data = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
         self.tags = bytearray(size // GRANULE)   # 0/1 per granule
 
     def _check_range(self, addr: int, length: int) -> None:

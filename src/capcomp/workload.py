@@ -17,8 +17,9 @@ import re
 from dataclasses import dataclass, field
 
 from .isa import Op, retl
-from .layout import (MAX_INT_LEN, ImageSnapshot, boot_init, clip_token, compute_layout,
-                     format_table, install_function, parse_config, read_int)
+from .layout import (MAX_INT_LEN, BootImage, ImageSnapshot, boot_init, clip_token,
+                     compute_layout, format_table, install_function, parse_config,
+                     read_int)
 from .machine import run
 
 
@@ -454,13 +455,14 @@ _COLD_TABLE = _weight_table(COLD_WEIGHTS, COLD_DEFAULT)
 
 
 @functools.cache
-def _breakdown_start() -> tuple[ImageSnapshot, int]:
+def _breakdown_start() -> tuple[ImageSnapshot, BootImage, int]:
     """The canonical two-compartment image with the callee's `retl`
-    installed, snapshotted, and that `retl`'s entry. Parsed, planned and
-    booted at the first call, once per process: it depends on no input."""
+    installed: its snapshot, the image itself, which every call restores
+    and runs on, and that `retl`'s entry. Parsed, planned and booted at the
+    first call, once per process: it depends on no input."""
     img = boot_init(compute_layout(parse_config(_BREAKDOWN_CONFIG), memory_size=1 << 16))
     entry = install_function(img, "target", [retl()])
-    return img.snapshot(), entry
+    return img.snapshot(), img, entry
 
 
 def switch_breakdown(cold: bool = False) -> SwitchBreakdown:
@@ -468,14 +470,15 @@ def switch_breakdown(cold: bool = False) -> SwitchBreakdown:
     phase through the runtime's phase helpers, and weigh the step records
     each phase leaves.
 
-    The image is booted once per process and kept as an `ImageSnapshot`;
-    each call runs on its own fresh image built from it, so no call sees
-    what an earlier one ran or what a caller did with its result."""
+    The image is booted once per process and kept, with an `ImageSnapshot`
+    of its booted state; each call first restores the kept image from the
+    snapshot in place (`ImageSnapshot.restore`), so no call sees what an
+    earlier one ran, and the result holds nothing of the image."""
     from .runtime import (GateDescriptor, gate_call, switcher_switch,
                           trampoline_enter, trampoline_return)
 
-    snapshot, entry = _breakdown_start()
-    img = snapshot.image()
+    snapshot, img, entry = _breakdown_start()
+    snapshot.restore(img)
     st = img.machine
     gate = GateDescriptor("origin", "target", entry, dest=0)
     phases = (
