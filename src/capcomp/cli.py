@@ -154,7 +154,8 @@ def cmd_boot_dump(args) -> int:
         cap = img.mem.load_cap(plan.sealed_cap_addr(c.name))
         print(f"  {c.name}: at {plan.sealed_cap_addr(c.name):#x} otype={cap.otype} "
               f"tag={cap.tag} sealed={cap.sealed}")
-    tagged = sum(1 for t in img.mem.tags if t)
+    tags = img.mem.tags
+    tagged = len(tags) - tags.count(0)     # each tag is 0 or 1
     print(f"\n{tagged} tagged granules after boot")
     return 0
 
