@@ -172,28 +172,31 @@ def test_cap_load_needs_loadcap_perm():
 # or the pcc.
 
 FAULTING_SETUPS = [
-    # (name, setup(st, mem), program)
+    # (name, setup(st, mem), program, the fault it must raise)
     ("legacy bounds", lambda st, mem: None,
-     [movi(1, 1 << 19), sti(1, 1, 0)]),
+     [movi(1, 1 << 19), sti(1, 1, 0)], FaultKind.BOUNDS),
     ("untagged cap operand", lambda st, mem: None,
-     [sti(1, 2, 0, cap=True)]),
+     [sti(1, 2, 0, cap=True)], FaultKind.TAG),
     ("sealed cap operand",
      lambda st, mem: st.regs.__setitem__(3, seal(make_root(0, 64, PERM_ALL), 5)),
-     [ldi(1, 3, 0, cap=True)]),
+     [ldi(1, 3, 0, cap=True)], FaultKind.SEAL),
     ("misaligned cap store",
      lambda st, mem: st.regs.__setitem__(3, make_root(0, 4096, PERM_ALL)),
-     [stc(3, 3, 4, cap=True)]),
+     [stc(3, 3, 4, cap=True)], FaultKind.ALIGNMENT),
     ("branch through integer", lambda st, mem: None,
-     [movi(1, 3), bcap(1)]),
-    ("lpb untagged pair",
-     lambda st, mem: st.regs.__setitem__(
-         3, seal(make_root(0, 4096, PERM_ALL), 9)),
-     [lpb(3, 5)]),
+     [movi(1, 3), bcap(1)], FaultKind.TAG),
+    # otype 9 is one lpb accepts, so the step passes the otype check and
+    # faults on the pair it loads, whose slots were never stored
+    ("lpb untagged pair", lambda st, mem: (
+         st.regs.__setitem__(3, seal(make_root(0, 4096, PERM_ALL), 9)),
+         setattr(st, "lpb_otypes", frozenset({9}))),
+     [lpb(3, 5)], FaultKind.TAG),
 ]
 
 
-@pytest.mark.parametrize("name,setup,tail", [(n, s, p) for n, s, p in FAULTING_SETUPS])
-def test_fault_atomicity(name, setup, tail):
+@pytest.mark.parametrize("name,setup,tail,kind", FAULTING_SETUPS,
+                         ids=[case[0] for case in FAULTING_SETUPS])
+def test_fault_atomicity(name, setup, tail, kind):
     st, mem = bare_machine(mem_size=4096, data_hi=4096)
     setup(st, mem)
     prog = tail + [halt()]
@@ -206,6 +209,7 @@ def test_fault_atomicity(name, setup, tail):
             post = snapshot(st, mem)
             assert pre == post, f"{name}: fault at pc={pc} mutated state"
             assert st.fault.pc == pc
+            assert st.fault.kind is kind, f"{name}: {st.fault}"
             return
     pytest.fail(f"{name}: program did not fault")
 
