@@ -2,10 +2,14 @@
 load-bearing lines of each subcommand's output."""
 
 import importlib.resources as ir
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import capcomp
 from capcomp import layout
 from capcomp.capability import Perm
 from capcomp.cli import build_parser, main
@@ -439,6 +443,42 @@ def test_memory_size_help_names_the_maximum(capsys):
     out = " ".join(capsys.readouterr().out.split())
     assert exc.value.code == 0
     assert "(default 1 MiB, at most 1 GiB)" in out
+
+
+# One verify in a fresh process; prints its exit code and its peak RSS as
+# `ru_maxrss` reports it.  Linux carries a process's peak RSS over exec into
+# the program it starts, so a probe started from the test process would
+# report at least the test process's own peak.  It is started through
+# `LAUNCHER`, a bare interpreter whose peak is far below the probe's.
+LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+PEAK_RSS_PROBE = """
+import contextlib, io, resource, sys
+from capcomp import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "three_comp_shared.cfg", "--fuzz", "200",
+                     "--memory-size", sys.argv[1]])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_memory_that_is_never_touched_costs_nothing():
+    """A 256 MiB verify peaks less than 64 MiB above a 1 MiB one: boot and
+    fuzzing touch a few pages of data, and the 16 MiB tag array is the one
+    cost that grows with the size."""
+    pytest.importorskip("resource")
+    src = str(Path(capcomp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    peaks = []
+    for size in ("0x100000", "0x10000000"):
+        argv = [sys.executable, "-c", LAUNCHER, sys.executable, "-c", PEAK_RSS_PROBE, size]
+        out = subprocess.run(argv, env=env, capture_output=True, text=True,
+                             check=True).stdout
+        code, peak = map(int, out.split())
+        assert code == 0
+        peaks.append(peak)
+    unit = 1 if sys.platform == "darwin" else 1024    # ru_maxrss: bytes or KiB
+    assert (peaks[1] - peaks[0]) * unit < 64 << 20
 
 
 @pytest.fixture(params=["default int-string limit", "no int-string limit"])

@@ -792,6 +792,23 @@ def lived_in_image(cfg):
     return img
 
 
+def scribble(img):
+    """Change every part of `img` that a snapshot holds: memory bytes and a
+    tag, the program, `next_free`, and every `MachineState` field that is
+    away from its default, which it puts back there."""
+    from capcomp.machine import MachineState
+
+    heap = next(r for r in img.plan.regions if r.kind == "heap")
+    img.mem.write_bytes(heap.base, b"\xa5" * 64)
+    img.mem.store_cap(TABLE_BASE, img.mem.load_cap(TABLE_BASE + OFF_DDC))
+    img.program.append(nop())
+    img.next_free[heap.name] += GRANULE
+    img.next_free["scribbled"] = 0
+    bare = MachineState()
+    for f in dataclasses.fields(MachineState):
+        setattr(img.machine, f.name, getattr(bare, f.name))
+
+
 @pytest.mark.parametrize("cfg", BUNDLED_CFGS)
 def test_snapshot_image_equals_the_image_it_was_taken_from(cfg):
     booted = boot_init(compute_layout(parse_config(fixture(cfg))))
@@ -799,6 +816,36 @@ def test_snapshot_image_equals_the_image_it_was_taken_from(cfg):
         snap = img.snapshot()
         assert image_state(snap.image()) == image_state(img)
         assert snap.image().plan is img.plan
+
+
+@pytest.mark.parametrize("cfg", BUNDLED_CFGS)
+def test_snapshot_restore_puts_an_image_back_in_place(cfg):
+    """A restore of a scribbled image gives the state the snapshot was
+    taken in, which is what `image()` gives, in the objects the image
+    already held; in the lived-in image every machine field was
+    scribbled."""
+    booted = boot_init(compute_layout(parse_config(fixture(cfg))))
+    for img in (booted, lived_in_image(cfg)):
+        snap, before = img.snapshot(), image_state(img)
+        scribble(img)
+        assert image_state(img) != before
+        held = (img.plan, img.mem, img.machine, img.program, img.next_free)
+        snap.restore(img)
+        assert image_state(img) == before == image_state(snap.image())
+        now = (img.plan, img.mem, img.machine, img.program, img.next_free)
+        assert all(a is b for a, b in zip(held, now))
+
+
+def test_snapshot_restore_refuses_an_image_of_another_plan():
+    """Even a plan equal in every region is another plan: restore raises
+    and writes nothing."""
+    snap = boot_init(compute_layout(parse_config(fixture("two_comp.cfg")))).snapshot()
+    for cfg in ("two_comp.cfg", "three_comp_shared.cfg"):
+        other = boot_init(compute_layout(parse_config(fixture(cfg))))
+        before = image_state(other)
+        with pytest.raises(ValueError, match="another plan"):
+            snap.restore(other)
+        assert image_state(other) == before
 
 
 def mutable_parts(img):
