@@ -29,12 +29,12 @@ is `NULL_CAP` and the next crossing's spill of it takes the shortcut again.
 The rule reads only the slot's bytes and tags, so every value, byte and tag
 is what packing and unpacking would give.
 
-A memory's `data` is a private anonymous mapping, not a `bytearray`: the
-kernel hands out its zero pages on first touch, so a page that nothing
-writes or reads costs no memory and no zero-fill: the data of a booted
-1 GiB image holds only the few pages boot wrote.  An mmap is not a bytearray,
-though: its slices are `bytes`, iterating it yields 1-byte `bytes`, and
-`==` compares identity, so read it whole with `bytes(mem.data)`.  `tags`
+A memory's `data` is a private anonymous mapping, not a `bytearray`.  The
+kernel supplies its zeroed pages on first touch, so a page nothing writes
+costs no memory and no zero-fill, and the data of a booted 1 GiB image
+holds only the few pages boot wrote.  An mmap is not a bytearray, though:
+its slices are `bytes`, iterating it yields 1-byte `bytes`, and `==`
+compares identity, so read it whole with `bytes(mem.data)`.  `tags`
 stays a `bytearray`, whose item stores are the faster on the hot path and
 whose items iterate as ints.
 """
@@ -124,11 +124,10 @@ class AlignmentError(Exception):
 class TaggedMemory:
     """A flat byte array plus one tag bit per 16-byte granule.
 
-    `data` is a private anonymous mapping (`mmap.ACCESS_COPY`, so
-    MAP_PRIVATE; a plain anonymous mmap is MAP_SHARED on Unix, and reading
-    all of a shared map makes all of it resident).  Untouched pages cost no
-    memory.  Read it as the module docstring says: `bytes(mem.data)` for
-    its contents, never `==` on the mapping itself.  `tags` is a
+    `data` is a private anonymous mapping, read as the module docstring
+    says.  It is `mmap.ACCESS_COPY`, so MAP_PRIVATE: a plain anonymous mmap
+    is MAP_SHARED on Unix, and reading all of a shared map, as
+    `bytes(mem.data)` does, makes all of it resident.  `tags` is a
     `bytearray` of 0/1, one per granule.
     """
 

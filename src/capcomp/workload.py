@@ -473,7 +473,8 @@ def switch_breakdown(cold: bool = False) -> SwitchBreakdown:
     The image is booted once per process and kept, with an `ImageSnapshot`
     of its booted state; each call first restores the kept image from the
     snapshot in place (`ImageSnapshot.restore`), so no call sees what an
-    earlier one ran, and the result holds nothing of the image."""
+    earlier one ran, and the result holds nothing of the image. Calls
+    share that one image, so two threads must not call this at once."""
     from .runtime import (GateDescriptor, gate_call, switcher_switch,
                           trampoline_enter, trampoline_return)
 
